@@ -18,8 +18,9 @@ from repro.apps import (
 )
 from repro.cloud import Cloud, UploadSite, Workload
 from repro.cloud.instance import HeterogeneityModel
-from repro.core import TextWorkflow, WorkflowStage, assign_subdeadlines, execute_workflow
+from repro.core import WorkflowStage, assign_subdeadlines
 from repro.corpus import html_18mil_like
+from repro.dag import DagScheduler, WorkflowGraph
 from repro.perfmodel import QualityTracker, volume_weighted_fit
 from repro.perfmodel.regression import fit_affine
 from repro.report import ComparisonTable
@@ -36,7 +37,7 @@ def test_extension_workflow_subdeadlines(benchmark):
             x = np.array([1e5, 1e6, 1e7])
             return fit_affine(x, a + b * x)
 
-        wf = TextWorkflow()
+        wf = WorkflowGraph()
         wf.add_stage(WorkflowStage(
             "filter", Workload("grep", GrepApplication(), GrepCostProfile()),
             affine(0.2, 1.3e-8), output_ratio=0.4))
@@ -49,7 +50,8 @@ def test_extension_workflow_subdeadlines(benchmark):
             affine(3.0, 0.9e-4)), after=["extract"])
         cat = html_18mil_like(scale=5e-4)
         subs = assign_subdeadlines(wf, cat.total_size, 4 * HOUR)
-        report = execute_workflow(Cloud(seed=22), wf, cat, 4 * HOUR)
+        report = DagScheduler(Cloud(seed=22), wf, cat, 4 * HOUR,
+                              mode="serial").run()
         return subs, report
 
     subs, report = single_shot(benchmark, run)

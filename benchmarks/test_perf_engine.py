@@ -7,8 +7,7 @@ an accidental O(n log n) → O(n²) slip, a per-event allocation, or a
 reintroduced per-member engine event fails it immediately.
 
 * ``schedule_batch`` + ``run`` of a 100k-event storm must clear 50k
-  events/s on both schedulers with the tracer off, and 20k events/s with
-  a live tracer;
+  events/s with the tracer off, and 20k events/s with a live tracer;
 * the columnar uniform-fleet runner must advance a 100k-instance fleet
   in single-digit wall seconds while firing exactly two engine events.
 """
@@ -35,9 +34,9 @@ def _noop() -> None:
     pass
 
 
-def _storm_rate(scheduler: str, *, traced: bool, n: int = STORM) -> float:
+def _storm_rate(*, traced: bool, n: int = STORM) -> float:
     tracer = Tracer() if traced else None
-    engine = SimulationEngine(tracer=tracer, scheduler=scheduler)
+    engine = SimulationEngine(tracer=tracer)
     # deterministic pseudo-random times; Weyl-ish multiplier spreads them
     times = [((i * 2654435761) & 0xFFFFF) / 16.0 for i in range(n)]
     t0 = time.perf_counter()
@@ -54,27 +53,25 @@ def _best(fn, attempts: int = ATTEMPTS) -> float:
 
 @pytest.mark.smoke
 @pytest.mark.perf
-@pytest.mark.parametrize("scheduler", ["heap", "bucket"])
-def test_engine_storm_throughput(benchmark, scheduler):
+def test_engine_storm_throughput(benchmark):
     rate = benchmark.pedantic(
-        lambda: _best(lambda: _storm_rate(scheduler, traced=False)),
+        lambda: _best(lambda: _storm_rate(traced=False)),
         rounds=1, iterations=1)
-    print(f"\n{scheduler} scheduler, tracer off: {rate:,.0f} events/s")
+    print(f"\nengine storm, tracer off: {rate:,.0f} events/s")
     assert rate >= MIN_EVENTS_PER_S, (
-        f"{scheduler} scheduler regressed to {rate:,.0f} events/s "
+        f"engine regressed to {rate:,.0f} events/s "
         f"(floor {MIN_EVENTS_PER_S:,})")
 
 
 @pytest.mark.smoke
 @pytest.mark.perf
-@pytest.mark.parametrize("scheduler", ["heap", "bucket"])
-def test_engine_storm_throughput_traced(benchmark, scheduler):
+def test_engine_storm_throughput_traced(benchmark):
     rate = benchmark.pedantic(
-        lambda: _best(lambda: _storm_rate(scheduler, traced=True)),
+        lambda: _best(lambda: _storm_rate(traced=True)),
         rounds=1, iterations=1)
-    print(f"\n{scheduler} scheduler, tracer on: {rate:,.0f} events/s")
+    print(f"\nengine storm, tracer on: {rate:,.0f} events/s")
     assert rate >= MIN_TRACED_EVENTS_PER_S, (
-        f"traced {scheduler} scheduler regressed to {rate:,.0f} events/s "
+        f"traced engine regressed to {rate:,.0f} events/s "
         f"(floor {MIN_TRACED_EVENTS_PER_S:,})")
 
 

@@ -91,8 +91,8 @@ def test_tracer_off_overhead_on_100k_pack(benchmark):
         f"{OVERHEAD_BUDGET:.0%} in {ATTEMPTS} attempts ({overheads})")
 
 
-def test_tracer_off_overhead_on_bucket_storm(benchmark):
-    """A disabled tracer on the bucket scheduler must match tracer-None.
+def test_tracer_off_overhead_on_engine_storm(benchmark):
+    """A disabled tracer on the event engine must match tracer-None.
 
     ``SimulationEngine`` normalises a disabled tracer to ``None`` so the
     hot loop stays branch-free; if that normalisation is ever lost, every
@@ -110,7 +110,7 @@ def test_tracer_off_overhead_on_bucket_storm(benchmark):
         pass
 
     def storm(tracer):
-        engine = SimulationEngine(tracer=tracer, scheduler="bucket")
+        engine = SimulationEngine(tracer=tracer)
         engine.schedule_batch(times, _noop, "storm")
         engine.run()
         assert engine.events_fired == n
@@ -129,7 +129,7 @@ def test_tracer_off_overhead_on_bucket_storm(benchmark):
             break
     benchmark.pedantic(instrumented, rounds=3, iterations=1)
     assert min(overheads) < OVERHEAD_BUDGET, (
-        f"disabled-tracer bucket storm overhead {min(overheads):.1%} "
+        f"disabled-tracer engine storm overhead {min(overheads):.1%} "
         f"exceeds {OVERHEAD_BUDGET:.0%} in {len(overheads)} attempts "
         f"({overheads})")
 

@@ -5,7 +5,8 @@ Pipeline: grep-filter the HTML crawl for relevant articles (keeps 40 %),
 extract visible text, POS-tag the result.  The §7 scheduler splits the
 user deadline across stages proportionally to predicted work and snaps the
 splits to whole hours, so no stage's fleet releases instances mid-hour
-under ceil-hour pricing.
+under ceil-hour pricing.  The serial DAG scheduler then runs the stages
+one after another, each on its own fleet; its makespan counts boot waits.
 
 Run:  python examples/text_workflow.py
 """
@@ -21,8 +22,9 @@ from repro.apps import (
     PosTaggerApplication,
 )
 from repro.cloud import Cloud, UploadSite, Workload
-from repro.core import TextWorkflow, WorkflowStage, assign_subdeadlines, execute_workflow
+from repro.core import WorkflowStage, assign_subdeadlines
 from repro.corpus import html_18mil_like
+from repro.dag import DagScheduler, WorkflowGraph
 from repro.perfmodel.regression import fit_affine
 from repro.units import HOUR, fmt_bytes, fmt_seconds
 
@@ -37,7 +39,7 @@ def main() -> None:
     catalogue = html_18mil_like(scale=5e-4)   # ~9k files, ~430 MB
     deadline = 4 * HOUR
 
-    workflow = TextWorkflow()
+    workflow = WorkflowGraph()
     workflow.add_stage(WorkflowStage(
         name="filter",
         workload=Workload("grep", GrepApplication("economy"), GrepCostProfile()),
@@ -70,14 +72,17 @@ def main() -> None:
         print(f"{stage.name:>8} {fmt_bytes(vols[stage.name]):>10} "
               f"{fmt_seconds(subs[stage.name]):>12}")
 
-    report = execute_workflow(cloud, workflow, catalogue, deadline)
+    report = DagScheduler(cloud, workflow, catalogue, deadline,
+                          mode="serial").run()
     print(f"\n{'stage':>8} {'inst':>5} {'makespan':>10} {'missed':>7} {'inst-h':>7}")
-    for name, r in report.stage_reports.items():
+    for name, stage in report.stages.items():
+        r = stage.report
         print(f"{name:>8} {r.n_instances:>5} {fmt_seconds(r.makespan):>10} "
               f"{r.n_missed:>7} {r.instance_hours:>7}")
+    hours = sum(s.report.instance_hours for s in report.stages.values())
     print(f"\nworkflow makespan {fmt_seconds(report.makespan)} vs deadline "
           f"{fmt_seconds(deadline)} -> {'met' if report.met_deadline else 'MISSED'}")
-    print(f"total: {report.instance_hours} instance-hours = ${report.cost:.3f}")
+    print(f"total: {hours} instance-hours = ${report.total_cost:.3f}")
 
 
 if __name__ == "__main__":

@@ -427,9 +427,9 @@ def collect_engine_stats() -> dict:
     """Simulation-core facts for the entry: raw event throughput and
     columnar fleet advance.
 
-    Two measurements.  First, scheduler throughput: ``schedule_batch`` +
-    ``run`` of a 200k-event storm on the heap and calendar-bucket
-    schedulers, tracer off and on — the events/s headline the engine
+    Two measurements.  First, engine throughput: ``schedule_batch`` +
+    ``run`` of a 200k-event storm on the heap event queue, tracer off
+    and on — the events/s headline the engine
     rewrite is held to (the pre-rewrite runner managed ~1.3k events/s
     end to end).  Second, the columnar uniform-fleet runner at 1k / 10k /
     100k instances, tracer off and on: wall seconds, member-advances/s,
@@ -453,22 +453,19 @@ def collect_engine_stats() -> dict:
 
     n_storm = 200_000
     storm_times = [((i * 2654435761) & 0xFFFFF) / 16.0 for i in range(n_storm)]
-    schedulers: dict = {}
-    for scheduler in ("heap", "bucket"):
-        for traced in (False, True):
-            elapsed = math.inf
-            for _ in range(BEST_OF):
-                engine = SimulationEngine(tracer=Tracer() if traced else None,
-                                          scheduler=scheduler)
-                t0 = time.perf_counter()
-                engine.schedule_batch(storm_times, noop, "storm")
-                engine.run()
-                elapsed = min(elapsed, time.perf_counter() - t0)
-            key = f"{scheduler}_{'traced' if traced else 'fast'}"
-            schedulers[key] = {
-                "wall_seconds": round(elapsed, 4),
-                "events_per_s": round(n_storm / elapsed, 1),
-            }
+    storm: dict = {}
+    for traced in (False, True):
+        elapsed = math.inf
+        for _ in range(BEST_OF):
+            engine = SimulationEngine(tracer=Tracer() if traced else None)
+            t0 = time.perf_counter()
+            engine.schedule_batch(storm_times, noop, "storm")
+            engine.run()
+            elapsed = min(elapsed, time.perf_counter() - t0)
+        storm["traced" if traced else "fast"] = {
+            "wall_seconds": round(elapsed, 4),
+            "events_per_s": round(n_storm / elapsed, 1),
+        }
 
     from repro.apps import GrepApplication, GrepCostProfile
     from repro.runner import execute_uniform_fleet
@@ -498,14 +495,14 @@ def collect_engine_stats() -> dict:
             }
 
     return {
-        "workload": f"{n_storm}-event scheduler storm; columnar uniform "
+        "workload": f"{n_storm}-event engine storm; columnar uniform "
                     "fleets of 1k/10k/100k instances (tracer off/on)",
-        "schedulers": schedulers,
+        "storm": storm,
         "fleets": fleets,
-        "events_per_s": schedulers["bucket_fast"]["events_per_s"],
+        "events_per_s": storm["fast"]["events_per_s"],
         "baseline_events_per_s": 1338.9,
         "speedup_vs_baseline": round(
-            schedulers["bucket_fast"]["events_per_s"] / 1338.9, 1),
+            storm["fast"]["events_per_s"] / 1338.9, 1),
         "fleet_100k_wall_seconds": fleets["100000_fast"]["wall_seconds"],
     }
 

@@ -4,7 +4,9 @@ The Text_400K corpus was "extracted from a subset of HTML English language
 articles" (§3.2); this application performs that extraction: strip markup,
 normalise whitespace, keep the visible text.  It is the middle stage of the
 §7 "more complex workflows arising in text processing"
-(grep-filter → extract → tag) that :mod:`repro.core.workflow` schedules.
+(grep-filter → extract → tag): :mod:`repro.core.workflow` apportions the
+deadline across those stages and :class:`~repro.dag.scheduler.DagScheduler`
+runs them.
 
 Cost shape: streaming I/O plus a light per-byte parse — between grep and
 the tagger, leaning toward grep.

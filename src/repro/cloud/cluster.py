@@ -1,4 +1,9 @@
-"""The cloud facade: launching, terminating, storage, billing."""
+"""The cloud facade: launching, terminating, storage, billing.
+
+Each :class:`Cloud` owns one :class:`~repro.sim.engine.SimulationEngine`
+(a single binary-heap event queue) whose clock every instance, volume and
+bill reads, so a run is fixed by its seed alone.
+"""
 
 from __future__ import annotations
 
@@ -42,7 +47,6 @@ class Cloud:
         failure_model: "FailureModel | None" = None,
         obs: Obs | None = None,
         chaos: "FaultInjector | None" = None,
-        scheduler: str = "auto",
     ) -> None:
         from repro.cloud.instance import CPU_HETEROGENEITY, IO_HETEROGENEITY
 
@@ -50,12 +54,8 @@ class Cloud:
         # given).  The tracer is bound to this cloud's engine clock, so
         # every span/instant below is on *simulated* seconds.
         self.obs = obs or get_obs()
-        # ``scheduler`` selects the engine's priority-queue layout (heap,
-        # bucket, or auto migration); all three fire in identical order,
-        # so this is a pure performance knob.
         self.engine = SimulationEngine(
-            tracer=self.obs.tracer if self.obs.tracer.enabled else None,
-            scheduler=scheduler)
+            tracer=self.obs.tracer if self.obs.tracer.enabled else None)
         if self.obs.tracer.enabled:
             self.obs.tracer.bind_clock(lambda: self.engine.now)
         self.rng = RngStream(seed, name="cloud")

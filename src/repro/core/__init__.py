@@ -40,7 +40,6 @@ from repro.core.workflow import (
     WorkflowStage,
     assign_subdeadlines,
     derived_catalogue,
-    execute_workflow,
 )
 
 __all__ = [
@@ -54,7 +53,6 @@ __all__ = [
     "WorkflowStage",
     "assign_subdeadlines",
     "derived_catalogue",
-    "execute_workflow",
     "ResidualAnalysis",
     "adjustment_factor",
     "adjusted_deadline",

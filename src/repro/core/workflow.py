@@ -13,25 +13,26 @@ to *full-hour* boundaries where the budget allows — under ceil-hour
 pricing, a stage that releases its instances mid-hour wastes money, so
 hour-aligned subdeadlines are the cost-efficient cut points (the [22]
 observation the paper cites).
+
+This module only describes and apportions a workflow; running one is
+the job of :class:`~repro.dag.scheduler.DagScheduler`, whose
+``mode="serial"`` is the §7 stage-barrier executor.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import networkx as nx
 
-from repro.cloud.cluster import Cloud
-from repro.cloud.service import ExecutionService, Workload
-from repro.core.planner import StaticProvisioner
+from repro.cloud.service import Workload
 from repro.perfmodel.regression import Predictor
-from repro.runner.execute import ExecutionReport
 from repro.sim.random import stable_seed
 from repro.units import HOUR
 from repro.vfs.files import Catalogue, VirtualFile
 
 __all__ = ["WorkflowStage", "TextWorkflow", "WorkflowError",
-           "assign_subdeadlines", "derived_catalogue", "execute_workflow"]
+           "assign_subdeadlines", "derived_catalogue"]
 
 
 class WorkflowError(ValueError):
@@ -227,101 +228,3 @@ def derived_catalogue(
             content_seed=stable_seed(f.content_seed, seed_tag),
         ))
     return Catalogue(files, name=f"{source.name}->{stage.name}")
-
-
-#: Backwards-compatible alias (pre-DAG callers used the private name).
-_derived_catalogue = derived_catalogue
-
-
-@dataclass
-class WorkflowReport:
-    """Per-stage execution results plus workflow-level rollups."""
-
-    deadline: float
-    subdeadlines: dict[str, float]
-    stage_reports: dict[str, ExecutionReport] = field(default_factory=dict)
-
-    @property
-    def makespan(self) -> float:
-        """Critical-path makespan under the per-stage barriers."""
-        return sum(r.makespan for r in self.stage_reports.values())
-
-    @property
-    def instance_hours(self) -> int:
-        return sum(r.instance_hours for r in self.stage_reports.values())
-
-    @property
-    def cost(self) -> float:
-        return sum(r.cost for r in self.stage_reports.values())
-
-    @property
-    def met_deadline(self) -> bool:
-        return self.makespan <= self.deadline
-
-    def summary(self) -> dict:
-        """Per-stage summaries plus workflow rollups."""
-        return {
-            "stages": {n: r.summary() for n, r in self.stage_reports.items()},
-            "makespan_s": round(self.makespan, 1),
-            "deadline_s": self.deadline,
-            "met": self.met_deadline,
-            "instance_hours": self.instance_hours,
-            "cost_usd": round(self.cost, 4),
-        }
-
-
-def execute_workflow(
-    cloud: Cloud,
-    workflow: TextWorkflow,
-    catalogue: Catalogue,
-    deadline: float,
-    *,
-    strategy: str = "uniform",
-    hour_align: bool = True,
-    service: ExecutionService | None = None,
-) -> WorkflowReport:
-    """Plan and run every stage against its subdeadline, in DAG order.
-
-    Stages run as barriers (a stage starts when all predecessors finish),
-    the simple §7 setting.  Each stage provisions its own fleet through
-    :class:`StaticProvisioner`; intermediate catalogues are derived from
-    the stage output ratios.
-    """
-    # Imported here (as in runner.execute) to break the package cycle:
-    # runner.core pulls in core.planner, which initialises this module.
-    from repro.runner.core import (
-        ExecutionCore,
-        FleetLaunchAcquisition,
-        RunToCompletion,
-        StaticCompletion,
-    )
-
-    svc = service or ExecutionService(cloud)
-    subdeadlines = assign_subdeadlines(workflow, catalogue.total_size, deadline,
-                                       hour_align=hour_align)
-    report = WorkflowReport(deadline=deadline, subdeadlines=subdeadlines)
-    produced: dict[str, Catalogue] = {}
-    for stage in workflow.stages():
-        preds = workflow.predecessors(stage.name)
-        if preds:
-            merged: list[VirtualFile] = []
-            for p in preds:
-                merged.extend(produced[p])
-            stage_input = Catalogue(merged, name=f"input->{stage.name}")
-        else:
-            stage_input = catalogue
-        prov = StaticProvisioner(stage.predictor)
-        plan = prov.plan(list(stage_input), subdeadlines[stage.name],
-                         strategy=strategy)
-        core = ExecutionCore(
-            cloud, stage.workload, plan,
-            acquisition=FleetLaunchAcquisition(),
-            progress=RunToCompletion(),
-            completion=StaticCompletion(),
-            service=svc,
-            label=f"workflow.{stage.name}",
-        )
-        report.stage_reports[stage.name] = core.run().report
-        produced[stage.name] = derived_catalogue(stage_input, stage,
-                                                 seed_tag=stage.name)
-    return report

@@ -12,6 +12,11 @@ edge), and a fan-in stage consumes the sum of its predecessors' outputs
 .derived_catalogue` materialises, so predicted and actual bytes agree at
 every hop (the conservation property tests pin this).
 
+It is also the only graph type an executor accepts: the §7 stage-barrier
+run is :class:`~repro.dag.scheduler.DagScheduler` with ``mode="serial"``
+over a :class:`WorkflowGraph`, so a plain ``TextWorkflow`` is for
+prediction and apportionment only.
+
 Two builders cover the shapes the backend-comparison sweep needs: a
 five-stage linear pipeline and a fan-out/fan-in diamond, both over the
 real applications in :mod:`repro.apps`.

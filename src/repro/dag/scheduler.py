@@ -22,8 +22,10 @@ scheduler runs a whole :class:`~repro.dag.graph.WorkflowGraph`, every
   for every other runner.
 
 ``mode="serial"`` adds a control dependency from each stage to its
-topological predecessor — stages never overlap, which is the §7 barrier
-baseline the concurrent scheduler is measured against.
+topological predecessor, so stages never overlap.  This is *the* §7
+stage-barrier executor and the baseline the concurrent scheduler is
+measured against.  In both modes every stage plans a uniform split
+against its hour-aligned subdeadline.
 """
 
 from __future__ import annotations
@@ -174,9 +176,6 @@ class DagScheduler:
         stage_policies: dict[str, StagePolicy] | None = None,
         lease_manager: LeaseManager | None = None,
         spot_policy=None,
-        strategy: str = "uniform",
-        hour_align: bool = True,
-        service: ExecutionService | None = None,
         label: str = "dag",
     ) -> None:
         if mode not in ("concurrent", "serial"):
@@ -194,9 +193,7 @@ class DagScheduler:
         self.mode = mode
         self.policy = policy
         self.stage_policies = stage_policies or {}
-        self.strategy = strategy
-        self.hour_align = hour_align
-        self.svc = service or ExecutionService(cloud)
+        self.svc = ExecutionService(cloud)
         self.label = label
         self._own_manager = (policy in ("leased", "spot-lease")
                              and lease_manager is None)
@@ -291,8 +288,7 @@ class DagScheduler:
         t0 = cloud.now
         cost0 = cloud.ledger.total_cost
         subdeadlines = assign_subdeadlines(
-            self.graph, self.catalogue.total_size, self.deadline,
-            hour_align=self.hour_align)
+            self.graph, self.catalogue.total_size, self.deadline)
         self._horizon = t0
         for name in self._topo:
             self._states[name] = _StageState(stage=self.graph.stage(name))
@@ -362,11 +358,11 @@ class DagScheduler:
             # Nothing survived the upstream filters: the stage is a no-op.
             st.ctx = None
             self._finish_stage(name, ExecutionReport(deadline=sub,
-                                                     strategy=self.strategy),
+                                                     strategy="uniform"),
                                stage_end=self.cloud.now)
             return
         plan = StaticProvisioner(st.stage.predictor).plan(
-            units, sub, strategy=self.strategy)
+            units, sub, strategy="uniform")
         st.policy = self._policy_for(name)
         st.core = ExecutionCore(
             self.cloud, st.stage.workload, plan,
@@ -491,7 +487,7 @@ class DagScheduler:
                 "backend": self.backend.name,
                 "mode": self.mode,
                 "policy": self.policy,
-                "strategy": self.strategy,
+                "strategy": "uniform",
                 "seed": getattr(self.cloud.rng, "seed", None),
                 "stages": list(self._topo),
                 "edges": [list(e) for e in self.graph.edges()],
@@ -551,9 +547,6 @@ def execute_dag(
     mode: str = "concurrent",
     policy: str = "fleet",
     spot_policy=None,
-    strategy: str = "uniform",
-    hour_align: bool = True,
-    service: ExecutionService | None = None,
     label: str = "dag",
 ) -> DagReport:
     """Plan and run a workflow graph end to end (one-call convenience).
@@ -565,5 +558,4 @@ def execute_dag(
     """
     return DagScheduler(cloud, graph, catalogue, deadline, backend=backend,
                         mode=mode, policy=policy, spot_policy=spot_policy,
-                        strategy=strategy, hour_align=hour_align,
-                        service=service, label=label).run()
+                        label=label).run()

@@ -1,7 +1,7 @@
 """Persistent run ledger — the flight recorder behind every runner.
 
 Every runner/experiment/sweep invocation can emit a schema-versioned
-:class:`RunRecord` — config + seed + scheduler, the metrics registry's
+:class:`RunRecord` — config + seed, the metrics registry's
 ``dump()``, span-stat rollups, billing totals, deadline outcomes, and a
 wall-time/simulated-time phase profile — appended as one JSON line to a
 ledger under ``.repro/runs/``.  The ledger is the queryable history the

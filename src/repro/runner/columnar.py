@@ -173,7 +173,6 @@ def _execute_column(
             label=label,
             config={
                 "seed": getattr(cloud.rng, "seed", None),
-                "scheduler": engine.scheduler,
                 "instances": n,
                 "itype": column.itype.name,
                 "bill": bill,

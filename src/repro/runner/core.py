@@ -1178,7 +1178,6 @@ class ExecutionCore:
             config={
                 "strategy": self.strategy,
                 "seed": getattr(ctx.cloud.rng, "seed", None),
-                "scheduler": ctx.engine.scheduler,
                 "bins": n_bins,
                 "units": sum(len(u) for u in ctx.by_index.values()),
                 "bill": self.bill,

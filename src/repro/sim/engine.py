@@ -4,46 +4,37 @@ The EC2 simulator (:mod:`repro.cloud`) and the plan runner
 (:mod:`repro.runner`) are built on this engine.  It fires events in exact
 ``(time, sequence)`` order — events scheduled at the same simulated time
 fire in scheduling order — with a monotonic clock and a cancellation
-facility, behind two interchangeable scheduler layouts:
-
-* **heap** — a binary heap of ``(time, seq, event)`` tuples; O(log n) per
-  operation, lowest constant factor for small, sparse event populations;
-* **bucket** — a calendar-queue variant: events are appended O(1) into
-  buckets keyed by ``floor(time / width)``, a min-heap tracks *occupied*
-  bucket keys only (empty buckets are never visited), and each bucket is
-  sorted once — by C timsort — at the moment it becomes the minimum.
-  Dense populations (large fleets, batched completions) pay roughly O(1)
-  per event instead of O(log n) Python-level comparisons.
-
-The default ``scheduler="auto"`` starts on the heap (the sparse-horizon
-fallback) and migrates to buckets once the pending population crosses a
-threshold; both layouts are exact priority queues, so the firing order is
-bit-identical whichever is active (``tests/test_sim_engine_differential.py``
-holds them to that with a hypothesis program generator).
+facility.  The queue is one binary heap of ``(time, seq, event)`` tuples:
+O(log n) per operation, and every workload in this repository keeps at
+most a few dozen events pending, where the heap has the lowest constant
+factor (``tests/test_sim_engine_differential.py`` holds it to a naive
+sorted-list reference with a hypothesis program generator).
 
 Hot-path design (the "million events/sec" contract):
 
 * :class:`Event` is a plain ``__slots__`` class — no dataclass machinery,
   no per-event dict;
 * heap entries are bare tuples, compared in C;
-* :meth:`SimulationEngine.schedule_batch` amortises validation, tracer
-  checks and scheduler maintenance over a whole batch of events;
+* :meth:`SimulationEngine.schedule_batch` amortises validation and tracer
+  checks over a whole batch of events;
 * the no-tracer ``run`` loop is a dedicated fast path with zero tracer
   branches per event;
-* cancelled entries are *compacted* out of the scheduler once they exceed
+* cancelled entries are *compacted* out of the heap once they exceed
   half of the stored population, so cancel-heavy workloads (hedged
   launches, straggler replacement) cannot bloat peeks and pops.
 
 Determinism contract
 --------------------
 Given the same sequence of ``schedule`` calls, ``run`` produces the same
-sequence of callbacks — regardless of the scheduler layout.  No wall-clock
-time is ever consulted; simulated time is a ``float`` number of seconds.
+sequence of callbacks.  No wall-clock time is ever consulted; simulated
+time is a finite ``float`` number of seconds — NaN and infinite event
+times are rejected, since they would break the heap's total order.
 """
 
 from __future__ import annotations
 
 import heapq
+from math import inf, isfinite
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -53,12 +44,9 @@ __all__ = ["Event", "SimulationEngine", "SimulationError"]
 
 
 class SimulationError(RuntimeError):
-    """Raised for scheduling in the past, counter corruption, or a runaway
-    simulation."""
+    """Raised for scheduling in the past or at a non-finite time, counter
+    corruption, or a runaway simulation."""
 
-
-#: Pending population at which ``scheduler="auto"`` migrates heap → buckets.
-AUTO_BUCKET_THRESHOLD = 512
 
 #: Never compact below this many stored entries (compaction is O(n)).
 _COMPACT_MIN = 64
@@ -132,14 +120,6 @@ class SimulationEngine:
     tracer:
         Optional structured event log; ``None`` (or a disabled tracer)
         selects the branch-free fast path.
-    scheduler:
-        ``"auto"`` (heap, migrating to buckets past
-        :data:`AUTO_BUCKET_THRESHOLD` pending events), ``"heap"`` (never
-        migrate) or ``"bucket"`` (migrate on first schedule).  All three
-        fire events in identical order.
-    bucket_width:
-        Bucket span in simulated seconds; by default it is chosen at
-        migration time as the mean gap between pending events.
 
     With an enabled ``tracer``, the engine keeps a structured event log:
     ``sim.engine.schedule`` / ``sim.engine.fire`` / ``sim.engine.cancel``
@@ -149,33 +129,17 @@ class SimulationEngine:
     """
 
     def __init__(self, max_events: int = 10_000_000,
-                 tracer: "Tracer | None" = None, *,
-                 scheduler: str = "auto",
-                 bucket_width: float | None = None) -> None:
-        if scheduler not in ("auto", "heap", "bucket"):
-            raise SimulationError(
-                f"unknown scheduler {scheduler!r} (auto, heap or bucket)")
-        self._policy = scheduler
-        self._bucketed = False
-        # heap lane: list of (time, seq, Event) tuples
+                 tracer: "Tracer | None" = None) -> None:
+        # (time, seq, Event) tuples, cancelled entries included until
+        # popped or compacted.  Only ever mutated in place, so the run
+        # loop may hold a reference across callbacks.
         self._heap: list[tuple[float, int, Event]] = []
-        # bucket lane: key -> unsorted entry list; only *occupied* keys
-        # live in the _bkeys min-heap, and _cur is the minimal bucket,
-        # sorted descending so pops come off the end.
-        self._buckets: dict[int, list[tuple[float, int, Event]]] = {}
-        self._bkeys: list[int] = []
-        self._cur: list[tuple[float, int, Event]] = []
-        self._cur_key = 0
-        self._width = float(bucket_width) if bucket_width else 0.0
         self._seq = 0
         self._now = 0.0
         self._fired = 0
         self._pending = 0
-        self._stored = 0   # entries across all lanes, cancelled included
         self.max_events = max_events
         self._tracer = tracer if (tracer is not None and tracer.enabled) else None
-        if scheduler == "bucket":
-            self._migrate_to_buckets()
 
     def attach_tracer(self, tracer: "Tracer | None") -> None:
         """Install (or remove, with ``None``) the structured event log."""
@@ -192,20 +156,19 @@ class SimulationEngine:
     def events_fired(self) -> int:
         return self._fired
 
-    @property
-    def scheduler(self) -> str:
-        """The active scheduler layout: ``"heap"`` or ``"bucket"``."""
-        return "bucket" if self._bucketed else "heap"
-
     # -- scheduling ------------------------------------------------------
+
+    def _reject(self, time: float, what: str) -> SimulationError:
+        if isfinite(time):
+            return SimulationError(
+                f"cannot schedule {what} at t={time} (now={self._now})")
+        return SimulationError(f"non-finite time {time} for {what}")
 
     def schedule_at(self, time: float, callback: Callable[[], None],
                     label: str = "") -> Event:
         """Schedule ``callback`` at absolute simulated time ``time``."""
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule {label or 'event'} at t={time} (now={self._now})"
-            )
+        if not self._now <= time < inf:   # also false for NaN
+            raise self._reject(time, label or "event")
         ev = Event(time, callback, label, False, self, False, True)
         self._insert(time, ev)
         self._pending += 1
@@ -248,16 +211,9 @@ class SimulationEngine:
         if not one_label and len(labels) != n:
             raise SimulationError(
                 f"schedule_batch: {n} times but {len(labels)} labels")
-        now = self._now
-        if min(times) < now:
-            bad = min(times)
-            raise SimulationError(
-                f"cannot schedule batch event at t={bad} (now={now})")
-        # A large batch on the heap lane is exactly the dense regime the
-        # bucket layout exists for: migrate first so inserts are O(1).
-        if (not self._bucketed and self._policy == "auto"
-                and self._pending + n > AUTO_BUCKET_THRESHOLD):
-            self._migrate_to_buckets(extra_times=times)
+        if not all(map(isfinite, times)) or min(times) < self._now:
+            bad = next((t for t in times if not isfinite(t)), min(times))
+            raise self._reject(bad, "batch event")
         events: list[Event] = []
         append = events.append
         insert = self._insert
@@ -276,111 +232,21 @@ class SimulationEngine:
                                track="sim", label=ev.label, t=ev.time)
         return events
 
-    # -- scheduler internals ---------------------------------------------
-
     def _insert(self, time: float, ev: Event) -> None:
         seq = self._seq
         self._seq = seq + 1
-        entry = (time, seq, ev)
-        self._stored += 1
-        if not self._bucketed:
-            heapq.heappush(self._heap, entry)
-            if (self._policy == "auto"
-                    and self._pending + 1 > AUTO_BUCKET_THRESHOLD):
-                self._migrate_to_buckets()
-            return
-        self._bucket_insert(entry)
-
-    def _bucket_insert(self, entry: tuple[float, int, Event]) -> None:
-        key = int(entry[0] / self._width)
-        cur = self._cur
-        if cur:
-            cur_key = self._cur_key
-            if key == cur_key:
-                # Insert into the open (descending-sorted) bucket.
-                lo, hi = 0, len(cur)
-                while lo < hi:
-                    mid = (lo + hi) // 2
-                    if cur[mid] > entry:
-                        lo = mid + 1
-                    else:
-                        hi = mid
-                cur.insert(lo, entry)
-                return
-            if key < cur_key:
-                # The new event precedes the open bucket (the clock lags
-                # far behind it): push the open bucket back and fall
-                # through to a plain insert.  Rare — only reachable when
-                # a peek opened a far-future bucket.
-                self._buckets[cur_key] = cur
-                heapq.heappush(self._bkeys, cur_key)
-                self._cur = []
-        b = self._buckets.get(key)
-        if b is None:
-            self._buckets[key] = [entry]
-            heapq.heappush(self._bkeys, key)
-        else:
-            b.append(entry)
-
-    def _migrate_to_buckets(self, extra_times: Sequence[float] | None = None) -> None:
-        """Move every heap entry into the bucket lane (order-preserving)."""
-        self._bucketed = True
-        entries = self._heap
-        self._heap = []
-        if self._width <= 0.0:
-            # Width heuristic: the mean gap between pending events, so a
-            # bucket holds O(1) events on average.  Degenerate spans fall
-            # back to 1 simulated second; correctness never depends on
-            # the choice, only constant factors do.
-            t_hi = max(entries, default=(self._now, 0, None))[0]
-            n = len(entries)
-            if extra_times is not None and extra_times:
-                t_hi = max(t_hi, max(extra_times))
-                n += len(extra_times)
-            span = t_hi - self._now
-            self._width = (span / n) if (span > 0.0 and n > 0) else 1.0
-        for entry in entries:
-            self._bucket_insert(entry)
+        heapq.heappush(self._heap, (time, seq, ev))
 
     def _peek_entry(self) -> tuple[float, int, Event] | None:
-        """The next live entry, still stored (cancelled ones are dropped)."""
-        if not self._bucketed:
-            heap = self._heap
-            while heap:
-                entry = heap[0]
-                if entry[2].cancelled:
-                    heapq.heappop(heap)
-                    self._stored -= 1
-                    continue
+        """The next live entry, still on the heap (cancelled ones are
+        dropped)."""
+        heap = self._heap
+        while heap:
+            entry = heap[0]
+            if not entry[2].cancelled:
                 return entry
-            return None
-        while True:
-            cur = self._cur
-            while cur:
-                entry = cur[-1]
-                if entry[2].cancelled:
-                    cur.pop()
-                    self._stored -= 1
-                    continue
-                return entry
-            # Open the next occupied bucket: sort once, drain from the end.
-            bkeys = self._bkeys
-            if not bkeys:
-                return None
-            key = heapq.heappop(bkeys)
-            b = self._buckets.pop(key, None)
-            if b:
-                b.sort(reverse=True)
-                self._cur = b
-                self._cur_key = key
-
-    def _pop_entry(self) -> None:
-        """Remove the entry :meth:`_peek_entry` just returned."""
-        if not self._bucketed:
-            heapq.heappop(self._heap)
-        else:
-            self._cur.pop()
-        self._stored -= 1
+            heapq.heappop(heap)
+        return None
 
     # -- cancellation bookkeeping ----------------------------------------
 
@@ -394,36 +260,20 @@ class SimulationEngine:
         if self._tracer is not None:
             self._tracer.instant("sim.engine.cancel", cat="sim",
                                  track="sim", label=ev.label, t=ev.time)
-        # Compaction: cancelled entries linger in the scheduler until
-        # popped, so a cancel-heavy workload (hedged launches, straggler
+        # Compaction: cancelled entries linger in the heap until popped,
+        # so a cancel-heavy workload (hedged launches, straggler
         # replacement) would otherwise bloat every peek and pop.  Once
         # they exceed half the stored population, rebuild without them.
-        if (self._stored - self._pending > (self._stored >> 1)
-                and self._stored > _COMPACT_MIN):
-            self._compact()
-
-    def _compact(self) -> None:
-        """Drop every cancelled entry from the scheduler structures."""
-        if not self._bucketed:
-            self._heap = [e for e in self._heap if not e[2].cancelled]
-            heapq.heapify(self._heap)
-        else:
-            self._cur = [e for e in self._cur if not e[2].cancelled]
-            buckets = {}
-            for key, entries in self._buckets.items():
-                kept = [e for e in entries if not e[2].cancelled]
-                if kept:
-                    buckets[key] = kept
-            self._buckets = buckets
-            self._bkeys = list(buckets)
-            heapq.heapify(self._bkeys)
-        # Every cancelled entry is gone, so exactly the live ones remain.
-        self._stored = self._pending
+        heap = self._heap
+        stored = len(heap)
+        if stored - self._pending > (stored >> 1) and stored > _COMPACT_MIN:
+            heap[:] = [e for e in heap if not e[2].cancelled]
+            heapq.heapify(heap)
 
     # -- execution -------------------------------------------------------
 
     def _fire(self, entry: tuple[float, int, Event]) -> Event:
-        """Consume one live entry (already removed from its lane)."""
+        """Consume one live entry (already popped off the heap)."""
         ev = entry[2]
         ev._consumed = True
         ev._tracked = False
@@ -443,11 +293,11 @@ class SimulationEngine:
         entry = self._peek_entry()
         if entry is None:
             return None
-        self._pop_entry()
+        heapq.heappop(self._heap)
         return self._fire(entry)
 
     def run(self, until: float | None = None) -> float:
-        """Fire events until the scheduler drains (or ``until`` passes).
+        """Fire events until the heap drains (or ``until`` passes).
 
         Returns the final simulated time.  With ``until`` set, events at
         times strictly greater than ``until`` remain pending and the clock
@@ -467,28 +317,25 @@ class SimulationEngine:
     def _run_fast(self, until: float | None) -> float:
         """The hot loop: peek / bound-check / fire, nothing else."""
         peek = self._peek_entry
-        pop = self._pop_entry
+        pop = heapq.heappop
+        heap = self._heap
         fire = self._fire
         if until is None:
             while True:
                 entry = peek()
                 if entry is None:
                     return self._now
-                pop()
+                pop(heap)
                 fire(entry)
         while True:
             entry = peek()
             if entry is None or entry[0] > until:
                 break
-            pop()
+            pop(heap)
             fire(entry)
         if until > self._now:
             self._now = until
         return self._now
-
-    def _peek_time(self) -> Optional[float]:
-        entry = self._peek_entry()
-        return entry[0] if entry is not None else None
 
     @property
     def pending(self) -> int:
@@ -496,16 +343,16 @@ class SimulationEngine:
 
         Maintained as a live counter (incremented on schedule, decremented
         on fire and on first cancel) so runners polling it per event stay
-        O(1) instead of rescanning the scheduler.
+        O(1) instead of rescanning the heap.
         """
         return self._pending
 
     @property
     def stored_entries(self) -> int:
-        """Entries physically held by the scheduler, cancelled included.
+        """Entries physically held by the heap, cancelled included.
 
         The compaction guarantee is ``stored_entries <= 2 * pending`` (up
         to the :data:`_COMPACT_MIN` floor) — cancel-heavy workloads cannot
         grow this without bound.
         """
-        return self._stored
+        return len(self._heap)

@@ -17,9 +17,9 @@ from repro.core import (
     WorkflowError,
     WorkflowStage,
     assign_subdeadlines,
-    execute_workflow,
 )
 from repro.corpus import html_18mil_like
+from repro.dag import DagScheduler, WorkflowGraph
 from repro.perfmodel.regression import fit_affine
 from repro.units import HOUR
 
@@ -50,8 +50,8 @@ def pos_stage(name="tag"):
                          predictor=affine(3.0, 0.9e-4))
 
 
-def pipeline() -> TextWorkflow:
-    wf = TextWorkflow()
+def pipeline(cls=TextWorkflow) -> TextWorkflow:
+    wf = cls()
     wf.add_stage(grep_stage())
     wf.add_stage(extract_stage(), after=["filter"])
     wf.add_stage(pos_stage(), after=["extract"])
@@ -140,37 +140,33 @@ class TestSubdeadlines:
             assign_subdeadlines(TextWorkflow(), 10**6, HOUR)
 
 
+def run_serial(seed):
+    """The §7 stage-barrier run: one stage at a time, full-hour budgets."""
+    cat = html_18mil_like(scale=2e-5)
+    return DagScheduler(Cloud(seed=seed), pipeline(WorkflowGraph), cat,
+                        3 * HOUR, mode="serial").run()
+
+
 class TestExecuteWorkflow:
     def test_pipeline_runs_all_stages(self):
-        cloud = Cloud(seed=9)
-        cat = html_18mil_like(scale=2e-5)
-        report = execute_workflow(cloud, pipeline(), cat, deadline=3 * HOUR)
-        assert set(report.stage_reports) == {"filter", "extract", "tag"}
+        report = run_serial(9)
+        assert set(report.stages) == {"filter", "extract", "tag"}
         assert report.makespan > 0
-        assert report.instance_hours >= 3
-        assert report.cost == pytest.approx(report.instance_hours * 0.085)
+        hours = sum(s.report.instance_hours for s in report.stages.values())
+        assert hours >= 3
+        assert report.compute_cost_usd == pytest.approx(hours * 0.085)
 
     def test_intermediate_volume_shrinks(self):
-        cloud = Cloud(seed=9)
-        cat = html_18mil_like(scale=2e-5)
-        report = execute_workflow(cloud, pipeline(), cat, deadline=3 * HOUR)
-        v_filter = sum(r.volume for r in report.stage_reports["filter"].runs)
-        v_tag = sum(r.volume for r in report.stage_reports["tag"].runs)
+        stages = run_serial(9).stages
+        v_filter = sum(r.volume for r in stages["filter"].report.runs)
+        v_tag = sum(r.volume for r in stages["tag"].report.runs)
         assert v_tag < v_filter
 
     def test_deterministic(self):
-        cat = html_18mil_like(scale=2e-5)
-
-        def run(seed):
-            return execute_workflow(Cloud(seed=seed), pipeline(), cat,
-                                    deadline=3 * HOUR).makespan
-
-        assert run(5) == run(5)
-        assert run(5) != run(6)
+        assert run_serial(5).makespan == run_serial(5).makespan
+        assert run_serial(5).makespan != run_serial(6).makespan
 
     def test_summary_structure(self):
-        cloud = Cloud(seed=9)
-        cat = html_18mil_like(scale=2e-5)
-        s = execute_workflow(cloud, pipeline(), cat, deadline=3 * HOUR).summary()
-        assert set(s["stages"]) == {"filter", "extract", "tag"}
-        assert "met" in s and "cost_usd" in s
+        s = run_serial(9).summary()
+        assert s["stages"] == 3 and s["mode"] == "serial"
+        assert "met" in s and "total_usd" in s

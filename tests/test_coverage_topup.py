@@ -15,8 +15,9 @@ from repro.apps import (
 )
 from repro.cloud import Cloud, Workload
 from repro.cloud.spot import SpotMarket
-from repro.core import TextWorkflow, WorkflowStage, execute_workflow
+from repro.core import WorkflowStage
 from repro.corpus import html_18mil_like
+from repro.dag import DagScheduler, WorkflowGraph
 from repro.perfmodel.regression import XLogXPredictor, fit_affine
 from repro.sim.random import RngStream
 from repro.units import HOUR
@@ -29,7 +30,7 @@ class TestWorkflowFanIn:
             x = np.array([1e5, 1e6, 1e7])
             return fit_affine(x, a + b * x)
 
-        wf = TextWorkflow()
+        wf = WorkflowGraph()
         wf.add_stage(WorkflowStage(
             "left", Workload("grep", GrepApplication("alpha"), GrepCostProfile()),
             affine(0.2, 1.3e-8), output_ratio=0.3))
@@ -40,8 +41,9 @@ class TestWorkflowFanIn:
             "merge", Workload("extract", ExtractorApplication(), ExtractCostProfile()),
             affine(0.3, 3e-8)), after=["left", "right"])
         cat = html_18mil_like(scale=1e-5)
-        report = execute_workflow(Cloud(seed=4), wf, cat, 3 * HOUR)
-        v_merge = sum(r.volume for r in report.stage_reports["merge"].runs)
+        report = DagScheduler(Cloud(seed=4), wf, cat, 3 * HOUR,
+                              mode="serial").run()
+        v_merge = sum(r.volume for r in report.stages["merge"].report.runs)
         assert v_merge == pytest.approx(int(0.3 * cat.total_size)
                                         + int(0.2 * cat.total_size), rel=0.01)
 

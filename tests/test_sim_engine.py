@@ -52,6 +52,48 @@ class TestScheduling:
             SimulationEngine().schedule_in(-0.1, lambda: None)
 
 
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+class TestNonFiniteTimes:
+    """NaN and ±inf would break the heap's total order; all are refused."""
+
+    @pytest.mark.parametrize("t", NON_FINITE)
+    def test_schedule_at_rejects(self, t):
+        eng = SimulationEngine()
+        with pytest.raises(SimulationError, match="non-finite"):
+            eng.schedule_at(t, lambda: None)
+        assert eng.pending == 0
+
+    def test_schedule_at_nan_cannot_disorder_firing(self):
+        eng = SimulationEngine()
+        log = []
+        for t in (5.0, float("nan"), 1.0, 3.0, 2.0):
+            try:
+                eng.schedule_at(t, lambda t=t: log.append(t))
+            except SimulationError:
+                pass
+        eng.run()
+        assert log == [1.0, 2.0, 3.0, 5.0]
+
+    @pytest.mark.parametrize("delay", [float("nan"), float("inf")])
+    def test_schedule_in_rejects(self, delay):
+        eng = SimulationEngine()
+        eng.schedule_at(2.0, lambda: None)
+        with pytest.raises(SimulationError, match="non-finite"):
+            eng.schedule_in(delay, lambda: None)
+        assert eng.run() == 2.0
+
+    @pytest.mark.parametrize("t", NON_FINITE)
+    def test_schedule_batch_rejects_atomically(self, t):
+        eng = SimulationEngine()
+        with pytest.raises(SimulationError, match="non-finite"):
+            eng.schedule_batch([1.0, t, 2.0], lambda: None)
+        assert eng.pending == 0
+        assert eng.stored_entries == 0
+        assert eng.run() == 0.0
+
+
 class TestCancellation:
     def test_cancelled_event_skipped(self):
         eng = SimulationEngine()
@@ -226,7 +268,7 @@ class TestCompaction:
     """Satellite: cancelled entries must not accumulate without bound."""
 
     def test_heap_size_stays_bounded_under_cancel_storm(self):
-        eng = SimulationEngine(scheduler="heap")
+        eng = SimulationEngine()
         for round_ in range(50):
             events = [eng.schedule_at(eng.now + 1.0 + i * 1e-3, lambda: None)
                       for i in range(100)]
@@ -237,18 +279,8 @@ class TestCompaction:
         assert eng.pending == 0
         assert eng.stored_entries <= 128
 
-    def test_bucket_size_stays_bounded_under_cancel_storm(self):
-        eng = SimulationEngine(scheduler="bucket")
-        for round_ in range(50):
-            events = [eng.schedule_at(eng.now + 1.0 + i * 1e-3, lambda: None)
-                      for i in range(100)]
-            for ev in events:
-                ev.cancel()
-            assert eng.stored_entries <= max(2 * eng.pending, 128)
-        assert eng.pending == 0
-
     def test_compaction_preserves_live_events(self):
-        eng = SimulationEngine(scheduler="heap")
+        eng = SimulationEngine()
         log = []
         keep = [eng.schedule_at(float(i), lambda i=i: log.append(i))
                 for i in range(10)]
@@ -341,75 +373,3 @@ class TestScheduleBatch:
         assert eng.pending == 2
         eng.run()
         assert eng.pending == 0
-
-
-class TestBucketScheduler:
-    def test_explicit_bucket_mode(self):
-        eng = SimulationEngine(scheduler="bucket")
-        assert eng.scheduler == "bucket"
-        log = []
-        eng.schedule_at(5.0, lambda: log.append("b"))
-        eng.schedule_at(1.0, lambda: log.append("a"))
-        eng.schedule_at(9.0, lambda: log.append("c"))
-        eng.run()
-        assert log == ["a", "b", "c"]
-
-    def test_auto_migrates_past_threshold(self):
-        from repro.sim.engine import AUTO_BUCKET_THRESHOLD
-
-        eng = SimulationEngine()
-        assert eng.scheduler == "heap"
-        for i in range(AUTO_BUCKET_THRESHOLD + 1):
-            eng.schedule_at(float(i), lambda: None)
-        assert eng.scheduler == "bucket"
-        eng.run()
-        assert eng.events_fired == AUTO_BUCKET_THRESHOLD + 1
-
-    def test_heap_mode_never_migrates(self):
-        eng = SimulationEngine(scheduler="heap")
-        for i in range(1000):
-            eng.schedule_at(float(i), lambda: None)
-        assert eng.scheduler == "heap"
-
-    def test_unknown_scheduler_rejected(self):
-        with pytest.raises(SimulationError):
-            SimulationEngine(scheduler="wheel")
-
-    def test_bucket_schedule_behind_open_bucket(self):
-        """run(until=...) can open a far-future bucket; a later schedule
-        that precedes it must still fire first."""
-        eng = SimulationEngine(scheduler="bucket", bucket_width=1.0)
-        log = []
-        eng.schedule_at(50.0, lambda: log.append("far"))
-        eng.run(until=10.0)  # peeks: opens the t=50 bucket
-        eng.schedule_at(11.0, lambda: log.append("near"))
-        eng.run()
-        assert log == ["near", "far"]
-
-    def test_bucket_ties_fire_in_scheduling_order(self):
-        eng = SimulationEngine(scheduler="bucket", bucket_width=10.0)
-        log = []
-        for tag in "abcdef":
-            eng.schedule_at(2.0, lambda t=tag: log.append(t))
-        eng.run()
-        assert log == list("abcdef")
-
-    def test_bucket_run_until(self):
-        eng = SimulationEngine(scheduler="bucket")
-        log = []
-        eng.schedule_at(1.0, lambda: log.append(1))
-        eng.schedule_at(10.0, lambda: log.append(10))
-        t = eng.run(until=5.0)
-        assert log == [1]
-        assert t == 5.0
-        assert eng.pending == 1
-        eng.run()
-        assert log == [1, 10]
-
-    def test_degenerate_width_all_same_time(self):
-        eng = SimulationEngine(scheduler="bucket")
-        log = []
-        for i in range(20):
-            eng.schedule_at(4.0, lambda i=i: log.append(i))
-        eng.run()
-        assert log == list(range(20))

@@ -1,19 +1,22 @@
-"""Differential oracle: bucketed scheduler ≡ heap scheduler, bit for bit.
+"""Differential oracle: the heap engine ≡ a naive reference queue.
 
-The calendar-queue scheduler is a pure data-structure swap — the engine's
-observable behaviour (which events fire, in what order, at what clock
-readings) must be *identical* to the binary-heap reference, not merely
-equivalent.  Two layers of evidence:
+The engine's observable behaviour (which events fire, in what order, at
+what clock readings) must be *identical* to the simplest queue that could
+possibly be right — a list of pending events fired by ``(time, seq)`` —
+not merely equivalent.  Two layers of evidence:
 
-* a hypothesis property drives both engines through the same random
-  program of ``schedule`` / ``schedule_batch`` / ``cancel`` /
-  ``run-until`` operations (including callbacks that schedule follow-ups
-  while firing) and compares the full firing transcript;
+* a hypothesis property drives the engine and :class:`ReferenceQueue`
+  through the same random program of ``schedule`` / ``schedule_batch`` /
+  ``cancel`` / ``run-until`` / ``step`` operations (including callbacks
+  that schedule follow-ups while firing) and compares the full firing
+  transcript;
 * whole campaigns — scalar ``execute_plan`` under chaos scenarios and the
-  columnar fleet runner — run on ``Cloud(scheduler="heap")`` vs
-  ``Cloud(scheduler="bucket")`` and must produce identical reports,
-  ledgers and timelines across seeds × scenarios.
+  columnar fleet runner — must reproduce recorded fingerprints of their
+  reports, ledgers and timelines bit for bit across seeds × scenarios.
 """
+
+import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -25,9 +28,64 @@ from repro.chaos import FaultInjector, get_scenario
 from repro.cloud import Cloud, Workload
 from repro.core import StaticProvisioner, reshape
 from repro.corpus import text_400k_like
+from repro.obs.trace import Tracer
 from repro.perfmodel.regression import fit_affine
 from repro.runner import execute_plan, execute_uniform_fleet
 from repro.sim.engine import SimulationEngine
+
+# ---------------------------------------------------------------------------
+# the reference queue
+# ---------------------------------------------------------------------------
+
+class _RefEvent:
+    def __init__(self, time, seq, callback):
+        self.time, self.seq, self.callback = time, seq, callback
+        self.cancelled = False
+
+    def cancel(self):
+        self.cancelled = True
+
+
+class ReferenceQueue:
+    """Naive oracle: one list of events kept sorted by ``(time, seq)``,
+    fired front first, skipping cancelled ones.  Slow and obviously right."""
+
+    def __init__(self):
+        self.now, self.events_fired, self._seq, self._events = 0.0, 0, 0, []
+
+    @property
+    def pending(self):
+        return sum(not e.cancelled for e in self._events)
+
+    def schedule_in(self, delay, callback, label=""):
+        return self.schedule_batch([self.now + delay], [callback])[0]
+
+    def schedule_at(self, time, callback, label=""):
+        return self.schedule_batch([time], [callback])[0]
+
+    def schedule_batch(self, times, callbacks, labels=()):
+        new = [_RefEvent(t, self._seq + i, cb)
+               for i, (t, cb) in enumerate(zip(times, callbacks))]
+        self._seq += len(new)
+        self._events = sorted(self._events + new, key=lambda e: (e.time, e.seq))
+        return new
+
+    def step(self, until=math.inf):
+        ev = next((e for e in self._events if not e.cancelled), None)
+        if ev is None or ev.time > until:
+            return None
+        self._events.remove(ev)
+        self.now, self.events_fired = ev.time, self.events_fired + 1
+        ev.callback()
+        return ev
+
+    def run(self, until=None):
+        while self.step(math.inf if until is None else until) is not None:
+            pass
+        if until is not None and until > self.now:
+            self.now = until
+        return self.now
+
 
 # ---------------------------------------------------------------------------
 # random engine programs
@@ -55,7 +113,7 @@ _OPS = st.one_of(
 PROGRAMS = st.lists(_OPS, min_size=1, max_size=40)
 
 
-def _interpret(engine: SimulationEngine, program) -> dict:
+def _interpret(engine, program) -> dict:
     """Run a program; return the full observable transcript."""
     fired: list[tuple[float, str, int]] = []
     handles: list = []
@@ -108,33 +166,31 @@ def _interpret(engine: SimulationEngine, program) -> dict:
 
 
 class TestRandomPrograms:
-    @settings(max_examples=120, deadline=None)
-    @given(program=PROGRAMS,
-           width=st.sampled_from([None, 0.25, 1.0, 37.5, 1000.0]))
-    def test_heap_and_bucket_transcripts_identical(self, program, width):
-        heap = _interpret(SimulationEngine(scheduler="heap"), program)
-        bucket = _interpret(
-            SimulationEngine(scheduler="bucket", bucket_width=width), program)
-        assert heap == bucket
+    @settings(max_examples=160, deadline=None)
+    @given(program=PROGRAMS)
+    def test_engine_matches_reference_queue(self, program):
+        engine = _interpret(SimulationEngine(), program)
+        reference = _interpret(ReferenceQueue(), program)
+        assert engine == reference
 
     @settings(max_examples=40, deadline=None)
     @given(program=PROGRAMS)
-    def test_auto_migration_transcript_identical(self, program):
-        """auto starts on the heap and may migrate mid-run; same transcript."""
-        heap = _interpret(SimulationEngine(scheduler="heap"), program)
-        auto = _interpret(SimulationEngine(scheduler="auto"), program)
-        assert heap == auto
+    def test_traced_engine_matches_reference_queue(self, program):
+        """An enabled tracer takes the traced schedule/cancel/step branches;
+        the transcript must not change."""
+        engine = _interpret(SimulationEngine(tracer=Tracer()), program)
+        reference = _interpret(ReferenceQueue(), program)
+        assert engine == reference
 
     @settings(max_examples=40, deadline=None)
     @given(times=st.lists(st.floats(0.0, 100.0, allow_nan=False,
                                     allow_infinity=False),
                           min_size=2, max_size=30))
     def test_equal_times_fire_in_schedule_order(self, times):
-        """Ties break by scheduling sequence on both schedulers."""
+        """Ties break by scheduling sequence, as in the reference."""
         dup = times + times[:5]          # force collisions
         results = []
-        for scheduler in ("heap", "bucket"):
-            eng = SimulationEngine(scheduler=scheduler)
+        for eng in (SimulationEngine(), ReferenceQueue()):
             order = []
             for i, t in enumerate(dup):
                 eng.schedule_at(t, lambda i=i: order.append(i), label=str(i))
@@ -144,7 +200,7 @@ class TestRandomPrograms:
 
 
 # ---------------------------------------------------------------------------
-# whole campaigns, heap vs bucket
+# whole campaigns against recorded fingerprints
 # ---------------------------------------------------------------------------
 
 def _model():
@@ -162,6 +218,15 @@ def _plan(deadline=30.0):
     return StaticProvisioner(_model()).plan(units, deadline)
 
 
+def _digest(fingerprint) -> str:
+    """A stable short hash of a fingerprint (floats hashed by exact repr)."""
+    def norm(x):
+        if isinstance(x, (list, tuple)):
+            return tuple(norm(v) for v in x)
+        return float(x) if isinstance(x, float) else x
+    return hashlib.sha256(repr(norm(fingerprint)).encode()).hexdigest()[:16]
+
+
 def _report_fingerprint(cloud: Cloud, report) -> tuple:
     return (
         tuple((r.instance_id, r.boot_delay, r.duration, r.missed(30.0))
@@ -174,38 +239,42 @@ def _report_fingerprint(cloud: Cloud, report) -> tuple:
     )
 
 
+#: Fingerprint digests recorded before the engine went heap-only.
+RECORDED = {
+    ("flaky-boots", 11): "427cae15c4628566",
+    ("flaky-boots", 23): "9a5433a72c2fe6cc",
+    ("slow-ebs", 11): "0199fb6ee5e0d1de",
+    ("slow-ebs", 23): "d89f3dea7f226ccd",
+    ("clean", 3): "58249c85d0c1e61e",
+    ("clean", 17): "1c861816872b14cf",
+    ("columnar", 29): "74bd1f3112d55c7b",
+}
+
+
 class TestCampaignEquality:
     @pytest.mark.parametrize("seed", [11, 23])
     @pytest.mark.parametrize("scenario", ["flaky-boots", "slow-ebs"])
     def test_chaos_campaign_bit_identical(self, seed, scenario):
-        plan = _plan()
-        fingerprints = []
-        for scheduler in ("heap", "bucket"):
-            injector = FaultInjector([get_scenario(scenario)], seed=seed)
-            cloud = Cloud(seed=seed, chaos=injector, scheduler=scheduler)
-            report = execute_plan(cloud, _workload(), plan)
-            fingerprints.append(_report_fingerprint(cloud, report))
-        assert fingerprints[0] == fingerprints[1]
+        injector = FaultInjector([get_scenario(scenario)], seed=seed)
+        cloud = Cloud(seed=seed, chaos=injector)
+        report = execute_plan(cloud, _workload(), _plan())
+        fingerprint = _report_fingerprint(cloud, report)
+        assert _digest(fingerprint) == RECORDED[(scenario, seed)]
 
     @pytest.mark.parametrize("seed", [3, 17])
     def test_clean_campaign_bit_identical(self, seed):
-        plan = _plan()
-        fingerprints = []
-        for scheduler in ("heap", "bucket"):
-            cloud = Cloud(seed=seed, scheduler=scheduler)
-            report = execute_plan(cloud, _workload(), plan)
-            fingerprints.append(_report_fingerprint(cloud, report))
-        assert fingerprints[0] == fingerprints[1]
+        cloud = Cloud(seed=seed)
+        report = execute_plan(cloud, _workload(), _plan())
+        fingerprint = _report_fingerprint(cloud, report)
+        assert _digest(fingerprint) == RECORDED[("clean", seed)]
 
     def test_columnar_fleet_bit_identical(self):
         cat = text_400k_like(scale=1e-3)
         units = list(reshape(cat, None).units)[:6]
-        results = []
-        for scheduler in ("heap", "bucket"):
-            cloud = Cloud(seed=29, scheduler=scheduler)
-            rep = execute_uniform_fleet(
-                cloud, _workload(), 500, units, deadline=3600.0)
-            results.append((rep.durations.tolist(), rep.ends.tolist(),
-                            rep.makespan, rep.n_missed,
-                            cloud.ledger.total_cost, cloud.engine.now))
-        assert results[0] == results[1]
+        cloud = Cloud(seed=29)
+        rep = execute_uniform_fleet(
+            cloud, _workload(), 500, units, deadline=3600.0)
+        fingerprint = (rep.durations.tolist(), rep.ends.tolist(),
+                       rep.makespan, rep.n_missed,
+                       cloud.ledger.total_cost, cloud.engine.now)
+        assert _digest(fingerprint) == RECORDED[("columnar", 29)]

@@ -3,16 +3,16 @@
 import numpy as np
 import pytest
 
-from repro.apps import GrepApplication, GrepCostProfile, PosCostProfile, PosTaggerApplication
+from repro.apps import PosCostProfile, PosTaggerApplication
 from repro.cloud import Cloud, Workload
 from repro.core import (
     PlanError,
     TextWorkflow,
     WorkflowError,
     WorkflowStage,
-    execute_workflow,
 )
 from repro.corpus import html_18mil_like
+from repro.dag import DagScheduler, WorkflowGraph
 from repro.perfmodel.regression import fit_affine
 from repro.units import HOUR
 
@@ -22,8 +22,8 @@ def affine(a, b):
     return fit_affine(x, a + b * x)
 
 
-def heavy_pipeline():
-    wf = TextWorkflow()
+def heavy_pipeline(cls=TextWorkflow):
+    wf = cls()
     wf.add_stage(WorkflowStage(
         "tag", Workload("postag", PosTaggerApplication(), PosCostProfile()),
         affine(3.0, 0.9e-4)))
@@ -33,23 +33,10 @@ def heavy_pipeline():
 class TestWorkflowNegativePaths:
     def test_infeasible_subdeadline_raises_plan_error(self):
         """A deadline below any stage's model floor surfaces as PlanError."""
-        wf = heavy_pipeline()
+        wf = heavy_pipeline(WorkflowGraph)
         cat = html_18mil_like(scale=1e-5)
         with pytest.raises(PlanError):
-            execute_workflow(Cloud(seed=3), wf, cat, deadline=1.0)
-
-    def test_zero_output_stage_starves_dependents(self):
-        wf = TextWorkflow()
-        wf.add_stage(WorkflowStage(
-            "filter", Workload("grep", GrepApplication(), GrepCostProfile()),
-            affine(0.2, 1.3e-8), output_ratio=0.0))
-        wf.add_stage(WorkflowStage(
-            "tag", Workload("postag", PosTaggerApplication(), PosCostProfile()),
-            affine(3.0, 0.9e-4)), after=["filter"])
-        cat = html_18mil_like(scale=1e-5)
-        # the dependent stage has no input units to plan
-        with pytest.raises(PlanError):
-            execute_workflow(Cloud(seed=3), wf, cat, deadline=3 * HOUR)
+            DagScheduler(Cloud(seed=3), wf, cat, 1.0, mode="serial").run()
 
     def test_single_stage_workflow_gets_whole_deadline(self):
         from repro.core import assign_subdeadlines
