@@ -4,7 +4,7 @@ Every ``ExecutionCore.run`` pays one ``get_run_ledger()`` read; with a
 ledger active it additionally builds and appends one ``RunRecord``
 (config, billing summary, deadline outcome, phase profile — metrics and
 span rollups only when observability is on).  This bench drives the
-64-instance event-driven plan the trajectory file tracks, ledgered vs
+64-instance ``execute_plan`` run the trajectory file tracks, ledgered vs
 un-ledgered, with the same interleaved paired-median methodology as the
 observability overhead guard, and holds the emission cost under 2%.
 """
@@ -24,7 +24,7 @@ from repro.corpus import text_400k_like
 from repro.obs import get_obs
 from repro.obs.ledger import RunLedger, get_run_ledger, set_run_ledger
 from repro.perfmodel.regression import fit_affine
-from repro.runner import execute_plan_event_driven
+from repro.runner import execute_plan
 
 ROUNDS = 14
 ATTEMPTS = 3
@@ -65,13 +65,13 @@ def _plan(n_bins: int = 64) -> tuple[ProvisioningPlan, Workload]:
 
 
 @pytest.mark.perf
-def test_ledger_emission_overhead_on_event_driven_plan(benchmark):
+def test_ledger_emission_overhead_on_execute_plan(benchmark):
     assert not get_obs().enabled, "bench requires the disabled default"
     assert get_run_ledger() is None, "bench requires no active ledger"
     plan, workload = _plan()
 
     def run_plan():
-        execute_plan_event_driven(Cloud(seed=2010), workload, plan)
+        execute_plan(Cloud(seed=2010), workload, plan)
 
     def ledgered():
         previous = set_run_ledger(RunLedger(None))
@@ -100,11 +100,11 @@ def test_ledgered_run_emits_exactly_one_record(benchmark):
     def run_once():
         previous = set_run_ledger(ledger)
         try:
-            execute_plan_event_driven(Cloud(seed=2010), workload, plan)
+            execute_plan(Cloud(seed=2010), workload, plan)
         finally:
             set_run_ledger(previous)
 
     benchmark.pedantic(run_once, rounds=2, iterations=1)
     records = ledger.records(kind="runner")
     assert len(records) == len(ledger.records())   # nothing else leaked
-    assert all(r.label == "execute_plan_event_driven" for r in records)
+    assert all(r.label == "execute_plan" for r in records)

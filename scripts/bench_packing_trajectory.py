@@ -295,9 +295,8 @@ def host_calibration() -> float:
 def collect_runner_core_stats() -> dict:
     """Execution-core facts for the entry: event throughput at fleet scale.
 
-    Runs one 64-instance plan through the event-driven configuration of
-    ``ExecutionCore`` (the purest engine-scheduled path: fleet-ready
-    barrier plus one completion event per bin) and reads wall-clock
+    Runs one 64-instance plan through ``execute_plan`` (one fleet-ready
+    barrier event plus one completion event per bin) and reads wall-clock
     runtime, engine events fired, and events/sec off the flight-recorder
     :class:`~repro.obs.ledger.RunRecord` the core emits — the same record
     ``repro.cli runs diff`` compares, so the trajectory and the ledger
@@ -320,7 +319,7 @@ def collect_runner_core_stats() -> dict:
     from repro.corpus import text_400k_like
     from repro.obs.ledger import capture_runs, get_run_ledger
     from repro.perfmodel.regression import fit_affine
-    from repro.runner import execute_plan_event_driven
+    from repro.runner import execute_plan
 
     n_bins = 64
     units = list(reshape(text_400k_like(scale=0.02), None).units)
@@ -335,27 +334,25 @@ def collect_runner_core_stats() -> dict:
     )
     workload = Workload("postag", PosTaggerApplication(), PosCostProfile())
 
-    record = report = timeline = None
+    record = report = None
     for _ in range(BEST_OF):
         cloud = Cloud(seed=2010)
         ledger = get_run_ledger()
         if ledger is not None:
-            rep, tl = execute_plan_event_driven(cloud, workload, plan)
-            rec = ledger.records(kind="runner",
-                                 label="execute_plan_event_driven")[-1]
+            rep = execute_plan(cloud, workload, plan)
+            rec = ledger.records(kind="runner", label="execute_plan")[-1]
         else:
             with capture_runs() as mem:
-                rep, tl = execute_plan_event_driven(cloud, workload, plan)
+                rep = execute_plan(cloud, workload, plan)
             rec = mem.records()[-1]
         if record is None or ((rec.get("profile.events_per_s") or 0.0)
                               > (record.get("profile.events_per_s") or 0.0)):
-            record, report, timeline = rec, rep, tl
+            record, report = rec, rep
     wall = record.get("profile.wall_s") or 0.0
     return {
-        "workload": f"event-driven core, {n_bins}-instance plan, "
+        "workload": f"execute_plan core, {n_bins}-instance plan, "
                     f"{len(units)} units",
         "n_runs": len(report.runs),
-        "timeline_points": len(timeline.points),
         "events_fired": record.get("profile.events_fired"),
         "wall_seconds": round(wall, 4),
         "events_per_s": round(record.get("profile.events_per_s") or 0.0, 1),

@@ -44,26 +44,20 @@ __all__ = ["BrokerAcquisition"]
 class BrokerAcquisition:
     """Acquire every bin's capacity through one broker stack.
 
-    ``on_fault="fail-bin"`` records refused requests as
-    :class:`~repro.runner.execute.FailedBin` entries; ``on_fault=
-    "raise"`` propagates the fault (the event-driven runner's legacy
-    contract).  Replacements route through
-    :func:`~repro.resilience.launch.acquire_replacement` with this
-    policy's ``launcher``/``lease_manager``, keeping warm re-attach vs
-    fresh-boot penalty timing in exactly one place.
+    Refused eager requests are recorded as
+    :class:`~repro.runner.execute.FailedBin` entries.  Replacements route
+    through :func:`~repro.resilience.launch.acquire_replacement` with
+    this policy's ``launcher``/``lease_manager``, keeping warm re-attach
+    vs fresh-boot penalty timing in exactly one place.
     """
 
     def __init__(self, broker: CapacityBroker, *, lazy: bool = False,
-                 on_fault: str = "fail-bin",
                  launcher: "ResilientLauncher | None" = None,
                  lease_manager: "LeaseManager | None" = None,
                  replacement_tenant: str = "runner",
                  campaign: str | None = None) -> None:
-        if on_fault not in ("fail-bin", "raise"):
-            raise ValueError("on_fault must be 'fail-bin' or 'raise'")
         self.broker = broker
         self.lazy = lazy
-        self.on_fault = on_fault
         self.launcher = launcher
         self.lease_manager = lease_manager
         self.replacement_tenant = replacement_tenant
@@ -117,34 +111,31 @@ class BrokerAcquisition:
         grants: list[BinGrant] = []
         launch_failures = 0
         for idx, units in ctx.occupied:
-            req = self._request(ctx, idx, now)
-            if self.on_fault == "raise":
-                offer = self.broker.request(ctx.cloud, req)
-            else:
-                try:
-                    offer = self.broker.request(ctx.cloud, req)
-                except OfferUnavailable as e:
-                    ctx.report.failures.append(FailedBin(
-                        bin_index=idx, reason=e.reason, n_units=len(units),
-                        volume=sum(u.size for u in units)))
-                    if ctx.obs.enabled:
-                        ctx.obs.metrics.counter("runner.bins.failed",
-                                                reason=e.reason).inc()
-                    continue
-                except ChaosError as e:
-                    reason = getattr(e, "reason", None) or str(e)
-                    ctx.report.failures.append(FailedBin(
-                        bin_index=idx, reason=reason, n_units=len(units),
-                        volume=sum(u.size for u in units)))
-                    launch_failures += 1
-                    continue
-                except CapacityError as e:
-                    ctx.report.failures.append(FailedBin(
-                        bin_index=idx, reason=f"capacity-exhausted: {e}",
-                        n_units=len(units),
-                        volume=sum(u.size for u in units)))
-                    launch_failures += 1
-                    continue
+            try:
+                offer = self.broker.request(ctx.cloud,
+                                            self._request(ctx, idx, now))
+            except OfferUnavailable as e:
+                ctx.report.failures.append(FailedBin(
+                    bin_index=idx, reason=e.reason, n_units=len(units),
+                    volume=sum(u.size for u in units)))
+                if ctx.obs.enabled:
+                    ctx.obs.metrics.counter("runner.bins.failed",
+                                            reason=e.reason).inc()
+                continue
+            except ChaosError as e:
+                reason = getattr(e, "reason", None) or str(e)
+                ctx.report.failures.append(FailedBin(
+                    bin_index=idx, reason=reason, n_units=len(units),
+                    volume=sum(u.size for u in units)))
+                launch_failures += 1
+                continue
+            except CapacityError as e:
+                ctx.report.failures.append(FailedBin(
+                    bin_index=idx, reason=f"capacity-exhausted: {e}",
+                    n_units=len(units),
+                    volume=sum(u.size for u in units)))
+                launch_failures += 1
+                continue
             grants.append(self._grant(idx, units, offer, now,
                                       ctx.predicted[idx]))
         if launch_failures and ctx.obs.enabled:

@@ -136,14 +136,6 @@ class CapacityBroker(Protocol):
         ...
 
 
-def _zone_of(cloud: "Cloud", name: str) -> AvailabilityZone:
-    """Resolve a zone name to the cloud's zone object."""
-    for z in cloud.region.zones:
-        if z.name == name:
-            return z
-    raise KeyError(f"no zone {name!r} in region {cloud.region.name}")
-
-
 class OnDemandBroker:
     """List-price capacity: one plain ``launch_instance`` per request.
 
@@ -321,7 +313,7 @@ class SpotBroker:
             raise OfferUnavailable("spot-unavailable")
         try:
             inst = cloud.launch_instance(
-                p.itype, _zone_of(cloud, zone), wait=False)
+                p.itype, cloud.region.zone(zone), wait=False)
         except ChaosError as e:
             if p.escalate:
                 return self._escalate(cloud, req,

@@ -394,12 +394,11 @@ class DagScheduler:
         """Last bin done: wind the stage down and persist its output."""
         st = self._states[name]
         ctx = st.ctx
-        if st.policy is not None and st.policy.terminate_at_stage_end:
-            # Billing already happened per bin in settle_bin; this is the
-            # state-only retirement StaticCompletion.finalize performs.
-            for g in ctx.grants:
-                if g.instance.state is InstanceState.RUNNING:
-                    g.instance.terminate(self.cloud.now)
+        # Billing already happened per bin in settle_bin; this retires the
+        # stage's private instances.  Leased grants stay with their manager.
+        for g in ctx.grants:
+            if g.lease is None and g.instance.state is InstanceState.RUNNING:
+                g.instance.terminate(self.cloud.now)
         self._finish_stage(name, ctx.report, stage_end=self.cloud.now,
                            work_start=ctx.work_start)
 

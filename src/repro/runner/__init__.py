@@ -7,8 +7,6 @@ public entry points are thin configurations of it:
 
 * :func:`~repro.runner.execute.execute_plan` — fresh instances, per-
   instance misses against the user deadline (Figs. 8–9), ceil-hour bill;
-* :func:`~repro.runner.event_driven.execute_plan_event_driven` — the
-  same semantics on the bare engine clock, returning the fleet timeline;
 * :func:`~repro.runner.dynamic.execute_with_monitoring` — the paper's §7
   loop: monitor throughput, retire stragglers, re-attach their EBS
   volume to a replacement;
@@ -19,6 +17,11 @@ public entry points are thin configurations of it:
 * :func:`~repro.runner.spot.execute_plan_spot` — spot-market capacity
   with interruption absorption, the fallback ladder, and deadline-aware
   on-demand escalation.
+
+Every entry point but the spot one settles its bins through
+:class:`~repro.runner.core.FleetCompletion`; ``ExecutionCore(...).run()``
+also returns the :class:`~repro.runner.core.FleetTimeline` of completion
+events.
 """
 
 from repro.runner.core import (
@@ -27,17 +30,14 @@ from repro.runner.core import (
     BinOutcome,
     CompletionPolicy,
     CoreResult,
-    CrashCompletion,
     CrashProgress,
-    EventCompletion,
     ExecutionCore,
+    FleetCompletion,
     FleetLaunchAcquisition,
+    FleetTimeline,
     LeaseAcquisition,
-    LeaseCompletion,
-    MonitoredCompletion,
     ProgressPolicy,
     RunToCompletion,
-    StaticCompletion,
     StragglerProgress,
 )
 from repro.runner.columnar import (
@@ -47,7 +47,6 @@ from repro.runner.columnar import (
 )
 from repro.runner.dynamic import DynamicPolicy, ReplacementEvent, execute_with_monitoring
 from repro.runner.ebs_plan import DeviceAssignment, execute_ebs_plan
-from repro.runner.event_driven import FleetTimeline, execute_plan_event_driven
 from repro.runner.execute import ExecutionReport, FailedBin, InstanceRun, execute_plan
 from repro.runner.fault_tolerant import CrashEvent, FaultPolicy, execute_fault_tolerant
 from repro.runner.fleet import execute_on_fleet
@@ -75,7 +74,6 @@ __all__ = [
     "execute_fault_tolerant",
     "execute_quality_aware",
     "FleetTimeline",
-    "execute_plan_event_driven",
     "ColumnarReport",
     "execute_plan_columnar",
     "execute_uniform_fleet",
@@ -100,9 +98,5 @@ __all__ = [
     "RunToCompletion",
     "StragglerProgress",
     "CrashProgress",
-    "StaticCompletion",
-    "EventCompletion",
-    "MonitoredCompletion",
-    "CrashCompletion",
-    "LeaseCompletion",
+    "FleetCompletion",
 ]

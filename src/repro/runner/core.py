@@ -1,16 +1,15 @@
 """One event-driven execution kernel behind every runner entry point.
 
-The five public runners — :func:`~repro.runner.execute.execute_plan`,
-:func:`~repro.runner.event_driven.execute_plan_event_driven`,
+The public runners — :func:`~repro.runner.execute.execute_plan`,
 :func:`~repro.runner.dynamic.execute_with_monitoring`,
-:func:`~repro.runner.fault_tolerant.execute_fault_tolerant` and
-:func:`~repro.runner.fleet.execute_on_fleet` — used to each carry their own
-copy of the launch → boot-barrier → process → bill → terminate loop.
-:class:`ExecutionCore` is that loop written once, on the cloud's
-:class:`~repro.sim.engine.SimulationEngine`: fleet start is an engine event
-at the boot barrier, every bin completion is an engine event (which is what
-feeds the :class:`FleetTimeline` for *all* runners, not just the event-driven
-one), and every decision is delegated to three policy protocols:
+:func:`~repro.runner.fault_tolerant.execute_fault_tolerant`,
+:func:`~repro.runner.fleet.execute_on_fleet` and
+:func:`~repro.runner.spot.execute_plan_spot` — share one launch →
+boot-barrier → process → bill → terminate loop.  :class:`ExecutionCore` is
+that loop, on the cloud's :class:`~repro.sim.engine.SimulationEngine`:
+fleet start is an engine event at the boot barrier, every bin completion is
+an engine event (feeding the :class:`FleetTimeline` of every run), and
+every decision is delegated to three policy protocols:
 
 * :class:`AcquisitionPolicy` — how instances are obtained: a plain or
   resilient fleet launch (:class:`FleetLaunchAcquisition`) or per-bin warm
@@ -24,12 +23,15 @@ one), and every decision is delegated to three policy protocols:
   (:class:`StragglerProgress`), or batch with crash recovery
   (:class:`CrashProgress`).
 * :class:`CompletionPolicy` — how outcomes are settled and the run wound
-  down: billing truth, failed-bin reporting, degradation replans, horizon
-  advance and termination (:class:`StaticCompletion` and friends).
+  down.  :class:`FleetCompletion` is the one settle rule: the instance
+  that finished a bin pays its ceil-hour bill from the second the
+  progress policy names (:attr:`BinOutcome.billed_from`), or goes back to
+  its lease manager.  Spot capacity bills itself per segment
+  (:class:`~repro.runner.spot.SpotCompletion`).
 
-Every entry point is now a ~ten-line policy configuration over this core,
-and each reproduces its seed implementation bit-for-bit — durations,
-makespans, misses, bills, ledger records, lease and fault counters
+Each entry point is a ~ten-line policy configuration over this core and
+reproduces its seed implementation bit-for-bit — durations, makespans,
+misses, bills, ledger records, lease and fault counters
 (``tests/test_runner_core_differential.py`` proves it against the frozen
 copies in ``tests/reference_runners.py``).
 
@@ -64,7 +66,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable, Protocol
+from typing import TYPE_CHECKING, Iterable, Protocol
 
 from repro.cloud.cluster import Cloud
 from repro.cloud.service import ExecutionService, Workload
@@ -91,19 +93,15 @@ __all__ = [
     "CoreResult",
     "CrashEvent",
     "CrashProgress",
-    "EventCompletion",
     "ExecutionCore",
+    "FleetCompletion",
     "FleetLaunchAcquisition",
     "FleetTimeline",
     "LeaseAcquisition",
-    "LeaseCompletion",
-    "MonitoredCompletion",
-    "CrashCompletion",
     "ProgressPolicy",
     "ReplacementEvent",
     "RunToCompletion",
     "StagePolicy",
-    "StaticCompletion",
     "StragglerProgress",
 ]
 
@@ -185,16 +183,16 @@ class BinOutcome:
 
     Exactly one of ``run`` / ``failure`` is set.  ``active`` is the
     instance that finished the bin (a replacement after straggler or
-    crash recovery), ``active_since`` the bin-relative second it took
-    over, and ``end`` the absolute completion time the engine event
-    fires at.
+    crash recovery), ``active_lease`` its lease when a manager owns it,
+    ``billed_from`` the bin-relative second its bill starts, and ``end``
+    the absolute completion time the engine event fires at.
     """
 
     run: InstanceRun | None = None
     failure: FailedBin | None = None
     active: "Instance | None" = None
     active_lease: "Lease | None" = None
-    active_since: float = 0.0
+    billed_from: float = 0.0
     duration: float = 0.0
     end: float = 0.0
 
@@ -277,32 +275,14 @@ class ProgressPolicy(Protocol):
 class CompletionPolicy:
     """How outcomes are settled: billing truth, replans, wind-down.
 
-    The base class is the common shape; each runner's completion policy
-    overrides the hooks whose semantics differ (what gets billed where,
-    who terminates instances, whether the clock is the cloud's
-    outage-stepping ``advance`` or the bare engine).
+    The base records each outcome on the report and does nothing else;
+    :class:`FleetCompletion` adds the one ceil-hour settle rule and
+    wind-down, and :class:`~repro.runner.spot.SpotCompletion` the spot
+    variant whose segments bill themselves.
     """
 
     def after_acquisition(self, ctx: CoreContext) -> None:
         """Between launch and boot barrier (degradation replans live here)."""
-
-    def run_to_start(self, ctx: CoreContext, start: float,
-                     process: Callable[[], None]) -> None:
-        """Advance the clock to ``start`` with ``process`` scheduled there.
-
-        The default drives the *cloud* clock so chaos outage onsets step
-        exactly as the seed runners' ``cloud.advance`` calls did; the
-        event target is computed with the same float arithmetic the cloud
-        uses, so the callback fires at the precise post-advance clock.
-        """
-        now = ctx.cloud.now
-        if start > now:
-            seconds = start - now
-            ctx.engine.schedule_at(now + seconds, process, label="fleet-ready")
-            ctx.cloud.advance(seconds)
-        else:
-            ctx.engine.schedule_at(ctx.engine.now, process, label="fleet-ready")
-            ctx.engine.run(until=ctx.engine.now)
 
     def settle_bin(self, ctx: CoreContext, grant: BinGrant,
                    outcome: BinOutcome) -> None:
@@ -312,31 +292,8 @@ class CompletionPolicy:
         else:
             ctx.report.runs.append(outcome.run)
 
-    def on_bin_complete(self, ctx: CoreContext, grant: BinGrant,
-                        outcome: BinOutcome) -> None:
-        """Fired by the engine at the bin's completion time."""
-
     def finalize(self, ctx: CoreContext) -> None:
         """Advance to the horizon, terminate, emit fleet-level metrics."""
-
-    # -- shared helpers ----------------------------------------------------
-
-    def _advance_to_horizon(self, ctx: CoreContext) -> None:
-        """Seed-exact horizon advance: ``advance(max(run durations))``."""
-        runs = ctx.report.runs
-        if runs:
-            ctx.cloud.advance(max(r.duration for r in runs))
-
-    def _emit_fleet_metrics(self, ctx: CoreContext) -> None:
-        obs = ctx.obs
-        if not obs.enabled:
-            return
-        report = ctx.report
-        obs.metrics.gauge("runner.deadline.margin", strategy=report.strategy
-                          ).set(report.deadline - report.makespan)
-        if report.n_missed:
-            obs.metrics.counter("runner.deadline.misses",
-                                strategy=report.strategy).inc(report.n_missed)
 
 
 # --------------------------------------------------------------------------
@@ -346,18 +303,14 @@ class CompletionPolicy:
 
 def FleetLaunchAcquisition(*, launcher: "ResilientLauncher | None" = None,
                            lease_manager: "LeaseManager | None" = None,
-                           on_fault: str = "fail-bin",
                            replacement_tenant: str = "runner"):
     """Private fleet: one (possibly resilient) launch per occupied bin.
 
     A factory over :class:`~repro.capacity.BrokerAcquisition`: with a
     ``launcher`` the stack is a
     :class:`~repro.capacity.ResilientBroker`, otherwise a plain
-    :class:`~repro.capacity.OnDemandBroker`.  ``on_fault="fail-bin"``
-    records refused launches as :class:`~repro.runner.execute.FailedBin`
-    entries (the resilience-off baseline); ``on_fault="raise"``
-    propagates the fault — the event-driven runner's legacy contract,
-    which also bypasses the launcher exactly as the seed runner did.
+    :class:`~repro.capacity.OnDemandBroker`.  Refused launches are
+    recorded as :class:`~repro.runner.execute.FailedBin` entries.
     Replacements route through
     :func:`~repro.resilience.launch.acquire_replacement` with this
     policy's launcher and (optional) lease manager, so warm re-attach vs
@@ -365,11 +318,10 @@ def FleetLaunchAcquisition(*, launcher: "ResilientLauncher | None" = None,
     """
     from repro.capacity import BrokerAcquisition, OnDemandBroker, ResilientBroker
 
-    broker = (OnDemandBroker() if on_fault == "raise" or launcher is None
-              else ResilientBroker(launcher))
+    broker = OnDemandBroker() if launcher is None else ResilientBroker(launcher)
     return BrokerAcquisition(
-        broker, on_fault=on_fault, launcher=launcher,
-        lease_manager=lease_manager, replacement_tenant=replacement_tenant)
+        broker, launcher=launcher, lease_manager=lease_manager,
+        replacement_tenant=replacement_tenant)
 
 
 def LeaseAcquisition(manager: "LeaseManager", *, tenant: str = "default",
@@ -426,7 +378,7 @@ class RunToCompletion:
                                 strategy=ctx.report.strategy).inc()
             obs.metrics.histogram("runner.task.seconds").observe(duration)
         return BinOutcome(run=run, active=grant.instance,
-                          duration=duration, end=end)
+                          active_lease=grant.lease, duration=duration, end=end)
 
 
 def _split_point(units: list, fraction: float) -> int:
@@ -487,7 +439,7 @@ class StragglerProgress:
         duration = t_probe
         active = inst
         active_lease = None   # set when the replacement is a fleet lease
-        active_since = 0.0  # elapsed time at which `active` started working
+        billed_from = 0.0  # elapsed time from which `active` is billed
         replacements = 0
         if (
             rest
@@ -573,7 +525,7 @@ class StragglerProgress:
                 duration += penalty
                 active = replacement
                 active_lease = lease
-                active_since = duration
+                billed_from = duration
                 replacements += 1
 
         if rest:
@@ -596,7 +548,7 @@ class StragglerProgress:
             predicted=predicted,
         )
         return BinOutcome(run=run, active=active, active_lease=active_lease,
-                          active_since=active_since, duration=duration,
+                          billed_from=billed_from, duration=duration,
                           end=work_start + duration)
 
 
@@ -749,9 +701,11 @@ class CrashProgress:
             duration=elapsed,
             predicted=grant.predicted,
         )
+        # The survivor bills the whole bin span (``billed_from=0``), crash
+        # detection and replacement penalties included, on top of the
+        # partial hours its crashed predecessors already billed.
         return BinOutcome(run=run, active=active, active_lease=active_lease,
-                          active_since=active_started, duration=elapsed,
-                          end=work_start + elapsed)
+                          duration=elapsed, end=work_start + elapsed)
 
 
 # --------------------------------------------------------------------------
@@ -759,10 +713,22 @@ class CrashProgress:
 # --------------------------------------------------------------------------
 
 
-class StaticCompletion(CompletionPolicy):
-    """``execute_plan`` semantics: ceil-hour bill per bin, replans, S3 pull."""
+class FleetCompletion(CompletionPolicy):
+    """The one settle rule and wind-down for every non-spot runner.
 
-    def __init__(self, *, measure_retrieval: bool = False) -> None:
+    The instance that finished a bin pays its ceil-hour bill over
+    ``[grant.work_start + outcome.billed_from, outcome.end]``: the whole
+    bin for plain and crash-recovered runs, the replacement's span after
+    a straggler hand-over (the retired straggler billed itself at
+    retirement).  A finisher on a lease is released to ``lease_manager``
+    instead, which bills it when it retires the instance.  Wind-down
+    advances the cloud clock to the last bin's end and terminates the
+    RUNNING instances this run launched, leaving the manager's own.
+    """
+
+    def __init__(self, *, lease_manager: "LeaseManager | None" = None,
+                 measure_retrieval: bool = False) -> None:
+        self.lease_manager = lease_manager
         self.measure_retrieval = measure_retrieval
 
     def after_acquisition(self, ctx: CoreContext) -> None:
@@ -798,25 +764,42 @@ class StaticCompletion(CompletionPolicy):
 
     def settle_bin(self, ctx: CoreContext, grant: BinGrant,
                    outcome: BinOutcome) -> None:
-        """Record the outcome; bill the whole bin span ceil-hour."""
+        """Record the outcome; bill (or release) the finishing instance."""
         super().settle_bin(ctx, grant, outcome)
-        if outcome.run is not None and ctx.bill:
-            inst = grant.instance
-            ctx.cloud.ledger.record(inst.instance_id, inst.itype.name,
-                                    grant.work_start, outcome.end,
-                                    inst.itype.hourly_rate)
+        if outcome.run is None:
+            return
+        lease = grant.lease
+        if lease is not None:
+            ctx.plan.annotate_lease(grant.index, lease.source, lease.lease_id)
+            ctx.report.rate = lease.instance.itype.hourly_rate
+        if outcome.active_lease is not None:
+            self.lease_manager.release(outcome.active_lease, outcome.end)
+        elif ctx.bill:
+            active = outcome.active
+            ctx.cloud.ledger.record(active.instance_id, active.itype.name,
+                                    grant.work_start + outcome.billed_from,
+                                    outcome.end, active.itype.hourly_rate)
 
     def finalize(self, ctx: CoreContext) -> None:
-        """Advance to the horizon, terminate, emit metrics, measure S3."""
-        self._advance_to_horizon(ctx)
-        for g in ctx.grants:
-            g.instance.terminate(ctx.cloud.now)
+        """Advance, terminate this run's instances, emit metrics, measure S3."""
+        cloud = ctx.cloud
+        if ctx.ends:
+            horizon = max(ctx.ends)
+            if horizon > cloud.now:
+                cloud.advance(horizon - cloud.now)
+        launched = {g.instance.instance_id for g in ctx.grants}
+        launched.update(r.instance_id for r in ctx.report.runs)
+        manager = self.lease_manager
+        for inst in cloud.running_instances():
+            if inst.instance_id in launched and not (
+                    manager is not None and manager.owns(inst.instance_id)):
+                inst.terminate(cloud.now)
         self._emit_fleet_metrics(ctx)
         if self.measure_retrieval and ctx.report.runs:
             # Each processed unit file yields one result object in S3; the
             # §1 retrieval advantage of reshaping comes from this object
             # count.
-            plan, cloud = ctx.plan, ctx.cloud
+            plan = ctx.plan
             meta_by_run: list[tuple[str, int]] = []
             for g in ctx.grants:
                 for j, unit in enumerate(g.units):
@@ -828,139 +811,16 @@ class StaticCompletion(CompletionPolicy):
             ctx.report.retrieval_seconds = cloud.s3.retrieval_time(
                 [k for k, _ in meta_by_run], rng)
 
-
-class EventCompletion(CompletionPolicy):
-    """``execute_plan_event_driven`` semantics: the bare engine clock.
-
-    The seed event runner never touched ``cloud.advance`` (so no chaos
-    outage stepping) and terminated each instance inside its completion
-    event; both behaviours are preserved here.
-    """
-
-    def run_to_start(self, ctx: CoreContext, start: float,
-                     process: Callable[[], None]) -> None:
-        """Drive the bare engine (no outage stepping) to the barrier."""
-        ctx.engine.schedule_at(start, process, label="fleet-ready")
-        ctx.engine.run()
-
-    def settle_bin(self, ctx: CoreContext, grant: BinGrant,
-                   outcome: BinOutcome) -> None:
-        """Record the outcome; bill the bin span ceil-hour."""
-        super().settle_bin(ctx, grant, outcome)
-        if outcome.run is not None and ctx.bill:
-            inst = grant.instance
-            ctx.cloud.ledger.record(inst.instance_id, inst.itype.name,
-                                    grant.work_start, outcome.end,
-                                    inst.itype.hourly_rate)
-
-    def on_bin_complete(self, ctx: CoreContext, grant: BinGrant,
-                        outcome: BinOutcome) -> None:
-        """Terminate the instance inside its own completion event."""
-        outcome.active.terminate(ctx.engine.now)
-
-    def finalize(self, ctx: CoreContext) -> None:
-        """Emit fleet-level metrics (the engine already drained)."""
-        self._emit_fleet_metrics(ctx)
-
-
-class MonitoredCompletion(CompletionPolicy):
-    """``execute_with_monitoring`` semantics: bill only the active span.
-
-    The retired straggler was billed at retirement (inside the progress
-    policy); the finishing instance is billed for the span it actually
-    worked — unless it is a leased replacement, which returns to the warm
-    pool and is billed by the lease manager at retirement.
-    """
-
-    def __init__(self, *, lease_manager: "LeaseManager | None" = None) -> None:
-        self.lease_manager = lease_manager
-
-    def settle_bin(self, ctx: CoreContext, grant: BinGrant,
-                   outcome: BinOutcome) -> None:
-        """Bill (or release) only the finishing instance's active span."""
-        super().settle_bin(ctx, grant, outcome)
-        if outcome.run is None:
+    def _emit_fleet_metrics(self, ctx: CoreContext) -> None:
+        obs = ctx.obs
+        if not obs.enabled:
             return
-        active = outcome.active
-        if outcome.active_lease is not None:
-            self.lease_manager.release(outcome.active_lease, outcome.end)
-        else:
-            ctx.cloud.ledger.record(active.instance_id, active.itype.name,
-                                    grant.work_start + outcome.active_since,
-                                    outcome.end, active.itype.hourly_rate)
-
-    def finalize(self, ctx: CoreContext) -> None:
-        """Advance, terminate non-leased instances, emit metrics."""
-        self._advance_to_horizon(ctx)
-        for inst in ctx.cloud.running_instances():
-            if (self.lease_manager is not None
-                    and self.lease_manager.owns(inst.instance_id)):
-                continue
-            inst.terminate(ctx.cloud.now)
-        self._emit_fleet_metrics(ctx)
-
-
-class CrashCompletion(CompletionPolicy):
-    """``execute_fault_tolerant`` semantics: the survivor bills the bin.
-
-    The finishing instance is billed for the *whole* bin span — crash
-    detection and replacement penalties included — on top of the partial
-    hours the crashed predecessors already billed; that is the seed
-    runner's (conservative) billing truth and it is preserved.  A leased
-    replacement is instead released back to the pool, where the manager
-    settles its bill at retirement.
-    """
-
-    def __init__(self, *, lease_manager: "LeaseManager | None" = None) -> None:
-        self.lease_manager = lease_manager
-
-    def settle_bin(self, ctx: CoreContext, grant: BinGrant,
-                   outcome: BinOutcome) -> None:
-        """Bill (or release) the survivor for the whole bin span."""
-        super().settle_bin(ctx, grant, outcome)
-        if outcome.run is None:
-            return
-        active = outcome.active
-        if outcome.active_lease is not None:
-            self.lease_manager.release(outcome.active_lease, outcome.end)
-        else:
-            ctx.cloud.ledger.record(active.instance_id, active.itype.name,
-                                    grant.work_start, outcome.end,
-                                    active.itype.hourly_rate)
-
-    def finalize(self, ctx: CoreContext) -> None:
-        """Advance, terminate non-leased instances, emit metrics."""
-        self._advance_to_horizon(ctx)
-        for inst in ctx.cloud.running_instances():
-            if (self.lease_manager is not None
-                    and self.lease_manager.owns(inst.instance_id)):
-                continue
-            inst.terminate(ctx.cloud.now)
-        self._emit_fleet_metrics(ctx)
-
-
-class LeaseCompletion(CompletionPolicy):
-    """``execute_on_fleet`` semantics: the manager owns billing truth."""
-
-    def __init__(self, manager: "LeaseManager") -> None:
-        self.manager = manager
-
-    def settle_bin(self, ctx: CoreContext, grant: BinGrant,
-                   outcome: BinOutcome) -> None:
-        """Release the lease, annotate the plan, record the run."""
-        lease = grant.lease
-        self.manager.release(lease, outcome.end)
-        ctx.plan.annotate_lease(grant.index, lease.source, lease.lease_id)
-        ctx.report.rate = lease.instance.itype.hourly_rate
-        super().settle_bin(ctx, grant, outcome)
-
-    def finalize(self, ctx: CoreContext) -> None:
-        """Advance to the lease horizon and emit fleet-level metrics."""
-        if ctx.ends:
-            horizon = max(ctx.ends)
-            if horizon > ctx.cloud.now:
-                ctx.cloud.advance(horizon - ctx.cloud.now)
-        self._emit_fleet_metrics(ctx)
+        report = ctx.report
+        obs.metrics.gauge("runner.deadline.margin", strategy=report.strategy
+                          ).set(report.deadline - report.makespan)
+        if report.n_missed:
+            obs.metrics.counter("runner.deadline.misses",
+                                strategy=report.strategy).inc(report.n_missed)
 
 
 # --------------------------------------------------------------------------
@@ -974,11 +834,9 @@ class StagePolicy:
 
     A multi-stage scheduler (:mod:`repro.dag`) runs every ready stage
     through the same three protocols a single-plan run uses; a
-    ``StagePolicy`` names the triple one stage executes under, plus how
-    its capacity winds down.  With ``terminate_at_stage_end`` the
-    scheduler terminates the stage's private instances when the stage
-    completes (the :class:`StaticCompletion` fleet shape); leased stages
-    leave wind-down to their shared
+    ``StagePolicy`` names the triple one stage executes under.  When a
+    stage completes the scheduler terminates its private (unleased)
+    instances; leased capacity stays with its shared
     :class:`~repro.fleet.lease.LeaseManager`, which is what lets a later
     stage warm-hit the paid hours an earlier stage released.
     """
@@ -986,12 +844,10 @@ class StagePolicy:
     acquisition: AcquisitionPolicy
     progress: ProgressPolicy
     completion: CompletionPolicy
-    terminate_at_stage_end: bool = False
 
     @classmethod
     def leased(cls, manager: "LeaseManager", *, tenant: str = "stage",
-               campaign: str | None = None,
-               progress: ProgressPolicy | None = None) -> "StagePolicy":
+               campaign: str | None = None) -> "StagePolicy":
         """Shared-fleet stage: per-bin leases, manager-owned billing.
 
         Stages sharing one ``manager`` hand paid hours across stage
@@ -1001,30 +857,22 @@ class StagePolicy:
         return cls(
             acquisition=LeaseAcquisition(manager, tenant=tenant,
                                          campaign=campaign),
-            progress=progress if progress is not None else RunToCompletion(),
-            completion=LeaseCompletion(manager),
-            terminate_at_stage_end=False,
+            progress=RunToCompletion(),
+            completion=FleetCompletion(lease_manager=manager),
         )
 
     @classmethod
-    def fleet(cls, *, launcher: "ResilientLauncher | None" = None,
-              lease_manager: "LeaseManager | None" = None,
-              on_fault: str = "fail-bin",
-              progress: ProgressPolicy | None = None) -> "StagePolicy":
+    def fleet(cls) -> "StagePolicy":
         """Private-fleet stage: ``execute_plan`` semantics per stage."""
         return cls(
-            acquisition=FleetLaunchAcquisition(launcher=launcher,
-                                               lease_manager=lease_manager,
-                                               on_fault=on_fault),
-            progress=progress if progress is not None else RunToCompletion(),
-            completion=StaticCompletion(),
-            terminate_at_stage_end=True,
+            acquisition=FleetLaunchAcquisition(),
+            progress=RunToCompletion(),
+            completion=FleetCompletion(),
         )
 
     @classmethod
     def spot(cls, board, ladder, *, stats=None, chaos=None,
-             escalation=None,
-             launcher: "ResilientLauncher | None" = None) -> "StagePolicy":
+             escalation=None) -> "StagePolicy":
         """Market-capacity stage: ``execute_plan_spot`` semantics per stage.
 
         Stages sharing one ``board``/``ladder``/``stats`` triple see one
@@ -1032,23 +880,23 @@ class StagePolicy:
         broker stack escalated segments draw from — ``None`` means plain
         on-demand; a :class:`~repro.capacity.LadderBroker` over a
         :class:`~repro.capacity.WarmLeaseBroker` lets escalated segments
-        warm-hit hours a sibling stage already paid for, so wind-down
-        stays with the lease manager (``terminate_at_stage_end`` must be
-        off: spot segments terminate themselves as they close).
+        warm-hit hours a sibling stage already paid for.
         """
-        from repro.capacity import BrokerAcquisition, SpotBroker
-        from repro.runner.spot import SpotCompletion, SpotProgress, SpotRunStats
+        from repro.runner.spot import (
+            SpotAcquisition,
+            SpotCompletion,
+            SpotProgress,
+            SpotRunStats,
+        )
 
         stats = stats if stats is not None else SpotRunStats()
-        broker = SpotBroker(board, ladder, stats=stats, escalation=escalation)
-        acquisition = BrokerAcquisition(broker, launcher=launcher,
-                                        replacement_tenant="spot")
+        acquisition = SpotAcquisition(board, ladder=ladder, stats=stats,
+                                      escalation=escalation)
         return cls(
             acquisition=acquisition,
             progress=SpotProgress(board, ladder, acquisition=acquisition,
                                   chaos=chaos, stats=stats),
             completion=SpotCompletion(stats=stats),
-            terminate_at_stage_end=False,
         )
 
 
@@ -1099,7 +947,7 @@ class ExecutionCore:
         When a run ledger is active (:func:`~repro.obs.ledger
         .get_run_ledger`), the run also emits one :class:`RunRecord` with
         the phase profile measured around the three stages below — this
-        single hook point is what gives all five entry points flight
+        single hook point is what gives every entry point flight
         recording.
         """
         ctx = self.build_context()
@@ -1113,8 +961,20 @@ class ExecutionCore:
         sims.append(engine.now)
         start = self.acquisition.work_start_time(ctx)
         if start is not None:
-            self.completion.run_to_start(ctx, start,
-                                         lambda: self._process(ctx))
+            # Drive the *cloud* clock so chaos outage onsets step exactly
+            # as a plain ``cloud.advance`` does; the event target uses the
+            # cloud's own float arithmetic, so the callback fires at the
+            # precise post-advance clock.
+            now = self.cloud.now
+            if start > now:
+                seconds = start - now
+                engine.schedule_at(now + seconds, lambda: self._process(ctx),
+                                   label="fleet-ready")
+                self.cloud.advance(seconds)
+            else:
+                engine.schedule_at(engine.now, lambda: self._process(ctx),
+                                   label="fleet-ready")
+                engine.run(until=engine.now)
         walls.append(time.perf_counter())
         sims.append(engine.now)
         self.completion.finalize(ctx)
@@ -1231,28 +1091,21 @@ class ExecutionCore:
         """
         ctx.work_start = ctx.engine.now
         self.acquisition.on_work_start(ctx)
-        done: list[tuple[BinGrant, BinOutcome]] = []
+        done: list[BinOutcome] = []
         for grant in self.acquisition.grants(ctx):
             outcome = self.progress.execute(ctx, grant)
             self.completion.settle_bin(ctx, grant, outcome)
             if outcome.run is not None:
                 ctx.working += 1
                 ctx.ends.append(outcome.end)
-                done.append((grant, outcome))
+                done.append(outcome)
         if done:
+            def complete() -> None:
+                ctx.working -= 1
+                ctx.completed += 1
+                ctx.timeline.record(ctx.engine.now, ctx.working,
+                                    ctx.completed)
+
             ctx.engine.schedule_batch(
-                [outcome.end for _, outcome in done],
-                [self._completer(ctx, grant, outcome)
-                 for grant, outcome in done],
-                [f"complete:{outcome.run.instance_id}"
-                 for _, outcome in done])
-
-    def _completer(self, ctx: CoreContext, grant: BinGrant,
-                   outcome: BinOutcome) -> Callable[[], None]:
-        def complete() -> None:
-            ctx.working -= 1
-            ctx.completed += 1
-            ctx.timeline.record(ctx.engine.now, ctx.working, ctx.completed)
-            self.completion.on_bin_complete(ctx, grant, outcome)
-
-        return complete
+                [outcome.end for outcome in done], complete,
+                [f"complete:{outcome.run.instance_id}" for outcome in done])

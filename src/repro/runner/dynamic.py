@@ -13,8 +13,9 @@ process ≈210 GB in its next hour; swapping to a likely-fast instance costs
 a ≈3 min boot+attach penalty yet still gains ≈57 GB of extra progress.
 
 The monitoring loop itself is :class:`~repro.runner.core.StragglerProgress`
-inside the shared :class:`~repro.runner.core.ExecutionCore`; this module
-owns the policy knobs and the entry-point signature.
+inside the shared :class:`~repro.runner.core.ExecutionCore`, settled by
+the one :class:`~repro.runner.core.FleetCompletion`; this module owns the
+policy knobs and the entry-point signature.
 """
 
 from __future__ import annotations
@@ -110,12 +111,16 @@ def execute_with_monitoring(
     around refusing zones, and a replacement that still cannot be
     acquired keeps the straggler instead of failing the bin.  The
     launcher is also fed ``note_slow_zone`` on each replacement, so
-    measured-slow zones are deprioritised for later acquisitions.
+    measured-slow zones are deprioritised for later acquisitions, and its
+    :class:`~repro.resilience.degrade.DegradationPlanner` (if any)
+    re-homes the units of bins whose launch was refused onto the
+    survivors.  Wind-down terminates only instances this run launched:
+    another manager's pooled instances on the same cloud are left alone.
     """
     from repro.runner.core import (
         ExecutionCore,
+        FleetCompletion,
         FleetLaunchAcquisition,
-        MonitoredCompletion,
         StragglerProgress,
     )
 
@@ -125,7 +130,7 @@ def execute_with_monitoring(
             launcher=launcher, lease_manager=lease_manager,
             replacement_tenant="dynamic"),
         progress=StragglerProgress(policy or DynamicPolicy()),
-        completion=MonitoredCompletion(lease_manager=lease_manager),
+        completion=FleetCompletion(lease_manager=lease_manager),
         service=service,
         strategy=f"{plan.strategy}+dynamic",
         label="execute_with_monitoring",

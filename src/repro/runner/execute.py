@@ -157,16 +157,16 @@ def execute_plan(
     """
     from repro.runner.core import (
         ExecutionCore,
+        FleetCompletion,
         FleetLaunchAcquisition,
         RunToCompletion,
-        StaticCompletion,
     )
 
     core = ExecutionCore(
         cloud, workload, plan,
         acquisition=FleetLaunchAcquisition(launcher=launcher),
         progress=RunToCompletion(),
-        completion=StaticCompletion(measure_retrieval=measure_retrieval),
+        completion=FleetCompletion(measure_retrieval=measure_retrieval),
         service=service,
         bill=bill,
         label="execute_plan",

@@ -8,8 +8,10 @@ re-attach, no data copy) redoes the lost batch and continues.  Every
 instance that ran — including crashed ones — bills its ceil-hours.
 
 The recovery loop itself is :class:`~repro.runner.core.CrashProgress`
-inside the shared :class:`~repro.runner.core.ExecutionCore`; this module
-owns the policy knobs and the entry-point signature.
+inside the shared :class:`~repro.runner.core.ExecutionCore`, settled by
+the one :class:`~repro.runner.core.FleetCompletion` (the survivor bills
+the whole bin span); this module owns the policy knobs and the
+entry-point signature.
 """
 
 from __future__ import annotations
@@ -94,11 +96,16 @@ def execute_fault_tolerant(
     and is billed by the manager at retirement rather than by this
     runner.  Without one, replacements boot privately at
     ``policy.replacement_penalty`` exactly as before.
+
+    A ``launcher`` carrying a
+    :class:`~repro.resilience.degrade.DegradationPlanner` re-homes the
+    units of bins whose launch was refused onto the survivors.
+    Wind-down terminates only instances this run launched.
     """
     from repro.runner.core import (
-        CrashCompletion,
         CrashProgress,
         ExecutionCore,
+        FleetCompletion,
         FleetLaunchAcquisition,
     )
 
@@ -108,7 +115,7 @@ def execute_fault_tolerant(
             launcher=launcher, lease_manager=lease_manager,
             replacement_tenant="fault-tolerant"),
         progress=CrashProgress(policy or FaultPolicy()),
-        completion=CrashCompletion(lease_manager=lease_manager),
+        completion=FleetCompletion(lease_manager=lease_manager),
         service=service,
         strategy=f"{plan.strategy}+fault-tolerant",
         label="execute_fault_tolerant",

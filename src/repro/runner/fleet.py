@@ -7,9 +7,11 @@ warm-pool hit starts on an already-paid hour with no boot delay — and
 releases it when done, so consecutive campaigns (static, dynamic, or
 fault-tolerant alike) recycle each other's remainders.
 
-Billing truth differs from the private-boot runner: leased instances are
-only billed when the manager retires them, so read campaign costs from
-the fleet's :class:`~repro.fleet.report.FleetReport` /
+This runner and ``execute_plan`` settle bins through the one
+:class:`~repro.runner.core.FleetCompletion`: a bin that finishes on a
+lease releases it to the manager instead of billing it, so leased
+instances are only billed when the manager retires them.  Read campaign
+costs from the fleet's :class:`~repro.fleet.report.FleetReport` /
 :class:`~repro.cloud.billing.BillingLedger`, not from the returned
 report's per-run ceil estimate.
 """
@@ -47,8 +49,8 @@ def execute_on_fleet(
     """
     from repro.runner.core import (
         ExecutionCore,
+        FleetCompletion,
         LeaseAcquisition,
-        LeaseCompletion,
         RunToCompletion,
     )
 
@@ -58,7 +60,7 @@ def execute_on_fleet(
             leases, tenant=tenant,
             campaign=campaign or f"{plan.strategy}-campaign"),
         progress=RunToCompletion(),
-        completion=LeaseCompletion(leases),
+        completion=FleetCompletion(lease_manager=leases),
         service=service,
         strategy=f"{plan.strategy}+fleet",
         label="execute_on_fleet",

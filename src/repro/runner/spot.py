@@ -16,8 +16,9 @@ predicted remaining work plus the restart-overhead safety buffer.
 
 Billing is inline (per charged spot instance-hour at that hour's market
 price; ceil-hour at the on-demand rate for escalated segments), so
-:class:`SpotCompletion` deliberately skips the ceil-hour settle the
-static policy would add.  Run records carry ``kind="spot"``.
+:class:`SpotCompletion` deliberately skips the ceil-hour settle
+:class:`~repro.runner.core.FleetCompletion` would add.  Run records
+carry ``kind="spot"``.
 
 Span/metric taxonomy (extends the ``runner.*`` vocabulary):
 
@@ -44,7 +45,7 @@ from typing import TYPE_CHECKING
 from repro.cloud.cluster import Cloud
 from repro.cloud.service import ExecutionService, Workload
 from repro.cloud.spot import TWO_MINUTE_WARNING, SpotMarketBoard
-from repro.cloud.types import AvailabilityZone, InstanceType
+from repro.cloud.types import InstanceType
 from repro.core.planner import ProvisioningPlan
 from repro.resilience.spot import FallbackDecision, SpotFallbackPolicy, SpotLadder
 from repro.runner.core import (
@@ -53,8 +54,8 @@ from repro.runner.core import (
     CompletionPolicy,
     CoreContext,
     ExecutionCore,
+    FleetCompletion,
     FleetTimeline,
-    StaticCompletion,
 )
 from repro.runner.execute import ExecutionReport, FailedBin, InstanceRun
 from repro.units import ceil_hour_cost, resume_time
@@ -131,14 +132,6 @@ class SpotRunResult:
     report: ExecutionReport
     stats: SpotRunStats
     timeline: FleetTimeline = field(default_factory=FleetTimeline)
-
-
-def _zone_of(cloud: Cloud, name: str) -> AvailabilityZone:
-    """Resolve a zone name to the cloud's zone object."""
-    for z in cloud.region.zones:
-        if z.name == name:
-            return z
-    raise KeyError(f"no zone {name!r} in region {cloud.region.name}")
 
 
 def SpotAcquisition(board: SpotMarketBoard, *, ladder: SpotLadder,
@@ -414,7 +407,7 @@ class SpotProgress:
                 itype = decision.itype or p.itype
                 try:
                     nxt = ctx.cloud.launch_instance(
-                        itype, _zone_of(ctx.cloud, zone), wait=False)
+                        itype, ctx.cloud.region.zone(zone), wait=False)
                 except ChaosError as e:
                     if not p.escalate:
                         failed = FailedBin(
@@ -492,10 +485,10 @@ class SpotProgress:
                                     reason="deadline-risk").inc()
 
 
-class SpotCompletion(StaticCompletion):
+class SpotCompletion(FleetCompletion):
     """Spot wind-down: billing already happened inline, per segment.
 
-    Inherits the static policy's degradation replan (orphaned bins are
+    Inherits the fleet policy's degradation replan (orphaned bins are
     queued for the :class:`~repro.resilience.degrade.DegradationPlanner`
     through the acquisition's ``launcher``) but skips its ceil-hour
     settle — every charged hour was written to the ledger as its segment
@@ -505,7 +498,7 @@ class SpotCompletion(StaticCompletion):
     """
 
     def __init__(self, *, stats: SpotRunStats | None = None) -> None:
-        super().__init__(measure_retrieval=False)
+        super().__init__()
         self.stats = stats if stats is not None else SpotRunStats()
 
     def settle_bin(self, ctx: CoreContext, grant: BinGrant,
@@ -523,7 +516,8 @@ class SpotCompletion(StaticCompletion):
             if g.instance.state in (InstanceState.PENDING,
                                     InstanceState.RUNNING):
                 g.instance.terminate(max(ctx.cloud.now, g.work_start))
-        self._advance_to_horizon(ctx)
+        if ctx.report.runs:
+            ctx.cloud.advance(max(r.duration for r in ctx.report.runs))
         self._emit_fleet_metrics(ctx)
         obs = ctx.obs
         if obs.enabled and self.stats.discount is not None:

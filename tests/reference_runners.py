@@ -1,6 +1,6 @@
 """Seed runner implementations, frozen as differential oracles.
 
-These are the five execution loops exactly as they existed before the
+These are the four execution loops exactly as they existed before the
 policy-driven :mod:`repro.runner.core` unified them — verbatim copies,
 only the imports adjusted (dataclasses come from :mod:`repro.runner`, the
 shared launch/replacement helpers from :mod:`repro.resilience.launch`).
@@ -25,7 +25,6 @@ from repro.runner import (
     ExecutionReport,
     FailedBin,
     FaultPolicy,
-    FleetTimeline,
     InstanceRun,
     ReplacementEvent,
 )
@@ -33,7 +32,6 @@ from repro.units import HOUR
 
 __all__ = [
     "execute_plan_reference",
-    "execute_plan_event_driven_reference",
     "execute_with_monitoring_reference",
     "execute_fault_tolerant_reference",
     "execute_on_fleet_reference",
@@ -154,69 +152,6 @@ def execute_plan_reference(
         report.retrieval_seconds = cloud.s3.retrieval_time(
             [k for k, _ in meta_by_run], rng)
     return report
-
-
-def execute_plan_event_driven_reference(
-    cloud: Cloud,
-    workload: Workload,
-    plan: ProvisioningPlan,
-    *,
-    service: ExecutionService | None = None,
-    bill: bool = True,
-) -> tuple[ExecutionReport, FleetTimeline]:
-    """Seed ``execute_plan_event_driven``, verbatim."""
-    svc = service or ExecutionService(cloud)
-    report = ExecutionReport(deadline=plan.deadline, strategy=plan.strategy)
-    timeline = FleetTimeline()
-    occupied = [(i, units) for i, units in enumerate(plan.assignments) if units]
-
-    instances = [cloud.launch_instance(wait=False) for _ in occupied]
-    if not instances:
-        return report, timeline
-    report.rate = instances[0].itype.hourly_rate
-
-    engine = cloud.engine
-    state = {"working": 0, "completed": 0}
-    runs_by_index: dict[int, InstanceRun] = {}
-
-    fleet_ready = max(i.ready_at for i in instances)
-
-    def start_fleet() -> None:
-        work_start = engine.now
-        for inst, (idx, units) in zip(instances, occupied):
-            inst.mark_running(engine.now)
-            duration = svc.run(inst, units, workload, advance_clock=False)
-            predicted = (plan.predicted_times[idx]
-                         if idx < len(plan.predicted_times) else 0.0)
-            run = InstanceRun(
-                instance_id=inst.instance_id,
-                n_units=len(units),
-                volume=sum(u.size for u in units),
-                boot_delay=inst.boot_delay,
-                duration=duration,
-                predicted=predicted,
-            )
-            runs_by_index[idx] = run
-            state["working"] += 1
-            if bill:
-                cloud.ledger.record(inst.instance_id, inst.itype.name,
-                                    work_start, work_start + duration,
-                                    inst.itype.hourly_rate)
-
-            def complete(inst=inst, run=run) -> None:
-                state["working"] -= 1
-                state["completed"] += 1
-                timeline.record(engine.now, state["working"], state["completed"])
-                inst.terminate(engine.now)
-
-            engine.schedule_at(work_start + duration, complete,
-                               label=f"complete:{inst.instance_id}")
-
-    engine.schedule_at(fleet_ready, start_fleet, label="fleet-ready")
-    engine.run()
-
-    report.runs = [runs_by_index[idx] for idx, _ in occupied]
-    return report, timeline
 
 
 def _split_point(units: list, fraction: float) -> int:

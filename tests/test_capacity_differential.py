@@ -46,12 +46,10 @@ from repro.runner import (
     execute_plan_spot,
 )
 from repro.runner.core import (
-    CrashCompletion,
     CrashProgress,
     ExecutionCore,
-    LeaseCompletion,
+    FleetCompletion,
     RunToCompletion,
-    StaticCompletion,
 )
 from repro.runner.spot import SpotCompletion, SpotProgress, SpotRunStats
 
@@ -91,7 +89,7 @@ class TestFleetBrokerDifferential:
             cb, wl, plan,
             acquisition=ReferenceFleetLaunchAcquisition(),
             progress=RunToCompletion(),
-            completion=StaticCompletion(),
+            completion=FleetCompletion(),
             label="execute_plan").run().report
         assert_reports_equal(new, ref)
         assert_ledgers_equal(ca, cb)
@@ -107,7 +105,7 @@ class TestFleetBrokerDifferential:
             acquisition=ReferenceFleetLaunchAcquisition(
                 launcher=ResilientLauncher(cb)),
             progress=RunToCompletion(),
-            completion=StaticCompletion(),
+            completion=FleetCompletion(),
             label="execute_plan").run().report
         assert_reports_equal(new, ref)
         assert_ledgers_equal(ca, cb)
@@ -126,7 +124,7 @@ class TestFleetBrokerDifferential:
             acquisition=ReferenceFleetLaunchAcquisition(
                 replacement_tenant="fault-tolerant"),
             progress=CrashProgress(pol),
-            completion=CrashCompletion(),
+            completion=FleetCompletion(),
             strategy=f"{plan.strategy}+fault-tolerant",
             label="execute_fault_tolerant")
         result = core.run()
@@ -154,7 +152,7 @@ class TestLeaseBrokerDifferential:
             acquisition=ReferenceLeaseAcquisition(mb, tenant="t",
                                                   campaign="uniform-campaign"),
             progress=RunToCompletion(),
-            completion=LeaseCompletion(mb),
+            completion=FleetCompletion(lease_manager=mb),
             strategy=f"{plan.strategy}+fleet",
             label="execute_on_fleet").run().report
         assert_reports_equal(new, ref)
@@ -187,7 +185,7 @@ class TestLeaseBrokerDifferential:
                 acquisition=ReferenceLeaseAcquisition(
                     mb, tenant="t", campaign="uniform-campaign"),
                 progress=RunToCompletion(),
-                completion=LeaseCompletion(mb),
+                completion=FleetCompletion(lease_manager=mb),
                 strategy=f"{plan.strategy}+fleet",
                 label="execute_on_fleet").run().report
         except LeaseError as e:
@@ -335,8 +333,7 @@ class TestDagBrokerDifferential:
             s.name: StagePolicy(
                 acquisition=ReferenceFleetLaunchAcquisition(),
                 progress=RunToCompletion(),
-                completion=StaticCompletion(),
-                terminate_at_stage_end=True)
+                completion=FleetCompletion())
             for s in gb.stages()}
         ref = DagScheduler(cb, gb, self._catalogue(seed), self.DEADLINE,
                            backend=S3Backend(), policy="fleet",
@@ -362,8 +359,7 @@ class TestDagBrokerDifferential:
                 acquisition=ReferenceLeaseAcquisition(
                     mb, tenant=s.name, campaign=f"stage:{s.name}"),
                 progress=RunToCompletion(),
-                completion=LeaseCompletion(mb),
-                terminate_at_stage_end=False)
+                completion=FleetCompletion(lease_manager=mb))
             for s in gb.stages()}
         ref = DagScheduler(cb, gb, self._catalogue(seed), self.DEADLINE,
                            backend=S3Backend(), policy="leased",

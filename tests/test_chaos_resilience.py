@@ -430,22 +430,28 @@ class TestRunnersUnderChaos:
         assert len(report.runs) > 0
         assert launcher.stats()["absorbed_faults"] >= 1
 
-    def test_degradation_replan_absorbs_orphaned_bins(self):
-        from repro.runner import execute_plan
+    @pytest.mark.parametrize("seed", [7, 3])
+    @pytest.mark.parametrize("runner", ["execute_plan",
+                                        "execute_with_monitoring",
+                                        "execute_fault_tolerant"])
+    def test_degradation_replan_absorbs_orphaned_bins(self, runner, seed):
+        import repro.runner
 
         # roughly half of all launches refused, no retries left to absorb;
-        # seed 7 deterministically yields a partial failure (some bins
-        # granted, some refused) so the replan has survivors to use
+        # seeds 7 and 3 deterministically yield a partial failure (some
+        # bins granted, some refused) so the replan has survivors to use
         scenario = FaultScenario(name="half",
                                  launch_reject_rates=(("*", 0.6),))
-        inj = FaultInjector([scenario], seed=7)
-        cloud = Cloud(seed=7, chaos=inj)
+        inj = FaultInjector([scenario], seed=seed)
+        cloud = Cloud(seed=seed, chaos=inj)
         launcher = ResilientLauncher(
             cloud, retry=RetryPolicy(max_attempts=1),
             degradation=DegradationPlanner())
         plan = self._plan()
-        report = execute_plan(cloud, self._workload(), plan,
-                              launcher=launcher)
+        report = getattr(repro.runner, runner)(
+            cloud, self._workload(), plan, launcher=launcher)
+        if isinstance(report, tuple):   # (report, replacement/crash events)
+            report = report[0]
         assert report.failures and report.runs
         assert all(f.absorbed for f in report.failures)
         assert report.n_failed == 0

@@ -46,7 +46,6 @@ from repro.runner import (
     execute_fault_tolerant,
     execute_on_fleet,
     execute_plan,
-    execute_plan_event_driven,
     execute_plan_spot,
     execute_quality_aware,
     execute_with_monitoring,
@@ -188,10 +187,9 @@ class TestWorkConservation:
 
     @settings(max_examples=6, deadline=None)
     @given(seed=st.integers(0, 2**16))
-    def test_event_runner(self, seed):
+    def test_static_runner_any_seed(self, seed):
         plan = make_plan()
-        report, _ = execute_plan_event_driven(Cloud(seed=seed),
-                                              pos_workload(), plan)
+        report = execute_plan(Cloud(seed=seed), pos_workload(), plan)
         assert_work_conserved(plan, report)
 
     @settings(max_examples=8, deadline=None)
@@ -299,7 +297,7 @@ class TestBrokerStackConservation:
            stack=st.sampled_from(["on-demand", "resilient",
                                   "resilient-ladder"]))
     def test_fleet_stacks(self, seed, chaos, stack):
-        from repro.runner.core import StaticCompletion
+        from repro.runner.core import FleetCompletion
 
         plan = make_plan()
         cloud = Cloud(seed=seed, chaos=FaultInjector(
@@ -313,14 +311,14 @@ class TestBrokerStackConservation:
                                    OnDemandBroker()])
         core = self._core(cloud, plan,
                           BrokerAcquisition(broker),
-                          StaticCompletion())
+                          FleetCompletion())
         assert_work_conserved(plan, core.run().report)
 
     @settings(max_examples=6, deadline=None)
     @given(seed=st.integers(0, 2**16),
            strategy=st.sampled_from(["uniform", "first-fit"]))
     def test_warm_lease_stack(self, seed, strategy):
-        from repro.runner.core import LeaseCompletion
+        from repro.runner.core import FleetCompletion
 
         plan = make_plan(strategy=strategy)
         cloud = Cloud(seed=seed)
@@ -328,7 +326,8 @@ class TestBrokerStackConservation:
         acq = BrokerAcquisition(WarmLeaseBroker(manager, tenant="stack"),
                                 lazy=True, lease_manager=manager,
                                 replacement_tenant="stack")
-        core = self._core(cloud, plan, acq, LeaseCompletion(manager))
+        core = self._core(cloud, plan, acq,
+                          FleetCompletion(lease_manager=manager))
         report = core.run().report
         assert_work_conserved(plan, report)
         manager.shutdown()

@@ -24,14 +24,14 @@ from repro.obs.ledger import RunLedger, RunRecord, capture_runs, set_run_ledger
 from repro.obs.slo import Objective, SloPolicy, render_slo_table
 
 
-def _event_driven_run(seed: int) -> RunRecord:
-    """One 16-bin event-driven plan under a fresh obs bundle + ledger."""
+def _plan_run(seed: int) -> RunRecord:
+    """One 16-bin ``execute_plan`` run under a fresh obs bundle + ledger."""
     from repro.cloud import Cloud, Workload
     from repro.apps import PosCostProfile, PosTaggerApplication
     from repro.core import reshape
     from repro.core.planner import ProvisioningPlan
     from repro.corpus import text_400k_like
-    from repro.runner import execute_plan_event_driven
+    from repro.runner import execute_plan
 
     n_bins = 16
     units = list(reshape(text_400k_like(scale=5e-3), None).units)
@@ -44,7 +44,7 @@ def _event_driven_run(seed: int) -> RunRecord:
     try:
         with capture_runs() as ledger:
             cloud = Cloud(seed=seed)
-            execute_plan_event_driven(
+            execute_plan(
                 cloud, Workload("postag", PosTaggerApplication(),
                                 PosCostProfile()), plan)
         return ledger.records()[-1]
@@ -54,8 +54,8 @@ def _event_driven_run(seed: int) -> RunRecord:
 
 class TestCleanDiff:
     def test_identical_seeds_diff_clean(self):
-        a = _event_driven_run(seed=11)
-        b = _event_driven_run(seed=11)
+        a = _plan_run(seed=11)
+        b = _plan_run(seed=11)
         diff = diff_runs(a, b)
         assert diff.identical_metrics          # bit-identical dumps
         assert diff.significant == []          # zero deterministic drift
@@ -64,8 +64,8 @@ class TestCleanDiff:
         assert "CLEAN" in render_diff_table(diff)
 
     def test_different_seeds_diff_dirty(self):
-        diff = diff_runs(_event_driven_run(seed=11),
-                         _event_driven_run(seed=12))
+        diff = diff_runs(_plan_run(seed=11),
+                         _plan_run(seed=12))
         assert not diff.identical_metrics
         assert not diff.clean
 
@@ -77,7 +77,7 @@ class TestDegradationDemo:
     def degraded_pair(self):
         from repro.sim.engine import SimulationEngine
 
-        baseline = _event_driven_run(seed=11)
+        baseline = _plan_run(seed=11)
         original = SimulationEngine._insert
 
         def slow_insert(self, time, ev):
@@ -86,7 +86,7 @@ class TestDegradationDemo:
 
         SimulationEngine._insert = slow_insert
         try:
-            degraded = _event_driven_run(seed=11)
+            degraded = _plan_run(seed=11)
         finally:
             SimulationEngine._insert = original
         return baseline, degraded

@@ -1,4 +1,4 @@
-"""Tests for plan execution and dynamic rescheduling."""
+"""Tests for plan execution, its fleet timeline, and dynamic rescheduling."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,16 @@ from repro.cloud.instance import HeterogeneityModel
 from repro.core import StaticProvisioner, reshape
 from repro.corpus import text_400k_like
 from repro.perfmodel.regression import fit_affine
-from repro.runner import DynamicPolicy, execute_plan, execute_with_monitoring
+from repro.runner import (
+    DynamicPolicy,
+    ExecutionCore,
+    FleetCompletion,
+    FleetLaunchAcquisition,
+    FleetTimeline,
+    RunToCompletion,
+    execute_plan,
+    execute_with_monitoring,
+)
 
 
 def model():
@@ -87,6 +96,45 @@ class TestExecutePlan:
         cloud = Cloud(seed=8)
         report = execute_plan(cloud, pos_workload(), make_plan())
         assert all(r.billed_hours >= 1 for r in report.runs)
+
+
+class TestFleetTimeline:
+    """The completion-event timeline of an ``execute_plan``-shaped run."""
+
+    def _run(self):
+        plan = make_plan(scale=2e-3)
+        result = ExecutionCore(Cloud(seed=9), pos_workload(), plan,
+                               acquisition=FleetLaunchAcquisition(),
+                               progress=RunToCompletion(),
+                               completion=FleetCompletion()).run()
+        return plan, result.timeline
+
+    def test_completion_counts_monotone(self):
+        plan, timeline = self._run()
+        completed = [c for _, _, c in timeline.points]
+        assert completed == sorted(completed)
+        assert completed[-1] == plan.n_instances
+
+    def test_working_plus_completed_is_fleet(self):
+        plan, timeline = self._run()
+        for _, working, completed in timeline.points:
+            assert working + completed == plan.n_instances
+
+    def test_times_nondecreasing(self):
+        _, timeline = self._run()
+        times = timeline.completion_times
+        assert times == sorted(times)
+
+    def test_completed_at_queries(self):
+        plan, timeline = self._run()
+        t_last = timeline.points[-1][0]
+        assert timeline.completed_at(t_last) == plan.n_instances
+        assert timeline.completed_at(0.0) == 0
+
+    def test_empty_timeline(self):
+        t = FleetTimeline()
+        assert t.completed_at(100.0) == 0
+        assert t.completion_times == []
 
 
 class TestDynamicRescheduling:

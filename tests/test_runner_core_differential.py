@@ -15,7 +15,6 @@ import pytest
 from tests.reference_runners import (
     execute_fault_tolerant_reference,
     execute_on_fleet_reference,
-    execute_plan_event_driven_reference,
     execute_plan_reference,
     execute_with_monitoring_reference,
 )
@@ -33,7 +32,6 @@ from repro.runner import (
     execute_fault_tolerant,
     execute_on_fleet,
     execute_plan,
-    execute_plan_event_driven,
     execute_with_monitoring,
 )
 
@@ -147,38 +145,6 @@ class TestStaticRunner:
                                      launcher=ResilientLauncher(
                                          cb, degradation=DegradationPlanner()))
         assert_reports_equal(new, ref)
-        assert_ledgers_equal(ca, cb)
-
-
-class TestEventDrivenRunner:
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_report_and_timeline(self, seed):
-        plan, wl = make_plan(), pos_workload()
-        ca, cb = Cloud(seed=seed), Cloud(seed=seed)
-        new, tl_new = execute_plan_event_driven(ca, wl, plan)
-        ref, tl_ref = execute_plan_event_driven_reference(cb, wl, plan)
-        assert_reports_equal(new, ref)
-        assert tl_new.points == tl_ref.points
-        assert_ledgers_equal(ca, cb)
-
-    def test_chaos_still_raises(self):
-        """The event runner's legacy contract: launch faults propagate."""
-        from repro.chaos import ChaosError
-
-        plan, wl = make_plan(), pos_workload()
-        with pytest.raises(ChaosError):
-            execute_plan_event_driven(chaos_cloud(3, "capacity-crunch"), wl,
-                                      plan)
-
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_boot_hangs_identical(self, seed):
-        """flaky-boots never rejects, it hangs boots — both paths agree."""
-        plan, wl = make_plan(), pos_workload()
-        ca, cb = chaos_cloud(seed, "flaky-boots"), chaos_cloud(seed, "flaky-boots")
-        new, tl_new = execute_plan_event_driven(ca, wl, plan)
-        ref, tl_ref = execute_plan_event_driven_reference(cb, wl, plan)
-        assert_reports_equal(new, ref)
-        assert tl_new.points == tl_ref.points
         assert_ledgers_equal(ca, cb)
 
 
@@ -317,15 +283,15 @@ class TestCoreInvariants:
         from repro.runner import (
             ExecutionCore,
             FleetLaunchAcquisition,
+            FleetCompletion,
             RunToCompletion,
-            StaticCompletion,
         )
 
         plan, wl = make_plan(), pos_workload()
         core = ExecutionCore(Cloud(seed=3), wl, plan,
                              acquisition=FleetLaunchAcquisition(),
                              progress=RunToCompletion(),
-                             completion=StaticCompletion())
+                             completion=FleetCompletion())
         result = core.run()
         assert len(result.timeline.points) == len(result.report.runs)
         completed = [c for _, _, c in result.timeline.points]
@@ -338,3 +304,24 @@ class TestCoreInvariants:
         execute_plan_reference(cb, wl, plan)
         assert ca.engine.now == cb.engine.now
         assert ca.engine.events_fired >= len(plan.assignments)
+
+    @pytest.mark.parametrize("runner", [execute_with_monitoring,
+                                        execute_fault_tolerant])
+    def test_wind_down_spares_instances_it_did_not_launch(self, runner):
+        """A later run on the same cloud must not retire another manager's
+        pooled instance: it stays RUNNING and its owner bills it."""
+        from repro.cloud.instance import InstanceState
+
+        cloud, wl = Cloud(seed=7), pos_workload()
+        other = LeaseManager(cloud)
+        execute_on_fleet(other, wl, make_plan(), tenant="a")
+        pooled = [i for i in cloud.running_instances()
+                  if other.owns(i.instance_id)]
+        assert pooled
+        runner(cloud, wl, make_plan())
+        assert all(i.state is InstanceState.RUNNING for i in pooled)
+        n_before = len(cloud.ledger.records)
+        other.shutdown()
+        billed = {r.instance_id for r in cloud.ledger.records[n_before:]}
+        assert {i.instance_id for i in pooled} <= billed
+        assert other.stats()["pool_evicted"] == 0
