@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from conftest import single_shot
 
-from repro.apps import GrepCostProfile, PosCostProfile, PosTaggerApplication, UnitMeta
-from repro.apps.base import as_unit_meta
+from repro.apps import GrepCostProfile, PosCostProfile, PosTaggerApplication, UnitColumns
 from repro.cloud import Cloud, Workload
 from repro.core import StaticProvisioner, reshape
 from repro.core.deadline import adjusted_deadline, adjustment_factor
@@ -17,7 +16,7 @@ from repro.perfmodel.selection import preferred_unit_size
 from repro.report import ComparisonTable
 from repro.runner import execute_plan
 from repro.units import KB, MB
-from repro.vfs import TextStats
+from repro.vfs import VirtualFile
 
 
 def eq3_model():
@@ -26,8 +25,8 @@ def eq3_model():
 
 
 def _bin_time(profile: PosCostProfile, bin_, by_path) -> float:
-    metas = [as_unit_meta(by_path[it.key]) for it in bin_.items]
-    return profile.breakdown(metas).total
+    units = [by_path[it.key] for it in bin_.items]
+    return profile.breakdown(UnitColumns(units)).total
 
 
 def test_ablation_first_fit_order_vs_sorted(benchmark):
@@ -180,8 +179,7 @@ def test_ablation_per_file_overhead_crossover(benchmark):
             unit = 1 * MB
             while unit < total:
                 n = total // unit
-                meta = [UnitMeta(size=unit, stats=TextStats())] * n
-                t = profile.breakdown(meta)
+                t = profile.breakdown(UnitColumns([VirtualFile("u", unit)] * n))
                 overhead_part = n * overhead
                 if overhead_part < 0.05 * (t.total - overhead_part):
                     break

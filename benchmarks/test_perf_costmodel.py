@@ -1,0 +1,45 @@
+"""Perf guard: a run is priced as columns, not unit by unit.
+
+``ExecutionService.run`` prices its units through
+:meth:`~repro.cloud.service.Workload.price`: one gather into
+:class:`~repro.apps.base.UnitColumns`, then the app's ``estimate_work``
+and the profile's ``breakdown`` over whole columns.  Pricing 500k one-file
+POS units takes ≈0.21 s on a 2-core shared x86 host (the former per-unit
+chain took ≈1.45 s), so the 0.75 s ceiling leaves ≥3× headroom for noise
+while a reintroduced per-unit Python chain fails it.
+"""
+
+import time
+
+import pytest
+
+from repro.apps import PosCostProfile, PosTaggerApplication
+from repro.cloud import Cloud, ExecutionService, Workload
+from repro.corpus import text_400k_like
+
+N_UNITS = 500_000
+MAX_SECONDS = 0.75
+ATTEMPTS = 2   # one re-measure absorbs a noisy neighbour on shared hosts
+
+
+@pytest.mark.perf
+def test_price_500k_pos_units(benchmark):
+    files = list(text_400k_like(scale=0.05))          # 20k distinct files
+    units = files * (N_UNITS // len(files))
+    cloud = Cloud(seed=3)
+    instance = cloud.launch_instance()
+    svc = ExecutionService(cloud)
+    workload = Workload("postag", PosTaggerApplication(), PosCostProfile())
+
+    def once() -> float:
+        t0 = time.perf_counter()
+        svc.run(instance, units, workload, advance_clock=False)
+        return time.perf_counter() - t0
+
+    elapsed = benchmark.pedantic(
+        lambda: min(once() for _ in range(ATTEMPTS)), rounds=1, iterations=1)
+    print(f"\npriced {len(units):,} POS units in {elapsed:.3f} s")
+    assert len(units) == N_UNITS
+    assert elapsed <= MAX_SECONDS, (
+        f"pricing {N_UNITS:,} units took {elapsed:.3f} s "
+        f"(ceiling {MAX_SECONDS} s)")

@@ -15,16 +15,19 @@ Each application supports two evaluation paths that must agree:
     materialise the unit files and actually process the bytes, returning
     exact :class:`WorkAccount` numbers — used by tests, examples, and probe
     calibration at small scale;
-``estimate_work(units)``
+``estimate_work(UnitColumns(units))``
     predict the same work from file *metadata* only — used by the EC2
-    simulator so that 100 GB experiments never materialise 100 GB.
+    simulator so that 100 GB experiments never materialise 100 GB.  The
+    metadata is columnar: :class:`UnitColumns` holds a bin's sizes and text
+    statistics as numpy columns for ``estimate_work`` and each profile's
+    ``breakdown``; a single unit is a length-1 column.
 
 :mod:`repro.apps.profiles` maps work to reference-instance seconds; those
 profiles are the simulator's hidden ground truth which the paper's
 empirical methodology (probes + regression) estimates from the outside.
 """
 
-from repro.apps.base import AppResult, TextApplication, UnitMeta, WorkAccount, as_unit_meta
+from repro.apps.base import AppResult, TextApplication, UnitColumns, WorkAccount
 from repro.apps.extractor import ExtractCostProfile, ExtractorApplication
 from repro.apps.grep import GrepApplication
 from repro.apps.postagger import PosTaggerApplication
@@ -34,9 +37,8 @@ from repro.apps.tokenize import sentences, strip_markup, tokenize
 __all__ = [
     "AppResult",
     "TextApplication",
-    "UnitMeta",
+    "UnitColumns",
     "WorkAccount",
-    "as_unit_meta",
     "ExtractorApplication",
     "ExtractCostProfile",
     "GrepApplication",

@@ -4,14 +4,18 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence, Union
+from operator import attrgetter
+from typing import Sequence, Union
 
-from repro.vfs.files import Segment, TextStats, VirtualFile
+import numpy as np
 
-__all__ = ["WorkAccount", "AppResult", "UnitMeta", "as_unit_meta", "TextApplication", "Unit"]
+from repro.vfs.files import Segment, VirtualFile
+
+__all__ = ["WorkAccount", "AppResult", "UnitColumns", "fold", "TextApplication", "Unit"]
 
 #: A processable unit: either an original file or a reshaped segment.
 Unit = Union[VirtualFile, Segment]
+_STAT_COLUMNS = ("avg_word_len", "avg_sentence_words", "markup_fraction")
 
 
 @dataclass
@@ -61,34 +65,42 @@ class AppResult:
     outputs: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class UnitMeta:
-    """The metadata slice of a unit that cost models consume."""
+class UnitColumns:
+    """A bin's units as numpy columns: what every cost model prices.
 
-    size: int
-    stats: TextStats
-    n_members: int = 1
+    ``size`` is gathered up front; ``avg_word_len``, ``avg_sentence_words``
+    and ``markup_fraction`` on first read, so a profile that never reads
+    them (grep) never aggregates segment statistics.  A single unit is a
+    length-1 column.
+    """
 
-    def __post_init__(self) -> None:
-        if self.size < 0 or self.n_members < 0:
-            raise ValueError("unit metadata must be non-negative")
+    def __init__(self, units: Sequence[Unit]) -> None:
+        self._units = units
+        self.size = np.array([u.size for u in units], dtype=np.int64)
+
+    def __len__(self) -> int:
+        return len(self.size)
+
+    def __getattr__(self, name: str) -> np.ndarray:
+        if name not in _STAT_COLUMNS:
+            raise AttributeError(name)
+        stats = [u.stats() if isinstance(u, Segment) else u.stats for u in self._units]
+        for column in _STAT_COLUMNS:
+            setattr(self, column, np.fromiter(map(attrgetter(column), stats), float, len(stats)))
+        return getattr(self, name)
 
 
-def as_unit_meta(unit: Unit) -> UnitMeta:
-    """Normalise a file or segment to :class:`UnitMeta`."""
-    if isinstance(unit, Segment):
-        return UnitMeta(size=unit.size, stats=unit.stats(), n_members=unit.n_members)
-    if isinstance(unit, VirtualFile):
-        return UnitMeta(size=unit.size, stats=unit.stats, n_members=1)
-    raise TypeError(f"not a processable unit: {type(unit).__name__}")
+def fold(values: np.ndarray) -> float:
+    """In-order float sum; ``ndarray.sum`` adds pairwise and can move the last ulp."""
+    return float(np.add.accumulate(values)[-1]) if len(values) else 0.0
 
 
 class TextApplication(ABC):
     """A text tool that consumes unit files and reports its work.
 
     Implementations guarantee that for units whose metadata is faithful,
-    ``estimate_work`` approximates the counters ``run_native`` produces
-    (tests pin the agreement tolerance).
+    ``estimate_work`` over their :class:`UnitColumns` approximates the
+    counters ``run_native`` produces (tests pin the agreement tolerance).
     """
 
     name: str = "app"
@@ -98,9 +110,5 @@ class TextApplication(ABC):
         """Materialise and actually process ``units``."""
 
     @abstractmethod
-    def estimate_work(self, units: Iterable[UnitMeta]) -> WorkAccount:
+    def estimate_work(self, units: UnitColumns) -> WorkAccount:
         """Predict the work counters from metadata alone."""
-
-    def estimate_for(self, units: Sequence[Unit]) -> WorkAccount:
-        """Convenience: :meth:`estimate_work` over live unit objects."""
-        return self.estimate_work(as_unit_meta(u) for u in units)

@@ -14,11 +14,14 @@ the tagger, leaning toward grep.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from repro.apps.base import AppResult, TextApplication, Unit, UnitMeta, WorkAccount
+import numpy as np
+
+from repro.apps.base import AppResult, TextApplication, Unit, UnitColumns, WorkAccount, fold
 from repro.apps.profiles import TimeBreakdown
 from repro.apps.tokenize import strip_markup
 from repro.sim.random import RngStream
@@ -57,14 +60,14 @@ class ExtractorApplication(TextApplication):
         work.validate()
         return AppResult(work=work, outputs={"texts": extracted})
 
-    def estimate_work(self, units: Iterable[UnitMeta]) -> WorkAccount:
+    def estimate_work(self, units: UnitColumns) -> WorkAccount:
         """Predict extraction work from metadata alone."""
-        work = WorkAccount()
-        for u in units:
-            work.files_opened += 1
-            work.bytes_read += u.size
-            visible = 1.0 - u.stats.markup_fraction
-            work.output_bytes += int(u.size * visible)
+        visible_bytes = units.size * (1.0 - units.markup_fraction)
+        work = WorkAccount(
+            files_opened=len(units),
+            bytes_read=int(units.size.sum()),
+            output_bytes=int(visible_bytes.astype(np.int64).sum()),
+        )
         work.validate()
         return work
 
@@ -82,17 +85,13 @@ class ExtractCostProfile:
 
     def draw_setup(self, rng: RngStream) -> float:
         """Per-run startup seconds (lognormal)."""
-        import math
-
         return rng.lognormal(math.log(self.setup_median), self.setup_sigma)
 
-    def breakdown(self, units: Iterable[UnitMeta], *, matches: int = 0) -> TimeBreakdown:
+    def breakdown(self, units: UnitColumns, *, matches: int = 0) -> TimeBreakdown:
         """Reference-time split for extracting ``units``."""
-        io = 0.0
-        cpu = 0.0
-        for u in units:
-            visible = 1.0 - u.stats.markup_fraction
-            io += self.per_file_overhead + u.size / self.stream_bandwidth
-            io += u.size * visible * self.write_per_byte
-            cpu += u.size * self.parse_per_byte
-        return TimeBreakdown(setup=0.0, io=io, cpu=cpu)
+        size = units.size
+        # Interleave each unit's read and write terms: they are added in that order.
+        io = np.empty(2 * len(size))
+        io[0::2] = self.per_file_overhead + size / self.stream_bandwidth
+        io[1::2] = size * (1.0 - units.markup_fraction) * self.write_per_byte
+        return TimeBreakdown(setup=0.0, io=fold(io), cpu=fold(size * self.parse_per_byte))

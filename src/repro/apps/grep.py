@@ -9,9 +9,11 @@ literal and regex patterns are supported; matching is per line, like grep.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from repro.apps.base import AppResult, TextApplication, Unit, UnitMeta, WorkAccount
+import numpy as np
+
+from repro.apps.base import AppResult, TextApplication, Unit, UnitColumns, WorkAccount
 
 __all__ = ["GrepApplication", "NONSENSE_WORD"]
 
@@ -74,15 +76,15 @@ class GrepApplication(TextApplication):
 
     # -- metadata path -------------------------------------------------------
 
-    def estimate_work(self, units: Iterable[UnitMeta]) -> WorkAccount:
-        """Predict search work from metadata alone."""
-        work = WorkAccount()
-        for u in units:
-            work.files_opened += 1
-            work.bytes_read += u.size
-            est_matches = int(u.size * self.expected_hit_rate)
-            work.matches += est_matches
+    def estimate_work(self, units: UnitColumns) -> WorkAccount:
+        """Predict search work from unit sizes alone."""
+        matches = int((units.size * self.expected_hit_rate).astype(np.int64).sum())
+        work = WorkAccount(
+            files_opened=len(units),
+            bytes_read=int(units.size.sum()),
+            matches=matches,
             # grep emits the whole matching line (~80 B typical line).
-            work.output_bytes += est_matches * 80
+            output_bytes=matches * 80,
+        )
         work.validate()
         return work

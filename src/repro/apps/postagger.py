@@ -19,13 +19,17 @@ RB CD PUNCT.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+import math
+from itertools import repeat
+from typing import Sequence
 
-from repro.apps.base import AppResult, TextApplication, Unit, UnitMeta, WorkAccount
+import numpy as np
+
+from repro.apps.base import AppResult, TextApplication, Unit, UnitColumns, WorkAccount, fold
 from repro.apps.tokenize import sentences as split_sentences
 from repro.apps.tokenize import strip_markup
 
-__all__ = ["PosTaggerApplication", "tag_sentence", "CONTEXT_EXPONENT"]
+__all__ = ["PosTaggerApplication", "tag_sentence", "token_work", "CONTEXT_EXPONENT"]
 
 #: Work for the context pass over a sentence of length L is ``L**CONTEXT_EXPONENT``
 #: (window comparisons against a history whose effective width grows with
@@ -104,6 +108,20 @@ def tag_sentence(tokens: Sequence[str]) -> tuple[list[str], float]:
     return tags, context_ops
 
 
+def token_work(units: UnitColumns) -> tuple[np.ndarray, np.ndarray]:
+    """Per-unit ``(tokens, context_ops)`` estimated from the stat columns.
+
+    Tokens are text bytes over word + separator.  Summed over sentences,
+    ``L**e`` ≈ ``tokens · avg_len**(e-1)``, taken with libm's power:
+    ``np.power`` can round the last ulp differently.
+    """
+    text_bytes = units.size * (1.0 - units.markup_fraction)
+    tokens = (text_bytes / (units.avg_word_len + 1.0)).astype(np.int64)
+    avg_len = np.maximum(units.avg_sentence_words, 1.0).tolist()
+    scale = map(math.pow, avg_len, repeat(CONTEXT_EXPONENT - 1.0))
+    return tokens, tokens * np.fromiter(scale, float, len(avg_len))
+
+
 class PosTaggerApplication(TextApplication):
     """Tag every token of every unit file.
 
@@ -135,19 +153,19 @@ class PosTaggerApplication(TextApplication):
         work.validate()
         return AppResult(work=work, outputs={"tag_counts": tag_counts})
 
-    def estimate_work(self, units: Iterable[UnitMeta]) -> WorkAccount:
+    def estimate_work(self, units: UnitColumns) -> WorkAccount:
         """Predict tagging work from metadata alone."""
-        work = WorkAccount()
-        for u in units:
-            tokens = u.stats.tokens_in(u.size)
-            sents = u.stats.sentences_in(u.size)
-            avg_len = max(1.0, u.stats.avg_sentence_words)
-            work.files_opened += 1
-            work.bytes_read += u.size
-            work.tokens += tokens
-            work.sentences += sents
-            # sum over sentences of L^e  ≈  n_sent * avg_len^e = tokens * avg_len^(e-1)
-            work.context_ops += tokens * avg_len ** (CONTEXT_EXPONENT - 1.0)
-            work.output_bytes += int(tokens * (u.stats.avg_word_len + 4))
+        tokens, context_ops = token_work(units)
+        # A non-empty unit holds at least one sentence, an empty one none.
+        sentences = np.maximum((tokens / units.avg_sentence_words).astype(np.int64), 1)
+        output_bytes = tokens * (units.avg_word_len + 4.0)
+        work = WorkAccount(
+            files_opened=len(units),
+            bytes_read=int(units.size.sum()),
+            tokens=int(tokens.sum()),
+            sentences=int(sentences[units.size > 0].sum()),
+            output_bytes=int(output_bytes.astype(np.int64).sum()),
+            context_ops=fold(context_ops),
+        )
         work.validate()
         return work

@@ -28,12 +28,13 @@ simple and complex prose at equal word count (§5.2 novels).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from math import log2
-from typing import Iterable
 
-from repro.apps.base import UnitMeta
-from repro.apps.postagger import CONTEXT_EXPONENT
+import numpy as np
+
+from repro.apps.base import UnitColumns, fold
+from repro.apps.postagger import token_work
 from repro.sim.random import RngStream
 from repro.units import MB
 
@@ -75,23 +76,16 @@ class GrepCostProfile:
 
     def draw_setup(self, rng: RngStream) -> float:
         """Per-run startup seconds (lognormal)."""
-        import math
-
         return rng.lognormal(math.log(self.setup_median), self.setup_sigma)
 
     def draw_setups(self, rng: RngStream, n: int):
         """``n`` per-run startup draws in one vector (columnar runs)."""
-        import math
-
         return rng.lognormals(math.log(self.setup_median), self.setup_sigma, n)
 
-    def breakdown(self, units: Iterable[UnitMeta], *, matches: int = 0) -> TimeBreakdown:
+    def breakdown(self, units: UnitColumns, *, matches: int = 0) -> TimeBreakdown:
         """Reference-time split for processing ``units``."""
-        n_files = 0
-        n_bytes = 0
-        for u in units:
-            n_files += 1
-            n_bytes += u.size
+        n_files = len(units)
+        n_bytes = int(units.size.sum())
         io = n_files * self.per_file_overhead + n_bytes / self.stream_bandwidth
         cpu = n_bytes * self.cpu_per_byte + matches * self.cpu_per_match
         return TimeBreakdown(setup=0.0, io=io, cpu=cpu)
@@ -123,35 +117,32 @@ class PosCostProfile:
 
     def draw_setup(self, rng: RngStream) -> float:
         """Per-run startup seconds (lognormal)."""
-        import math
-
         return rng.lognormal(math.log(self.jvm_startup_median), self.jvm_startup_sigma)
 
     def draw_setups(self, rng: RngStream, n: int):
         """``n`` per-run startup draws in one vector (columnar runs)."""
-        import math
-
         return rng.lognormals(math.log(self.jvm_startup_median),
                               self.jvm_startup_sigma, n)
 
-    def memory_penalty(self, size: int) -> float:
-        """Working-set multiplier for a unit file of ``size`` bytes."""
-        if size <= self.mem_penalty_knee:
-            return 1.0
-        return min(self.mem_penalty_cap,
-                   1.0 + self.mem_penalty_rate * log2(size / self.mem_penalty_knee))
+    def memory_penalty(self, size: np.ndarray | int) -> np.ndarray:
+        """Working-set multiplier per unit file of ``size`` bytes (a column).
 
-    def breakdown(self, units: Iterable[UnitMeta], *, matches: int = 0) -> TimeBreakdown:
+        ``log2`` is libm's: ``np.log2`` can round the last ulp differently.
+        """
+        size = np.asarray(size)
+        big = size > self.mem_penalty_knee
+        ratios = (size[big] / self.mem_penalty_knee).tolist()
+        logs = np.fromiter(map(math.log2, ratios), float, len(ratios))
+        penalty = np.ones(size.shape)
+        penalty[big] = np.minimum(self.mem_penalty_cap, 1.0 + self.mem_penalty_rate * logs)
+        return penalty
+
+    def breakdown(self, units: UnitColumns, *, matches: int = 0) -> TimeBreakdown:
         """Reference-time split for processing ``units``."""
         # ``matches`` accepted for interface parity with the grep profile;
         # tagging cost does not depend on it.
-        io = 0.0
-        cpu = 0.0
-        for u in units:
-            tokens = u.stats.tokens_in(u.size)
-            avg_len = max(1.0, u.stats.avg_sentence_words)
-            ctx_ops = tokens * avg_len ** (CONTEXT_EXPONENT - 1.0)
-            unit_cpu = tokens * self.per_token + ctx_ops * self.per_context_op
-            cpu += unit_cpu * self.memory_penalty(u.size)
-            io += self.per_file_overhead + u.size / self.local_read_bandwidth
-        return TimeBreakdown(setup=0.0, io=io, cpu=cpu)
+        tokens, context_ops = token_work(units)
+        unit_cpu = tokens * self.per_token + context_ops * self.per_context_op
+        cpu = unit_cpu * self.memory_penalty(units.size)
+        io = self.per_file_overhead + units.size / self.local_read_bandwidth
+        return TimeBreakdown(setup=0.0, io=fold(io), cpu=fold(cpu))

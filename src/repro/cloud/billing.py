@@ -9,7 +9,7 @@ full hour."
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -46,14 +46,15 @@ class UsageRecord:
     start: float
     end: float
     hourly_rate: float
+    hours: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # Billed once: every run's ledger summary reads each record's hours three times.
+        object.__setattr__(self, "hours", billable_hours(self.end - self.start))
 
     @property
     def duration(self) -> float:
         return self.end - self.start
-
-    @property
-    def hours(self) -> int:
-        return billable_hours(self.duration)
 
     @property
     def cost(self) -> float:

@@ -21,8 +21,8 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from repro.apps.base import TextApplication, Unit, as_unit_meta
-from repro.apps.profiles import GrepCostProfile, PosCostProfile
+from repro.apps.base import TextApplication, Unit, UnitColumns
+from repro.apps.profiles import GrepCostProfile, PosCostProfile, TimeBreakdown
 from repro.cloud.cluster import Cloud
 from repro.cloud.ebs import EbsVolume
 from repro.cloud.instance import Instance, InstanceColumn
@@ -39,6 +39,12 @@ class Workload:
     name: str
     app: TextApplication
     profile: Profile
+
+    def price(self, units: Sequence[Unit]) -> TimeBreakdown:
+        """Reference-instance seconds for one run over ``units``, priced as columns."""
+        columns = UnitColumns(units)
+        work = self.app.estimate_work(columns)
+        return self.profile.breakdown(columns, matches=work.matches)
 
 
 class ExecutionService:
@@ -73,9 +79,7 @@ class ExecutionService:
             raise ValueError(
                 f"{storage.volume_id} is not attached to {instance.instance_id}"
             )
-        meta = [as_unit_meta(u) for u in units]
-        work = workload.app.estimate_work(meta)
-        breakdown = workload.profile.breakdown(meta, matches=work.matches)
+        breakdown = workload.price(units)
 
         n = self._run_counts.get(instance.instance_id, 0)
         self._run_counts[instance.instance_id] = n + 1
@@ -108,15 +112,15 @@ class ExecutionService:
         self,
         column: InstanceColumn,
         workload: Workload,
-        io_ref: np.ndarray,
-        cpu_ref: np.ndarray,
+        io_ref: np.ndarray | float,
+        cpu_ref: np.ndarray | float,
     ) -> np.ndarray:
         """Measured seconds for member ``i`` processing its own reference work.
 
         The columnar counterpart of :meth:`run`: ``io_ref``/``cpu_ref``
         hold each member's reference-instance seconds (one entry per
-        column member — from :meth:`GrepCostProfile.breakdown` per bin, or
-        broadcast for a uniform fleet), and the same composition applies
+        column member — :meth:`Workload.price` of a bin's ``UnitColumns``,
+        or broadcast for a uniform fleet), and the same composition applies
         vectorized — per-member setup draw, hidden cpu/io division, and
         multiplicative measurement noise.  Draws come from an
         ``exec.column.{id}.{k}`` fork, a namespace scalar runs never use.

@@ -220,7 +220,7 @@ def novels() -> tuple[FigureResult, dict]:
         # charge the *native* work counters through the profile's CPU terms
         cpu = (result.work.tokens * profile.per_token
                + result.work.context_ops * profile.per_context_op)
-        cpu *= profile.memory_penalty(unit.size)
+        cpu *= float(profile.memory_penalty(unit.size))
         times[novel.name] = cpu + profile.jvm_startup_median
         works[novel.name] = result.work
 

@@ -93,29 +93,12 @@ class ColumnarReport:
         return self.billing.cost if self.billing is not None else 0.0
 
 
-def _reference_vectors(workload: Workload,
-                       plan: ProvisioningPlan) -> tuple[list, np.ndarray, np.ndarray]:
-    """Per-occupied-bin reference (io, cpu) seconds from the ground truth."""
-    from repro.apps.base import as_unit_meta
-
-    occupied = [(i, units) for i, units in enumerate(plan.assignments) if units]
-    io_ref = np.empty(len(occupied))
-    cpu_ref = np.empty(len(occupied))
-    for row, (_, units) in enumerate(occupied):
-        meta = [as_unit_meta(u) for u in units]
-        work = workload.app.estimate_work(meta)
-        b = workload.profile.breakdown(meta, matches=work.matches)
-        io_ref[row] = b.io
-        cpu_ref[row] = b.cpu
-    return occupied, io_ref, cpu_ref
-
-
 def _execute_column(
     cloud: Cloud,
     workload: Workload,
     column: InstanceColumn,
-    io_ref: np.ndarray,
-    cpu_ref: np.ndarray,
+    io_ref: np.ndarray | float,
+    cpu_ref: np.ndarray | float,
     *,
     deadline: float,
     service: ExecutionService | None,
@@ -217,12 +200,14 @@ def execute_plan_columnar(
     durations have the identical composition (setup + io/io_factor +
     cpu/cpu_factor, noised) over columnar-drawn hidden state.
     """
-    occupied, io_ref, cpu_ref = _reference_vectors(workload, plan)
-    if not occupied:
+    prices = [workload.price(units) for units in plan.assignments if units]
+    if not prices:
         return ColumnarReport(column_id="c-empty", deadline=plan.deadline,
                               work_start=cloud.now,
                               durations=np.empty(0), ends=np.empty(0))
-    column = cloud.launch_column(len(occupied), itype=itype)
+    io_ref = np.array([b.io for b in prices])
+    cpu_ref = np.array([b.cpu for b in prices])
+    column = cloud.launch_column(len(prices), itype=itype)
     return _execute_column(cloud, workload, column, io_ref, cpu_ref,
                            deadline=plan.deadline, service=service, bill=bill,
                            label="execute_plan_columnar")
@@ -245,16 +230,10 @@ def execute_uniform_fleet(
     once and broadcast, so cost is O(n) numpy work — this is what the
     100k-instance bench drives.
     """
-    from repro.apps.base import as_unit_meta
-
     if n_instances <= 0:
         raise ValueError(f"fleet size must be positive, got {n_instances}")
-    meta = [as_unit_meta(u) for u in units]
-    work = workload.app.estimate_work(meta)
-    b = workload.profile.breakdown(meta, matches=work.matches)
-    io_ref = np.full(n_instances, b.io)
-    cpu_ref = np.full(n_instances, b.cpu)
+    b = workload.price(units)
     column = cloud.launch_column(n_instances, itype=itype)
-    return _execute_column(cloud, workload, column, io_ref, cpu_ref,
+    return _execute_column(cloud, workload, column, b.io, b.cpu,
                            deadline=deadline, service=service, bill=bill,
                            label="execute_uniform_fleet")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -29,19 +30,11 @@ class TextStats:
     markup_fraction: float = 0.0  # fraction of bytes that is HTML markup
 
     def __post_init__(self) -> None:
-        if self.avg_word_len <= 0 or self.avg_sentence_words <= 0:
-            raise ValueError("text statistics must be positive")
+        # Range checks that NaN fails too: the cost model's int casts need finite stats.
+        if not (0 < self.avg_word_len < math.inf and 0 < self.avg_sentence_words < math.inf):
+            raise ValueError("text statistics must be positive and finite")
         if not 0.0 <= self.markup_fraction < 1.0:
             raise ValueError("markup fraction must be in [0, 1)")
-
-    def tokens_in(self, n_bytes: int) -> int:
-        """Estimated token count in ``n_bytes`` of this text."""
-        text_bytes = n_bytes * (1.0 - self.markup_fraction)
-        return int(text_bytes / (self.avg_word_len + 1.0))  # +1 for separator
-
-    def sentences_in(self, n_bytes: int) -> int:
-        """Estimated sentence count in ``n_bytes`` of this text."""
-        return max(1, int(self.tokens_in(n_bytes) / self.avg_sentence_words)) if n_bytes else 0
 
 
 @dataclass(frozen=True)
@@ -128,12 +121,15 @@ class Segment:
 
     name: str
     members: tuple[VirtualFile, ...]
+    _size: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # Separator newlines count toward nothing: size is the member sum, folded once.
+        object.__setattr__(self, "_size", sum(m.size for m in self.members))
 
     @property
     def size(self) -> int:
-        # Separator newlines between members count toward nothing in the
-        # paper's accounting; keep size as the exact member sum.
-        return sum(m.size for m in self.members)
+        return self._size
 
     @property
     def n_members(self) -> int:
@@ -259,16 +255,16 @@ class Catalogue:
         pool = [f for f in self._files if not exclude or f.path not in exclude]
         order = list(range(len(pool)))
         rng.shuffle(order)
-        picked: list[VirtualFile] = []
+        picked: list[int] = []
         acc = 0
         for i in order:
             if acc >= volume:
                 break
-            picked.append(pool[i])
+            picked.append(i)
             acc += pool[i].size
         # Restore catalogue order so downstream packing sees original order.
-        picked.sort(key=lambda f: f.path)
-        return Catalogue(picked, name=f"{self.name}[sample {volume}B]")
+        return Catalogue([pool[i] for i in sorted(picked)],
+                         name=f"{self.name}[sample {volume}B]")
 
     def filter(self, predicate) -> "Catalogue":
         """Files satisfying ``predicate`` (original order preserved)."""

@@ -1,12 +1,12 @@
 """Tests for the HTML→text extractor application."""
 
 
-from repro.apps import ExtractCostProfile, ExtractorApplication, as_unit_meta
+from repro.apps import ExtractCostProfile, ExtractorApplication, UnitColumns
 from repro.apps.extractor import extract_text
 from repro.corpus import html_18mil_like
 from repro.sim.random import RngStream
 from repro.units import KB
-from repro.vfs import LiteralFile
+from repro.vfs import LiteralFile, TextStats, VirtualFile
 
 
 class TestExtractText:
@@ -47,7 +47,7 @@ class TestExtractorApplication:
         units = list(cat)[:10]
         app = ExtractorApplication()
         native = app.run_native(units).work
-        est = app.estimate_work([as_unit_meta(u) for u in units])
+        est = app.estimate_work(UnitColumns(units))
         assert est.files_opened == native.files_opened
         assert est.bytes_read == native.bytes_read
         assert abs(est.output_bytes - native.output_bytes) / native.output_bytes < 0.15
@@ -56,17 +56,17 @@ class TestExtractorApplication:
 class TestExtractCostProfile:
     def test_io_dominated(self):
         p = ExtractCostProfile()
-        meta = as_unit_meta(html_18mil_like(scale=2e-5)[0])
-        b = p.breakdown([meta])
+        b = p.breakdown(UnitColumns([html_18mil_like(scale=2e-5)[0]]))
         assert b.io > b.cpu
 
     def test_markup_reduces_write_cost(self):
-        from repro.apps import UnitMeta
-        from repro.vfs import TextStats
+        def unit(markup: float) -> UnitColumns:
+            f = VirtualFile("u", 100 * KB, TextStats(markup_fraction=markup))
+            return UnitColumns([f])
 
         p = ExtractCostProfile()
-        plain = p.breakdown([UnitMeta(size=100 * KB, stats=TextStats(markup_fraction=0.0))])
-        marked = p.breakdown([UnitMeta(size=100 * KB, stats=TextStats(markup_fraction=0.5))])
+        plain = p.breakdown(unit(0.0))
+        marked = p.breakdown(unit(0.5))
         assert marked.io < plain.io
 
     def test_setup_draw(self):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.apps import GrepApplication, as_unit_meta
+from repro.apps import GrepApplication, UnitColumns
 from repro.apps.grep import NONSENSE_WORD
 from repro.corpus import text_400k_like
 from repro.vfs import LiteralFile, Segment
@@ -67,13 +67,13 @@ class TestEstimateWork:
         units = list(cat)[:15]
         app = GrepApplication(NONSENSE_WORD)
         native = app.run_native(units).work
-        est = app.estimate_work([as_unit_meta(u) for u in units])
+        est = app.estimate_work(UnitColumns(units))
         assert est.files_opened == native.files_opened
         assert est.bytes_read == native.bytes_read
         assert est.matches == native.matches == 0
 
     def test_hit_rate_estimate(self):
-        meta = as_unit_meta(text_400k_like(scale=1e-4)[0])
-        est = GrepApplication("the", expected_hit_rate=1e-3).estimate_work([meta])
-        assert est.matches == int(meta.size * 1e-3)
+        f = text_400k_like(scale=1e-4)[0]
+        est = GrepApplication("the", expected_hit_rate=1e-3).estimate_work(UnitColumns([f]))
+        assert est.matches == int(f.size * 1e-3)
         assert est.output_bytes > 0

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.apps import PosTaggerApplication, as_unit_meta
+from repro.apps import PosTaggerApplication, UnitColumns
 from repro.apps.postagger import CONTEXT_EXPONENT, tag_sentence
 from repro.apps.tokenize import tokenize
 from repro.corpus import agnes_grey_like, dubliners_like, text_400k_like
@@ -83,7 +83,7 @@ class TestEstimateWork:
         units = list(text_400k_like(scale=2e-4))[:30]
         app = PosTaggerApplication()
         native = app.run_native(units).work
-        est = app.estimate_work([as_unit_meta(u) for u in units])
+        est = app.estimate_work(UnitColumns(units))
         assert est.files_opened == native.files_opened
         assert est.bytes_read == native.bytes_read
         assert abs(est.tokens - native.tokens) / native.tokens < 0.25
@@ -93,8 +93,8 @@ class TestEstimateWork:
         dub = dubliners_like().virtual_file()
         agnes = agnes_grey_like().virtual_file()
         app = PosTaggerApplication()
-        w_dub = app.estimate_work([as_unit_meta(dub)])
-        w_agnes = app.estimate_work([as_unit_meta(agnes)])
+        w_dub = app.estimate_work(UnitColumns([dub]))
+        w_agnes = app.estimate_work(UnitColumns([agnes]))
         # nearly equal token counts, very different context work
         assert abs(w_dub.tokens - w_agnes.tokens) / w_agnes.tokens < 0.15
         assert w_dub.context_ops > 1.4 * w_agnes.context_ops

@@ -314,10 +314,9 @@ class TestResilientLauncher:
 
 class TestDegradationPlanner:
     def _units(self, sizes):
-        from repro.apps.base import UnitMeta
-        from repro.vfs.files import TextStats
+        from repro.vfs.files import VirtualFile
 
-        return [UnitMeta(size=s, stats=TextStats()) for s in sizes]
+        return [VirtualFile(path=f"u{i}", size=s) for i, s in enumerate(sizes)]
 
     def test_orphans_go_to_least_loaded_bins(self):
         planner = DegradationPlanner()

@@ -9,9 +9,7 @@ from repro.apps import (
     GrepApplication,
     GrepCostProfile,
     PosCostProfile,
-    PosTaggerApplication,
-    UnitMeta,
-    as_unit_meta,
+    UnitColumns,
 )
 from repro.cloud import Cloud, Workload
 from repro.cloud.spot import SpotMarket
@@ -81,23 +79,30 @@ class TestXLogXCorners:
             p.inverse(0.0)
 
 
-class TestUnitMetaValidation:
-    def test_negative_size_rejected(self):
-        with pytest.raises(ValueError):
-            UnitMeta(size=-1, stats=TextStats())
-
-    def test_as_unit_meta_rejects_foreign_types(self):
-        with pytest.raises(TypeError):
-            as_unit_meta("not a unit")
-
-    def test_as_unit_meta_on_segment_aggregates(self):
+class TestUnitColumns:
+    def test_segment_stats_aggregate(self):
         a = VirtualFile(path="a", size=100,
                         stats=TextStats(avg_sentence_words=10.0), content_seed=0)
         b = VirtualFile(path="b", size=300,
                         stats=TextStats(avg_sentence_words=30.0), content_seed=1)
-        meta = as_unit_meta(Segment("s", (a, b)))
-        assert meta.n_members == 2
-        assert meta.stats.avg_sentence_words == pytest.approx(25.0)
+        columns = UnitColumns([Segment("s", (a, b)), a])
+        assert columns.size.tolist() == [400, 100]
+        assert columns.avg_sentence_words.tolist() == pytest.approx([25.0, 10.0])
+
+    def test_rejects_foreign_types(self):
+        with pytest.raises(AttributeError):
+            UnitColumns(["not a unit"])
+
+    def test_stats_gathered_only_when_read(self, monkeypatch):
+        def boom(self):
+            raise AssertionError("stats read")
+
+        seg = Segment("s", (VirtualFile(path="a", size=10),))
+        columns = UnitColumns([seg])
+        assert columns.size.tolist() == [10]
+        monkeypatch.setattr(Segment, "stats", boom)
+        with pytest.raises(AssertionError):
+            columns.markup_fraction
 
 
 class TestWorkAccountValidation:
@@ -119,8 +124,8 @@ class TestProfilesMatchesKwargParity:
     def test_pos_profile_accepts_matches(self):
         """Interface parity: both profiles take the matches kwarg."""
         p = PosCostProfile()
-        meta = UnitMeta(size=1000, stats=TextStats())
-        assert p.breakdown([meta], matches=5).total == p.breakdown([meta]).total
+        columns = UnitColumns([VirtualFile(path="a", size=1000)])
+        assert p.breakdown(columns, matches=5).total == p.breakdown(columns).total
 
 
 class TestInstanceRunBoot:

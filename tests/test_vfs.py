@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.apps import PosTaggerApplication, UnitColumns
+from repro.apps.postagger import token_work
 from repro.sim.random import RngStream
 from repro.vfs import Catalogue, Segment, TextStats, VirtualFile
 
@@ -12,25 +14,34 @@ def vfile(path: str, size: int, seed: int = 1, **stats) -> VirtualFile:
     return VirtualFile(path=path, size=size, stats=TextStats(**stats), content_seed=seed)
 
 
+def tokens(size: int, **stats) -> int:
+    return int(token_work(UnitColumns([vfile("t", size, **stats)]))[0][0])
+
+
 class TestTextStats:
     def test_tokens_scale_with_bytes(self):
-        s = TextStats(avg_word_len=5.0)
-        assert s.tokens_in(6000) == 1000
+        assert tokens(6000, avg_word_len=5.0) == 1000
 
     def test_markup_discounted(self):
-        plain = TextStats(markup_fraction=0.0)
-        html = TextStats(markup_fraction=0.5)
-        assert html.tokens_in(1000) < plain.tokens_in(1000)
+        assert tokens(1000, markup_fraction=0.5) < tokens(1000, markup_fraction=0.0)
 
     def test_sentences_nonzero_for_nonempty(self):
-        assert TextStats().sentences_in(100) >= 1
-        assert TextStats().sentences_in(0) == 0
+        app = PosTaggerApplication()
+        assert app.estimate_work(UnitColumns([vfile("a", 100)])).sentences >= 1
+        assert app.estimate_work(UnitColumns([vfile("a", 0)])).sentences == 0
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             TextStats(avg_word_len=0)
         with pytest.raises(ValueError):
             TextStats(markup_fraction=1.0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", ["avg_word_len", "avg_sentence_words",
+                                       "markup_fraction"])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError):
+            TextStats(**{field: value})
 
 
 class TestVirtualFile:
@@ -125,6 +136,20 @@ class TestCatalogue:
         s1 = c.sample_by_volume(300, RngStream(3))
         s2 = c.sample_by_volume(300, RngStream(4), exclude={f.path for f in s1})
         assert not ({f.path for f in s1} & {f.path for f in s2})
+
+    @pytest.mark.parametrize("arrange", ["concat", "by-size"])
+    def test_sample_keeps_catalogue_order(self, arrange):
+        a = Catalogue([vfile(f"a/{i:02d}", 100 + i, seed=i) for i in range(20)])
+        z = Catalogue([vfile(f"z/{i:02d}", 10 + i, seed=i) for i in range(20)])
+        if arrange == "concat":
+            c = Catalogue.concat([z, a])
+        else:
+            c = Catalogue.concat([a, z]).sorted_by_size()
+        position = {f.path: i for i, f in enumerate(c)}
+        everything = c.sample_by_volume(c.total_size, RngStream(5))
+        assert [f.path for f in everything] == [f.path for f in c]
+        part = [position[f.path] for f in c.sample_by_volume(900, RngStream(5))]
+        assert part == sorted(part) and len(part) > 1
 
     def test_sample_deterministic(self):
         c = make_catalogue([100] * 30)
