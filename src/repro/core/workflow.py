@@ -14,9 +14,12 @@ pricing, a stage that releases its instances mid-hour wastes money, so
 hour-aligned subdeadlines are the cost-efficient cut points (the [22]
 observation the paper cites).
 
-This module only describes and apportions a workflow; running one is
-the job of :class:`~repro.dag.scheduler.DagScheduler`, whose
-``mode="serial"`` is the §7 stage-barrier executor.
+This module describes and apportions a workflow and derives its data
+plane: :func:`stage_data` computes every stage's input and output
+catalogue up front, since neither depends on capacity, clock or RNG.
+Running a workflow is the job of
+:class:`~repro.dag.scheduler.DagScheduler`, whose ``mode="serial"`` is
+the §7 stage-barrier executor.
 """
 
 from __future__ import annotations
@@ -30,9 +33,10 @@ from repro.perfmodel.regression import Predictor
 from repro.sim.random import stable_seed
 from repro.units import HOUR
 from repro.vfs.files import Catalogue, VirtualFile
+from repro.vfs.memo import ByIdentity, shared
 
-__all__ = ["WorkflowStage", "TextWorkflow", "WorkflowError",
-           "assign_subdeadlines", "derived_catalogue"]
+__all__ = ["WorkflowStage", "TextWorkflow", "WorkflowError", "StageData",
+           "assign_subdeadlines", "derived_catalogue", "stage_data"]
 
 
 class WorkflowError(ValueError):
@@ -100,6 +104,17 @@ class TextWorkflow:
 
     def __len__(self) -> int:
         return len(self._graph)
+
+    def data_signature(self) -> tuple:
+        """Everything :func:`stage_data` reads of this workflow.
+
+        Per stage in topological order: name, ``output_ratio``,
+        ``strips_markup`` and predecessors.  Workflows with equal
+        signatures derive equal catalogues from the same input.
+        """
+        return tuple((s.name, s.output_ratio, s.strips_markup,
+                      tuple(self.predecessors(s.name)))
+                     for s in self.stages())
 
     # -- volume flow ---------------------------------------------------------
 
@@ -228,3 +243,39 @@ def derived_catalogue(
             content_seed=stable_seed(f.content_seed, seed_tag),
         ))
     return Catalogue(files, name=f"{source.name}->{stage.name}")
+
+
+@dataclass(frozen=True)
+class StageData:
+    """One stage's data plane: the catalogue it reads and the one it writes."""
+
+    input: Catalogue
+    output: Catalogue
+
+
+def stage_data(workflow: TextWorkflow,
+               catalogue: Catalogue) -> dict[str, StageData]:
+    """Every stage's input and output catalogue, in topological order.
+
+    Roots read ``catalogue``.  A stage with predecessors reads their
+    outputs concatenated in sorted predecessor order, and every output is
+    :func:`derived_catalogue` of the stage's input.  Inside a sweep the
+    result is shared (:mod:`repro.vfs.memo`) by every run of a workflow
+    with the same :meth:`~TextWorkflow.data_signature` over the very same
+    ``catalogue`` object.
+    """
+    key = ("stage_data", ByIdentity(catalogue), workflow.data_signature())
+    return shared(key, lambda: _derive_stage_data(workflow, catalogue))
+
+
+def _derive_stage_data(workflow: TextWorkflow,
+                       catalogue: Catalogue) -> dict[str, StageData]:
+    data: dict[str, StageData] = {}
+    for stage in workflow.stages():
+        preds = workflow.predecessors(stage.name)
+        source = (Catalogue.concat([data[p].output for p in preds],
+                                   name=f"input->{stage.name}")
+                  if preds else catalogue)
+        data[stage.name] = StageData(
+            source, derived_catalogue(source, stage, seed_tag=stage.name))
+    return data

@@ -14,6 +14,12 @@ can work with hundreds of files while benchmarks use tens of thousands; the
     two single-file "novels" with near-identical word counts (67 496 vs
     67 755 words) but very different sentence complexity, for the §5.2
     complexity experiment.
+
+The three catalogue factories share their result by argument values
+inside a sweep (:func:`~repro.vfs.memo.shared_in_sweep`): the cells of
+one sweep that ask for the same corpus get the same immutable
+:class:`~repro.vfs.files.Catalogue`.  Outside a sweep every call builds
+a fresh one.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ from repro.corpus.text import (
 from repro.sim.random import RngStream, stable_seed
 from repro.units import KB, MB
 from repro.vfs.files import Catalogue, TextStats, VirtualFile
+from repro.vfs.memo import shared_in_sweep
 
 __all__ = [
     "HTML_18MIL_DIST",
@@ -123,6 +130,7 @@ def _build_catalogue(
     return Catalogue(files, name=name)
 
 
+@shared_in_sweep
 def html_18mil_like(scale: float = 1e-4, seed: int = 2010) -> Catalogue:
     """NewsLab-like HTML catalogue.  ``scale=1.0`` → the full 18 M files.
 
@@ -139,6 +147,7 @@ def html_18mil_like(scale: float = 1e-4, seed: int = 2010) -> Catalogue:
     )
 
 
+@shared_in_sweep
 def text_400k_like(scale: float = 1e-3, seed: int = 2011) -> Catalogue:
     """Extracted-text catalogue.  ``scale=1.0`` → the full 400 k files."""
     if scale <= 0:
@@ -200,6 +209,7 @@ class Novel:
         )
 
 
+@shared_in_sweep
 def mixed_domain_like(scale: float = 1e-3, seed: int = 2012) -> Catalogue:
     """A corpus of *clustered* complexity domains (§5.2's closing caveat).
 

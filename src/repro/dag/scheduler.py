@@ -10,6 +10,10 @@ scheduler runs a whole :class:`~repro.dag.graph.WorkflowGraph`, every
   the core's :meth:`~repro.runner.core.ExecutionCore.build_context` /
   :meth:`~repro.runner.core.ExecutionCore.process` split is what lets
   several stages be in flight at once);
+* the data plane is derived once, up front: every stage's input and
+  output catalogue comes from :func:`~repro.core.workflow.stage_data`,
+  which reads no capacity, clock or RNG (inside a sweep, runs over the
+  same corpus and data flow share one copy);
 * inter-stage data moves through a pluggable
   :class:`~repro.dag.backends.DataBackend` — one ``put`` per producer
   (fan-out broadcasts the stored copy), one ``get`` per consuming edge,
@@ -38,10 +42,11 @@ from repro.cloud.instance import InstanceState
 from repro.cloud.service import ExecutionService
 from repro.core.planner import StaticProvisioner
 from repro.core.workflow import (
+    StageData,
     WorkflowError,
     WorkflowStage,
     assign_subdeadlines,
-    derived_catalogue,
+    stage_data,
 )
 from repro.dag.backends import DataBackend, LocalDiskBackend, TransferRecord
 from repro.dag.graph import WorkflowGraph
@@ -54,7 +59,7 @@ from repro.obs.ledger import (
 )
 from repro.runner.core import CoreContext, ExecutionCore, StagePolicy
 from repro.runner.execute import ExecutionReport
-from repro.vfs.files import Catalogue, VirtualFile
+from repro.vfs.files import Catalogue
 
 __all__ = ["DagReport", "DagScheduler", "StageResult", "execute_dag"]
 
@@ -156,7 +161,6 @@ class _StageState:
     core: ExecutionCore | None = None
     ctx: CoreContext | None = None
     policy: StagePolicy | None = None
-    stage_input: Catalogue | None = None
     wall_s: float = 0.0
 
 
@@ -232,7 +236,7 @@ class DagScheduler:
             self._spot = (board, ladder, escalation)
         # run state
         self._states: dict[str, _StageState] = {}
-        self._produced: dict[str, Catalogue] = {}
+        self._data: dict[str, StageData] = {}
         self._arrival: dict[str, float] = {}
         self._pending: dict[str, int] = {}
         self._results: dict[str, StageResult] = {}
@@ -287,6 +291,7 @@ class DagScheduler:
         fired0 = cloud.engine.events_fired
         t0 = cloud.now
         cost0 = cloud.ledger.total_cost
+        self._data = stage_data(self.graph, self.catalogue)
         subdeadlines = assign_subdeadlines(
             self.graph, self.catalogue.total_size, self.deadline)
         self._horizon = t0
@@ -344,15 +349,7 @@ class DagScheduler:
         """All inputs arrived: plan the stage and obtain its capacity."""
         st = self._states[name]
         st.ready_at = self.cloud.now
-        preds = self.graph.predecessors(name)
-        if preds:
-            merged: list[VirtualFile] = []
-            for p in preds:
-                merged.extend(self._produced[p])
-            st.stage_input = Catalogue(merged, name=f"input->{name}")
-        else:
-            st.stage_input = self.catalogue
-        units = list(st.stage_input)
+        units = list(self._data[name].input)
         sub = self._subdeadlines[name]
         if not units:
             # Nothing survived the upstream filters: the stage is a no-op.
@@ -406,8 +403,7 @@ class DagScheduler:
                       stage_end: float, work_start: float | None = None) -> None:
         """Persist output, notify successors, record the stage result."""
         st = self._states[name]
-        out = derived_catalogue(st.stage_input, st.stage, seed_tag=name)
-        self._produced[name] = out
+        out = self._data[name].output
         consumers = self.graph.successors(name)
         put_rec: TransferRecord | None = None
         available = stage_end

@@ -18,11 +18,15 @@ the campaign miss budget (≤ 10 % of bins over their stage subdeadline)
 and to landing under the on-demand bill; the on-demand stack itself
 prices at ratio 1.0 by construction and exists as the control row.
 Everything is deterministic under ``(stack, shape, regime, seed)``.
+
+The cells of one sweep share what does not depend on the stack or the
+regime: the seeded corpus, each shape's stage catalogues and each
+(shape, seed) on-demand baseline are built once per sweep and process
+(:mod:`repro.vfs.memo`), so a sweep runs and records each baseline once.
+Nothing is kept between sweeps.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 from repro.chaos import FaultInjector, get_spot_regime
 from repro.cloud import Cloud
@@ -35,6 +39,7 @@ from repro.obs import get_logger
 from repro.obs.ledger import RunRecord, get_run_ledger, record_experiment
 from repro.obs.slo import Objective, SloPolicy, SloReport, render_slo_table
 from repro.report.figures import FigureResult
+from repro.vfs.memo import shared_in_sweep
 
 __all__ = ["run_cell", "matrix_sweep", "DEFAULT_SEEDS", "STACKS", "SHAPES",
            "REGIMES", "MATRIX_SLOS", "evaluate_matrix_slos"]
@@ -66,7 +71,7 @@ MATRIX_SLOS = SloPolicy("matrix-campaign", (
 ))
 
 
-@lru_cache(maxsize=16)
+@shared_in_sweep
 def _on_demand_baseline(shape: str, seed: int) -> float:
     """On-demand counterfactual bill: same DAG, clean cloud, fleet policy."""
     report = DagScheduler(

@@ -24,6 +24,13 @@ keeping the repo's two non-negotiables:
 ``processes=0`` (or 1, or a single cell) falls back to running inline in
 the parent — the exact same code path minus pickling, used by tests and
 by single-core machines.
+
+Cells of one sweep share the immutable data they derive — seeded
+corpora, DAG stage catalogues, on-demand baselines — through the
+:mod:`repro.vfs.memo` memo: the parent opens one around its inline
+cells and drops it when the sweep ends, and each pool worker opens its
+own for the pool's lifetime.  A shared value is built from the same
+arguments a cell would build it from, so sharing changes no result.
 """
 
 from __future__ import annotations
@@ -35,6 +42,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 from repro.sim.random import stable_seed
+from repro.vfs.memo import open_sweep_memo, sweep_memo
 
 __all__ = ["Cell", "SweepResult", "run_sweep", "fork_seeds", "resolve"]
 
@@ -156,6 +164,10 @@ def run_sweep(
         emissions and append them to the parent's active ledger.
         ``None`` (default) auto-enables exactly when the parent has an
         active ledger; ``False`` suppresses cell records entirely.
+
+    The cells share one sweep memo (:mod:`repro.vfs.memo`) per process:
+    inline cells the parent's, which is dropped when this call returns
+    or raises; pooled cells their worker's, which ends with the pool.
     """
     from repro.obs.ledger import RunRecord, get_run_ledger
 
@@ -167,11 +179,13 @@ def run_sweep(
         processes = os.cpu_count() or 1
     n_workers = max(1, min(processes, len(cells)))
     if n_workers == 1 or len(cells) <= 1:
-        triples = [_run_cell(c, collect_metrics, collect_runs)
-                   for c in cells]
+        with sweep_memo():
+            triples = [_run_cell(c, collect_metrics, collect_runs)
+                       for c in cells]
         used = 1
     else:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
+        with ProcessPoolExecutor(max_workers=n_workers,
+                                 initializer=open_sweep_memo) as pool:
             triples = list(pool.map(
                 _worker, [(c, collect_metrics, collect_runs) for c in cells]))
         used = n_workers

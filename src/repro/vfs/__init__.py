@@ -11,7 +11,9 @@ package provides:
 * :class:`Segment` — the concatenation of several virtual files, which is
   exactly what the reshaper produces (unit files built by merging);
 * :class:`Catalogue` — an ordered collection with totals, slicing, volume
-  sampling and histogramming.
+  sampling and histogramming;
+* :mod:`repro.vfs.memo` — a memo scoped to one sweep, through which the
+  sweep's cells share the immutable catalogues they derive.
 """
 
 from repro.vfs.files import Catalogue, LiteralFile, Segment, TextStats, VirtualFile
