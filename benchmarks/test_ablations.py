@@ -9,7 +9,7 @@ from repro.cloud import Cloud, Workload
 from repro.core import StaticProvisioner, reshape
 from repro.core.deadline import adjusted_deadline, adjustment_factor
 from repro.corpus import text_400k_like
-from repro.packing import first_fit, first_fit_decreasing
+from repro.packing import first_fit_layout, subset_sum_layout
 from repro.perfmodel.measurement import Measurement, ProbeSetResult
 from repro.perfmodel.regression import fit_affine
 from repro.perfmodel.selection import preferred_unit_size
@@ -24,8 +24,8 @@ def eq3_model():
     return fit_affine(x, 0.327 + 0.865e-4 * x)
 
 
-def _bin_time(profile: PosCostProfile, bin_, by_path) -> float:
-    units = [by_path[it.key] for it in bin_.items]
+def _bin_time(profile: PosCostProfile, layout, cat) -> float:
+    units = [cat[i] for i in layout.indices]
     return profile.breakdown(UnitColumns(units)).total
 
 
@@ -36,13 +36,13 @@ def test_ablation_first_fit_order_vs_sorted(benchmark):
 
     def run():
         cat = text_400k_like(scale=0.05)
-        by_path = {f.path: f for f in cat}
+        sizes = cat.sizes().tolist()
         capacity = 2 * MB
-        ff = first_fit(cat.items(), capacity)
-        ffd = first_fit_decreasing(cat.items(), capacity)
+        ff = first_fit_layout(sizes, capacity)
+        ffd = subset_sum_layout(sizes, capacity, preserve_order=False)
         profile = PosCostProfile()
-        t_ff = [_bin_time(profile, b, by_path) for b in ff]
-        t_ffd = [_bin_time(profile, b, by_path) for b in ffd]
+        t_ff = [_bin_time(profile, l, cat) for l in ff]
+        t_ffd = [_bin_time(profile, l, cat) for l in ffd]
         return ff, ffd, t_ff, t_ffd
 
     ff, ffd, t_ff, t_ffd = single_shot(benchmark, run)

@@ -3,64 +3,69 @@
 Unlike the figure benches, these exercise pytest-benchmark's statistics:
 the packing and corpus-generation kernels are the paths that must scale to
 18-million-file catalogues, and these benches guard their asymptotics.
-All four packing heuristics are asymptotics-guarded here; ``make
-bench-json`` distils the timings into ``BENCH_packing.json`` so future PRs
-have a committed baseline trajectory.
+All four packing heuristics are asymptotics-guarded here, timed on the
+path production runs: a ``*_layout`` kernel over the catalogue's size
+column.  ``make bench-json`` distils the timings into ``BENCH_packing.json``
+so future PRs have a committed baseline trajectory.
 """
 
 from repro.corpus import html_18mil_like, text_400k_like
 from repro.packing import (
     PackingCache,
-    first_fit,
-    pack_into_n_bins,
-    subset_sum_first_fit,
-    uniform_bins,
+    first_fit_layout,
+    pack_into_n_bins_layout,
+    subset_sum_layout,
+    uniform_layout,
 )
 from repro.units import KB, MB
 
 
+def placed(layouts) -> int:
+    return sum(len(l.indices) for l in layouts)
+
+
 def test_perf_first_fit_100k_items(benchmark):
-    """Vectorised first-fit on a 100k-file catalogue (was 18 s quadratic;
-    the NumPy scan holds it under a second)."""
+    """First-fit on a 100k-file catalogue (was 18 s quadratic; the indexed
+    engine holds it well under a second)."""
     cat = html_18mil_like(scale=5.6e-3)   # ~100k files
-    items = cat.items()
-    bins = benchmark(first_fit, items, 100 * MB)
-    assert sum(len(b) for b in bins) == len(items)
+    sizes = cat.sizes().tolist()
+    layouts = benchmark(first_fit_layout, sizes, 100 * MB)
+    assert placed(layouts) == len(sizes)
 
 
 def test_perf_subset_sum_merge(benchmark):
     cat = text_400k_like(scale=0.1)       # 40k files
-    items = cat.items()
-    bins = benchmark(subset_sum_first_fit, items, 1 * MB)
-    assert sum(len(b) for b in bins) == len(items)
+    sizes = cat.sizes().tolist()
+    layouts = benchmark(subset_sum_layout, sizes, 1 * MB)
+    assert placed(layouts) == len(sizes)
 
 
 def test_perf_uniform_bins(benchmark):
     cat = text_400k_like(scale=0.1)
-    items = cat.items()
-    bins = benchmark(uniform_bins, items, 27)
-    assert len(bins) == 27
+    sizes = cat.sizes().tolist()
+    layouts = benchmark(uniform_layout, sizes, 27)
+    assert len(layouts) == 27
 
 
 def test_perf_pack_into_n_bins_100k_items(benchmark):
     """Fixed-bin first-fit (the §5.2 provisioning step) at 100k files —
-    O(n log B) on the segment tree, where the reference rescans all bins."""
+    O(n log B) on the segment tree, where the classic scan rescans all bins."""
     cat = html_18mil_like(scale=5.6e-3)   # ~100k files
-    items = cat.items()
+    sizes = cat.sizes().tolist()
     n = 30
     capacity = int(cat.total_size / n * 1.02)
-    bins = benchmark(pack_into_n_bins, items, n, capacity)
-    assert sum(len(b) for b in bins) == len(items)
+    layouts = benchmark(pack_into_n_bins_layout, sizes, n, capacity)
+    assert placed(layouts) == len(sizes)
 
 
 def test_perf_uniform_bins_100k_items(benchmark):
     """Greedy balanced binning (order broken) at 100k files — lightest-bin
     lookups through the engine's lazy heap."""
     cat = html_18mil_like(scale=5.6e-3)
-    items = cat.items()
-    bins = benchmark(uniform_bins, items, 30, preserve_order=False)
-    assert sum(len(b) for b in bins) == len(items)
-    assert len(bins) == 30
+    sizes = cat.sizes().tolist()
+    layouts = benchmark(uniform_layout, sizes, 30, preserve_order=False)
+    assert placed(layouts) == len(sizes)
+    assert len(layouts) == 30
 
 
 def test_perf_probe_set_cache_hit(benchmark):
@@ -98,13 +103,13 @@ def test_perf_first_fit_million_items(benchmark):
     """Asymptotics guard at real-paper scale: a million-file slice of the
     18 M-file corpus packs into 100 MB units in seconds, not hours."""
     cat = html_18mil_like(scale=5.6e-2)    # ~1.01 M files
-    items = cat.items()
+    sizes = cat.sizes().tolist()
 
     def pack():
-        return subset_sum_first_fit(items, 100 * MB)
+        return subset_sum_layout(sizes, 100 * MB)
 
-    bins = benchmark.pedantic(pack, rounds=1, iterations=1)
-    assert sum(len(b) for b in bins) == len(items)
+    layouts = benchmark.pedantic(pack, rounds=1, iterations=1)
+    assert placed(layouts) == len(sizes)
 
 
 def test_perf_text_generation(benchmark):

@@ -16,8 +16,10 @@ Three layers:
   never shifts any existing stream, plus the interruption calculus: the
   first hour boundary where the price crosses a bid is a
   :class:`SpotInterruption` carrying the two-minute warning EC2 grants;
-* :class:`SpotRequest` — the standalone §1.1 persistent-request model
-  (kept for the original exploration scripts).
+* :class:`SpotRequest` — the standalone §1.1 persistent-request model,
+  run on one market by the X5 spot trade-off experiment
+  (:func:`repro.experiments.exp_side.spot_tradeoff`) and by
+  ``examples/spot_market.py``.
 
 Billing follows the 2010 spot rules: each started instance-hour is charged
 at the spot price in force when the hour began; an hour cut short because

@@ -28,11 +28,6 @@ from repro.core.planner import (
     plan_cost,
 )
 from repro.core.campaign import Campaign, CampaignResult
-from repro.core.procurement import (
-    ProcurementDecision,
-    choose_procurement,
-    spot_completion_probability,
-)
 from repro.core.reshape import ReshapePlan, reshape
 from repro.core.workflow import (
     TextWorkflow,
@@ -45,9 +40,6 @@ from repro.core.workflow import (
 __all__ = [
     "Campaign",
     "CampaignResult",
-    "ProcurementDecision",
-    "choose_procurement",
-    "spot_completion_probability",
     "TextWorkflow",
     "WorkflowError",
     "WorkflowStage",

@@ -33,7 +33,6 @@ deterministic under ``(regime, policy, bid, slack, seed)``.
 from __future__ import annotations
 
 import dataclasses
-from functools import lru_cache
 
 from repro.chaos import FaultInjector, get_spot_regime
 from repro.cloud import Cloud
@@ -44,6 +43,7 @@ from repro.obs.slo import Objective, SloPolicy, SloReport, render_slo_table
 from repro.report.figures import FigureResult
 from repro.resilience import SpotFallbackPolicy
 from repro.runner import execute_plan, execute_plan_spot
+from repro.vfs.memo import shared_in_sweep
 
 __all__ = ["run_cell", "spot_sweep", "DEFAULT_SEEDS", "BIDS", "SLACKS",
            "DEFAULT_BID", "DEFAULT_SLACK", "SPOT_SLOS", "evaluate_spot_slos"]
@@ -78,7 +78,7 @@ SPOT_SLOS = SloPolicy("spot-campaign", (
 ))
 
 
-@lru_cache(maxsize=8)
+@shared_in_sweep
 def _on_demand_baseline(seed: int) -> tuple[float, tuple[float, ...]]:
     """Pure on-demand counterfactual for one seed: ``(cost, durations)``.
 

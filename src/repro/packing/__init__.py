@@ -4,85 +4,49 @@ The paper merges many small files into unit files of a preferred size using
 the *subset-sum first-fit* heuristic (Vazirani, Introduction to Approximation
 Algorithms), and distributes data across EC2 instances with first-fit in
 original order or with uniform (balanced) bins.  This package implements all
-of those, plus first-fit-decreasing for the ablation in §5.2 of the paper
-(sorted order gives fuller bins but front-loads large files, which hurts the
-memory-bound POS tagger).
+of those; the subset-sum merge without ``preserve_order`` is
+first-fit-decreasing, for the ablation in §5.2 of the paper (sorted order
+gives fuller bins but front-loads large files, which hurts the memory-bound
+POS tagger).
 
-All heuristics run on a shared indexed engine
-(:class:`~repro.packing.index.FreeSpaceIndex`, a max-segment-tree over
-per-bin free space) in O(n log B); the original O(n·B) implementations are
-preserved in :mod:`repro.packing.reference` as the equivalence oracle for
-the property tests.
+Every heuristic is a ``*_layout`` kernel: it takes a column of sizes and
+returns :class:`BinLayout` index lists, in O(n log B) on a shared indexed
+engine (:class:`FreeSpaceIndex`, a max-segment-tree over per-bin free
+space).  The results depend only on the size column, which is all the
+paper's mechanisms read.  The original O(n·B) scans are kept in the test
+suite as the equivalence oracle for the property tests.
 
 Public API
 ----------
-- :class:`Item`, :class:`Bin` — value objects.
-- :class:`BinLayout`, :class:`FreeSpaceIndex` — the engine's columnar
-  result format and bin index.
-- :func:`first_fit` / :func:`first_fit_decreasing` — classic capacitated
-  packing into an open-ended list of bins.
-- :func:`pack_into_n_bins` — first-fit into a *fixed* number of bins
+- :class:`BinLayout`, :class:`FreeSpaceIndex`, :class:`PackingError` — the
+  result format, the bin index and the packers' error.
+- :func:`first_fit_layout` — classic capacitated first-fit into an
+  open-ended list of bins.
+- :func:`pack_into_n_bins_layout` — first-fit into a *fixed* number of bins
   (capacity = prescribed per-instance volume).
-- :func:`uniform_bins` — balanced round-robin packing into ``n`` bins.
-- :func:`subset_sum_first_fit` — the paper's merge heuristic.
-- :func:`derive_multiples` — derive ``P^{V}_{s1..sn}`` probe groupings from a
-  base packing at ``s0`` without re-running the packer (§4).
-- ``*_layout`` variants — the columnar fast path: same placements, but
-  over a size column, returning item-index layouts instead of ``Bin``
-  objects (no per-file ``Item`` dataclasses).
+- :func:`uniform_layout` — balanced packing into ``n`` bins.
+- :func:`subset_sum_layout` — the paper's merge heuristic.
+- :func:`derive_multiples_layout` — derive ``P^{V}_{s1..sn}`` probe
+  groupings from a base packing at ``s0`` without re-running the packer
+  (§4).
 - :class:`PackingCache` — campaign-scoped memoisation with automatic
   derive-from-base routing for multiple-of-``s0`` sizes.
-
-Every object-level packer also accepts a ``(keys, sizes)`` column pair in
-place of an item sequence.
 """
 
-from repro.packing.bins import (
-    Bin,
-    Item,
-    PackingError,
-    as_columns,
-    materialise_bins,
-    total_size,
-    validate_packing,
-)
 from repro.packing.cache import PackingCache
-from repro.packing.first_fit import (
-    first_fit,
-    first_fit_decreasing,
-    first_fit_layout,
-    pack_into_n_bins,
-    pack_into_n_bins_layout,
-)
-from repro.packing.index import BinLayout, FreeSpaceIndex
-from repro.packing.subset_sum import (
-    derive_multiples,
-    derive_multiples_layout,
-    subset_sum_first_fit,
-    subset_sum_layout,
-)
-from repro.packing.uniform import uniform_bins, uniform_layout
+from repro.packing.first_fit import first_fit_layout, pack_into_n_bins_layout
+from repro.packing.index import BinLayout, FreeSpaceIndex, PackingError
+from repro.packing.subset_sum import derive_multiples_layout, subset_sum_layout
+from repro.packing.uniform import uniform_layout
 
 __all__ = [
-    "Bin",
-    "Item",
     "PackingError",
-    "total_size",
-    "validate_packing",
-    "as_columns",
-    "materialise_bins",
     "BinLayout",
     "FreeSpaceIndex",
     "PackingCache",
-    "first_fit",
-    "first_fit_decreasing",
     "first_fit_layout",
-    "pack_into_n_bins",
     "pack_into_n_bins_layout",
-    "uniform_bins",
     "uniform_layout",
-    "subset_sum_first_fit",
     "subset_sum_layout",
-    "derive_multiples",
     "derive_multiples_layout",
 ]

@@ -1,17 +1,19 @@
-"""First-fit family of bin-packing heuristics, on the indexed engine.
+"""First-fit bin packing, on the indexed engine.
 
 First-fit scans bins in creation order and places each item into the first
-bin with room, opening a new bin when none fits.  First-fit-decreasing sorts
-items by size first — a better approximation ratio (11/9 OPT + 6/9), but the
-paper deliberately avoids it for the POS workload because it front-loads
-large files into the earliest bins and large files degrade the memory-bound
-tagger (§5.2).  Both are provided so the ablation bench can contrast them.
+bin with room, opening a new bin when none fits.  Sorting the items by size
+first (first-fit-decreasing) gives a better approximation ratio
+(11/9 OPT + 6/9), but the paper deliberately avoids it for the POS workload
+because it front-loads large files into the earliest bins and large files
+degrade the memory-bound tagger (§5.2).  That sorted variant is
+:func:`~repro.packing.subset_sum.subset_sum_layout` with
+``preserve_order=False``, so the ablation bench can contrast the two.
 
 Implementation
 --------------
 The placement question "leftmost bin with free ≥ size" is answered by a
 :class:`~repro.packing.index.FreeSpaceIndex` segment tree in O(log B), so a
-full pack is O(n log B) instead of the reference's O(n·B) per-item scans.
+full pack is O(n log B) instead of the classic O(n·B) per-item scans.
 :func:`first_fit_layout` adds a constant-factor trick on top: bins are
 *closed* into the tree only once a later bin opens, and the single open bin
 is tracked in two local integers.  Because bins close nearly full, the
@@ -19,33 +21,20 @@ overwhelmingly common case — the item goes into the newest bin — costs two
 integer compares and a list append, with the tree only consulted when some
 closed bin genuinely has room (``size ≤ tree max``).  Placement is exactly
 classic first-fit; the property tests hold every layout byte-identical to
-:mod:`repro.packing.reference`.
+the O(n·B) oracle kept in the test suite.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from repro.packing.bins import (
-    Bin,
-    Item,
-    PackingError,
-    as_columns,
-    materialise_bins,
-)
-from repro.packing.index import BinLayout, FreeSpaceIndex
+from repro.packing.index import BinLayout, FreeSpaceIndex, PackingError
 
-__all__ = [
-    "first_fit",
-    "first_fit_decreasing",
-    "pack_into_n_bins",
-    "first_fit_layout",
-    "pack_into_n_bins_layout",
-]
+__all__ = ["first_fit_layout", "pack_into_n_bins_layout"]
 
 
 def first_fit_layout(sizes: Sequence[int], capacity: int) -> list[BinLayout]:
-    """Columnar first-fit: pack ``sizes`` (in order) into capacity-bound bins.
+    """First-fit: pack ``sizes`` (in order) into capacity-bound bins.
 
     Items larger than ``capacity`` get a dedicated oversized bin of their own
     (the paper's corpora contain a long tail — e.g. a 43 MB article among
@@ -92,30 +81,6 @@ def first_fit_layout(sizes: Sequence[int], capacity: int) -> list[BinLayout]:
     return layouts
 
 
-def first_fit(items, capacity: int) -> list[Bin]:
-    """Pack items (in given order) into bins of ``capacity`` bytes.
-
-    ``items`` is a sequence of :class:`Item` or a ``(keys, sizes)`` column
-    pair; see :func:`first_fit_layout` for the placement contract.
-    """
-    payload, keys, sizes = as_columns(items)
-    layouts = first_fit_layout(sizes, capacity)
-    return materialise_bins(layouts, payload=payload, keys=keys, sizes=sizes)
-
-
-def first_fit_decreasing(items, capacity: int) -> list[Bin]:
-    """First-fit on items sorted by size, descending (ties broken by key)."""
-    payload, keys, sizes = as_columns(items)
-    if payload is not None:
-        ordered = sorted(payload, key=lambda it: (-it.size, it.key))
-        return first_fit(ordered, capacity)
-    order = _decreasing_order(sizes, keys)
-    layouts = first_fit_layout([sizes[i] for i in order], capacity)
-    for l in layouts:
-        l.indices = [order[j] for j in l.indices]
-    return materialise_bins(layouts, payload=None, keys=keys, sizes=sizes)
-
-
 def _decreasing_order(sizes: Sequence[int], keys: Sequence[str] | None) -> list[int]:
     """Index permutation sorting by size descending, ties by key (or index)."""
     if keys is not None:
@@ -130,11 +95,17 @@ def pack_into_n_bins_layout(
     *,
     strict: bool = False,
 ) -> list[BinLayout]:
-    """Columnar first-fit into exactly ``n_bins`` bins of ``capacity``.
+    """First-fit ``sizes`` (in order) into exactly ``n_bins`` bins of ``capacity``.
 
-    Overflow items (nothing fits) spill into the least-loaded bin via the
-    engine's :meth:`~repro.packing.index.FreeSpaceIndex.lightest` heap,
-    widening its capacity — unless ``strict``, which raises instead.
+    This is the provisioning step of §5.2: the deadline model prescribes a
+    per-instance volume ``x0`` and an instance count ``i0 = ceil(V/ceil(x0))``;
+    the data set is then packed into ``i0`` bins, in its *original order*.
+
+    When the capacity turns out too tight for first-fit (possible because
+    first-fit wastes some space), overflow items spill into the least-loaded
+    bin via the engine's :meth:`~repro.packing.index.FreeSpaceIndex.lightest`
+    heap, widening its capacity — unless ``strict``, which raises
+    :class:`~repro.packing.index.PackingError` instead.
     """
     if n_bins <= 0:
         raise PackingError(f"need at least one bin, got {n_bins}")
@@ -167,27 +138,3 @@ def pack_into_n_bins_layout(
             l.used += sizes[i]
             l.capacity = max(l.capacity, l.used)
     return layouts
-
-
-def pack_into_n_bins(
-    items,
-    n_bins: int,
-    capacity: int,
-    *,
-    strict: bool = False,
-) -> list[Bin]:
-    """First-fit ``items`` into exactly ``n_bins`` bins of ``capacity``.
-
-    This is the provisioning step of §5.2: the deadline model prescribes a
-    per-instance volume ``x0`` and an instance count ``i0 = ceil(V/ceil(x0))``;
-    the data set is then packed into ``i0`` bins.  The paper keeps the files
-    in their *original order* here.
-
-    When the capacity turns out too tight for first-fit (possible because
-    first-fit wastes some space), overflow items spill into the
-    least-loaded bin unless ``strict`` is true, in which case
-    :class:`PackingError` is raised.
-    """
-    payload, keys, sizes = as_columns(items)
-    layouts = pack_into_n_bins_layout(sizes, n_bins, capacity, strict=strict)
-    return materialise_bins(layouts, payload=payload, keys=keys, sizes=sizes)

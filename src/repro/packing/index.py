@@ -17,10 +17,10 @@ drives ``best_fit_slot``, and a lazy min-heap over (used, index) drives
 ``lightest``.  The heap and the sorted list are only materialised on first
 use, so heuristics that never balance pay nothing for them.
 
-:class:`BinLayout` is the columnar result format: bins as lists of *item
-indices* into whatever parallel ``(keys, sizes)`` arrays the caller packed,
-so million-file catalogues can be packed and regrouped without ever
-materialising per-file :class:`~repro.packing.bins.Item` dataclasses.
+:class:`BinLayout` is the result format of every packer: bins as lists of
+*item indices* into the size column the caller packed, so million-file
+catalogues are packed and regrouped without a per-file object.
+:class:`PackingError` is the one error every packer raises.
 """
 
 from __future__ import annotations
@@ -29,19 +29,23 @@ import heapq
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 
-__all__ = ["FreeSpaceIndex", "BinLayout"]
+__all__ = ["FreeSpaceIndex", "BinLayout", "PackingError"]
 
 _NEG = -1  # sentinel for empty tree slots (all real free values are >= 0)
+
+
+class PackingError(ValueError):
+    """Raised for infeasible packings (oversized items, bad capacities)."""
 
 
 @dataclass(slots=True)
 class BinLayout:
     """A packed bin in columnar form: indices into the caller's size array.
 
-    ``capacity`` follows :class:`~repro.packing.bins.Bin` semantics
-    (``None`` = uncapacitated); ``used`` is the exact sum of member sizes,
+    ``capacity`` is the bin's byte limit (``None`` = uncapacitated, for
+    balance-only bins); ``used`` is the exact sum of member sizes,
     maintained by the kernels so no O(n) re-summation is needed when the
-    layout is materialised into bins, segments or catalogue slices.
+    layout is materialised into segments or catalogue slices.
     """
 
     capacity: int | None
@@ -54,8 +58,8 @@ class FreeSpaceIndex:
 
     Bins are registered with :meth:`append` in creation order; the slot
     number returned is the bin's permanent index, and all three queries
-    break ties toward the lowest slot — matching the reference heuristics'
-    "first bin encountered" semantics exactly.
+    break ties toward the lowest slot — the classic scans' "first bin
+    encountered" semantics exactly.
     """
 
     __slots__ = ("_n", "_cap", "_tree", "_free", "_used", "_heap", "_sorted")

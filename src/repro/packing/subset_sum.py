@@ -7,41 +7,36 @@ adding the files that keep the bin as full as possible without overflowing.
 
 Two entry points:
 
-* :func:`subset_sum_first_fit` — the merge itself, producing bins whose
+* :func:`subset_sum_layout` — the merge itself, producing bins whose
   contents will be concatenated into unit files.
-* :func:`derive_multiples` — the §4 trick: after packing once at the base
-  unit size ``s0``, probes at sizes ``s1..sn`` that are *multiples* of ``s0``
-  are derived by coalescing consecutive base bins, avoiding a re-pack ("this
-  approach is convenient since we avoid rerunning the first fit bin packing
-  algorithm, but can be sensitive to the quality of the original bins").
+* :func:`derive_multiples_layout` — the §4 trick: after packing once at the
+  base unit size ``s0``, probes at sizes ``s1..sn`` that are *multiples* of
+  ``s0`` are derived by coalescing consecutive base bins, avoiding a
+  re-pack ("this approach is convenient since we avoid rerunning the first
+  fit bin packing algorithm, but can be sensitive to the quality of the
+  original bins").
 
 Implementation
 --------------
-The reference's bin-at-a-time greedy pass ("take every remaining item, in
+The classic bin-at-a-time greedy pass ("take every remaining item, in
 descending size order, that still fits the current bin") is *provably*
 first-fit over the descending item order: the items entering bin 0 are
 exactly those that fit its running free space, the items skipped form the
 stream bin 1 sees, and so on by induction.  The engine therefore reuses the
 O(n log B) :func:`~repro.packing.first_fit.first_fit_layout` kernel on a
 sorted index permutation instead of re-scanning the remainder list per bin
-(O(n·B)).  The property tests pin this equivalence against
-:mod:`repro.packing.reference` bin by bin.
+(O(n·B)).  The property tests pin this equivalence bin by bin against the
+O(n·B) oracle kept in the test suite.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from repro.packing.bins import Bin, PackingError, as_columns, materialise_bins
 from repro.packing.first_fit import _decreasing_order, first_fit_layout
-from repro.packing.index import BinLayout
+from repro.packing.index import BinLayout, PackingError
 
-__all__ = [
-    "subset_sum_first_fit",
-    "subset_sum_layout",
-    "derive_multiples",
-    "derive_multiples_layout",
-]
+__all__ = ["subset_sum_layout", "derive_multiples_layout"]
 
 
 def subset_sum_layout(
@@ -51,13 +46,19 @@ def subset_sum_layout(
     preserve_order: bool = True,
     keys: Sequence[str] | None = None,
 ) -> list[BinLayout]:
-    """Columnar subset-sum merge of ``sizes`` into ≤``unit_size`` bins.
+    """Merge ``sizes`` into bins of at most ``unit_size`` bytes each.
 
-    With ``preserve_order`` items stream in their given order (classic
-    first-fit).  Without it, the greedy best-fill pass runs over items
-    sorted descending; ``keys`` supplies the reference tie-break for equal
-    sizes (falling back to index order, which coincides with key order for
-    catalogue columns).
+    With ``preserve_order`` (the paper's default for the POS workload,
+    §5.2), items stream in their given order and are placed first-fit.
+    Without it, a greedy best-fill pass is made per bin: repeatedly take the
+    largest remaining item that still fits (the classic subset-sum
+    approximation), which produces fuller bins at the cost of reordering —
+    this is first-fit-decreasing.  ``keys`` supplies the tie-break for
+    equal sizes (falling back to index order, which coincides with key
+    order for catalogue columns).
+
+    Items larger than ``unit_size`` become single-item oversized bins; the
+    reshaper never splits a file ("the largest (unsplittable) file", §5).
     """
     if unit_size <= 0:
         raise PackingError(f"unit size must be positive, got {unit_size}")
@@ -70,38 +71,22 @@ def subset_sum_layout(
     return layouts
 
 
-def subset_sum_first_fit(
-    items,
-    unit_size: int,
-    *,
-    preserve_order: bool = True,
-) -> list[Bin]:
-    """Merge ``items`` into bins of at most ``unit_size`` bytes each.
-
-    With ``preserve_order`` (the paper's default for the POS workload,
-    §5.2), items are taken in their original order and placed first-fit.
-    Without it, a greedy best-fill pass is made per bin: repeatedly take the
-    largest remaining item that still fits (the classic subset-sum
-    approximation), which produces fuller bins at the cost of reordering.
-
-    Items larger than ``unit_size`` become single-item oversized bins; the
-    reshaper never splits a file ("the largest (unsplittable) file", §5).
-    ``items`` may also be a ``(keys, sizes)`` column pair.
-    """
-    payload, keys, sizes = as_columns(items)
-    tie_keys = keys if payload is None else [it.key for it in payload]
-    layouts = subset_sum_layout(
-        sizes, unit_size, preserve_order=preserve_order,
-        keys=None if preserve_order else tie_keys,
-    )
-    return materialise_bins(layouts, payload=payload, keys=keys, sizes=sizes)
-
-
 def derive_multiples_layout(
     base_layouts: Sequence[BinLayout],
     factors: Sequence[int],
 ) -> dict[int, list[BinLayout]]:
-    """Columnar :func:`derive_multiples`: coalesce ``k`` consecutive bins."""
+    """Derive probe packings at multiples of the base unit size.
+
+    Given layouts packed at unit size ``s0``, return for each factor ``k``
+    in ``factors`` a packing at unit size ``k*s0`` built by coalescing ``k``
+    consecutive base bins.  The returned mapping is keyed by factor.
+
+    This mirrors §4: ``s1..sn`` are "conveniently chosen as multiples of s0
+    such that we perform the bin packing once"; the quality of the derived
+    bins inherits the quality of the base bins.  Coalesced bins can exceed
+    ``k*s0`` only when a base bin held an oversized item; the capacity is
+    widened rather than failing.
+    """
     if not base_layouts:
         return {k: [] for k in factors}
     base_cap = max(l.capacity or l.used for l in base_layouts)
@@ -118,41 +103,6 @@ def derive_multiples_layout(
             used = sum(gl.used for gl in group)
             merged.append(
                 BinLayout(capacity=max(base_cap * k, used), indices=indices, used=used)
-            )
-        out[k] = merged
-    return out
-
-
-def derive_multiples(
-    base_bins: Sequence[Bin],
-    factors: Sequence[int],
-) -> dict[int, list[Bin]]:
-    """Derive probe packings at multiples of the base unit size.
-
-    Given bins packed at unit size ``s0``, return for each factor ``k`` in
-    ``factors`` a packing at unit size ``k*s0`` built by coalescing ``k``
-    consecutive base bins.  The returned mapping is keyed by factor.
-
-    This mirrors §4: ``s1..sn`` are "conveniently chosen as multiples of s0
-    such that we perform the bin packing once"; the quality of the derived
-    bins inherits the quality of the base bins.  Coalesced bins can exceed
-    ``k*s0`` only when a base bin held an oversized item; the capacity is
-    widened rather than failing.
-    """
-    if not base_bins:
-        return {k: [] for k in factors}
-    base_cap = max(b.capacity or b.used for b in base_bins)
-    out: dict[int, list[Bin]] = {}
-    for k in factors:
-        if k < 1:
-            raise PackingError(f"factor must be >= 1, got {k}")
-        merged: list[Bin] = []
-        for start in range(0, len(base_bins), k):
-            group = base_bins[start : start + k]
-            items = [it for gb in group for it in gb.items]
-            used = sum(gb.used for gb in group)
-            merged.append(
-                Bin.prefilled(max(base_cap * k, used), items, used)
             )
         out[k] = merged
     return out

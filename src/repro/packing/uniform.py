@@ -18,11 +18,10 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.packing.bins import Bin, PackingError, as_columns, materialise_bins
 from repro.packing.first_fit import _decreasing_order
-from repro.packing.index import BinLayout, FreeSpaceIndex
+from repro.packing.index import BinLayout, FreeSpaceIndex, PackingError
 
-__all__ = ["uniform_bins", "uniform_layout"]
+__all__ = ["uniform_layout"]
 
 
 def uniform_layout(
@@ -30,13 +29,17 @@ def uniform_layout(
     n_bins: int,
     *,
     preserve_order: bool = True,
-    keys: Sequence[str] | None = None,
 ) -> list[BinLayout]:
-    """Columnar balanced split of ``sizes`` across exactly ``n_bins`` bins.
+    """Distribute ``sizes`` across exactly ``n_bins`` bins of ≈equal volume.
+
+    With ``preserve_order`` the items are streamed in order and a bin is
+    closed once it reaches the ideal share ``total/n_bins`` (the last bin
+    absorbs rounding).  Without it, a greedy balance pass assigns each item
+    (largest first, equal sizes in index order) to the currently lightest
+    bin — tighter balance, broken order.
 
     Returned layouts are uncapacitated (``capacity=None``); balance, not
-    capacity, is the constraint.  ``keys`` supplies the equal-size tie-break
-    for the greedy (order-breaking) pass.
+    capacity, is the constraint.
     """
     if n_bins <= 0:
         raise PackingError(f"need at least one bin, got {n_bins}")
@@ -48,7 +51,7 @@ def uniform_layout(
     if preserve_order:
         # Stream in order, closing a bin once it has met its ideal share
         # total/n (the last bin absorbs rounding).  Float arithmetic matches
-        # the reference splitter exactly.
+        # the classic splitter exactly.
         share = total / n_bins
         idx = 0
         running = 0
@@ -65,37 +68,10 @@ def uniform_layout(
     index = FreeSpaceIndex()
     for _ in range(n_bins):
         index.append(0)
-    for i in _decreasing_order(sizes, keys):
+    for i in _decreasing_order(sizes, None):
         slot = index.lightest()
         size = sizes[i]
         index.add_load(slot, size)
         layouts[slot].indices.append(i)
         layouts[slot].used += size
     return layouts
-
-
-def uniform_bins(
-    items,
-    n_bins: int,
-    *,
-    preserve_order: bool = True,
-) -> list[Bin]:
-    """Distribute ``items`` across exactly ``n_bins`` bins of ≈equal volume.
-
-    With ``preserve_order`` the items are streamed in order and a bin is
-    closed once it reaches the ideal share ``total/n_bins`` (the last bin
-    absorbs rounding).  Without it, a greedy balance pass assigns each item
-    (largest first) to the currently lightest bin — tighter balance, broken
-    order.
-
-    Returned bins are uncapacitated (``capacity=None``); balance, not
-    capacity, is the constraint here.  ``items`` may also be a
-    ``(keys, sizes)`` column pair.
-    """
-    payload, keys, sizes = as_columns(items)
-    tie_keys = keys if payload is None else [it.key for it in payload]
-    layouts = uniform_layout(
-        sizes, n_bins, preserve_order=preserve_order,
-        keys=None if preserve_order else tie_keys,
-    )
-    return materialise_bins(layouts, payload=payload, keys=keys, sizes=sizes)

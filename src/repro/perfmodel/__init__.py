@@ -38,7 +38,6 @@ from repro.perfmodel.regression import (
     select_best,
 )
 from repro.perfmodel.analytical import AnalyticalStreamModel, calibrate_stream_model
-from repro.perfmodel.crossval import CvScore, cross_validate, select_by_cv
 from repro.perfmodel.history import HistoricalPredictor, RunHistory, RunRecord
 from repro.perfmodel.quality import QualityTracker
 from repro.perfmodel.refine import RefinementResult, refine_unit_size
@@ -73,9 +72,6 @@ __all__ = [
     "QualityTracker",
     "volume_weighted_fit",
     "variance_weighted_fit",
-    "CvScore",
-    "cross_validate",
-    "select_by_cv",
     "AnalyticalStreamModel",
     "calibrate_stream_model",
     "HistoricalPredictor",

@@ -46,7 +46,6 @@ from repro.runner.columnar import (
     execute_uniform_fleet,
 )
 from repro.runner.dynamic import DynamicPolicy, ReplacementEvent, execute_with_monitoring
-from repro.runner.ebs_plan import DeviceAssignment, execute_ebs_plan
 from repro.runner.execute import ExecutionReport, FailedBin, InstanceRun, execute_plan
 from repro.runner.fault_tolerant import CrashEvent, FaultPolicy, execute_fault_tolerant
 from repro.runner.fleet import execute_on_fleet
@@ -77,8 +76,6 @@ __all__ = [
     "ColumnarReport",
     "execute_plan_columnar",
     "execute_uniform_fleet",
-    "DeviceAssignment",
-    "execute_ebs_plan",
     "SpotAcquisition",
     "SpotCompletion",
     "SpotProgress",

@@ -9,7 +9,6 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from repro.packing.bins import Item
 from repro.sim.random import RngStream
 
 __all__ = ["TextStats", "VirtualFile", "Segment", "Catalogue"]
@@ -53,12 +52,6 @@ class VirtualFile:
     def __post_init__(self) -> None:
         if self.size < 0:
             raise ValueError(f"file {self.path!r} has negative size")
-
-    # -- packing interop ---------------------------------------------------
-
-    def as_item(self) -> Item:
-        """Packing-layer view of this file."""
-        return Item(key=self.path, size=self.size)
 
     # -- materialisation ---------------------------------------------------
 
@@ -197,16 +190,12 @@ class Catalogue:
     def max_file_size(self) -> int:
         return int(self._sizes.max()) if len(self._files) else 0
 
-    def items(self) -> list[Item]:
-        """Packing items for every file, in order."""
-        return [f.as_item() for f in self._files]
-
     def sizes(self) -> np.ndarray:
         """File sizes in catalogue order as a cached ``np.int64`` column.
 
-        This is the packing engine's fast path: the ``*_layout`` kernels
-        consume it directly, so reshaping and provisioning never materialise
-        per-file :class:`Item` dataclasses.  Treat the array as read-only.
+        This is the packing engine's input: the ``*_layout`` kernels consume
+        it directly, so reshaping and provisioning never build a per-file
+        packing object.  Treat the array as read-only.
         """
         return self._sizes
 

@@ -2,11 +2,14 @@
 
 These are the original O(n·B) implementations that shipped before the
 indexed engine (:mod:`repro.packing.index`): ``first_fit`` scans a NumPy
-free-space array per item, the other three are pure-Python scans.  They are
-deliberately *not* exported from :mod:`repro.packing` — production code uses
-the indexed rewrites — but the property tests assert that every indexed
-heuristic produces byte-identical bin assignments to the functions here, so
-the engine can never silently drift from classic first-fit semantics.
+free-space array per item, the other three are pure-Python scans.  They
+work on the :class:`Item`/:class:`Bin` value objects defined here, which
+production code no longer uses — every production packer is a ``*_layout``
+kernel over a size column.  ``tests/test_packing_equivalence.py`` asserts
+that every kernel produces byte-identical bin assignments to the functions
+here, so the engine can never silently drift from classic first-fit
+semantics.  :func:`validate_layouts` is the partition check every packing
+test applies to a kernel's result.
 
 Do not "optimise" this module: its value is being the slow, obviously
 correct baseline.
@@ -14,19 +17,112 @@ correct baseline.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from repro.packing.bins import Bin, Item, PackingError
+from repro.packing import BinLayout, PackingError
 
 __all__ = [
+    "Item",
+    "Bin",
+    "validate_layouts",
     "first_fit",
     "first_fit_decreasing",
     "pack_into_n_bins",
     "subset_sum_first_fit",
     "uniform_bins",
 ]
+
+
+@dataclass(frozen=True)
+class Item:
+    """A packable unit: one input file (or pre-merged segment).
+
+    ``key`` identifies the item in the source catalogue (e.g. a virtual file
+    path); ``size`` is in bytes.  Items are immutable so the same list can be
+    fed to several heuristics for comparison.
+    """
+
+    key: str
+    size: int
+
+    def __post_init__(self) -> None:
+        if self.size < 0:
+            raise PackingError(f"item {self.key!r} has negative size {self.size}")
+
+
+@dataclass
+class Bin:
+    """A capacitated container of items.
+
+    ``capacity`` may be ``None`` for uncapacitated (balance-only) bins.
+    ``used`` is maintained incrementally so adding items stays O(1) even in
+    bins holding tens of thousands of files; mutate ``items`` only through
+    :meth:`add` / :meth:`append_unchecked`.
+    """
+
+    capacity: int | None
+    items: list[Item] = field(default_factory=list)
+    _used: int = field(default=0, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._used = sum(it.size for it in self.items)
+
+    @property
+    def used(self) -> int:
+        return self._used
+
+    @property
+    def free(self) -> int:
+        if self.capacity is None:
+            raise PackingError("uncapacitated bin has no free space notion")
+        return self.capacity - self._used
+
+    def fits(self, item: Item) -> bool:
+        """True when the item fits the remaining capacity."""
+        return self.capacity is None or item.size <= self.free
+
+    def add(self, item: Item) -> None:
+        """Place an item, enforcing the capacity."""
+        if not self.fits(item):
+            raise PackingError(
+                f"item {item.key!r} ({item.size} B) does not fit: "
+                f"used={self._used}, capacity={self.capacity}"
+            )
+        self.items.append(item)
+        self._used += item.size
+
+    def append_unchecked(self, item: Item) -> None:
+        """Add without the capacity check (balance-only / overflow paths)."""
+        self.items.append(item)
+        self._used += item.size
+
+    def __len__(self) -> int:
+        return len(self.items)
+
+
+def validate_layouts(sizes: Sequence[int], layouts: Sequence[BinLayout]) -> None:
+    """Assert that ``layouts`` is a true partition of the ``sizes`` column.
+
+    Checks: every index appears exactly once, every bin's ``used`` is the
+    sum of its members, no bin exceeds its capacity, and total volume is
+    conserved.  Raises :class:`~repro.packing.PackingError` otherwise.
+    """
+    placed = sorted(i for l in layouts for i in l.indices)
+    if placed != list(range(len(sizes))):
+        raise PackingError(
+            f"packing is not a partition of {len(sizes)} items "
+            f"({len(placed)} placements)"
+        )
+    for l in layouts:
+        if l.used != sum(sizes[i] for i in l.indices):
+            raise PackingError(f"bin load {l.used} is not the sum of its members")
+        if l.capacity is not None and l.used > l.capacity:
+            raise PackingError(f"bin over capacity: used={l.used} > {l.capacity}")
+    if sum(l.used for l in layouts) != sum(sizes):
+        raise PackingError("packing does not conserve total volume")
 
 
 def first_fit(items: Sequence[Item], capacity: int) -> list[Bin]:

@@ -1,11 +1,11 @@
-"""Property tests: the indexed engine is byte-identical to the reference.
+"""Property tests: the indexed kernels are byte-identical to the reference.
 
-Every heuristic rewritten on :class:`~repro.packing.index.FreeSpaceIndex`
+Every ``*_layout`` kernel built on :class:`~repro.packing.index.FreeSpaceIndex`
 must place every item into exactly the same bin, in the same order, with the
 same bin capacities, as the original O(n·B) implementations preserved in
-:mod:`repro.packing.reference` — across random catalogues, capacities, bin
-counts and both ``preserve_order`` settings.  Each result is additionally
-checked with :func:`validate_packing`.
+``tests/reference_packing.py`` — across random size columns, capacities,
+bin counts and both ``preserve_order`` settings.  Each result is
+additionally checked with :func:`~tests.reference_packing.validate_layouts`.
 """
 
 import random
@@ -16,30 +16,34 @@ from hypothesis import strategies as st
 
 from repro.packing import (
     FreeSpaceIndex,
-    Item,
     PackingCache,
-    first_fit,
-    first_fit_decreasing,
+    PackingError,
     first_fit_layout,
-    pack_into_n_bins,
-    subset_sum_first_fit,
-    uniform_bins,
-    validate_packing,
+    pack_into_n_bins_layout,
+    subset_sum_layout,
+    uniform_layout,
 )
-from repro.packing import reference
+from tests import reference_packing as reference
+from tests.reference_packing import Item, validate_layouts
+
+
+def keys_of(sizes) -> list[str]:
+    """Zero-padded keys: key order is index order for up to 10,000 items."""
+    return [f"f{i:04d}" for i in range(len(sizes))]
 
 
 def items_of(sizes) -> list[Item]:
-    return [Item(key=f"f{i:04d}", size=s) for i, s in enumerate(sizes)]
+    return [Item(key=k, size=s) for k, s in zip(keys_of(sizes), sizes)]
 
 
-def assert_identical(got, want):
+def assert_identical(sizes, got, want):
     """Bin-by-bin equality: capacity, load, and member keys in order."""
+    keys = keys_of(sizes)
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert g.capacity == w.capacity
         assert g.used == w.used
-        assert [it.key for it in g.items] == [it.key for it in w.items]
+        assert [keys[i] for i in g.indices] == [it.key for it in w.items]
 
 
 size_lists = st.lists(
@@ -58,26 +62,42 @@ class TestFirstFitEquivalence:
     @given(sizes=size_lists, capacity=capacities)
     @settings(max_examples=150, deadline=None)
     def test_first_fit(self, sizes, capacity):
-        items = items_of(sizes)
-        got = first_fit(items, capacity)
-        assert_identical(got, reference.first_fit(items, capacity))
-        validate_packing(items, got)
+        got = first_fit_layout(sizes, capacity)
+        assert_identical(sizes, got, reference.first_fit(items_of(sizes), capacity))
+        validate_layouts(sizes, got)
 
     @given(sizes=size_lists, capacity=capacities)
     @settings(max_examples=100, deadline=None)
     def test_first_fit_decreasing(self, sizes, capacity):
-        items = items_of(sizes)
-        got = first_fit_decreasing(items, capacity)
-        assert_identical(got, reference.first_fit_decreasing(items, capacity))
-        validate_packing(items, got)
+        got = subset_sum_layout(sizes, capacity, preserve_order=False,
+                                keys=keys_of(sizes))
+        assert_identical(
+            sizes, got, reference.first_fit_decreasing(items_of(sizes), capacity)
+        )
+        validate_layouts(sizes, got)
 
     @given(sizes=size_lists, capacity=capacities)
     @settings(max_examples=100, deadline=None)
     def test_duplicate_sizes_tie_break(self, sizes, capacity):
         # Heavy duplication stresses the (-size, key) tie-break.
-        items = items_of([s % 7 for s in sizes])
-        got = first_fit_decreasing(items, capacity)
-        assert_identical(got, reference.first_fit_decreasing(items, capacity))
+        sizes = [s % 7 for s in sizes]
+        got = subset_sum_layout(sizes, capacity, preserve_order=False,
+                                keys=keys_of(sizes))
+        assert_identical(
+            sizes, got, reference.first_fit_decreasing(items_of(sizes), capacity)
+        )
+
+    @given(sizes=size_lists, capacity=capacities, ties=st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_unordered_subset_sum_is_ffd(self, sizes, capacity, ties):
+        # Without keys the tie-break falls back to index order, which is key
+        # order here: the keyless merge production runs is exactly FFD.
+        if ties:
+            sizes = [s % 7 for s in sizes]
+        got = subset_sum_layout(sizes, capacity, preserve_order=False)
+        assert_identical(
+            sizes, got, reference.first_fit_decreasing(items_of(sizes), capacity)
+        )
 
 
 class TestSubsetSumEquivalence:
@@ -88,78 +108,69 @@ class TestSubsetSumEquivalence:
     )
     @settings(max_examples=200, deadline=None)
     def test_subset_sum(self, sizes, unit, preserve_order):
-        items = items_of(sizes)
-        got = subset_sum_first_fit(items, unit, preserve_order=preserve_order)
+        got = subset_sum_layout(sizes, unit, preserve_order=preserve_order)
         want = reference.subset_sum_first_fit(
-            items, unit, preserve_order=preserve_order
+            items_of(sizes), unit, preserve_order=preserve_order
         )
-        assert_identical(got, want)
-        validate_packing(items, got)
+        assert_identical(sizes, got, want)
+        validate_layouts(sizes, got)
 
 
 class TestPackIntoNBinsEquivalence:
     @given(sizes=size_lists, n_bins=bin_counts, capacity=capacities)
     @settings(max_examples=200, deadline=None)
     def test_pack_into_n_bins(self, sizes, n_bins, capacity):
-        items = items_of(sizes)
-        got = pack_into_n_bins(items, n_bins, capacity)
-        assert_identical(got, reference.pack_into_n_bins(items, n_bins, capacity))
-        validate_packing(items, got)
+        got = pack_into_n_bins_layout(sizes, n_bins, capacity)
+        want = reference.pack_into_n_bins(items_of(sizes), n_bins, capacity)
+        assert_identical(sizes, got, want)
+        validate_layouts(sizes, got)
 
     @given(sizes=size_lists, n_bins=bin_counts)
     @settings(max_examples=100, deadline=None)
     def test_tight_capacity_forces_overflow(self, sizes, n_bins):
         # Capacity chosen so a large share of items overflow into the spill
         # path, which must match the reference's min(used) scan exactly.
-        items = items_of(sizes)
         capacity = max(1, sum(sizes) // (2 * n_bins) or 1)
-        got = pack_into_n_bins(items, n_bins, capacity)
-        assert_identical(got, reference.pack_into_n_bins(items, n_bins, capacity))
-        validate_packing(items, got)
+        got = pack_into_n_bins_layout(sizes, n_bins, capacity)
+        want = reference.pack_into_n_bins(items_of(sizes), n_bins, capacity)
+        assert_identical(sizes, got, want)
+        validate_layouts(sizes, got)
 
 
 class TestUniformEquivalence:
     @given(sizes=size_lists, n_bins=bin_counts, preserve_order=st.booleans())
     @settings(max_examples=200, deadline=None)
     def test_uniform(self, sizes, n_bins, preserve_order):
-        items = items_of(sizes)
-        got = uniform_bins(items, n_bins, preserve_order=preserve_order)
-        want = reference.uniform_bins(items, n_bins, preserve_order=preserve_order)
-        assert_identical(got, want)
-        validate_packing(items, got)
+        got = uniform_layout(sizes, n_bins, preserve_order=preserve_order)
+        want = reference.uniform_bins(
+            items_of(sizes), n_bins, preserve_order=preserve_order
+        )
+        assert_identical(sizes, got, want)
+        validate_layouts(sizes, got)
 
 
 class TestColumnarPaths:
-    """(keys, sizes) columns and *_layout kernels agree with the object API."""
+    """Kernels on a catalogue's size column agree with the oracle on its files."""
 
-    @given(sizes=size_lists, capacity=capacities)
+    @given(capacity=st.integers(min_value=1_000, max_value=400_000))
     @settings(max_examples=50, deadline=None)
-    def test_column_input_matches_items(self, sizes, capacity):
-        items = items_of(sizes)
-        keys = [it.key for it in items]
-        assert_identical(
-            first_fit((keys, sizes), capacity), first_fit(items, capacity)
-        )
-        assert_identical(
-            subset_sum_first_fit((keys, sizes), capacity, preserve_order=False),
-            subset_sum_first_fit(items, capacity, preserve_order=False),
-        )
-        assert_identical(
-            uniform_bins((keys, sizes), 5, preserve_order=False),
-            uniform_bins(items, 5, preserve_order=False),
-        )
+    def test_layout_matches_bins(self, capacity):
+        from repro.corpus import text_400k_like
 
-    @given(sizes=size_lists, capacity=capacities)
-    @settings(max_examples=50, deadline=None)
-    def test_layout_matches_bins(self, sizes, capacity):
-        items = items_of(sizes)
-        layouts = first_fit_layout(sizes, capacity)
-        bins = first_fit(items, capacity)
-        assert [l.indices for l in layouts] == [
-            [int(it.key[1:]) for it in b.items] for b in bins
-        ]
-        assert [l.used for l in layouts] == [b.used for b in bins]
-        assert [l.capacity for l in layouts] == [b.capacity for b in bins]
+        cat = text_400k_like(scale=5e-4, seed=capacity % 7)
+        paths = [f.path for f in cat]
+        items = [Item(key=f.path, size=f.size) for f in cat]
+        sizes = cat.sizes().tolist()
+        for got, want in [
+            (first_fit_layout(sizes, capacity), reference.first_fit(items, capacity)),
+            (subset_sum_layout(sizes, capacity, preserve_order=False),
+             reference.first_fit_decreasing(items, capacity)),
+        ]:
+            assert [[paths[i] for i in l.indices] for l in got] == [
+                [it.key for it in b.items] for b in want
+            ]
+            assert [l.used for l in got] == [b.used for b in want]
+            assert [l.capacity for l in got] == [b.capacity for b in want]
 
 
 class TestOverflowSpillRegression:
@@ -168,23 +179,19 @@ class TestOverflowSpillRegression:
         items overflowing into few bins must stay fast and balanced."""
         rnd = random.Random(7)
         sizes = [rnd.randint(1, 100) for _ in range(5000)]
-        items = items_of(sizes)
-        bins = pack_into_n_bins(items, 8, capacity=50)
-        validate_packing(items, bins)
+        layouts = pack_into_n_bins_layout(sizes, 8, capacity=50)
+        validate_layouts(sizes, layouts)
         # The spill heap must keep loads near-balanced: no bin may exceed
         # the ideal share by more than one max-size item.
-        loads = [b.used for b in bins]
+        loads = [l.used for l in layouts]
         assert max(loads) - min(loads) <= 100
         # And the result still matches the reference scan exactly.
-        want = reference.pack_into_n_bins(items, 8, capacity=50)
-        assert_identical(bins, want)
+        want = reference.pack_into_n_bins(items_of(sizes), 8, capacity=50)
+        assert_identical(sizes, layouts, want)
 
     def test_strict_overflow_raises(self):
-        from repro.packing import PackingError
-
-        items = items_of([10, 10, 10])
         with pytest.raises(PackingError):
-            pack_into_n_bins(items, 1, capacity=15, strict=True)
+            pack_into_n_bins_layout([10, 10, 10], 1, capacity=15, strict=True)
 
 
 class TestFreeSpaceIndex:

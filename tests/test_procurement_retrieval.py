@@ -1,92 +1,14 @@
-"""Tests for the procurement advisor and output-retrieval accounting."""
+"""Tests for output-retrieval accounting."""
 
 import numpy as np
-import pytest
 
 from repro.apps import GrepApplication, GrepCostProfile
 from repro.cloud import Cloud, Workload
-from repro.core import (
-    StaticProvisioner,
-    choose_procurement,
-    reshape,
-    spot_completion_probability,
-)
+from repro.core import StaticProvisioner, reshape
 from repro.corpus import text_400k_like
 from repro.perfmodel.regression import fit_affine
 from repro.runner import execute_plan
-from repro.sim.random import RngStream
 from repro.units import KB
-
-
-class TestSpotCompletionProbability:
-    def test_monotone_in_bid(self):
-        rng = RngStream(10)
-        ps = []
-        for bid in (0.03, 0.045, 0.09):
-            p, _ = spot_completion_probability(rng.fork(str(bid)), bid,
-                                               work_hours=30, deadline_hours=60,
-                                               n_paths=100)
-            ps.append(p)
-        assert ps == sorted(ps)
-
-    def test_monotone_in_horizon(self):
-        rng = RngStream(11)
-        p_tight, _ = spot_completion_probability(rng.fork("a"), 0.042, 40, 45,
-                                                 n_paths=100)
-        p_loose, _ = spot_completion_probability(rng.fork("a"), 0.042, 40, 200,
-                                                 n_paths=100)
-        assert p_loose >= p_tight
-
-    def test_sure_bid_completes_everywhere(self):
-        p, cost = spot_completion_probability(RngStream(1), 10.0, 5, 10,
-                                              n_paths=50)
-        assert p == 1.0
-        assert cost > 0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            spot_completion_probability(RngStream(1), 0.05, 1, 10, n_paths=0)
-        with pytest.raises(ValueError):
-            spot_completion_probability(RngStream(1), 0.05, 1, 0)
-
-
-class TestChooseProcurement:
-    def test_tight_deadline_forces_on_demand(self):
-        """The paper's case: makespan constraints → on-demand.  With zero
-        slack, spot must clear its bid every single hour, which no
-        affordable bid guarantees at 95% confidence."""
-        decision = choose_procurement(RngStream(2), work_hours=20,
-                                      deadline_hours=20, n_paths=60)
-        assert decision.mode == "on-demand"
-        assert decision.completion_probability == 1.0
-        assert decision.saving == 0.0
-
-    def test_loose_horizon_prefers_spot(self):
-        decision = choose_procurement(RngStream(3), work_hours=20,
-                                      deadline_hours=500, n_paths=60)
-        assert decision.mode == "spot"
-        assert decision.expected_cost < decision.on_demand_cost
-        assert decision.completion_probability >= 0.95
-        assert decision.bid is not None
-
-    def test_confidence_knob_tightens_choice(self):
-        loose = choose_procurement(RngStream(4), work_hours=30,
-                                   deadline_hours=60, confidence=0.5,
-                                   n_paths=80)
-        strict = choose_procurement(RngStream(4), work_hours=30,
-                                    deadline_hours=60, confidence=0.999,
-                                    n_paths=80)
-        # stricter confidence can only move toward (or keep) on-demand
-        if strict.mode == "spot":
-            assert loose.mode == "spot"
-            assert strict.completion_probability >= loose.completion_probability
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            choose_procurement(RngStream(1), work_hours=0, deadline_hours=10)
-        with pytest.raises(ValueError):
-            choose_procurement(RngStream(1), work_hours=1, deadline_hours=10,
-                               confidence=0.0)
 
 
 class TestRetrievalAccounting:

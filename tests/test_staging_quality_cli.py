@@ -90,7 +90,7 @@ class TestQualityAwareExecution:
         """On a heterogeneous fleet, quality-aware shares even out finish
         times relative to uniform shares."""
         from repro.core.planner import ProvisioningPlan
-        from repro.packing import uniform_bins
+        from repro.packing import uniform_layout
 
         hetero = HeterogeneityModel(p_slow=0.5, p_very_slow=0.0,
                                     slow_range=(0.45, 0.6))
@@ -98,13 +98,12 @@ class TestQualityAwareExecution:
         wl = Workload("grep", GrepApplication(), GrepCostProfile())
         n = 6
 
-        by_path = {f.path: f for f in cat}
-        bins = uniform_bins(cat.items(), n_bins=n, preserve_order=True)
+        layouts = uniform_layout(cat.sizes().tolist(), n_bins=n, preserve_order=True)
         plan = ProvisioningPlan(
             deadline=120.0, planning_deadline=120.0, strategy="uniform",
             predictor_name="fixed",
-            assignments=[[by_path[it.key] for it in b.items] for b in bins],
-            predicted_times=[b.used * 1.33e-8 for b in bins],
+            assignments=[[cat[i] for i in l.indices] for l in layouts],
+            predicted_times=[l.used * 1.33e-8 for l in layouts],
         )
         uni_cloud = Cloud(seed=33, io_heterogeneity=hetero)
         uni = execute_plan(uni_cloud, wl, plan)

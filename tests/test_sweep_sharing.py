@@ -19,7 +19,7 @@ import pytest
 from repro.core import workflow
 from repro.corpus import datasets, html_18mil_like, text_400k_like
 from repro.dag import fanout_pipeline, linear_pipeline
-from repro.experiments import exp_chaos, exp_dag, exp_matrix
+from repro.experiments import exp_chaos, exp_dag, exp_matrix, exp_spot
 from repro.experiments.sweep import Cell, run_sweep
 from repro.obs.ledger import capture_runs
 from repro.vfs.memo import ByIdentity, shared, sweep_memo
@@ -226,3 +226,13 @@ class TestBaselineRecordedPerSweep:
         assert labels[0] == labels[1]
         assert len(labels[0]) == 4
         assert "matrix.baseline.linear" in labels[0]
+
+    def test_identical_spot_sweeps_write_identical_records(self):
+        labels = []
+        for _ in range(2):
+            with capture_runs() as ledger:
+                exp_spot.spot_sweep(["calm"], seeds=(11,))
+            labels.append([r.label for r in ledger.records()])
+        assert labels[0] == labels[1]
+        assert len(labels[0]) == 14
+        assert labels[0].count("execute_plan") == 1

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.apps import PosTaggerApplication, UnitColumns
 from repro.apps.postagger import token_work
+from repro.packing import first_fit_layout
 from repro.sim.random import RngStream
 from repro.vfs import Catalogue, Segment, TextStats, VirtualFile
 
@@ -68,10 +69,6 @@ class TestVirtualFile:
         with pytest.raises(ValueError):
             f.materialize(renderer=lambda vf: b"short")
 
-    def test_as_item(self):
-        it = vfile("x", 12).as_item()
-        assert it.key == "x" and it.size == 12
-
 
 class TestSegment:
     def test_size_is_member_sum(self):
@@ -104,6 +101,13 @@ class TestCatalogue:
         assert len(c) == 3
         assert c.total_size == 60
         assert c.max_file_size == 30
+
+    def test_sizes_column_packs_by_index(self):
+        c = make_catalogue([12, 5, 9])
+        assert c.sizes().tolist() == [12, 5, 9]
+        layouts = first_fit_layout(c.sizes().tolist(), capacity=20)
+        assert [[c[i].path for i in l.indices] for l in layouts] == [
+            ["f0000", "f0001"], ["f0002"]]
 
     def test_duplicate_paths_rejected(self):
         with pytest.raises(ValueError):
