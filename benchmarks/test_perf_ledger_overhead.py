@@ -1,4 +1,5 @@
-"""Perf guard: flight-recorder emission must cost <2% on the runner core.
+"""Perf guards: flight-recorder emission must cost <2% on the runner core,
+and an experiment's own record <5% of the experiment.
 
 Every ``ExecutionCore.run`` pays one ``get_run_ledger()`` read; with a
 ledger active it additionally builds and appends one ``RunRecord``
@@ -7,6 +8,9 @@ span rollups only when observability is on).  This bench drives the
 64-instance ``execute_plan`` run the trajectory file tracks, ledgered vs
 un-ledgered, with the same interleaved paired-median methodology as the
 observability overhead guard, and holds the emission cost under 2%.
+``test_experiment_record_overhead`` runs smoke-scale Fig. 8 (four
+executed plans plus its experiment record) against a file-backed ledger
+and against none, and holds the difference under 5%.
 """
 
 import gc
@@ -21,6 +25,7 @@ from repro.cloud import Cloud, Workload
 from repro.core import reshape
 from repro.core.planner import ProvisioningPlan
 from repro.corpus import text_400k_like
+from repro.experiments import exp_pos
 from repro.obs import get_obs
 from repro.obs.ledger import RunLedger, get_run_ledger, set_run_ledger
 from repro.perfmodel.regression import fit_affine
@@ -29,9 +34,12 @@ from repro.runner import execute_plan
 ROUNDS = 14
 ATTEMPTS = 3
 OVERHEAD_BUDGET = 0.02
+EXPERIMENT_BUDGET = 0.05
+EXPERIMENT_ROUNDS = 8
 
 
-def _paired_overhead(instrumented, baseline, rounds=ROUNDS):
+def _paired_overhead(instrumented, baseline, rounds=ROUNDS, setup=None):
+    """Median-ratio overhead; ``setup()`` (untimed) feeds each call."""
     ta, tb = [], []
     gc.collect()
     gc.disable()
@@ -41,8 +49,9 @@ def _paired_overhead(instrumented, baseline, rounds=ROUNDS):
             if i % 2:
                 pair = tuple(reversed(pair))
             for fn, out in pair:
+                args = () if setup is None else (setup(),)
                 t0 = time.perf_counter()
-                fn()
+                fn(*args)
                 out.append(time.perf_counter() - t0)
             gc.collect(0)
     finally:
@@ -108,3 +117,37 @@ def test_ledgered_run_emits_exactly_one_record(benchmark):
     records = ledger.records(kind="runner")
     assert len(records) == len(ledger.records())   # nothing else leaked
     assert all(r.label == "execute_plan" for r in records)
+
+
+@pytest.mark.perf
+def test_experiment_record_overhead(benchmark, tmp_path):
+    assert not get_obs().enabled, "bench requires the disabled default"
+    assert get_run_ledger() is None, "bench requires no active ledger"
+    ledger = RunLedger(tmp_path / "runs")
+
+    def testbed():
+        return exp_pos.make_testbed(scale=0.05)
+
+    def bare(tb):
+        exp_pos.fig8(tb, deadline=120.0)
+
+    def ledgered(tb):
+        previous = set_run_ledger(ledger)
+        try:
+            bare(tb)
+        finally:
+            set_run_ledger(previous)
+
+    ledgered(testbed()), bare(testbed())       # shared warmup
+    overheads = []
+    for _ in range(ATTEMPTS):
+        overheads.append(_paired_overhead(ledgered, bare, EXPERIMENT_ROUNDS,
+                                          setup=testbed))
+        if overheads[-1] < EXPERIMENT_BUDGET:
+            break
+    benchmark.pedantic(ledgered, setup=lambda: ((testbed(),), {}),
+                       rounds=1, iterations=1)
+    assert ledger.records(label="exp_pos.fig8")
+    assert min(overheads) < EXPERIMENT_BUDGET, (
+        f"experiment record overhead {min(overheads):.1%} exceeds "
+        f"{EXPERIMENT_BUDGET:.0%} in {ATTEMPTS} attempts ({overheads})")

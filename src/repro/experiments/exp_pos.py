@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import dataclass
-
 
 from repro.apps import PosCostProfile, PosTaggerApplication
 from repro.cloud import Cloud, ExecutionService, Workload, acquire_good_instance
@@ -15,7 +16,7 @@ from repro.perfmodel import ProbeCampaign, build_probe_set
 from repro.perfmodel.regression import AffinePredictor, fit_affine
 from repro.perfmodel.sampling import collect_sample_points, refit_with_samples
 from repro.report.figures import FigureResult
-from repro.obs.ledger import record_experiment
+from repro.obs.ledger import get_run_ledger, record_experiment
 from repro.runner import execute_plan
 from repro.units import HOUR, KB, MB
 from repro.vfs.files import Catalogue
@@ -143,6 +144,39 @@ def _schedule_and_run(tb: PosTestbed, model: AffinePredictor, deadline: float,
     }
 
 
+def _variant_summary(v: dict) -> dict:
+    """Bounded ledger form of one ``_schedule_and_run`` variant.
+
+    Keeps the counts, times and missed-bin indices the figure reports and
+    replaces the plan's unit lists with a digest of per-bin unit counts
+    and byte totals; the plan and report objects stay in the returned dict.
+    """
+    plan, report = v["plan"], v["report"]
+    bins = [[len(b), sum(u.size for u in b)] for b in plan.assignments]
+    digest = hashlib.sha256(json.dumps(bins).encode()).hexdigest()[:16]
+    return {
+        "tag": v["tag"],
+        "instances": v["instances"],
+        "volume": sum(nbytes for _, nbytes in bins),
+        "predicted_times": list(plan.predicted_times),
+        "missed": [i for i, r in enumerate(report.runs)
+                   if r.missed(report.deadline)],
+        "expected_missed": v["expected_missed"],
+        "instance_hours": v["instance_hours"],
+        "durations": v["durations"],
+        "plan_digest": digest,
+    }
+
+
+def _record_variants(label: str, out: dict) -> None:
+    """Record ``out`` with each variant reduced to its summary."""
+    if get_run_ledger() is None:
+        return
+    record_experiment(label, extra={
+        **out, "variants": {k: _variant_summary(v)
+                            for k, v in out["variants"].items()}})
+
+
 def fig8(tb: PosTestbed | None = None, *, deadline: float = HOUR) -> tuple[FigureResult, dict]:
     """Fig. 8(a)–(d): D = 1 h scheduling variants."""
     tb = tb or make_testbed()
@@ -175,7 +209,7 @@ def fig8(tb: PosTestbed | None = None, *, deadline: float = HOUR) -> tuple[Figur
              f"Eq4: f(x)={eq4.a:.3f}+{eq4.b:.3e}x (paper 3.086+0.7255e-4·x)")
     fig.note(f"adjusted deadline {d_adj:.0f}s for 10% miss odds "
              "(paper: 3124 s for D=3600)")
-    record_experiment("exp_pos.fig8", extra=out)
+    _record_variants("exp_pos.fig8", out)
     return fig, out
 
 
@@ -198,7 +232,7 @@ def fig9(tb: PosTestbed | None = None, *, deadline: float = 2 * HOUR) -> tuple[F
         fig.note(f"{name}: {v['instances']} instances, {v['missed']} missed, "
                  f"{v['instance_hours']} instance-hours")
     out = {"variants": variants, "adjusted_deadline": d_adj, "adjustment_a": a}
-    record_experiment("exp_pos.fig9", extra=out)
+    _record_variants("exp_pos.fig9", out)
     return fig, out
 
 

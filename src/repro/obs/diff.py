@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from repro.obs.ledger import RunRecord
+from repro.obs.ledger import SCHEMA_CHANGES, RunRecord
 from repro.obs.metrics import series_key
 
 __all__ = [
@@ -132,6 +132,17 @@ class RunDiff:
     sim_deltas: list[Delta] = field(default_factory=list)
     perf_deltas: list[Delta] = field(default_factory=list)
     identical_metrics: bool = True
+    #: ``(a, b)`` record schema versions when they differ, else None.
+    schema_versions: tuple[int, int] | None = None
+
+    @property
+    def schema_notes(self) -> list[str]:
+        """What each schema bump between the two records changed."""
+        if self.schema_versions is None:
+            return []
+        lo, hi = sorted(self.schema_versions)
+        return [f"v{v}: {SCHEMA_CHANGES[v]}" for v in range(lo + 1, hi + 1)
+                if v in SCHEMA_CHANGES]
 
     @property
     def significant(self) -> list[Delta]:
@@ -159,6 +170,9 @@ class RunDiff:
             "perf_threshold": self.perf_threshold,
             "clean": self.clean,
             "identical_metrics": self.identical_metrics,
+            "schema_versions": (list(self.schema_versions)
+                                if self.schema_versions else None),
+            "schema_notes": self.schema_notes,
             "metric_deltas": [d.to_dict() for d in self.metric_deltas],
             "added_series": self.added_series,
             "removed_series": self.removed_series,
@@ -175,6 +189,8 @@ def diff_runs(a: RunRecord, b: RunRecord, *, threshold: float = 0.05,
     """Diff two records: deterministic drift strict, wall-clock loose."""
     diff = RunDiff(a_id=a.run_id or "a", b_id=b.run_id or "b",
                    threshold=threshold, perf_threshold=perf_threshold)
+    if a.schema_version != b.schema_version:
+        diff.schema_versions = (a.schema_version, b.schema_version)
 
     # Metric series: value deltas for counters/gauges, sample-count deltas
     # for histograms, plus added/removed series and bit-identity overall.
@@ -237,6 +253,11 @@ def _fmt_rel(d: Delta) -> str:
 def render_diff_table(diff: RunDiff, *, max_rows: int = 40) -> str:
     """ASCII diff report in the ``report`` module's table style."""
     lines = [f"== run diff: {diff.a_id} vs {diff.b_id} =="]
+    if diff.schema_versions is not None:
+        va, vb = diff.schema_versions
+        lines.append(f"   ! schema v{va} vs v{vb}: fields may differ by "
+                     "design")
+        lines.extend(f"     {note}" for note in diff.schema_notes)
     sections = [
         ("deterministic drift", diff.significant, diff.threshold),
         ("perf (wall-clock)", diff.perf_deltas, diff.perf_threshold),

@@ -15,6 +15,20 @@ in-memory with :func:`capture_runs`.  Emission sites (``runner/core.py``,
 ``runner/columnar.py``, the sweep harness, the experiments) all guard on
 ``get_run_ledger() is not None`` so un-ledgered runs pay one global read.
 
+Records stay bounded: every field holds only JSON values its caller
+built (experiments pass summaries such as a plan digest, never the plan
+object).  The encoder is strict -- any other value raises
+:class:`LedgerError` naming its key path (``extra.variants.8a.plan:
+ProvisioningPlan is not JSON-serialisable``) before anything is written,
+in-memory ledgers included.  numpy scalars convert; arrays and sets are
+refused (a set's order depends on the hash seed).  Schema 2 is this
+shape; schema 1 records could hold ``str()`` dumps of arbitrary objects.
+
+``run_id`` is ``<label>-<n>`` where ``n`` is the ledger's line count plus
+one.  A file-backed ledger remembers the byte offset and line count it
+last saw and counts newlines only in the bytes appended since (by itself
+or by another appender), so an append costs O(record), not O(ledger).
+
 Determinism note: ``run_id`` and ``created_at`` identify a record and are
 wall-clock flavoured; everything the diff engine treats as *deterministic*
 (metrics, spans, billing, deadline, sim-time profile) is bit-reproducible
@@ -31,6 +45,8 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Iterator
 
+import numpy as np
+
 from repro.obs import get_obs
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
@@ -43,7 +59,13 @@ __all__ = [
 ]
 
 #: Bumped whenever RunRecord's serialized shape changes incompatibly.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
+
+#: What each schema version changed, for ``runs diff`` across versions.
+SCHEMA_CHANGES = {
+    2: "fields hold only JSON values; experiment extras are summaries, "
+       "not str() dumps of plan/report objects",
+}
 
 DEFAULT_ROOT = ".repro/runs"
 LEDGER_FILENAME = "ledger.jsonl"
@@ -55,17 +77,62 @@ class LedgerError(ValueError):
 
 # -- serialization helpers ------------------------------------------------
 
-def _jsonable(value: Any) -> Any:
-    """Recursively coerce to plain JSON types (numpy scalars duck-typed)."""
+class _NotJSON(Exception):
+    """A value with no JSON form; ``path`` collects keys while unwinding."""
+
+    def __init__(self, value: Any) -> None:
+        super().__init__(value)
+        self.value = value
+        self.path: list[str] = []
+
+
+def _key(key: Any) -> str:
+    if isinstance(key, (str, int, float, bool)) or key is None:
+        return str(key)
+    if isinstance(key, np.generic):
+        return _key(key.item())
+    raise _NotJSON(key)
+
+
+def _encode(value: Any) -> Any:
     if isinstance(value, (str, int, float, bool)) or value is None:
         return value
     if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple, set, frozenset)):
-        return [_jsonable(v) for v in value]
-    if hasattr(value, "item"):        # numpy scalar without importing numpy
-        return _jsonable(value.item())
-    return str(value)
+        out = {}
+        for k, v in value.items():
+            try:
+                out[_key(k)] = _encode(v)
+            except _NotJSON as exc:
+                exc.path.append(str(k))
+                raise
+        return out
+    if isinstance(value, (list, tuple)):
+        items = []
+        for i, v in enumerate(value):
+            try:
+                items.append(_encode(v))
+            except _NotJSON as exc:
+                exc.path.append(str(i))
+                raise
+        return items
+    if isinstance(value, np.generic):
+        return _encode(value.item())
+    raise _NotJSON(value)
+
+
+def _jsonable(value: Any, where: str = "value") -> Any:
+    """Plain-JSON copy of ``value``; raise LedgerError on anything else.
+
+    Dicts, lists, tuples, str/int/float/bool/None and numpy scalars
+    convert; everything else (arrays, sets, arbitrary objects) is refused
+    with the dotted key path rooted at ``where``.
+    """
+    try:
+        return _encode(value)
+    except _NotJSON as exc:
+        path = ".".join([where, *reversed(exc.path)])
+        raise LedgerError(f"{path}: {type(exc.value).__name__} is not "
+                          "JSON-serialisable") from None
 
 
 def encode_metrics_dump(rows: list) -> list:
@@ -140,13 +207,13 @@ class RunRecord:
             "kind": self.kind,
             "label": self.label,
             "created_at": self.created_at,
-            "config": _jsonable(self.config),
-            "metrics": self.metrics,
-            "spans": _jsonable(self.spans),
-            "billing": _jsonable(self.billing),
-            "deadline": _jsonable(self.deadline),
-            "profile": _jsonable(self.profile),
-            "extra": _jsonable(self.extra),
+            "config": _jsonable(self.config, "config"),
+            "metrics": _jsonable(self.metrics, "metrics"),
+            "spans": _jsonable(self.spans, "spans"),
+            "billing": _jsonable(self.billing, "billing"),
+            "deadline": _jsonable(self.deadline, "deadline"),
+            "profile": _jsonable(self.profile, "profile"),
+            "extra": _jsonable(self.extra, "extra"),
         }
 
     @classmethod
@@ -216,6 +283,12 @@ class RunLedger:
         self.root = Path(root) if root is not None else None
         self.filename = filename
         self._buffer: list[RunRecord] = []
+        # Line-count cursor over the file: (device, inode) it was taken
+        # on, bytes seen, newlines in them, and whether they end in one.
+        self._file_id: tuple[int, int] | None = None
+        self._offset = 0
+        self._newlines = 0
+        self._ends_open = False
 
     @property
     def path(self) -> Path | None:
@@ -227,16 +300,21 @@ class RunLedger:
     # -- writing ----------------------------------------------------------
 
     def append(self, record: RunRecord) -> RunRecord:
-        """Stamp identity fields if unset, persist, and return the record."""
+        """Stamp identity fields if unset, persist, and return the record.
+
+        The record is encoded before anything is stored, so a non-JSON
+        value raises :class:`LedgerError` and leaves the ledger unchanged.
+        """
         if not record.created_at:
             record.created_at = datetime.now(timezone.utc).isoformat(
                 timespec="seconds")
         if not record.run_id:
             n = len(self._buffer) if self.root is None else self._count_lines()
             record.run_id = f"{record.label}-{n + 1:04d}"
+        encoded = record.to_dict()
         if self.root is not None:
             self.root.mkdir(parents=True, exist_ok=True)
-            line = json.dumps(record.to_dict(), sort_keys=True)
+            line = json.dumps(encoded, sort_keys=True)
             with open(self.path, "a", encoding="utf-8") as fh:
                 fh.write(line + "\n")
         else:
@@ -247,11 +325,32 @@ class RunLedger:
         return record
 
     def _count_lines(self) -> int:
+        """Lines in the file, counting only bytes added since the last call.
+
+        A final line without a newline counts, as iterating the file
+        would.  A file that was replaced or shrank is recounted whole.
+        """
         path = self.path
-        if path is None or not path.exists():
+        if path is None:
             return 0
-        with open(path, "rb") as fh:
-            return sum(1 for _ in fh)
+        try:
+            st = path.stat()
+        except FileNotFoundError:
+            self._file_id = None
+            return 0
+        file_id = (st.st_dev, st.st_ino)
+        if file_id != self._file_id or st.st_size < self._offset:
+            self._file_id = file_id
+            self._offset = self._newlines = 0
+            self._ends_open = False
+        if st.st_size > self._offset:
+            with open(path, "rb") as fh:
+                fh.seek(self._offset)
+                while chunk := fh.read(1 << 20):
+                    self._offset += len(chunk)
+                    self._newlines += chunk.count(b"\n")
+                    self._ends_open = not chunk.endswith(b"\n")
+        return self._newlines + self._ends_open
 
     # -- reading ----------------------------------------------------------
 
@@ -351,7 +450,9 @@ def record_experiment(label: str, *, config: dict | None = None,
 
     The experiments call this once per figure with their headline stats in
     ``extra`` — cell-level records are emitted by the runners/sweep
-    underneath, so this is the roll-up row a ``runs list`` shows.
+    underneath, so this is the roll-up row a ``runs list`` shows.  Every
+    argument must be plain JSON (see :func:`_jsonable`): pass summaries,
+    not the objects they summarise.
     """
     ledger = get_run_ledger()
     if ledger is None:

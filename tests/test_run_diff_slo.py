@@ -20,7 +20,14 @@ from repro.obs.diff import (
     render_diff_table,
     render_gate_report,
 )
-from repro.obs.ledger import RunLedger, RunRecord, capture_runs, set_run_ledger
+from repro.obs.ledger import (
+    SCHEMA_CHANGES,
+    SCHEMA_VERSION,
+    RunLedger,
+    RunRecord,
+    capture_runs,
+    set_run_ledger,
+)
 from repro.obs.slo import Objective, SloPolicy, render_slo_table
 
 
@@ -68,6 +75,31 @@ class TestCleanDiff:
                          _plan_run(seed=12))
         assert not diff.identical_metrics
         assert not diff.clean
+
+
+class TestSchemaVersionDiff:
+    def test_v1_against_v2_explains_itself(self):
+        v1 = RunRecord(kind="experiment", label="exp_pos.fig8",
+                       run_id="old", schema_version=1)
+        v2 = RunRecord(kind="experiment", label="exp_pos.fig8",
+                       run_id="new")
+        assert v2.schema_version == SCHEMA_VERSION == 2
+        diff = diff_runs(v1, v2)
+        assert diff.schema_versions == (1, 2)
+        assert diff.clean                  # a schema bump is not drift
+        as_dict = diff.to_dict()
+        assert as_dict["schema_versions"] == [1, 2]
+        assert as_dict["schema_notes"] == [f"v2: {SCHEMA_CHANGES[2]}"]
+        table = render_diff_table(diff)
+        assert "schema v1 vs v2" in table
+        assert SCHEMA_CHANGES[2] in table
+
+    def test_same_version_reports_nothing(self):
+        rec = RunRecord(kind="experiment", label="x")
+        diff = diff_runs(rec, rec)
+        assert diff.schema_versions is None
+        assert diff.to_dict()["schema_versions"] is None
+        assert "schema" not in render_diff_table(diff)
 
 
 class TestDegradationDemo:

@@ -255,3 +255,142 @@ class TestRunnerEmission:
         assert len(result.run_records) == len(ledger.records())
         ids = [r.run_id for r in ledger.records()]
         assert len(ids) == len(set(ids))   # parent re-stamps unique ids
+
+
+class TestStrictEncoder:
+    """Records hold only JSON; anything else is refused before writing."""
+
+    def test_non_json_value_names_key_path(self, tmp_path):
+        ledger = RunLedger(tmp_path)
+        ledger.append(RunRecord(kind="experiment", label="ok"))
+        before = (tmp_path / "ledger.jsonl").read_bytes()
+        bad = RunRecord(kind="experiment", label="bad",
+                        extra={"variants": {"8a": {"plan": object()}}})
+        with pytest.raises(LedgerError, match=r"^extra\.variants\.8a\.plan: "
+                           r"object is not JSON-serialisable$"):
+            ledger.append(bad)
+        # No partial line: the file and the line count are unchanged.
+        assert (tmp_path / "ledger.jsonl").read_bytes() == before
+        assert len(RunLedger(tmp_path)) == 1
+        ledger.append(RunRecord(kind="experiment", label="next"))
+        assert ledger.records()[-1].run_id == "next-0002"
+
+    def test_list_index_in_key_path(self):
+        rec = RunRecord(kind="x", label="x", config={"xs": [1, 2, object()]})
+        with pytest.raises(LedgerError, match=r"^config\.xs\.2: object"):
+            rec.to_dict()
+
+    def test_raises_under_capture_runs(self):
+        with capture_runs() as ledger:
+            with pytest.raises(LedgerError, match=r"extra\.report: "):
+                record_experiment("probe", extra={"report": object()})
+        assert ledger.records() == []
+
+    def test_numpy_scalars_convert(self, tmp_path):
+        extra = {"f": np.float64(1.5), "i": np.int64(7), "b": np.bool_(True),
+                 "nested": [np.int64(2), {"k": np.float64(0.25)}]}
+        RunLedger(tmp_path).append(
+            RunRecord(kind="x", label="x", extra=extra))
+        back = RunLedger(tmp_path).records()[0].extra
+        assert back == {"f": 1.5, "i": 7, "b": True,
+                        "nested": [2, {"k": 0.25}]}
+        assert [type(back[k]) for k in ("f", "i", "b")] == [float, int, bool]
+
+    @pytest.mark.parametrize("value, type_name", [
+        (np.arange(3), "ndarray"),
+        ({1, 2}, "set"),
+        (frozenset({1}), "frozenset"),
+    ])
+    def test_arrays_and_sets_raise(self, value, type_name):
+        rec = RunRecord(kind="x", label="x", extra={"v": value})
+        with pytest.raises(LedgerError,
+                           match=rf"^extra\.v: {type_name} is not"):
+            rec.to_dict()
+
+
+class TestRunIdCounting:
+    def test_two_appenders_in_turn_match_full_recount(self, tmp_path):
+        first, second = RunLedger(tmp_path), RunLedger(tmp_path)
+        for i in range(3):
+            first.append(RunRecord(kind="runner", label="a"))
+            second.append(RunRecord(kind="runner", label="b"))
+            # A burst from one side: the other counts bytes it never wrote.
+            if i == 1:
+                for _ in range(2):
+                    second.append(RunRecord(kind="runner", label="b"))
+        ids = [r.run_id for r in RunLedger(tmp_path).records()]
+        assert ids == ["a-0001", "b-0002", "a-0003", "b-0004", "b-0005",
+                       "b-0006", "a-0007", "b-0008"]
+
+    def test_unterminated_last_line_counts(self, tmp_path):
+        (tmp_path / "ledger.jsonl").write_text(
+            '{"kind": "x", "label": "x"}\n{"kind": "x", "label"')
+        rec = RunLedger(tmp_path).append(RunRecord(kind="x", label="y"))
+        assert rec.run_id == "y-0003"
+
+    def test_replaced_file_is_recounted(self, tmp_path):
+        ledger = RunLedger(tmp_path)
+        for _ in range(3):
+            ledger.append(RunRecord(kind="x", label="x"))
+        (tmp_path / "ledger.jsonl").unlink()
+        assert ledger.append(RunRecord(kind="x", label="x")).run_id \
+            == "x-0001"
+        # Replaced by a file with fewer but longer lines than were seen.
+        (tmp_path / "ledger.jsonl").unlink()
+        other = RunLedger(tmp_path)
+        for _ in range(2):
+            other.append(RunRecord(kind="x", label="x",
+                                   extra={"pad": "p" * 2000}))
+        assert ledger.append(RunRecord(kind="x", label="x")).run_id \
+            == "x-0003"
+
+
+class TestBoundedRecords:
+    """Every record the figures and sweeps write stays small."""
+
+    MAX_LINE = 16 * 1024
+
+    def _lines(self, root):
+        return (root / "ledger.jsonl").read_text().splitlines()
+
+    def test_pos_deadline_records_are_summaries(self, tmp_path):
+        from repro.core.planner import ProvisioningPlan
+        from repro.experiments import exp_pos
+
+        previous = set_run_ledger(RunLedger(tmp_path))
+        try:
+            tb = exp_pos.make_testbed(scale=0.05)
+            _, out8 = exp_pos.fig8(tb, deadline=120.0)
+            _, out9 = exp_pos.fig9(tb, deadline=240.0)
+        finally:
+            set_run_ledger(previous)
+        assert max(len(line) for line in self._lines(tmp_path)) \
+            <= self.MAX_LINE
+        records = {r.label: r for r in RunLedger(tmp_path).records(
+            kind="experiment")}
+        for label, out in (("exp_pos.fig8", out8), ("exp_pos.fig9", out9)):
+            summaries = records[label].extra["variants"]
+            assert summaries.keys() == out["variants"].keys()
+            for name, s in summaries.items():
+                v = out["variants"][name]
+                assert isinstance(v["plan"], ProvisioningPlan)
+                assert s["volume"] == tb.catalogue.total_size
+                assert len(s["predicted_times"]) == s["instances"]
+                assert len(s["missed"]) == v["missed"]
+                assert s["durations"] == v["durations"]
+                assert len(s["plan_digest"]) == 16
+
+    def test_sweep_records_are_bounded(self, tmp_path):
+        from repro.experiments import exp_chaos, exp_matrix
+
+        previous = set_run_ledger(RunLedger(tmp_path))
+        try:
+            exp_matrix.matrix_sweep(["fleet"], shapes=("linear",),
+                                    regimes=("calm",), seeds=(11,))
+            exp_chaos.chaos_sweep(["slow-ebs"], seeds=(11,),
+                                  policies=(True,))
+        finally:
+            set_run_ledger(previous)
+        lines = self._lines(tmp_path)
+        assert len(lines) > 2
+        assert max(len(line) for line in lines) <= self.MAX_LINE
