@@ -137,7 +137,8 @@ def collect_chaos_stats() -> dict:
     a verdict or moves a miss rate in the trajectory.
     """
     sys.path.insert(0, str(REPO / "src"))
-    from repro.experiments.exp_chaos import DEFAULT_SEEDS, chaos_sweep
+    from repro.experiments.exp_chaos import chaos_sweep
+    from repro.experiments.sweep import DEFAULT_SEEDS
 
     _, stats = chaos_sweep()
     scenarios = {
@@ -147,10 +148,10 @@ def collect_chaos_stats() -> dict:
             "on_mean_cost_usd": cell["on"]["mean_cost_usd"],
             "off_mean_cost_usd": cell["off"]["mean_cost_usd"],
         }
-        for name, cell in sorted(stats.items())
+        for name, cell in sorted(stats["scenarios"].items())
     }
     return {
-        "workload": f"{len(stats)} fault scenarios x (resilience on/off) "
+        "workload": f"{len(scenarios)} fault scenarios x (resilience on/off) "
                     f"x seeds {list(DEFAULT_SEEDS)}",
         "scenarios": scenarios,
         "on_worst_miss_rate": max(
@@ -179,10 +180,10 @@ def collect_spot_stats() -> dict:
     moves it like a kernel-median regression.
     """
     sys.path.insert(0, str(REPO / "src"))
-    from repro.experiments.exp_spot import evaluate_spot_slos, spot_sweep
+    from repro.experiments.exp_spot import spot_sweep
 
     _, stats = spot_sweep()
-    slo = evaluate_spot_slos(stats)
+    slo = stats["slo"]
     regimes = {
         name: {
             "on_miss_rate": cell["on"]["miss_rate"],
@@ -225,10 +226,10 @@ def collect_matrix_stats() -> dict:
     toward 1.0 like a kernel-median regression.
     """
     sys.path.insert(0, str(REPO / "src"))
-    from repro.experiments.exp_matrix import evaluate_matrix_slos, matrix_sweep
+    from repro.experiments.exp_matrix import matrix_sweep
 
     _, stats = matrix_sweep()
-    slo = evaluate_matrix_slos(stats)
+    slo = stats["slo"]
     grid = {
         f"{g['stack']}@{g['regime']}": {
             "miss_rate": g["miss_rate"],
@@ -377,17 +378,12 @@ def collect_dag_stats() -> dict:
     from repro.cloud import Cloud
     from repro.corpus import html_18mil_like
     from repro.dag import S3Backend, execute_dag, fanout_pipeline
-    from repro.experiments.exp_dag import (
-        DEADLINE,
-        DEFAULT_SEEDS,
-        SCALE,
-        dag_sweep,
-        evaluate_dag_slos,
-    )
+    from repro.experiments.exp_dag import DEADLINE, SCALE, dag_sweep
+    from repro.experiments.sweep import DEFAULT_SEEDS
     from repro.obs.ledger import capture_runs, get_run_ledger
 
     _, stats = dag_sweep()
-    slo = evaluate_dag_slos(stats)
+    slo = stats["slo"]
 
     record = None
     for _ in range(BEST_OF):

@@ -10,8 +10,8 @@ Usage::
                                                    # fault-injection sweep
     python -m repro.cli spot --regime eviction-storm --policy both
                                                    # spot-market sweep
-    python -m repro.cli sweep --seeds 6 --processes 4
-                                                   # same grid, all cores
+    python -m repro.cli chaos --seeds 6 --processes 4
+                                                   # same grid, four workers
     python -m repro.cli dag --backend s3 ebs --slo
                                                    # DAG backend comparison
     python -m repro.cli matrix --stack spot spot-lease --slo
@@ -20,7 +20,7 @@ Usage::
                                                    # traced demo run
     python -m repro.cli runs list                  # the persistent run ledger
     python -m repro.cli runs diff -2 -1            # compare the last two runs
-    python -m repro.cli runs slo                   # chaos SLO verdicts
+    python -m repro.cli runs slo --policy spot     # a campaign's SLO verdicts
 
 Any subcommand accepts ``--metrics`` to print the metrics table the run
 accumulated; ``trace`` additionally records spans and writes a Chrome
@@ -218,10 +218,36 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     return 0
 
 
+def _campaign_seeds(args: argparse.Namespace) -> tuple[int, ...] | None:
+    """Validate ``--seeds``/``--processes``; the seeds, or None when invalid."""
+    from repro.experiments.sweep import campaign_seeds
+
+    if args.seeds < 1:
+        _log.error("--seeds must be at least 1")
+        return None
+    if args.processes < 1:
+        _log.error("--processes must be at least 1")
+        return None
+    return campaign_seeds(args.seeds)
+
+
+def _print_slo_tables(group_name: str, reports: dict) -> bool:
+    """One SLO table per side, sides sorted; True when every side passes."""
+    from repro.obs.slo import render_slo_table
+
+    for side, report in sorted(reports.items()):
+        print(f"{group_name}={side}")
+        print(render_slo_table(report))
+        print()
+    return all(report.ok for report in reports.values())
+
+
 def cmd_chaos(args: argparse.Namespace) -> int:
     """``chaos`` subcommand: fault-scenario sweep, resilience on/off."""
     from repro.chaos import SCENARIOS
-    from repro.experiments.exp_chaos import DEFAULT_SEEDS, chaos_sweep
+    from repro.experiments.exp_chaos import chaos_sweep
+    from repro.obs import get_obs
+    from repro.obs.ledger import encode_metrics_dump
 
     names = list(SCENARIOS) if (args.all or not args.scenarios) else args.scenarios
     unknown = [n for n in names if n not in SCENARIOS]
@@ -229,18 +255,31 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         _log.error("unknown scenario(s): %s; shipped: %s",
                    ", ".join(unknown), ", ".join(sorted(SCENARIOS)))
         return 2
-    if args.seeds < 1:
-        _log.error("--seeds must be at least 1")
+    seeds = _campaign_seeds(args)
+    if seeds is None:
         return 2
     policies = {"on": (True,), "off": (False,),
                 "both": (True, False)}[args.policy]
-    seeds = tuple(DEFAULT_SEEDS[i % len(DEFAULT_SEEDS)] + 100 * (i // len(DEFAULT_SEEDS))
-                  for i in range(args.seeds))
-    fig, stats = chaos_sweep(names, seeds=seeds, policies=policies)
+    # --metrics-out needs a live registry even when --metrics wasn't given.
+    local_obs = None
+    if args.metrics_out and not get_obs().metrics.enabled:
+        local_obs = configure(trace=False)
+    try:
+        fig, stats = chaos_sweep(names, seeds=seeds, policies=policies,
+                                 processes=args.processes)
+        if args.metrics_out:
+            payload = {"schema_version": 1,
+                       "metrics": encode_metrics_dump(get_obs().metrics.dump())}
+            Path(args.metrics_out).write_text(
+                json.dumps(payload, sort_keys=True) + "\n", encoding="utf-8")
+            _log.info("wrote merged sweep metrics to %s", args.metrics_out)
+    finally:
+        if local_obs is not None:
+            disable()
     print(render_ascii(fig))
     print()
     for name in names:
-        row = stats[name]
+        row = stats["scenarios"][name]
         cells = " ".join(
             f"{p}: miss {row[p]['miss_rate']:.3f} "
             f"(${row[p]['mean_cost_usd']:.3f})"
@@ -252,14 +291,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 def cmd_spot(args: argparse.Namespace) -> int:
     """``spot`` subcommand: spot-provisioning sweep, fallback ladder on/off."""
     from repro.chaos import SPOT_REGIMES
-    from repro.experiments.exp_spot import (
-        BIDS,
-        DEFAULT_SEEDS,
-        SLACKS,
-        evaluate_spot_slos,
-        spot_sweep,
-    )
-    from repro.obs.slo import render_slo_table
+    from repro.experiments.exp_spot import BIDS, CAMPAIGN, SLACKS, spot_sweep
 
     names = (list(SPOT_REGIMES) if (args.all or not args.regimes)
              else args.regimes)
@@ -270,17 +302,14 @@ def cmd_spot(args: argparse.Namespace) -> int:
         _log.error("unknown regime(s): %s; shipped: %s",
                    ", ".join(unknown), ", ".join(sorted(SPOT_REGIMES)))
         return 2
-    if args.seeds < 1:
-        _log.error("--seeds must be at least 1")
+    seeds = _campaign_seeds(args)
+    if seeds is None:
         return 2
     if any(b <= 0 for b in bids) or any(s <= 0 for s in slacks):
         _log.error("--bids and --slacks must be positive")
         return 2
     policies = {"on": (True,), "off": (False,),
                 "both": (True, False)}[args.policy]
-    seeds = tuple(DEFAULT_SEEDS[i % len(DEFAULT_SEEDS)]
-                  + 100 * (i // len(DEFAULT_SEEDS))
-                  for i in range(args.seeds))
     fig, stats = spot_sweep(names, seeds=seeds, policies=policies,
                             bids=bids, slacks=slacks,
                             processes=args.processes)
@@ -296,78 +325,13 @@ def cmd_spot(args: argparse.Namespace) -> int:
         print(f"{name:>16}  {cells}")
     if args.slo:
         print()
-        for policy, report in sorted(evaluate_spot_slos(stats).items()):
-            print(f"policy={policy}")
-            print(render_slo_table(report))
-            print()
-    return 0
-
-
-def cmd_sweep(args: argparse.Namespace) -> int:
-    """``sweep`` subcommand: fan an experiment grid over worker processes."""
-    from repro.chaos import SCENARIOS
-    from repro.experiments.exp_chaos import DEFAULT_SEEDS, chaos_sweep
-
-    names = list(SCENARIOS) if (args.all or not args.scenarios) else args.scenarios
-    unknown = [n for n in names if n not in SCENARIOS]
-    if unknown:
-        _log.error("unknown scenario(s): %s; shipped: %s",
-                   ", ".join(unknown), ", ".join(sorted(SCENARIOS)))
-        return 2
-    if args.seeds < 1:
-        _log.error("--seeds must be at least 1")
-        return 2
-    if args.processes is not None and args.processes < 1:
-        _log.error("--processes must be at least 1 (omit it to use all cores)")
-        return 2
-    policies = {"on": (True,), "off": (False,),
-                "both": (True, False)}[args.policy]
-    seeds = tuple(DEFAULT_SEEDS[i % len(DEFAULT_SEEDS)] + 100 * (i // len(DEFAULT_SEEDS))
-                  for i in range(args.seeds))
-    from repro.obs import get_obs
-    from repro.obs.ledger import encode_metrics_dump
-
-    # --metrics-out needs a live registry even when --metrics wasn't given.
-    local_obs = None
-    if args.metrics_out and not get_obs().metrics.enabled:
-        local_obs = configure(trace=False)
-    try:
-        fig, stats = chaos_sweep(names, seeds=seeds, policies=policies,
-                                 processes=args.processes)
-        if args.metrics_out:
-            registry = get_obs().metrics
-            payload = {"schema_version": 1,
-                       "metrics": encode_metrics_dump(registry.dump())}
-            Path(args.metrics_out).write_text(
-                json.dumps(payload, sort_keys=True) + "\n", encoding="utf-8")
-            _log.info("wrote merged sweep metrics to %s", args.metrics_out)
-    finally:
-        if local_obs is not None:
-            disable()
-    print(render_ascii(fig))
-    print()
-    n_cells = len(names) * len(policies) * len(seeds)
-    print(f"{n_cells} cells "
-          f"({len(names)} scenarios x {len(policies)} policies x "
-          f"{len(seeds)} seeds)")
-    for name in names:
-        row = stats[name]
-        cells = " ".join(
-            f"{p}: miss {row[p]['miss_rate']:.3f} "
-            f"(${row[p]['mean_cost_usd']:.3f})"
-            for p in ("on", "off") if p in row)
-        print(f"{name:>16}  {cells}")
+        _print_slo_tables(CAMPAIGN.group_name, stats["slo"])
     return 0
 
 
 def cmd_dag(args: argparse.Namespace) -> int:
     """``dag`` subcommand: backend-comparison sweep over workflow DAGs."""
-    from repro.experiments.exp_dag import (
-        DEFAULT_SEEDS,
-        dag_sweep,
-        evaluate_dag_slos,
-    )
-    from repro.obs.slo import render_slo_table
+    from repro.experiments.exp_dag import CAMPAIGN, dag_sweep
 
     known_backends = ("local", "s3", "ebs")
     known_shapes = ("linear", "fanout")
@@ -380,12 +344,9 @@ def cmd_dag(args: argparse.Namespace) -> int:
                    ", ".join(unknown), ", ".join(known_backends),
                    ", ".join(known_shapes))
         return 2
-    if args.seeds < 1:
-        _log.error("--seeds must be at least 1")
+    seeds = _campaign_seeds(args)
+    if seeds is None:
         return 2
-    seeds = tuple(DEFAULT_SEEDS[i % len(DEFAULT_SEEDS)]
-                  + 100 * (i // len(DEFAULT_SEEDS))
-                  for i in range(args.seeds))
     fig, stats = dag_sweep(backends, shapes, seeds=seeds,
                            processes=args.processes)
     print(render_ascii(fig))
@@ -400,24 +361,19 @@ def cmd_dag(args: argparse.Namespace) -> int:
         print(f"{backend:>6}  {cells}{extra}")
     if args.slo:
         print()
-        for backend, report in sorted(evaluate_dag_slos(stats).items()):
-            print(f"backend={backend}")
-            print(render_slo_table(report))
-            print()
+        _print_slo_tables(CAMPAIGN.group_name, stats["slo"])
     return 0
 
 
 def cmd_matrix(args: argparse.Namespace) -> int:
     """``matrix`` subcommand: broker stack × shape × regime DAG sweep."""
     from repro.experiments.exp_matrix import (
-        DEFAULT_SEEDS,
+        CAMPAIGN,
         REGIMES,
         SHAPES,
         STACKS,
-        evaluate_matrix_slos,
         matrix_sweep,
     )
-    from repro.obs.slo import render_slo_table
 
     stacks = tuple(args.stacks) or STACKS
     shapes = tuple(args.shapes) or SHAPES
@@ -430,12 +386,9 @@ def cmd_matrix(args: argparse.Namespace) -> int:
                    "shapes: %s, regimes: %s", ", ".join(unknown),
                    ", ".join(STACKS), ", ".join(SHAPES), ", ".join(REGIMES))
         return 2
-    if args.seeds < 1:
-        _log.error("--seeds must be at least 1")
+    seeds = _campaign_seeds(args)
+    if seeds is None:
         return 2
-    seeds = tuple(DEFAULT_SEEDS[i % len(DEFAULT_SEEDS)]
-                  + 100 * (i // len(DEFAULT_SEEDS))
-                  for i in range(args.seeds))
     fig, stats = matrix_sweep(list(stacks), shapes=shapes, regimes=regimes,
                               seeds=seeds, processes=args.processes)
     print(render_ascii(fig))
@@ -446,10 +399,7 @@ def cmd_matrix(args: argparse.Namespace) -> int:
               f"(${agg['mean_cost_usd']:.3f}/run)")
     if args.slo:
         print()
-        for stack, report in sorted(evaluate_matrix_slos(stats).items()):
-            print(f"stack={stack}")
-            print(render_slo_table(report))
-            print()
+        _print_slo_tables(CAMPAIGN.group_name, stats["slo"])
     return 0
 
 
@@ -508,17 +458,16 @@ def cmd_runs_diff(args: argparse.Namespace) -> int:
 def cmd_runs_slo(args: argparse.Namespace) -> int:
     """``runs slo``: evaluate campaign SLOs over recorded sweep cells.
 
-    ``--policy`` names a registered campaign SLO policy — experiments
-    register theirs in :mod:`repro.experiments.registry`, so new
-    campaigns become judgeable here without touching the CLI.  An
-    unknown name exits 2 and lists what is registered.
+    ``--policy`` names a registered campaign — experiments register
+    theirs in :mod:`repro.experiments.registry`, so new campaigns become
+    judgeable here without touching the CLI.  An unknown name exits 2
+    and lists what is registered.
     """
     from repro.experiments.registry import (
         get_slo_policy,
         load_defaults,
         slo_policy_names,
     )
-    from repro.obs.slo import render_slo_table
 
     load_defaults()
     try:
@@ -527,31 +476,19 @@ def cmd_runs_slo(args: argparse.Namespace) -> int:
         _log.error("unknown SLO policy %r; registered: %s", args.policy,
                    ", ".join(slo_policy_names()))
         return 2
-    slos = entry.slos
-    group_key, group_name = entry.group_key, entry.group_name
-
     ledger = _ledger_for(args)
-    label_prefix = entry.label_prefix
-    records = [r for r in ledger.records(kind="sweep-cell",
-                                         label=args.label or None)
-               if r.get(group_key) is not None
-               and (label_prefix is None or args.label
-                    or r.label.startswith(label_prefix))]
-    if not records:
-        print(f"(no matching sweep-cell records under {ledger.root}; "
-              "run `repro chaos`, `repro sweep` or `repro dag` first)")
-        return 0
     sides: dict[str, list] = {}
-    for r in records:
-        sides.setdefault(str(r.get(group_key)), []).append(r)
-    failed = False
-    for side in sorted(sides):
-        report = slos.evaluate(sides[side])
-        print(f"{group_name}={side}")
-        print(render_slo_table(report))
-        print()
-        failed = failed or not report.ok
-    return 3 if args.strict and failed else 0
+    for r in ledger.records(kind="sweep-cell", label=args.label or None):
+        if r.get(entry.group_key) is not None and (
+                args.label or r.label.startswith(entry.label_prefix)):
+            sides.setdefault(str(r.get(entry.group_key)), []).append(r)
+    if not sides:
+        print(f"(no matching sweep-cell records under {ledger.root}; "
+              f"run `repro {entry.name}` first)")
+        return 0
+    ok = _print_slo_tables(entry.group_name, {
+        side: entry.slos.evaluate(sides[side]) for side in sorted(sides)})
+    return 3 if args.strict and not ok else 0
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
@@ -626,6 +563,11 @@ def main(argv: list[str] | None = None) -> int:
                       help="resilience policy side(s) to run (default: both)")
     p_ch.add_argument("--seeds", type=int, default=3, metavar="N",
                       help="number of campaign seeds to aggregate (default: 3)")
+    p_ch.add_argument("--processes", type=int, default=1, metavar="P",
+                      help="worker processes for the sweep grid "
+                           "(default: 1 = inline)")
+    p_ch.add_argument("--metrics-out", metavar="PATH", default=None,
+                      help="write the merged sweep metrics dump as JSON")
     p_ch.set_defaults(fn=cmd_chaos)
 
     p_sp = sub.add_parser(
@@ -655,24 +597,6 @@ def main(argv: list[str] | None = None) -> int:
     p_sp.add_argument("--slo", action="store_true",
                       help="print the per-policy SLO tables")
     p_sp.set_defaults(fn=cmd_spot)
-
-    p_sw = sub.add_parser(
-        "sweep", help="fan the chaos grid over worker processes")
-    p_sw.add_argument("--scenario", dest="scenarios", nargs="*", default=[],
-                      metavar="NAME",
-                      help="scenario names (default: all shipped scenarios)")
-    p_sw.add_argument("--all", action="store_true",
-                      help="sweep every shipped scenario")
-    p_sw.add_argument("--policy", choices=("on", "off", "both"),
-                      default="both",
-                      help="resilience policy side(s) to run (default: both)")
-    p_sw.add_argument("--seeds", type=int, default=3, metavar="N",
-                      help="number of campaign seeds to aggregate (default: 3)")
-    p_sw.add_argument("--processes", type=int, default=None, metavar="P",
-                      help="worker processes (default: all cores; 1 = inline)")
-    p_sw.add_argument("--metrics-out", metavar="PATH", default=None,
-                      help="write the merged sweep metrics dump as JSON")
-    p_sw.set_defaults(fn=cmd_sweep)
 
     p_dag = sub.add_parser(
         "dag", help="sweep workflow DAGs over data-sharing backends")
@@ -725,7 +649,7 @@ def main(argv: list[str] | None = None) -> int:
     p_rl = runs_sub.add_parser("list", help="list recorded runs")
     p_rl.add_argument("--kind", default=None, metavar="KIND",
                       help="only records of this kind (runner, columnar, "
-                           "dag, experiment, sweep-cell)")
+                           "dag, spot, matrix, experiment, sweep-cell)")
     p_rl.add_argument("--label", default=None, metavar="LABEL",
                       help="only records with this label")
     p_rl.set_defaults(fn=cmd_runs_list)
@@ -753,7 +677,7 @@ def main(argv: list[str] | None = None) -> int:
     p_rd.set_defaults(fn=cmd_runs_diff)
 
     p_rslo = runs_sub.add_parser(
-        "slo", help="evaluate chaos SLOs over recorded sweep cells")
+        "slo", help="evaluate a campaign's SLOs over recorded sweep cells")
     p_rslo.add_argument("--label", default=None, metavar="LABEL",
                         help="only records with this label")
     p_rslo.add_argument("--policy", default="chaos", metavar="NAME",
@@ -781,7 +705,7 @@ def main(argv: list[str] | None = None) -> int:
                       help="span category for --gantt (default: runner)")
     p_tr.set_defaults(fn=cmd_trace)
 
-    for p in (p_fig, p_ds, p_qs, p_fl, p_ch, p_sp, p_sw, p_dag, p_mx, p_tr):
+    for p in (p_fig, p_ds, p_qs, p_fl, p_ch, p_sp, p_dag, p_mx, p_tr):
         p.add_argument("--metrics", action="store_true",
                        help="print the metrics table after the run")
         p.add_argument("--runs-dir", default=".repro/runs", metavar="DIR",

@@ -33,9 +33,16 @@ from repro.chaos import FaultInjector, get_scenario
 from repro.cloud import Cloud, Workload
 from repro.core import StaticProvisioner, reshape
 from repro.corpus import text_400k_like
+from repro.experiments.registry import register_slo_policy
+from repro.experiments.sweep import (
+    DEFAULT_SEEDS,
+    Cell,
+    aggregate,
+    run_campaign,
+)
 from repro.obs import get_logger
-from repro.obs.ledger import RunRecord, get_run_ledger, record_experiment
-from repro.obs.slo import Objective, SloPolicy, SloReport, render_slo_table
+from repro.obs.ledger import record_experiment
+from repro.obs.slo import Objective, SloPolicy
 from repro.perfmodel.regression import fit_affine
 from repro.report.figures import FigureResult
 from repro.resilience import (
@@ -47,13 +54,9 @@ from repro.resilience import (
 from repro.runner import DynamicPolicy, execute_plan, execute_with_monitoring
 from repro.units import HOUR, KB, MB
 
-__all__ = ["run_cell", "chaos_sweep", "DEFAULT_SEEDS",
-           "CHAOS_SLOS", "evaluate_chaos_slos"]
+__all__ = ["run_cell", "chaos_sweep", "CHAOS_SLOS", "CAMPAIGN"]
 
 _log = get_logger("experiments.chaos")
-
-#: Campaign seeds the sweep aggregates over.
-DEFAULT_SEEDS: tuple[int, ...] = (11, 23, 47)
 
 #: User deadline and the tighter deadline the plan is packed against; the
 #: difference is the slack that absorbs boots, retries, and retrieval.
@@ -75,35 +78,12 @@ CHAOS_SLOS = SloPolicy("chaos-campaign", (
     Objective("mean-cost", "billing.cost_usd", "<=", 2.00, aggregate="mean"),
 ))
 
-
-def _cell_records(stats: dict) -> dict[str, list[RunRecord]]:
-    """Cell-level run records per policy side, in scenario-then-seed order."""
-    records: dict[str, list[RunRecord]] = {}
-    for name, per_policy in stats.items():
-        for policy, agg in per_policy.items():
-            for cell in agg["cells"]:
-                records.setdefault(policy, []).append(RunRecord(
-                    kind="sweep-cell",
-                    label=f"exp_chaos.{name}.{policy}",
-                    config={"scenario": name, "policy": policy,
-                            "seed": cell["seed"]},
-                    billing={"cost_usd": cell["cost_usd"]},
-                    deadline={"missed": cell["missed"],
-                              "failed": cell["failed"],
-                              "bins": cell["bins"],
-                              "miss_rate": cell["miss_rate"]},
-                    extra={"replaced": cell["replaced"],
-                           "retrieval_s": cell["retrieval_s"],
-                           "faults_injected": cell["faults_injected"]},
-                ))
-    return records
-
-
-def evaluate_chaos_slos(stats: dict, *,
-                        slos: SloPolicy = CHAOS_SLOS) -> dict[str, SloReport]:
-    """Evaluate the campaign SLOs per policy side over a sweep's stats."""
-    return {policy: slos.evaluate(records)
-            for policy, records in _cell_records(stats).items()}
+#: The campaign's declaration: one sweep-cell record per cell, judged per
+#: policy side; ``repro runs slo --policy chaos`` resolves it by name.
+CAMPAIGN = register_slo_policy(
+    "chaos", slos=CHAOS_SLOS, group_name="policy", label_prefix="exp_chaos.",
+    label=("scenario", "policy"), config=("scenario", "policy", "seed"),
+    extra=("replaced", "retrieval_s", "faults_injected"))
 
 
 def _workload() -> Workload:
@@ -243,9 +223,10 @@ def chaos_sweep(
 ) -> tuple[FigureResult, dict]:
     """Sweep scenarios × policies × seeds; aggregate miss rate and cost.
 
-    Returns ``(figure, stats)`` where ``stats[name]`` holds the
-    aggregated ``on``/``off`` rows (miss rate over all seeds' bins, mean
-    cost) plus the per-cell outcomes.
+    Returns ``(figure, stats)`` where ``stats["scenarios"][name]`` holds
+    the aggregated ``on``/``off`` rows (miss rate over all seeds' bins,
+    mean cost) plus the per-cell outcomes, and ``stats["slo"]`` the
+    campaign's :class:`~repro.obs.slo.SloReport` per policy side.
 
     Every cell is an independent ``(scenario, policy, seed)`` run, so the
     grid fans out over the :mod:`~repro.experiments.sweep` harness:
@@ -253,7 +234,6 @@ def chaos_sweep(
     Results are bit-identical either way — each cell seeds its own cloud.
     """
     from repro.chaos import SCENARIOS
-    from repro.experiments.sweep import Cell, run_sweep
 
     names = list(SCENARIOS) if names is None else names
     grid = [
@@ -264,35 +244,18 @@ def chaos_sweep(
         for resilience in policies
         for seed in seeds
     ]
-    from repro.obs import get_obs
+    by_tag, slo_reports = run_campaign(CAMPAIGN, grid, processes=processes)
 
-    registry = get_obs().metrics
-    result = run_sweep(grid, processes=processes,
-                       collect_metrics=registry.enabled,
-                       merge_into=registry if registry.enabled else None)
-    by_tag: dict = {}
-    for tag, row in zip(result.tags, result.rows):
-        by_tag.setdefault(tag, []).append(row)
-
-    stats: dict = {}
+    scenarios: dict = {}
     for name in names:
-        per_policy: dict = {}
-        for resilience in policies:
-            cells = by_tag[(name, resilience)]
-            bins = sum(c["bins"] for c in cells)
-            missed = sum(c["missed"] for c in cells)
-            per_policy["on" if resilience else "off"] = {
-                "miss_rate": round(missed / bins, 4) if bins else 0.0,
-                "missed": missed,
-                "bins": bins,
-                "mean_cost_usd": round(
-                    sum(c["cost_usd"] for c in cells) / len(cells), 4),
-                "cells": cells,
-            }
-        stats[name] = per_policy
+        per_policy = {"on" if resilience else "off":
+                      aggregate(by_tag[(name, resilience)])
+                      for resilience in policies}
+        scenarios[name] = per_policy
         row = {p: per_policy[p]["miss_rate"] for p in per_policy}
         _log.info("chaos %-16s miss %s", name,
                   " ".join(f"{p}={r:.3f}" for p, r in row.items()))
+    stats = {"scenarios": scenarios, "slo": slo_reports}
 
     fig = FigureResult(
         "Chaos", "deadline miss rate under injected faults: "
@@ -300,47 +263,30 @@ def chaos_sweep(
     for metric, key in (("miss rate", "miss_rate"),
                         ("mean cost (USD)", "mean_cost_usd")):
         for policy in ("on", "off"):
-            rows = [(n, stats[n][policy][key]) for n in names
-                    if policy in stats[n]]
+            rows = [(n, scenarios[n][policy][key]) for n in names
+                    if policy in scenarios[n]]
             if rows:
                 fig.add(f"{metric} [{policy}]",
                         [n for n, _ in rows], [float(v) for _, v in rows])
-    on_rates = [stats[n]["on"]["miss_rate"] for n in names
-                if "on" in stats[n]]
-    off_rates = [stats[n]["off"]["miss_rate"] for n in names
-                 if "off" in stats[n]]
+    on_rates = [scenarios[n]["on"]["miss_rate"] for n in names
+                if "on" in scenarios[n]]
+    off_rates = [scenarios[n]["off"]["miss_rate"] for n in names
+                 if "off" in scenarios[n]]
     if on_rates and off_rates:
         fig.note(f"resilience-on worst miss {max(on_rates):.3f}; "
                  f"resilience-off worst miss {max(off_rates):.3f} "
                  f"over {len(names)} scenarios x {len(seeds)} seeds")
 
-    # Flight recorder + SLOs: every cell becomes a ledger record, and the
-    # declared campaign objectives are judged per policy side — the
-    # experiment-level record carries the verdicts.
-    slo_reports = evaluate_chaos_slos(stats)
-    for report in slo_reports.values():
-        _log.info("%s", render_slo_table(report))
-    ledger = get_run_ledger()
-    if ledger is not None:
-        for records in _cell_records(stats).values():
-            for record in records:
-                ledger.append(record)
     record_experiment(
         "exp_chaos",
         config={"scenarios": names, "seeds": list(seeds),
                 "policies": ["on" if p else "off" for p in policies]},
         extra={
             "slo": {p: r.to_dict() for p, r in slo_reports.items()},
-            "worst_miss": {p: max((stats[n][p]["miss_rate"] for n in names
-                                   if p in stats[n]), default=0.0)
+            "worst_miss": {p: max((scenarios[n][p]["miss_rate"]
+                                   for n in names if p in scenarios[n]),
+                                  default=0.0)
                            for p in ("on", "off")},
         },
     )
     return fig, stats
-
-
-# CLI resolution: `repro runs slo --policy chaos` judges this campaign.
-from repro.experiments.registry import register_slo_policy  # noqa: E402
-
-register_slo_policy("chaos", slos=CHAOS_SLOS, group_key="config.policy",
-                    group_name="policy", label_prefix="exp_chaos.")

@@ -30,19 +30,17 @@ from repro.dag import (
     linear_pipeline,
 )
 from repro.dag.scheduler import DagScheduler
+from repro.experiments.registry import register_slo_policy
+from repro.experiments.sweep import DEFAULT_SEEDS, Cell, run_campaign
 from repro.obs import get_logger
-from repro.obs.ledger import RunRecord, get_run_ledger, record_experiment
-from repro.obs.slo import Objective, SloPolicy, SloReport, render_slo_table
+from repro.obs.ledger import record_experiment
+from repro.obs.slo import Objective, SloPolicy
 from repro.report.figures import FigureResult
 from repro.units import HOUR
 
-__all__ = ["run_cell", "dag_sweep", "DEFAULT_SEEDS",
-           "DAG_SLOS", "evaluate_dag_slos"]
+__all__ = ["run_cell", "dag_sweep", "DAG_SLOS", "CAMPAIGN"]
 
 _log = get_logger("experiments.dag")
-
-#: Campaign seeds the sweep aggregates over.
-DEFAULT_SEEDS: tuple[int, ...] = (11, 23, 47)
 
 #: User deadline for the whole workflow (apportioned per stage).
 DEADLINE = 6 * HOUR
@@ -57,6 +55,13 @@ DAG_SLOS = SloPolicy("dag-campaign", (
     Objective("miss-rate", "deadline", "<=", 0.10, aggregate="ratio",
               num="deadline.missed", den="deadline.bins"),
 ))
+
+#: The campaign's declaration: one sweep-cell record per concurrent cell,
+#: judged per backend (``repro runs slo --policy dag``).
+CAMPAIGN = register_slo_policy(
+    "dag", slos=DAG_SLOS, group_name="backend", label_prefix="exp_dag.",
+    label=("backend", "shape"), config=("backend", "shape", "seed", "mode"),
+    extra=("makespan_s", "transfer_s", "transfer_usd"), cost_key="total_usd")
 
 _BACKENDS = ("local", "s3", "ebs")
 _SHAPES = ("linear", "fanout")
@@ -110,34 +115,6 @@ def run_cell(backend: str = "local", shape: str = "linear", *,
     }
 
 
-def _cell_records(stats: dict) -> dict[str, list[RunRecord]]:
-    """Cell-level run records per backend, concurrent cells only."""
-    records: dict[str, list[RunRecord]] = {}
-    for cell in stats["cells"]:
-        if cell["mode"] != "concurrent":
-            continue
-        records.setdefault(cell["backend"], []).append(RunRecord(
-            kind="sweep-cell",
-            label=f"exp_dag.{cell['backend']}.{cell['shape']}",
-            config={"backend": cell["backend"], "shape": cell["shape"],
-                    "seed": cell["seed"], "mode": cell["mode"]},
-            billing={"cost_usd": cell["total_usd"]},
-            deadline={"missed": cell["missed"], "failed": cell["failed"],
-                      "bins": cell["bins"], "miss_rate": cell["miss_rate"]},
-            extra={"makespan_s": cell["makespan_s"],
-                   "transfer_s": cell["transfer_s"],
-                   "transfer_usd": cell["transfer_usd"]},
-        ))
-    return records
-
-
-def evaluate_dag_slos(stats: dict, *,
-                      slos: SloPolicy = DAG_SLOS) -> dict[str, SloReport]:
-    """Evaluate the workflow SLOs per backend over a sweep's stats."""
-    return {backend: slos.evaluate(records)
-            for backend, records in _cell_records(stats).items()}
-
-
 def dag_sweep(
     backends: tuple[str, ...] = _BACKENDS,
     shapes: tuple[str, ...] = _SHAPES,
@@ -149,15 +126,14 @@ def dag_sweep(
 
     Returns ``(figure, stats)``: ``stats["agg"][backend][shape]`` holds
     mean makespan/cost over the seeds, ``stats["speedup"]`` the
-    serial/concurrent makespan ratio per backend on the fan-out DAG, and
-    ``stats["cells"]`` every cell outcome.  Cells are independent seeded
-    runs, so the grid fans out over the :mod:`~repro.experiments.sweep`
-    harness (``processes=None`` uses every core; results are
-    bit-identical either way).
+    serial/concurrent makespan ratio per backend on the fan-out DAG,
+    ``stats["cells"]`` every cell outcome, and ``stats["slo"]`` the
+    campaign's :class:`~repro.obs.slo.SloReport` per backend, judged over
+    the concurrent cells.  Cells are independent seeded runs, so the
+    grid fans out over the :mod:`~repro.experiments.sweep` harness
+    (``processes=None`` uses every core; results are bit-identical
+    either way).
     """
-    from repro.experiments.sweep import Cell, run_sweep
-    from repro.obs import get_obs
-
     grid = [
         Cell("repro.experiments.exp_dag:run_cell",
              {"backend": backend, "shape": shape, "seed": seed,
@@ -169,13 +145,10 @@ def dag_sweep(
         for mode in (("concurrent", "serial") if shape == "fanout"
                      else ("concurrent",))
     ]
-    registry = get_obs().metrics
-    result = run_sweep(grid, processes=processes,
-                       collect_metrics=registry.enabled,
-                       merge_into=registry if registry.enabled else None)
-    by_tag: dict = {}
-    for tag, row in zip(result.tags, result.rows):
-        by_tag.setdefault(tag, []).append(row)
+    by_tag, slo_reports = run_campaign(
+        CAMPAIGN, grid, processes=processes,
+        judged=[(backend, shape, "concurrent")
+                for backend in backends for shape in shapes])
 
     def _mean(cells: list[dict], key: str) -> float:
         return sum(c[key] for c in cells) / len(cells)
@@ -205,7 +178,8 @@ def dag_sweep(
                            for s in shapes))
 
     stats = {"agg": agg, "speedup": speedup,
-             "cells": [row for rows in by_tag.values() for row in rows]}
+             "cells": [row for rows in by_tag.values() for row in rows],
+             "slo": slo_reports}
 
     fig = FigureResult(
         "DAG backends", "workflow cost/makespan by data-sharing backend "
@@ -219,14 +193,6 @@ def dag_sweep(
         fig.note("stage-concurrent vs serial on the fan-out DAG: "
                  + ", ".join(f"{b} {s:.2f}x" for b, s in speedup.items()))
 
-    slo_reports = evaluate_dag_slos(stats)
-    for report in slo_reports.values():
-        _log.info("%s", render_slo_table(report))
-    ledger = get_run_ledger()
-    if ledger is not None:
-        for records in _cell_records(stats).values():
-            for record in records:
-                ledger.append(record)
     record_experiment(
         "exp_dag",
         config={"backends": list(backends), "shapes": list(shapes),
@@ -239,10 +205,3 @@ def dag_sweep(
         },
     )
     return fig, stats
-
-
-# CLI resolution: `repro runs slo --policy dag` judges this campaign.
-from repro.experiments.registry import register_slo_policy  # noqa: E402
-
-register_slo_policy("dag", slos=DAG_SLOS, group_key="config.backend",
-                    group_name="backend")

@@ -33,16 +33,22 @@ from repro.cloud import Cloud
 from repro.corpus import html_18mil_like
 from repro.dag import S3Backend
 from repro.dag.scheduler import DagScheduler
-from repro.experiments.exp_chaos import DEFAULT_SEEDS
 from repro.experiments.exp_dag import DEADLINE, SCALE, _graph
+from repro.experiments.registry import register_slo_policy
+from repro.experiments.sweep import (
+    DEFAULT_SEEDS,
+    Cell,
+    aggregate,
+    run_campaign,
+)
 from repro.obs import get_logger
-from repro.obs.ledger import RunRecord, get_run_ledger, record_experiment
-from repro.obs.slo import Objective, SloPolicy, SloReport, render_slo_table
+from repro.obs.ledger import record_experiment
+from repro.obs.slo import Objective, SloPolicy
 from repro.report.figures import FigureResult
 from repro.vfs.memo import shared_in_sweep
 
-__all__ = ["run_cell", "matrix_sweep", "DEFAULT_SEEDS", "STACKS", "SHAPES",
-           "REGIMES", "MATRIX_SLOS", "evaluate_matrix_slos"]
+__all__ = ["run_cell", "matrix_sweep", "STACKS", "SHAPES", "REGIMES",
+           "MATRIX_SLOS", "CAMPAIGN"]
 
 _log = get_logger("experiments.matrix")
 
@@ -69,6 +75,16 @@ MATRIX_SLOS = SloPolicy("matrix-campaign", (
     Objective("cost-vs-on-demand", "extra.cost_ratio", "<=", 0.99,
               aggregate="mean"),
 ))
+
+#: The campaign's declaration: one sweep-cell record per cell, judged per
+#: broker stack (``repro runs slo --policy matrix``).
+CAMPAIGN = register_slo_policy(
+    "matrix", slos=MATRIX_SLOS, group_name="stack",
+    label_prefix="exp_matrix.", label=("stack", "regime"),
+    config=("stack", "shape", "regime", "seed"),
+    extra=("cost_ratio", "interruptions", "escalations", "pool_hits",
+           "faults_injected"),
+    cost_key="total_usd")
 
 
 @shared_in_sweep
@@ -122,54 +138,6 @@ def run_cell(stack: str = "fleet", shape: str = "linear",
     }
 
 
-def _aggregate(cells: list[dict]) -> dict:
-    """Miss rate over all cells' bins plus mean cost ratio."""
-    bins = sum(c["bins"] for c in cells)
-    missed = sum(c["missed"] for c in cells)
-    return {
-        "miss_rate": round(missed / bins, 4) if bins else 0.0,
-        "missed": missed,
-        "bins": bins,
-        "mean_cost_usd": round(
-            sum(c["total_usd"] for c in cells) / len(cells), 4),
-        "mean_cost_ratio": round(
-            sum(c["cost_ratio"] for c in cells) / len(cells), 4),
-        "cells": cells,
-    }
-
-
-def _cell_records(stats: dict) -> dict[str, list[RunRecord]]:
-    """Cell-level run records per broker stack."""
-    records: dict[str, list[RunRecord]] = {}
-    for stack, agg in stats["stacks"].items():
-        for cell in agg["cells"]:
-            records.setdefault(stack, []).append(RunRecord(
-                kind="sweep-cell",
-                label=f"exp_matrix.{stack}.{cell['regime']}",
-                config={"stack": stack, "shape": cell["shape"],
-                        "regime": cell["regime"], "seed": cell["seed"]},
-                billing={"cost_usd": cell["total_usd"]},
-                deadline={"missed": cell["missed"],
-                          "failed": cell["failed"],
-                          "bins": cell["bins"],
-                          "miss_rate": cell["miss_rate"]},
-                extra={"cost_ratio": cell["cost_ratio"],
-                       "interruptions": cell["interruptions"],
-                       "escalations": cell["escalations"],
-                       "pool_hits": cell["pool_hits"],
-                       "faults_injected": cell["faults_injected"]},
-            ))
-    return records
-
-
-def evaluate_matrix_slos(stats: dict, *,
-                         slos: SloPolicy = MATRIX_SLOS
-                         ) -> dict[str, SloReport]:
-    """Evaluate the campaign SLOs per broker stack over a sweep's stats."""
-    return {stack: slos.evaluate(records)
-            for stack, records in _cell_records(stats).items()}
-
-
 def matrix_sweep(
     stacks: list[str] | None = None,
     *,
@@ -182,14 +150,12 @@ def matrix_sweep(
 
     Returns ``(figure, stats)``.  ``stats["stacks"][name]`` aggregates
     one broker stack over every cell it ran; ``stats["grid"]`` holds one
-    row per (stack, regime) — the surface the figure plots.  Every cell
-    is an independent seeded run fanned out over the
-    :mod:`~repro.experiments.sweep` harness, bit-identical at any
+    row per (stack, regime) — the surface the figure plots;
+    ``stats["slo"]`` holds the campaign's :class:`~repro.obs.slo.SloReport`
+    per stack.  Every cell is an independent seeded run fanned out over
+    the :mod:`~repro.experiments.sweep` harness, bit-identical at any
     process count.
     """
-    from repro.experiments.sweep import Cell, run_sweep
-    from repro.obs import get_obs
-
     names = list(STACKS) if stacks is None else stacks
     grid = [Cell("repro.experiments.exp_matrix:run_cell",
                  {"stack": stack, "shape": shape, "regime_name": regime,
@@ -199,26 +165,20 @@ def matrix_sweep(
             for shape in shapes
             for regime in regimes
             for seed in seeds]
-    registry = get_obs().metrics
-    result = run_sweep(grid, processes=processes,
-                       collect_metrics=registry.enabled,
-                       merge_into=registry if registry.enabled else None)
-    by_tag: dict = {}
-    for tag, row in zip(result.tags, result.rows):
-        by_tag.setdefault(tag, []).append(row)
+    by_tag, slo_reports = run_campaign(CAMPAIGN, grid, processes=processes)
 
-    stats: dict = {"stacks": {}, "grid": []}
+    stats: dict = {"stacks": {}, "grid": [], "slo": slo_reports}
     for stack in names:
         cells = [row for (s, _), rows in by_tag.items() if s == stack
                  for row in rows]
         if not cells:
             continue
-        stats["stacks"][stack] = _aggregate(cells)
+        stats["stacks"][stack] = aggregate(cells, CAMPAIGN.cost_key)
         for regime in regimes:
             sub = by_tag.get((stack, regime))
             if not sub:
                 continue
-            agg = _aggregate(sub)
+            agg = aggregate(sub, CAMPAIGN.cost_key)
             stats["grid"].append({
                 "stack": stack, "regime": regime,
                 "miss_rate": agg["miss_rate"],
@@ -248,16 +208,6 @@ def matrix_sweep(
                  f"{len(regimes)} regimes x {len(shapes)} shapes x "
                  f"{len(seeds)} seeds")
 
-    # Flight recorder + SLOs: cells become ledger records; the declared
-    # objectives are judged per stack; the roll-up row is kind="matrix".
-    slo_reports = evaluate_matrix_slos(stats)
-    for report in slo_reports.values():
-        _log.info("%s", render_slo_table(report))
-    ledger = get_run_ledger()
-    if ledger is not None:
-        for records in _cell_records(stats).values():
-            for record in records:
-                ledger.append(record)
     record_experiment(
         "exp_matrix", kind="matrix",
         config={"stacks": names, "shapes": list(shapes),
@@ -273,10 +223,3 @@ def matrix_sweep(
         },
     )
     return fig, stats
-
-
-# CLI resolution: `repro runs slo --policy matrix` judges this campaign.
-from repro.experiments.registry import register_slo_policy  # noqa: E402
-
-register_slo_policy("matrix", slos=MATRIX_SLOS, group_key="config.stack",
-                    group_name="stack", label_prefix="exp_matrix.")

@@ -36,17 +36,24 @@ import dataclasses
 
 from repro.chaos import FaultInjector, get_spot_regime
 from repro.cloud import Cloud
-from repro.experiments.exp_chaos import DEFAULT_SEEDS, _campaign
+from repro.experiments.exp_chaos import _campaign
+from repro.experiments.registry import register_slo_policy
+from repro.experiments.sweep import (
+    DEFAULT_SEEDS,
+    Cell,
+    aggregate,
+    run_campaign,
+)
 from repro.obs import get_logger
-from repro.obs.ledger import RunRecord, get_run_ledger, record_experiment
-from repro.obs.slo import Objective, SloPolicy, SloReport, render_slo_table
+from repro.obs.ledger import record_experiment
+from repro.obs.slo import Objective, SloPolicy
 from repro.report.figures import FigureResult
 from repro.resilience import SpotFallbackPolicy
 from repro.runner import execute_plan, execute_plan_spot
 from repro.vfs.memo import shared_in_sweep
 
-__all__ = ["run_cell", "spot_sweep", "DEFAULT_SEEDS", "BIDS", "SLACKS",
-           "DEFAULT_BID", "DEFAULT_SLACK", "SPOT_SLOS", "evaluate_spot_slos"]
+__all__ = ["run_cell", "spot_sweep", "BIDS", "SLACKS", "DEFAULT_BID",
+           "DEFAULT_SLACK", "SPOT_SLOS", "CAMPAIGN"]
 
 _log = get_logger("experiments.spot")
 
@@ -76,6 +83,15 @@ SPOT_SLOS = SloPolicy("spot-campaign", (
     Objective("cost-vs-on-demand", "extra.cost_ratio", "<=", 0.90,
               aggregate="mean"),
 ))
+
+#: The campaign's declaration: one sweep-cell record per operating-point
+#: cell, judged per policy side (``repro runs slo --policy spot``).
+CAMPAIGN = register_slo_policy(
+    "spot", slos=SPOT_SLOS, group_name="policy", label_prefix="exp_spot.",
+    label=("regime", "policy"),
+    config=("regime", "policy", "seed", "bid", "slack"),
+    extra=("cost_ratio", "interruptions", "escalations", "rebids",
+           "faults_injected"))
 
 
 @shared_in_sweep
@@ -150,55 +166,6 @@ def run_cell(regime_name: str, *, resilience: bool = True,
     }
 
 
-def _aggregate(cells: list[dict]) -> dict:
-    """Miss rate over all cells' bins plus mean cost and cost ratio."""
-    bins = sum(c["bins"] for c in cells)
-    missed = sum(c["missed"] for c in cells)
-    return {
-        "miss_rate": round(missed / bins, 4) if bins else 0.0,
-        "missed": missed,
-        "bins": bins,
-        "mean_cost_usd": round(
-            sum(c["cost_usd"] for c in cells) / len(cells), 4),
-        "mean_cost_ratio": round(
-            sum(c["cost_ratio"] for c in cells) / len(cells), 4),
-        "cells": cells,
-    }
-
-
-def _cell_records(stats: dict) -> dict[str, list[RunRecord]]:
-    """Operating-point run records per policy side, regime-then-seed order."""
-    records: dict[str, list[RunRecord]] = {}
-    for name, per_policy in stats["regimes"].items():
-        for policy, agg in per_policy.items():
-            for cell in agg["cells"]:
-                records.setdefault(policy, []).append(RunRecord(
-                    kind="sweep-cell",
-                    label=f"exp_spot.{name}.{policy}",
-                    config={"regime": name, "policy": policy,
-                            "seed": cell["seed"], "bid": cell["bid"],
-                            "slack": cell["slack"]},
-                    billing={"cost_usd": cell["cost_usd"]},
-                    deadline={"missed": cell["missed"],
-                              "failed": cell["failed"],
-                              "bins": cell["bins"],
-                              "miss_rate": cell["miss_rate"]},
-                    extra={"cost_ratio": cell["cost_ratio"],
-                           "interruptions": cell["interruptions"],
-                           "escalations": cell["escalations"],
-                           "rebids": cell["rebids"],
-                           "faults_injected": cell["faults_injected"]},
-                ))
-    return records
-
-
-def evaluate_spot_slos(stats: dict, *,
-                       slos: SloPolicy = SPOT_SLOS) -> dict[str, SloReport]:
-    """Evaluate the campaign SLOs per policy side over a sweep's stats."""
-    return {policy: slos.evaluate(records)
-            for policy, records in _cell_records(stats).items()}
-
-
 def spot_sweep(
     regimes: list[str] | None = None,
     *,
@@ -215,14 +182,14 @@ def spot_sweep(
     slack) — the shipped configuration the SLOs judge; the naive side
     only runs there.  ``stats["grid"]`` holds one aggregated row per
     ``(regime, bid, slack)`` combination on the resilient side — the
-    sensitivity surface.
+    sensitivity surface.  ``stats["slo"]`` holds the campaign's
+    :class:`~repro.obs.slo.SloReport` per policy side.
 
     Every cell is an independent seeded run, so the grid fans out over
     the :mod:`~repro.experiments.sweep` harness exactly like the chaos
     sweep; results are bit-identical at any process count.
     """
     from repro.chaos import SPOT_REGIMES
-    from repro.experiments.sweep import Cell, run_sweep
 
     names = list(SPOT_REGIMES) if regimes is None else regimes
     bids = tuple(bids) if DEFAULT_BID in bids else tuple(bids) + (DEFAULT_BID,)
@@ -245,23 +212,18 @@ def spot_sweep(
                             {"regime_name": name, "resilience": True,
                              "bid": bid, "slack": slack, "seed": seed},
                             tag=(name, "on", bid, slack)))
-    from repro.obs import get_obs
+    by_tag, slo_reports = run_campaign(
+        CAMPAIGN, grid, processes=processes,
+        judged=[(name, policy, DEFAULT_BID, DEFAULT_SLACK)
+                for name in names for policy in ("on", "off")])
 
-    registry = get_obs().metrics
-    result = run_sweep(grid, processes=processes,
-                       collect_metrics=registry.enabled,
-                       merge_into=registry if registry.enabled else None)
-    by_tag: dict = {}
-    for tag, row in zip(result.tags, result.rows):
-        by_tag.setdefault(tag, []).append(row)
-
-    stats: dict = {"regimes": {}, "grid": []}
+    stats: dict = {"regimes": {}, "grid": [], "slo": slo_reports}
     for name in names:
         per_policy: dict = {}
         for policy in ("on", "off"):
             cells = by_tag.get((name, policy, DEFAULT_BID, DEFAULT_SLACK))
             if cells:
-                per_policy[policy] = _aggregate(cells)
+                per_policy[policy] = aggregate(cells)
         stats["regimes"][name] = per_policy
         row = {p: per_policy[p]["miss_rate"] for p in per_policy}
         _log.info("spot %-16s miss %s", name,
@@ -273,7 +235,7 @@ def spot_sweep(
                     cells = by_tag.get((name, "on", bid, slack))
                     if not cells:
                         continue
-                    agg = _aggregate(cells)
+                    agg = aggregate(cells)
                     stats["grid"].append({
                         "regime": name, "bid": bid, "slack": slack,
                         "miss_rate": agg["miss_rate"],
@@ -313,16 +275,6 @@ def spot_sweep(
                  f"naive-spot worst miss {max(off_rates):.3f} "
                  f"over {len(names)} regimes x {len(seeds)} seeds")
 
-    # Flight recorder + SLOs: operating-point cells become ledger
-    # records, and the declared objectives are judged per policy side.
-    slo_reports = evaluate_spot_slos(stats)
-    for report in slo_reports.values():
-        _log.info("%s", render_slo_table(report))
-    ledger = get_run_ledger()
-    if ledger is not None:
-        for records in _cell_records(stats).values():
-            for record in records:
-                ledger.append(record)
     record_experiment(
         "exp_spot",
         config={"regimes": names, "seeds": list(seeds),
@@ -337,10 +289,3 @@ def spot_sweep(
         },
     )
     return fig, stats
-
-
-# CLI resolution: `repro runs slo --policy spot` judges this campaign.
-from repro.experiments.registry import register_slo_policy  # noqa: E402
-
-register_slo_policy("spot", slos=SPOT_SLOS, group_key="config.policy",
-                    group_name="policy", label_prefix="exp_spot.")

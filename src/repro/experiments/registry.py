@@ -1,24 +1,28 @@
-"""SLO-policy registry: experiments register, the CLI resolves by name.
+"""Campaign registry: each campaign declares itself once, by name.
 
-``repro.cli runs slo --policy NAME`` used to hard-code an if/elif over
-the experiment modules; every new campaign meant editing the CLI.  Now
-each experiment module registers its declared SLO policy here at import
-time (at the bottom of the module, next to the policy it describes), and
-the CLI resolves names dynamically — an unknown name lists what *is*
-registered instead of silently defaulting.
+Every campaign sweep (chaos, spot, dag, matrix) registers one entry here
+at import time, next to the SLO policy it describes.  The entry is the
+campaign's one declaration: :func:`~repro.experiments.sweep.run_campaign`
+reads it to turn cell outcomes into ``kind="sweep-cell"`` ledger records
+and to judge them, and ``repro.cli runs slo --policy NAME`` reads it to
+find and judge those records again later — an unknown name lists what
+*is* registered instead of silently defaulting.
 
-An entry carries everything ``runs slo`` needs to group and judge a
-campaign's sweep-cell records:
+An entry carries:
 
 * ``slos`` — the :class:`~repro.obs.slo.SloPolicy` holding the declared
   objectives;
-* ``group_key`` — the record field the verdict tables group by
-  (``"config.policy"``, ``"config.backend"``, ``"config.stack"`` …);
-* ``group_name`` — how that group is titled in the rendered table;
-* ``label_prefix`` — when set, only sweep-cell records whose label
-  starts with it are considered (unless the user filtered by an explicit
-  ``--label``), so campaigns sharing a ledger don't judge each other's
-  cells.
+* ``group_name`` — the cell field that names a record's side (``policy``,
+  ``backend``, ``stack`` …); verdicts are judged per side, and records
+  carry it as ``config.<group_name>`` (:attr:`SloPolicyEntry.group_key`);
+* ``label_prefix`` and ``label`` — a record's label is the prefix
+  followed by the ``label`` cell fields joined with dots; ``runs slo``
+  considers only records whose label starts with the prefix (unless the
+  user filtered by an explicit ``--label``), so campaigns sharing a
+  ledger don't judge each other's cells;
+* ``config`` and ``extra`` — the cell fields a record copies into its
+  ``config`` and ``extra`` sections, and ``cost_key`` the cell field it
+  bills as ``billing.cost_usd``.
 """
 
 from __future__ import annotations
@@ -35,28 +39,38 @@ __all__ = ["SloPolicyEntry", "register_slo_policy", "get_slo_policy",
 
 @dataclass(frozen=True)
 class SloPolicyEntry:
-    """One named, CLI-resolvable campaign SLO policy."""
+    """One named campaign: its SLO policy and its sweep-cell record format."""
 
     name: str
     slos: "SloPolicy"
-    group_key: str
     group_name: str
-    label_prefix: str | None = None
+    label_prefix: str
+    label: tuple[str, ...]
+    config: tuple[str, ...]
+    extra: tuple[str, ...]
+    cost_key: str = "cost_usd"
+
+    @property
+    def group_key(self) -> str:
+        """The record field verdicts group by."""
+        return f"config.{self.group_name}"
 
 
 _REGISTRY: dict[str, SloPolicyEntry] = {}
 
 
-def register_slo_policy(name: str, *, slos: "SloPolicy", group_key: str,
-                        group_name: str,
-                        label_prefix: str | None = None) -> SloPolicyEntry:
-    """Register (or re-register) the SLO policy ``name`` resolves to.
+def register_slo_policy(name: str, *, slos: "SloPolicy", group_name: str,
+                        label_prefix: str, label: tuple[str, ...],
+                        config: tuple[str, ...], extra: tuple[str, ...],
+                        cost_key: str = "cost_usd") -> SloPolicyEntry:
+    """Register (or re-register) the campaign ``name`` resolves to.
 
     Re-registration replaces the entry — the common case is a module
     reload, and last-writer-wins keeps that harmless.
     """
-    entry = SloPolicyEntry(name=name, slos=slos, group_key=group_key,
-                           group_name=group_name, label_prefix=label_prefix)
+    entry = SloPolicyEntry(name=name, slos=slos, group_name=group_name,
+                           label_prefix=label_prefix, label=label,
+                           config=config, extra=extra, cost_key=cost_key)
     _REGISTRY[name] = entry
     return entry
 

@@ -36,20 +36,21 @@ class TestSweepAcceptance:
     @pytest.mark.chaos
     def test_resilience_on_holds_every_scenario(self, sweep):
         for name in SCENARIOS:
-            assert sweep[name]["on"]["miss_rate"] <= 0.10, name
+            assert sweep["scenarios"][name]["on"]["miss_rate"] <= 0.10, name
 
     @pytest.mark.chaos
     def test_resilience_off_breaks_somewhere(self, sweep):
-        worst = max(s["off"]["miss_rate"] for s in sweep.values())
+        worst = max(s["off"]["miss_rate"]
+                    for s in sweep["scenarios"].values())
         assert worst > 0.25
 
     @pytest.mark.chaos
     def test_off_policy_surfaces_failures_not_exceptions(self, sweep):
         # az-blackout without resilience: every bin fails (explicit
         # outcome), nothing raises out of the sweep
-        assert sweep["az-blackout"]["off"]["miss_rate"] == 1.0
-        assert sum(c["failed"]
-                   for c in sweep["az-blackout"]["on"]["cells"]) == 0
+        blackout = sweep["scenarios"]["az-blackout"]
+        assert blackout["off"]["miss_rate"] == 1.0
+        assert sum(c["failed"] for c in blackout["on"]["cells"]) == 0
 
 
 class TestChaosCli:

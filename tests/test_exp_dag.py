@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cli import main as cli_main
-from repro.experiments.exp_dag import dag_sweep, evaluate_dag_slos, run_cell
+from repro.experiments.exp_dag import dag_sweep, run_cell
 
 
 class TestRunCell:
@@ -35,7 +35,7 @@ class TestSweepAcceptance:
     @pytest.mark.chaos
     def test_slo_holds_for_every_backend(self, sweep):
         _, stats = sweep
-        reports = evaluate_dag_slos(stats)
+        reports = stats["slo"]
         assert set(reports) == {"local", "s3", "ebs"}
         for backend, report in reports.items():
             assert report.ok, backend

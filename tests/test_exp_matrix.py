@@ -11,7 +11,6 @@ from repro.cli import main as cli_main
 from repro.experiments.exp_matrix import (
     REGIMES,
     STACKS,
-    evaluate_matrix_slos,
     matrix_sweep,
     run_cell,
 )
@@ -48,7 +47,7 @@ class TestSweepAcceptance:
     @pytest.mark.chaos
     def test_spot_stacks_meet_slos_in_every_regime(self, sweep):
         _, stats = sweep
-        reports = evaluate_matrix_slos(stats)
+        reports = stats["slo"]
         assert set(reports) == set(STACKS)
         for stack in ("spot", "spot-lease"):
             assert reports[stack].ok, stack
@@ -60,7 +59,7 @@ class TestSweepAcceptance:
     @pytest.mark.chaos
     def test_fleet_control_fails_only_the_cost_objective(self, sweep):
         _, stats = sweep
-        report = evaluate_matrix_slos(stats)["fleet"]
+        report = stats["slo"]["fleet"]
         by_name = {r.objective.name: r.ok for r in report.results}
         assert by_name["miss-rate"]
         assert not by_name["cost-vs-on-demand"]    # ratio 1.0 > 0.99

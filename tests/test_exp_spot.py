@@ -4,11 +4,7 @@ import pytest
 
 from repro.chaos import SPOT_REGIMES
 from repro.cli import main as cli_main
-from repro.experiments.exp_spot import (
-    evaluate_spot_slos,
-    run_cell,
-    spot_sweep,
-)
+from repro.experiments.exp_spot import run_cell, spot_sweep
 
 
 class TestRunCellDeterminism:
@@ -54,7 +50,7 @@ class TestSweepAcceptance:
 
     @pytest.mark.chaos
     def test_slos_pass_on_fail_off(self, sweep):
-        reports = evaluate_spot_slos(sweep)
+        reports = sweep["slo"]
         assert reports["on"].ok
         assert not reports["off"].ok
         failed = {r.objective.name for r in reports["off"].results

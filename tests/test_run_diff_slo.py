@@ -187,14 +187,10 @@ class TestGateEdges:
 class TestChaosSlos:
     @pytest.fixture(scope="class")
     def slo_reports(self):
-        from repro.experiments.exp_chaos import evaluate_chaos_slos, run_cell
+        from repro.experiments.exp_chaos import chaos_sweep
 
-        cells = {policy: run_cell("slow-ebs", resilience=(policy == "on"),
-                                  seed=11)
-                 for policy in ("on", "off")}
-        stats = {"slow-ebs": {
-            policy: {"cells": [cell]} for policy, cell in cells.items()}}
-        return evaluate_chaos_slos(stats)
+        _, stats = chaos_sweep(["slow-ebs"], seeds=(11,))
+        return stats["slo"]
 
     def test_resilience_on_meets_slos(self, slo_reports):
         report = slo_reports["on"]
@@ -212,17 +208,13 @@ class TestChaosSlos:
 
     def test_cli_runs_slo_splits_policies(self, slo_reports, tmp_path,
                                           capsys):
-        from repro.experiments.exp_chaos import _cell_records, run_cell
+        from repro.experiments.exp_chaos import CAMPAIGN, run_cell
+        from repro.experiments.sweep import cell_record
 
-        cells = {policy: run_cell("slow-ebs", resilience=(policy == "on"),
-                                  seed=11)
-                 for policy in ("on", "off")}
-        stats = {"slow-ebs": {
-            policy: {"cells": [cell]} for policy, cell in cells.items()}}
         ledger = RunLedger(tmp_path)
-        for records in _cell_records(stats).values():
-            for rec in records:
-                ledger.append(rec)
+        for policy in ("on", "off"):
+            cell = run_cell("slow-ebs", resilience=(policy == "on"), seed=11)
+            ledger.append(cell_record(CAMPAIGN, cell))
         rc = cli_main(["runs", "slo", "--runs-dir", str(tmp_path),
                        "--strict"])
         out = capsys.readouterr().out
@@ -257,6 +249,7 @@ class TestSloPolicyRegistry:
         assert entry.group_key == "config.stack"
         assert entry.group_name == "stack"
         assert entry.label_prefix == "exp_matrix."
+        assert get_slo_policy("dag").label_prefix == "exp_dag."
 
     def test_register_is_last_writer_wins(self):
         from repro.experiments.registry import (
@@ -266,17 +259,104 @@ class TestSloPolicyRegistry:
         from repro.obs.slo import Objective, SloPolicy
 
         slos = SloPolicy("t", (Objective("o", "x", "<=", 1.0),))
-        register_slo_policy("_test", slos=slos, group_key="config.a",
-                            group_name="a")
-        replaced = register_slo_policy("_test", slos=slos,
-                                       group_key="config.b", group_name="b")
+        fields = {"label_prefix": "t.", "label": ("a",), "config": ("a",),
+                  "extra": ()}
+        register_slo_policy("_test", slos=slos, group_name="a", **fields)
+        replaced = register_slo_policy("_test", slos=slos, group_name="b",
+                                       **fields)
         assert get_slo_policy("_test") is replaced
         assert get_slo_policy("_test").group_key == "config.b"
+
+    @pytest.mark.parametrize("name", ["chaos", "spot", "dag", "matrix"])
+    def test_empty_ledger_names_the_campaign_subcommand(self, name, tmp_path,
+                                                       capsys):
+        assert cli_main(["runs", "slo", "--policy", name,
+                         "--runs-dir", str(tmp_path)]) == 0
+        assert f"run `repro {name}` first" in capsys.readouterr().out
 
     def test_cli_unknown_policy_exits_2(self, tmp_path):
         rc = cli_main(["runs", "slo", "--runs-dir", str(tmp_path),
                        "--policy", "bogus"])
         assert rc == 2
+
+
+def _slo_counters(registry) -> dict:
+    return {sid: v for sid, v in registry.snapshot()["counters"].items()
+            if sid.startswith("obs.slo.")}
+
+
+class TestSlosJudgedOnce:
+    """A sweep judges each side once; ``--slo`` and the perf-trajectory
+    collectors print or read those verdicts instead of judging again, so
+    the ``obs.slo.*`` counters do not double."""
+
+    COMMANDS = {
+        "dag": ["dag", "--backend", "local", "--shape", "linear"],
+        "spot": ["spot", "--regime", "calm", "--bids", "0.06",
+                 "--slacks", "1.0"],
+        "matrix": ["matrix", "--stack", "fleet", "--shape", "linear",
+                   "--regime", "calm"],
+    }
+
+    @staticmethod
+    def _cli_counters(argv, capsys) -> dict:
+        obs = configure(trace=False)
+        try:
+            assert cli_main(argv + ["--seeds", "1", "--no-ledger"]) == 0
+        finally:
+            disable()
+        capsys.readouterr()
+        return _slo_counters(obs.metrics)
+
+    @pytest.mark.parametrize("name", sorted(COMMANDS))
+    def test_slo_flag_leaves_counters_unchanged(self, name, capsys):
+        plain = self._cli_counters(self.COMMANDS[name], capsys)
+        assert plain
+        assert self._cli_counters(self.COMMANDS[name] + ["--slo"],
+                                  capsys) == plain
+
+    @pytest.mark.parametrize("name, sweep, kwargs", [
+        ("spot", "spot_sweep", {"regimes": ["calm"], "seeds": (11,),
+                                "bids": (0.06,), "slacks": (1.0,)}),
+        ("dag", "dag_sweep", {"backends": ("local",), "shapes": ("linear",),
+                              "seeds": (11,)}),
+        ("matrix", "matrix_sweep", {"stacks": ["fleet"],
+                                    "shapes": ("linear",),
+                                    "regimes": ("calm",), "seeds": (11,)}),
+    ])
+    def test_trajectory_collectors_judge_once(self, name, sweep, kwargs,
+                                              monkeypatch):
+        import importlib
+        import importlib.util
+        from pathlib import Path
+
+        module = importlib.import_module(f"repro.experiments.exp_{name}")
+        full_sweep = getattr(module, sweep)
+        evaluated, by_sweep = [], []
+
+        def small_sweep():
+            result = full_sweep(**kwargs)
+            by_sweep.append(len(evaluated))
+            return result
+
+        monkeypatch.setattr(module, sweep, small_sweep)
+        path = (Path(__file__).resolve().parents[1]
+                / "scripts" / "bench_packing_trajectory.py")
+        spec = importlib.util.spec_from_file_location("_bench_trajectory",
+                                                      path)
+        bench = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bench)
+        monkeypatch.setattr(bench, "BEST_OF", 1)
+        evaluate = SloPolicy.evaluate
+
+        def counting_evaluate(policy, records, **kw):
+            evaluated.append(policy.name)
+            return evaluate(policy, records, **kw)
+
+        monkeypatch.setattr(SloPolicy, "evaluate", counting_evaluate)
+        out = getattr(bench, f"collect_{name}_stats")()
+        assert by_sweep[0] > 0 and out["slo_ok"]
+        assert len(evaluated) == by_sweep[0]   # nothing judged twice
 
 
 class TestLedgerFixturesRestored:

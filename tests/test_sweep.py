@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments.sweep import Cell, fork_seeds, resolve, run_sweep
+from repro.experiments.sweep import Cell, campaign_seeds, resolve, run_sweep
 from repro.obs import MetricsRegistry, configure, disable, get_obs
 
 # Cells resolve their callables by "module:name" path, so the test cell
@@ -37,24 +37,17 @@ class TestResolve:
             resolve("tests.test_sweep:CELL")
 
 
-class TestForkSeeds:
-    def test_deterministic_and_distinct(self):
-        a = fork_seeds(7, 5)
-        assert a == fork_seeds(7, 5)
-        assert len(set(a)) == 5
-
-    def test_prefix_stable(self):
-        """Growing the grid never reseeds existing cells."""
-        assert fork_seeds(7, 8)[:3] == fork_seeds(7, 3)
-
-    def test_namespaced(self):
-        assert fork_seeds(7, 3, "a") != fork_seeds(7, 3, "b")
+class TestCampaignSeeds:
+    def test_default_seeds_then_shifted_rounds(self):
+        """Growing the seed count never reseeds existing cells."""
+        assert campaign_seeds(1) == (11,)
+        assert campaign_seeds(7) == (11, 23, 47, 111, 123, 147, 211)
 
 
 class TestRunSweep:
     def _cells(self, n=4):
         return [Cell(CELL, {"seed": s}, tag=f"s{s}")
-                for s in fork_seeds(0, n)]
+                for s in campaign_seeds(n)]
 
     def test_inline_results_in_input_order(self):
         cells = self._cells()
@@ -90,11 +83,20 @@ class TestRunSweep:
 
 
 class TestMetricsMerge:
+    """With the active registry enabled, each cell's dump merges into it."""
+
+    @staticmethod
+    def _merged(cells, processes):
+        obs = configure(trace=False)
+        try:
+            res = run_sweep(cells, processes=processes)
+        finally:
+            disable()
+        return res, obs.metrics
+
     def test_dumps_collected_and_merged(self):
-        registry = MetricsRegistry()
         cells = [Cell(CELL, {"seed": s}) for s in (1, 2, 3)]
-        res = run_sweep(cells, processes=1, collect_metrics=True,
-                        merge_into=registry)
+        res, registry = self._merged(cells, processes=1)
         assert len(res.metrics_dumps) == 3
         assert registry.value("sweep.test.cells") == 3
         hist = registry.histogram("sweep.test.value")
@@ -102,20 +104,9 @@ class TestMetricsMerge:
 
     def test_pool_merge_equals_inline_merge(self):
         cells = [Cell(CELL, {"seed": s}) for s in (1, 2, 3, 4)]
-        inline, pooled = MetricsRegistry(), MetricsRegistry()
-        run_sweep(cells, processes=1, collect_metrics=True, merge_into=inline)
-        run_sweep(cells, processes=2, collect_metrics=True, merge_into=pooled)
+        _, inline = self._merged(cells, processes=1)
+        _, pooled = self._merged(cells, processes=2)
         assert inline.snapshot() == pooled.snapshot()
-
-    def test_enabled_parent_registry_unpolluted_without_merge(self):
-        """collect_metrics isolates cell metrics; nothing leaks in."""
-        obs = configure(trace=False)
-        try:
-            run_sweep([Cell(CELL, {"seed": 5})], processes=1,
-                      collect_metrics=True)
-            assert obs.metrics.value("sweep.test.cells") == 0
-        finally:
-            disable()
 
     def test_no_collection_records_into_parent(self):
         obs = configure(trace=False)
@@ -134,10 +125,10 @@ class TestChaosSweepWiring:
 
         assert "processes" in inspect.signature(chaos_sweep).parameters
 
-    def test_cli_has_sweep_subcommand(self):
-        from repro.cli import cmd_sweep, main  # noqa: F401
+    def test_cli_chaos_validates_seeds(self):
+        from repro.cli import main
 
-        assert main(["sweep", "--seeds", "0"]) == 2  # validated, no run
+        assert main(["chaos", "--seeds", "0"]) == 2  # validated, no run
 
     def test_cli_sweep_metrics_out_writes_merged_dump(self, tmp_path):
         import json
@@ -146,7 +137,7 @@ class TestChaosSweepWiring:
         from repro.obs.ledger import decode_metrics_dump
 
         out = tmp_path / "metrics.json"
-        rc = main(["sweep", "--scenario", "slow-ebs", "--policy", "on",
+        rc = main(["chaos", "--scenario", "slow-ebs", "--policy", "on",
                    "--seeds", "1", "--processes", "1",
                    "--metrics-out", str(out),
                    "--runs-dir", str(tmp_path / "runs")])
