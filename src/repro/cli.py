@@ -43,7 +43,7 @@ from repro.obs.export import render_metrics_table, write_chrome_trace, write_jso
 from repro.obs.ledger import RunLedger, set_run_ledger
 from repro.report.figures import FigureResult, render_ascii
 
-__all__ = ["main", "FIGURES", "DEMOS"]
+__all__ = ["main", "build_parser", "FIGURES", "DEMOS"]
 
 _log = get_logger("cli")
 
@@ -190,6 +190,9 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     from repro.experiments.exp_fleet import run_shared_fleet, shared_vs_isolated
     from repro.report import render_trace_gantt
 
+    if args.campaigns < 1:
+        _log.error("--campaigns must be at least 1")
+        return 2
     obs = configure()   # fleet spans feed the per-tenant gantt
     try:
         if args.compare:
@@ -442,13 +445,17 @@ def cmd_runs_show(args: argparse.Namespace) -> int:
 
 def cmd_runs_diff(args: argparse.Namespace) -> int:
     """``runs diff A B``: structured comparison of two ledger records."""
-    from repro.obs.diff import diff_runs, render_diff_table
+    from repro.obs.diff import DiffError, diff_runs, render_diff_table
 
     ledger = _ledger_for(args)
     a = ledger.resolve(args.a)
     b = ledger.resolve(args.b)
-    diff = diff_runs(a, b, threshold=args.threshold,
-                     perf_threshold=args.perf_threshold)
+    try:
+        diff = diff_runs(a, b, threshold=args.threshold,
+                         perf_threshold=args.perf_threshold)
+    except DiffError as e:
+        _log.error("%s", e)
+        return 2
     print(render_diff_table(diff))
     if args.strict and (not diff.clean or diff.perf_regressions):
         return 3
@@ -520,9 +527,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
-    """Entry point; returns a process exit status."""
-    install()
+def build_parser() -> argparse.ArgumentParser:
+    """The ``repro`` argument parser, every subcommand included."""
     parser = argparse.ArgumentParser(
         prog="repro", description="Regenerate the paper's figures and demos.")
     sub = parser.add_subparsers(dest="command", required=True,
@@ -713,7 +719,13 @@ def main(argv: list[str] | None = None) -> int:
                             "(default: .repro/runs)")
         p.add_argument("--no-ledger", action="store_true",
                        help="do not append run records to the ledger")
+    return parser
 
+
+def main(argv: list[str] | None = None) -> int:
+    """Entry point; returns a process exit status."""
+    install()
+    parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:

@@ -87,7 +87,6 @@ class Campaign:
         use_adjusted_deadline: bool = False,
         miss_probability: float = 0.10,
         max_probe_rounds: int = 5,
-        refine_rounds: int = 0,
     ) -> CampaignResult:
         """Execute the full pipeline and return every intermediate artefact."""
         cloud = self.cloud
@@ -109,25 +108,6 @@ class Campaign:
             max_rounds=max_probe_rounds,
         )
         preferred = preferred_unit_size(protocol.probe_sets)
-
-        # Optional §5.1-style fine sampling around the coarse winner.
-        if refine_rounds > 0 and isinstance(preferred.label, int):
-            from repro.perfmodel.refine import refine_unit_size
-
-            final_ps = protocol.probe_sets[-1]
-            coarse = final_ps.ordered_unit_sizes()
-            if len(coarse) >= 2:
-                refined = refine_unit_size(
-                    probes, self.catalogue, final_ps.volume, coarse,
-                    rounds=refine_rounds,
-                )
-                if refined.best_mean < preferred.mean_time:
-                    preferred = PreferredUnit(
-                        label=refined.best_unit,
-                        mean_time=refined.best_mean,
-                        plateau=preferred.plateau,
-                        from_volume=final_ps.volume,
-                    )
 
         # A regression needs observations at several volumes; if the §4
         # protocol stabilised early, keep measuring the preferred variant

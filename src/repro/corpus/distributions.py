@@ -80,43 +80,3 @@ class LongTailSizeDistribution:
         out = sizes.copy()
         out[int(np.argmax(out))] = self.max_size
         return out
-
-    @classmethod
-    def fit(cls, sizes, *, tail_quantile: float = 0.95) -> "LongTailSizeDistribution":
-        """Estimate parameters from observed file sizes.
-
-        The paper "assume[s] knowledge of the distribution of the file
-        sizes in the input data set" (§1); this estimator supplies that
-        knowledge from a sample: the body below ``tail_quantile`` is fit
-        as a lognormal (log-space moments), the tail above it as a Pareto
-        (Hill-style estimator), and the mixture weight is the tail mass.
-        """
-        sizes = np.asarray(sizes, dtype=float)
-        if sizes.size < 10:
-            raise ValueError("need at least 10 observations to fit")
-        if np.any(sizes <= 0):
-            raise ValueError("sizes must be positive")
-        if not 0.5 < tail_quantile < 1.0:
-            raise ValueError("tail_quantile must be in (0.5, 1)")
-        cut = float(np.quantile(sizes, tail_quantile))
-        body = sizes[sizes <= cut]
-        tail = sizes[sizes > cut]
-        log_body = np.log(body)
-        body_median = float(np.exp(np.median(log_body)))
-        body_sigma = float(max(np.std(log_body, ddof=1), 1e-3))
-        if tail.size >= 3:
-            # Hill estimator for the Pareto shape above the cut.
-            shape = float(tail.size / np.sum(np.log(tail / cut)))
-            tail_weight = float(tail.size / sizes.size)
-            tail_scale = cut
-        else:
-            shape, tail_weight, tail_scale = 1.5, 0.0, cut
-        return cls(
-            body_median=body_median,
-            body_sigma=body_sigma,
-            tail_weight=tail_weight,
-            tail_shape=max(0.1, shape),
-            tail_scale=tail_scale,
-            min_size=int(max(1, sizes.min())),
-            max_size=int(sizes.max()),
-        )

@@ -12,8 +12,8 @@ same discipline about itself:
 * exporters — Chrome ``trace_event`` JSON (``chrome://tracing`` /
   Perfetto), JSONL event streams, and an ASCII metrics table matching
   the ``report`` module's style;
-* :mod:`~repro.obs.log` — a stdlib-``logging`` bridge so diagnostics
-  share the trace.
+* :mod:`~repro.obs.log` — the stdlib-``logging`` set-up every entry
+  point shares.
 
 Wiring
 ------
@@ -48,7 +48,7 @@ from repro.obs.export import (
     write_chrome_trace,
     write_jsonl,
 )
-from repro.obs.log import TracerHandler, bridge_to_tracer, get_logger, install
+from repro.obs.log import get_logger, install
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
     Counter,
@@ -66,7 +66,7 @@ __all__ = [
     "DEFAULT_BUCKETS",
     "chrome_trace_events", "to_chrome_trace", "write_chrome_trace",
     "iter_jsonl_lines", "write_jsonl", "render_metrics_table",
-    "get_logger", "install", "TracerHandler", "bridge_to_tracer",
+    "get_logger", "install",
     "RunRecord", "RunLedger", "LedgerError",
     "get_run_ledger", "set_run_ledger", "configure_run_ledger",
     "capture_runs", "record_experiment",

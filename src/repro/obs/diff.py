@@ -23,15 +23,21 @@ the check CI runs so the bench trajectory maintains itself.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isfinite
 from typing import Mapping
 
 from repro.obs.ledger import SCHEMA_CHANGES, RunRecord
 from repro.obs.metrics import series_key
 
 __all__ = [
-    "Delta", "RunDiff", "diff_runs", "render_diff_table",
+    "DiffError", "Delta", "RunDiff", "diff_runs", "render_diff_table",
     "GateViolation", "regression_gate", "render_gate_report",
 ]
+
+
+class DiffError(ValueError):
+    """A diff threshold that is negative or not a finite number."""
+
 
 #: Profile keys judged as perf (wall-clock flavoured) rather than
 #: deterministic; everything else in ``profile`` diffs strictly.
@@ -186,7 +192,16 @@ class RunDiff:
 
 def diff_runs(a: RunRecord, b: RunRecord, *, threshold: float = 0.05,
               perf_threshold: float = 0.15) -> RunDiff:
-    """Diff two records: deterministic drift strict, wall-clock loose."""
+    """Diff two records: deterministic drift strict, wall-clock loose.
+
+    Raises :class:`DiffError` for a negative or non-finite threshold
+    (every comparison with NaN is false, so it would hide every delta).
+    """
+    for name, value in (("threshold", threshold),
+                        ("perf_threshold", perf_threshold)):
+        if not (isfinite(value) and value >= 0):
+            raise DiffError(f"{name} must be a finite number >= 0, "
+                            f"got {value}")
     diff = RunDiff(a_id=a.run_id or "a", b_id=b.run_id or "b",
                    threshold=threshold, perf_threshold=perf_threshold)
     if a.schema_version != b.schema_version:

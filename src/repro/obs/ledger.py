@@ -48,7 +48,6 @@ from typing import Any, Iterator
 import numpy as np
 
 from repro.obs import get_obs
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 
 __all__ = [
@@ -240,21 +239,6 @@ class RunRecord:
     def metric_rows(self) -> list:
         """Decoded dump rows (merge-ready tuples)."""
         return decode_metrics_dump(self.metrics)
-
-    def metrics_registry(self) -> MetricsRegistry:
-        """A fresh registry holding this record's metrics."""
-        reg = MetricsRegistry()
-        reg.merge_dump(self.metric_rows())
-        return reg
-
-    def metric_value(self, name: str, **labels: Any) -> float:
-        """Counter/gauge value for a series (0.0 if absent)."""
-        want = tuple(sorted((str(k), _jsonable(v)) for k, v in labels.items()))
-        for rname, rlabels, kind, state in self.metric_rows():
-            if rname == name and tuple(sorted(rlabels)) == want \
-                    and kind != "histogram":
-                return state
-        return 0.0
 
     def get(self, path: str, default: Any = None) -> Any:
         """Dotted-path lookup into the record dict (``"billing.cost_usd"``)."""

@@ -1,27 +1,17 @@
-"""Stdlib-``logging`` bridge for the observability layer.
+"""Stdlib-``logging`` set-up for the observability layer.
 
 All repro code logs under the ``repro`` logger namespace via
 :func:`get_logger`; :func:`install` attaches one concise stderr handler
-(idempotent — safe to call from every entry point), and
-:class:`TracerHandler` mirrors log records into a tracer's structured
-event stream so a recorded trace carries the textual breadcrumbs too.
-
-This replaces the ad-hoc ``print(..., file=sys.stderr)`` calls that used
-to live in the CLI and experiment drivers: user-facing *results* still go
-to stdout, but diagnostics flow through here, where a trace run can
-capture them.
+(idempotent — safe to call from every entry point).  User-facing
+*results* go to stdout; diagnostics flow through here.
 """
 
 from __future__ import annotations
 
 import logging
 import sys
-from typing import Optional
 
-from repro.obs.trace import Tracer
-
-__all__ = ["ROOT_LOGGER", "get_logger", "install", "TracerHandler",
-           "bridge_to_tracer"]
+__all__ = ["ROOT_LOGGER", "get_logger", "install"]
 
 ROOT_LOGGER = "repro"
 
@@ -52,37 +42,3 @@ def install(level: int = logging.INFO,
     handler._repro_obs_handler = True  # type: ignore[attr-defined]
     root.addHandler(handler)
     return root
-
-
-class TracerHandler(logging.Handler):
-    """Mirror log records into a tracer as ``log.<level>`` instants."""
-
-    def __init__(self, tracer: Tracer, level: int = logging.INFO) -> None:
-        super().__init__(level)
-        self.tracer = tracer
-
-    def emit(self, record: logging.LogRecord) -> None:
-        """Record the log line as a structured instant on the log track."""
-        try:
-            self.tracer.instant(
-                f"log.{record.levelname.lower()}", cat="log", track="log",
-                logger=record.name, message=record.getMessage())
-        except Exception:  # pragma: no cover - never break the logged code
-            self.handleError(record)
-
-
-def bridge_to_tracer(tracer: Tracer,
-                     level: int = logging.INFO) -> Optional[TracerHandler]:
-    """Attach a :class:`TracerHandler` to the ``repro`` root logger.
-
-    Returns the handler (detach with ``logger.removeHandler``), or ``None``
-    for a disabled tracer.
-    """
-    if not tracer.enabled:
-        return None
-    root = get_logger()
-    if root.level == logging.NOTSET or root.level > level:
-        root.setLevel(level)
-    handler = TracerHandler(tracer, level)
-    root.addHandler(handler)
-    return handler

@@ -10,9 +10,10 @@ entirely.
 
 The registry is deliberately primitive: plain Python attributes, no locks,
 no background threads.  ``snapshot()`` returns nested plain dicts (JSON-
-ready); ``merge()`` folds another registry's snapshot in (counters and
-histograms add, gauges take the incoming value), which is what a sharded
-or multi-process campaign will need.
+ready); ``dump()`` and ``merge_dump()`` carry a registry across a process
+boundary and fold it into another (counters and histograms add, gauges
+take the incoming value), which is how the parallel sweeps merge their
+workers' metrics.
 
 Disabled fast path: a registry created with ``enabled=False`` hands out
 shared null instruments whose ``inc``/``set``/``observe`` are no-ops, so
@@ -249,34 +250,6 @@ class MetricsRegistry:
 
     # -- lifecycle --------------------------------------------------------
 
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold ``other`` in: counters/histograms add, gauges overwrite."""
-        for key, inst in other._series.items():
-            name = key[0]
-            kind = other._kinds[name]
-            mine = self._series.get(key)
-            if mine is None:
-                self._check(name, kind)
-                if kind == "histogram":
-                    mine = self._series[key] = Histogram(inst.bounds)
-                else:
-                    mine = self._series[key] = _KINDS[kind]()
-            elif self._kinds[name] != kind:
-                raise MetricsError(f"merge: {name!r} kind mismatch")
-            if kind == "counter":
-                mine.inc(inst.value)
-            elif kind == "gauge":
-                mine.set(inst.value)
-            else:
-                if mine.bounds != inst.bounds:
-                    raise MetricsError(f"merge: {name!r} bucket bounds differ")
-                for i, c in enumerate(inst.counts):
-                    mine.counts[i] += c
-                mine.count += inst.count
-                mine.total += inst.total
-                mine.vmin = min(mine.vmin, inst.vmin)
-                mine.vmax = max(mine.vmax, inst.vmax)
-
     def dump(self) -> list:
         """Picklable flat dump for cross-process merging.
 
@@ -297,7 +270,7 @@ class MetricsRegistry:
         return rows
 
     def merge_dump(self, rows: list) -> None:
-        """Fold a :meth:`dump` in (same semantics as :meth:`merge`).
+        """Fold a :meth:`dump` in: counters/histograms add, gauges overwrite.
 
         Accepts rows that round-tripped through JSON (the run ledger's
         encoding turns label tuples into lists), so label pairs are

@@ -8,7 +8,7 @@ A :class:`Tracer` records two kinds of facts:
   with :meth:`Tracer.add_span` (the plan runners compute per-instance
   elapsed times against a common start without advancing the shared
   clock, so their intervals are only known after the fact);
-* **instants** — point events (engine schedule/fire/cancel, billing
+* **instants** — point events (engine schedule/fire, billing
   ticks, crash detections) recorded with :meth:`Tracer.instant`.
 
 Time comes from a pluggable zero-argument ``clock``.  The cloud binds the
@@ -30,7 +30,7 @@ path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 __all__ = ["SpanRecord", "InstantRecord", "Span", "Tracer", "NULL_SPAN"]
 
@@ -190,35 +190,6 @@ class Tracer:
         self._raw_spans.append((name, cat, t0, t1, track,
                                 self._depths.get(track, 0), args))
 
-    def add_spans(self, name: str, t0s: Iterable[float], t1s: Iterable[float],
-                  cat: str = "", *, track: str = "main") -> int:
-        """Bulk :meth:`add_span`: one call records a whole column of
-        intervals (numpy arrays welcome) sharing a name/cat/track.
-
-        Returns how many were recorded; the remainder past ``max_records``
-        is counted in :attr:`dropped`.  Endpoint validation is vectorised
-        up front — either the whole batch is well-formed or nothing lands.
-        """
-        if not self.enabled:
-            return 0
-        rows = [(float(a), float(b)) for a, b in zip(t0s, t1s)]
-        for a, b in rows:
-            if b < a:
-                raise ValueError(
-                    f"span {name!r} ends before it starts: [{a}, {b}]")
-        room = self.max_records - self._count
-        if room <= 0:
-            self.dropped += len(rows)
-            return 0
-        kept = rows[:room]
-        self.dropped += len(rows) - len(kept)
-        depth = self._depths.get(track, 0)
-        append = self._raw_spans.append
-        for a, b in kept:
-            append((name, cat, a, b, track, depth, None))
-        self._count += len(kept)
-        return len(kept)
-
     def instant(self, name: str, cat: str = "", *, track: str = "main",
                 **args: Any) -> None:
         """Record a point event at the current clock reading."""
@@ -262,8 +233,7 @@ class Tracer:
         raw = self._raw_spans
         for i in range(len(cache), len(raw)):
             name, cat, t0, t1, track, depth, args = raw[i]
-            cache.append(SpanRecord(name, cat, t0, t1, track, depth,
-                                    args if args is not None else {}))
+            cache.append(SpanRecord(name, cat, t0, t1, track, depth, args))
         return cache
 
     def _materialized_instants(self) -> list[InstantRecord]:
@@ -271,8 +241,7 @@ class Tracer:
         raw = self._raw_instants
         for i in range(len(cache), len(raw)):
             name, cat, t, track, args = raw[i]
-            cache.append(InstantRecord(name, cat, t, track,
-                                       args if args is not None else {}))
+            cache.append(InstantRecord(name, cat, t, track, args))
         return cache
 
     @property
@@ -311,13 +280,3 @@ class Tracer:
     def spans_named(self, name: str) -> list[SpanRecord]:
         """All finished spans with this exact name."""
         return [s for s in self._materialized_spans() if s.name == name]
-
-    def reset(self) -> None:
-        """Drop every record (the clock binding survives)."""
-        self._raw_spans.clear()
-        self._raw_instants.clear()
-        self._span_cache.clear()
-        self._instant_cache.clear()
-        self._count = 0
-        self._depths.clear()
-        self.dropped = 0

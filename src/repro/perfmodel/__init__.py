@@ -40,10 +40,9 @@ from repro.perfmodel.regression import (
 from repro.perfmodel.analytical import AnalyticalStreamModel, calibrate_stream_model
 from repro.perfmodel.history import HistoricalPredictor, RunHistory, RunRecord
 from repro.perfmodel.quality import QualityTracker
-from repro.perfmodel.refine import RefinementResult, refine_unit_size
 from repro.perfmodel.sampling import collect_sample_points, refit_with_samples
 from repro.perfmodel.selection import PreferredUnit, preferred_unit_size
-from repro.perfmodel.weighted import variance_weighted_fit, volume_weighted_fit
+from repro.perfmodel.weighted import volume_weighted_fit
 
 __all__ = [
     "Measurement",
@@ -71,12 +70,9 @@ __all__ = [
     "preferred_unit_size",
     "QualityTracker",
     "volume_weighted_fit",
-    "variance_weighted_fit",
     "AnalyticalStreamModel",
     "calibrate_stream_model",
     "HistoricalPredictor",
     "RunHistory",
     "RunRecord",
-    "RefinementResult",
-    "refine_unit_size",
 ]

@@ -23,7 +23,7 @@ from repro.cloud.ebs import EbsVolume
 from repro.cloud.instance import Instance
 from repro.cloud.service import ExecutionService, Workload
 from repro.perfmodel.probes import build_probe_set
-from repro.perfmodel.regression import AffinePredictor, FitError
+from repro.perfmodel.regression import FitError
 from repro.vfs.files import Catalogue
 
 __all__ = ["AnalyticalStreamModel", "calibrate_stream_model"]
@@ -48,19 +48,6 @@ class AnalyticalStreamModel:
         if volume < 0 or n_files < 0:
             raise FitError("volume and file count must be non-negative")
         return self.setup + n_files * self.per_file + volume / self.bandwidth
-
-    def as_predictor(self, unit_size: int) -> AffinePredictor:
-        """Affine view at a fixed unit file size (files = volume / unit)."""
-        if unit_size <= 0:
-            raise FitError("unit size must be positive")
-        p = AffinePredictor(a=self.setup,
-                            b=1.0 / self.bandwidth + self.per_file / unit_size)
-        import numpy as np
-
-        p.x = np.array([float(unit_size)])
-        p.y = np.array([self.predict(unit_size, 1)])
-        p.name = "analytical"
-        return p
 
 
 def calibrate_stream_model(

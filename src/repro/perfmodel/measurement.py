@@ -76,7 +76,3 @@ class ProbeSetResult:
         """Variant with the minimal mean time."""
         label = min(self.variants, key=lambda k: self.variants[k].mean)
         return label, self.variants[label]
-
-    def ordered_unit_sizes(self) -> list[int]:
-        """The numeric variant labels, ascending."""
-        return sorted(k for k in self.variants if isinstance(k, int))

@@ -5,25 +5,17 @@ data volumes, we can build a performance model using weighted curve
 fitting demanding closer fits in the large data volume range and allowing
 for looser fits in the small data volume range."
 
-Two weighting schemes are provided:
-
-* :func:`volume_weighted_fit` — weights ``(x/x_max)**power``, trusting
-  large volumes more simply because they are large;
-* :func:`variance_weighted_fit` — inverse-variance weights from repeated
-  measurements, the statistically-motivated version (small probes get the
-  large σ they earned in Fig. 3).
+:func:`volume_weighted_fit` weights each point by ``(x/x_max)**power``,
+trusting large volumes more simply because they are large.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
-from repro.perfmodel.measurement import Measurement
 from repro.perfmodel.regression import AffinePredictor, FitError, fit_affine
 
-__all__ = ["volume_weighted_fit", "variance_weighted_fit"]
+__all__ = ["volume_weighted_fit"]
 
 
 def volume_weighted_fit(x, y, *, power: float = 1.0) -> AffinePredictor:
@@ -35,24 +27,3 @@ def volume_weighted_fit(x, y, *, power: float = 1.0) -> AffinePredictor:
         raise FitError("volume weighting requires positive volumes")
     w = (x / x.max()) ** power
     return fit_affine(x, y, weights=w)
-
-
-def variance_weighted_fit(
-    points: Sequence[tuple[float, Measurement]],
-    *,
-    floor_cv: float = 0.01,
-) -> AffinePredictor:
-    """Affine fit of measurement means, weighted by 1/σ².
-
-    ``floor_cv`` bounds the weight of suspiciously-quiet measurements (a
-    single-repeat probe has σ = 0, which would otherwise dominate).
-    """
-    if len(points) < 2:
-        raise FitError("need at least two measurements")
-    xs = np.array([p[0] for p in points], dtype=float)
-    ys = np.array([p[1].mean for p in points], dtype=float)
-    sigmas = np.array(
-        [max(p[1].std, floor_cv * max(p[1].mean, 1e-12)) for p in points],
-        dtype=float,
-    )
-    return fit_affine(xs, ys, weights=1.0 / sigmas**2)

@@ -45,42 +45,6 @@ class FigureResult:
         """Attach a free-form annotation."""
         self.notes.append(text)
 
-    # -- serialisation ---------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        """JSON-ready representation of the figure."""
-        return {
-            "fig_id": self.fig_id,
-            "title": self.title,
-            "series": [
-                {"label": s.label, "x": list(s.x), "y": list(s.y),
-                 "yerr": list(s.yerr) if s.yerr is not None else None}
-                for s in self.series
-            ],
-            "notes": list(self.notes),
-        }
-
-    def save(self, path) -> None:
-        """Write the figure's data as JSON (for external plotting)."""
-        import json
-        from pathlib import Path
-
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2),
-                              encoding="utf-8")
-
-    @classmethod
-    def load(cls, path) -> "FigureResult":
-        import json
-        from pathlib import Path
-
-        d = json.loads(Path(path).read_text(encoding="utf-8"))
-        fig = cls(d["fig_id"], d["title"])
-        for s in d["series"]:
-            fig.add(s["label"], s["x"], s["y"], yerr=s["yerr"])
-        for n in d["notes"]:
-            fig.note(n)
-        return fig
-
 
 def _fmt(v) -> str:
     if isinstance(v, float):

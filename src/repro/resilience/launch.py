@@ -16,10 +16,11 @@ acquisition-failure defences real EC2 campaigns need:
   PENDING instance is never billed), and replaced by a fresh attempt;
   the p99 wait is paid once per hang.
 
-:func:`launch_fleet` is the shared front door all three runners use for
-their initial fleet, and :func:`acquire_replacement` is the one
-implementation of replacement acquisition + penalty timing that the
-dynamic and fault-tolerant runners previously each hand-rolled.
+Runners acquire their fleets through the :mod:`repro.capacity` brokers;
+:func:`acquire_replacement` is the one implementation of replacement
+acquisition + penalty timing behind them.  :func:`launch_fleet` launches
+a whole fleet directly; only the seed-runner oracle in
+``tests/reference_runners.py`` still calls it.
 """
 
 from __future__ import annotations

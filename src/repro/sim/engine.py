@@ -3,11 +3,10 @@
 The EC2 simulator (:mod:`repro.cloud`) and the plan runner
 (:mod:`repro.runner`) are built on this engine.  It fires events in exact
 ``(time, sequence)`` order — events scheduled at the same simulated time
-fire in scheduling order — with a monotonic clock and a cancellation
-facility.  The queue is one binary heap of ``(time, seq, event)`` tuples:
-O(log n) per operation, and every workload in this repository keeps at
-most a few dozen events pending, where the heap has the lowest constant
-factor (``tests/test_sim_engine_differential.py`` holds it to a naive
+fire in scheduling order — with a monotonic clock.  The queue is one
+binary heap of ``(time, seq, event)`` tuples: O(log n) per operation, and
+every workload in this repository keeps at most a few dozen events
+pending, where the heap has the lowest constant factor (``tests/test_sim_engine_differential.py`` holds it to a naive
 sorted-list reference with a hypothesis program generator).
 
 Hot-path design (the "million events/sec" contract):
@@ -18,10 +17,7 @@ Hot-path design (the "million events/sec" contract):
 * :meth:`SimulationEngine.schedule_batch` amortises validation and tracer
   checks over a whole batch of events;
 * the no-tracer ``run`` loop is a dedicated fast path with zero tracer
-  branches per event;
-* cancelled entries are *compacted* out of the heap once they exceed
-  half of the stored population, so cancel-heavy workloads (hedged
-  launches, straggler replacement) cannot bloat peeks and pops.
+  branches per event.
 
 Determinism contract
 --------------------
@@ -44,12 +40,8 @@ __all__ = ["Event", "SimulationEngine", "SimulationError"]
 
 
 class SimulationError(RuntimeError):
-    """Raised for scheduling in the past or at a non-finite time, counter
-    corruption, or a runaway simulation."""
-
-
-#: Never compact below this many stored entries (compaction is O(n)).
-_COMPACT_MIN = 64
+    """Raised for scheduling in the past or at a non-finite time, or for a
+    runaway simulation."""
 
 
 class Event:
@@ -63,51 +55,18 @@ class Event:
         Zero-argument callable invoked when the event fires.
     label:
         Human-readable tag used in traces and error messages.
-    cancelled:
-        True once :meth:`cancel` ran; the engine skips the event.
     """
 
-    __slots__ = ("time", "callback", "label", "cancelled",
-                 "_engine", "_consumed", "_tracked")
+    __slots__ = ("time", "callback", "label")
 
     def __init__(self, time: float, callback: Callable[[], None],
-                 label: str = "", cancelled: bool = False,
-                 _engine: "SimulationEngine | None" = None,
-                 _consumed: bool = False, _tracked: bool = False) -> None:
+                 label: str = "") -> None:
         self.time = time
         self.callback = callback
         self.label = label
-        self.cancelled = cancelled
-        #: Owning engine (None for a hand-built, never-scheduled event).
-        self._engine = _engine
-        #: True once the event fired (cancel after firing is a no-op).
-        self._consumed = _consumed
-        #: True only while the engine's live ``pending`` counter includes
-        #: this event (set on schedule, cleared on fire and on first
-        #: cancel).  The counter is only ever decremented through this
-        #: flag, so a cancel that races a drained ``run`` — or a cancel of
-        #: a hand-built Event that was never scheduled — cannot drive
-        #: ``pending`` negative.
-        self._tracked = _tracked
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = "cancelled" if self.cancelled else (
-            "fired" if self._consumed else "pending")
-        return f"Event(t={self.time}, label={self.label!r}, {state})"
-
-    def cancel(self) -> None:
-        """Mark the event so the engine skips it when popped.
-
-        Idempotent: repeated cancels (and cancels after the event fired,
-        or after the engine drained) leave the pending count untouched.
-        """
-        if self.cancelled or self._consumed:
-            return
-        self.cancelled = True
-        eng = self._engine
-        if eng is not None and self._tracked:
-            self._tracked = False
-            eng._note_cancel(self)
+        return f"Event(t={self.time}, label={self.label!r})"
 
 
 class SimulationEngine:
@@ -122,22 +81,20 @@ class SimulationEngine:
         selects the branch-free fast path.
 
     With an enabled ``tracer``, the engine keeps a structured event log:
-    ``sim.engine.schedule`` / ``sim.engine.fire`` / ``sim.engine.cancel``
-    instants carry each event's label, and every ``run`` that advances the
-    clock records a ``sim.engine.run`` span on simulated time.  With no
-    tracer (the default) the hot loop contains no tracer branches at all.
+    ``sim.engine.schedule`` / ``sim.engine.fire`` instants carry each
+    event's label, and every ``run`` that advances the clock records a
+    ``sim.engine.run`` span on simulated time.  With no tracer (the
+    default) the hot loop contains no tracer branches at all.
     """
 
     def __init__(self, max_events: int = 10_000_000,
                  tracer: "Tracer | None" = None) -> None:
-        # (time, seq, Event) tuples, cancelled entries included until
-        # popped or compacted.  Only ever mutated in place, so the run
-        # loop may hold a reference across callbacks.
+        # (time, seq, Event) tuples.  Only ever mutated in place, so the
+        # run loop may hold a reference across callbacks.
         self._heap: list[tuple[float, int, Event]] = []
         self._seq = 0
         self._now = 0.0
         self._fired = 0
-        self._pending = 0
         self.max_events = max_events
         self._tracer = tracer if (tracer is not None and tracer.enabled) else None
 
@@ -169,9 +126,8 @@ class SimulationEngine:
         """Schedule ``callback`` at absolute simulated time ``time``."""
         if not self._now <= time < inf:   # also false for NaN
             raise self._reject(time, label or "event")
-        ev = Event(time, callback, label, False, self, False, True)
+        ev = Event(time, callback, label)
         self._insert(time, ev)
-        self._pending += 1
         if self._tracer is not None:
             self._tracer.instant("sim.engine.schedule", cat="sim",
                                  track="sim", label=label, t=time)
@@ -220,11 +176,9 @@ class SimulationEngine:
         for i in range(n):
             t = times[i]
             ev = Event(t, callbacks if one_cb else callbacks[i],
-                       labels if one_label else labels[i],
-                       False, self, False, True)
+                       labels if one_label else labels[i])
             insert(t, ev)
             append(ev)
-        self._pending += n
         tracer = self._tracer
         if tracer is not None:
             for ev in events:
@@ -237,47 +191,11 @@ class SimulationEngine:
         self._seq = seq + 1
         heapq.heappush(self._heap, (time, seq, ev))
 
-    def _peek_entry(self) -> tuple[float, int, Event] | None:
-        """The next live entry, still on the heap (cancelled ones are
-        dropped)."""
-        heap = self._heap
-        while heap:
-            entry = heap[0]
-            if not entry[2].cancelled:
-                return entry
-            heapq.heappop(heap)
-        return None
-
-    # -- cancellation bookkeeping ----------------------------------------
-
-    def _note_cancel(self, ev: Event) -> None:
-        """First cancel of a tracked event: counter + compaction + trace."""
-        self._pending -= 1
-        if self._pending < 0:
-            self._pending = 0
-            raise SimulationError(
-                f"pending counter underflow cancelling {ev.label or 'event'}")
-        if self._tracer is not None:
-            self._tracer.instant("sim.engine.cancel", cat="sim",
-                                 track="sim", label=ev.label, t=ev.time)
-        # Compaction: cancelled entries linger in the heap until popped,
-        # so a cancel-heavy workload (hedged launches, straggler
-        # replacement) would otherwise bloat every peek and pop.  Once
-        # they exceed half the stored population, rebuild without them.
-        heap = self._heap
-        stored = len(heap)
-        if stored - self._pending > (stored >> 1) and stored > _COMPACT_MIN:
-            heap[:] = [e for e in heap if not e[2].cancelled]
-            heapq.heapify(heap)
-
     # -- execution -------------------------------------------------------
 
     def _fire(self, entry: tuple[float, int, Event]) -> Event:
-        """Consume one live entry (already popped off the heap)."""
+        """Consume one entry (already popped off the heap)."""
         ev = entry[2]
-        ev._consumed = True
-        ev._tracked = False
-        self._pending -= 1
         self._now = entry[0]
         self._fired += 1
         if self._fired > self.max_events:
@@ -290,11 +208,9 @@ class SimulationEngine:
 
     def step(self) -> Optional[Event]:
         """Fire the next pending event; return it, or ``None`` if drained."""
-        entry = self._peek_entry()
-        if entry is None:
+        if not self._heap:
             return None
-        heapq.heappop(self._heap)
-        return self._fire(entry)
+        return self._fire(heapq.heappop(self._heap))
 
     def run(self, until: float | None = None) -> float:
         """Fire events until the heap drains (or ``until`` passes).
@@ -315,44 +231,21 @@ class SimulationEngine:
                                       fired=self._fired - fired_before)
 
     def _run_fast(self, until: float | None) -> float:
-        """The hot loop: peek / bound-check / fire, nothing else."""
-        peek = self._peek_entry
+        """The hot loop: bound-check / pop / fire, nothing else."""
         pop = heapq.heappop
         heap = self._heap
         fire = self._fire
         if until is None:
-            while True:
-                entry = peek()
-                if entry is None:
-                    return self._now
-                pop(heap)
-                fire(entry)
-        while True:
-            entry = peek()
-            if entry is None or entry[0] > until:
-                break
-            pop(heap)
-            fire(entry)
+            while heap:
+                fire(pop(heap))
+            return self._now
+        while heap and heap[0][0] <= until:
+            fire(pop(heap))
         if until > self._now:
             self._now = until
         return self._now
 
     @property
     def pending(self) -> int:
-        """Number of not-yet-fired, not-cancelled events.
-
-        Maintained as a live counter (incremented on schedule, decremented
-        on fire and on first cancel) so runners polling it per event stay
-        O(1) instead of rescanning the heap.
-        """
-        return self._pending
-
-    @property
-    def stored_entries(self) -> int:
-        """Entries physically held by the heap, cancelled included.
-
-        The compaction guarantee is ``stored_entries <= 2 * pending`` (up
-        to the :data:`_COMPACT_MIN` floor) — cancel-heavy workloads cannot
-        grow this without bound.
-        """
+        """Number of not-yet-fired events."""
         return len(self._heap)

@@ -1,11 +1,7 @@
-"""Tests for distribution fitting, catalogue utilities, and unit helpers."""
+"""Tests for catalogue utilities and unit helpers."""
 
-import numpy as np
 import pytest
 
-from repro.corpus import LongTailSizeDistribution
-from repro.corpus.datasets import TEXT_400K_DIST
-from repro.sim.random import RngStream
 from repro.units import fmt_bytes, fmt_seconds
 from repro.vfs import Catalogue, TextStats, VirtualFile
 
@@ -15,39 +11,6 @@ def catalogue_of(sizes):
         VirtualFile(path=f"f{i:04d}", size=s, stats=TextStats(), content_seed=i)
         for i, s in enumerate(sizes)
     ])
-
-
-class TestDistributionFit:
-    def test_recovers_body_parameters(self):
-        truth = TEXT_400K_DIST
-        sizes = truth.sample(RngStream(3), 20_000)
-        fitted = LongTailSizeDistribution.fit(sizes)
-        assert fitted.body_median == pytest.approx(truth.body_median, rel=0.15)
-        assert fitted.body_sigma == pytest.approx(truth.body_sigma, rel=0.3)
-
-    def test_fitted_resample_matches_quantiles(self):
-        """Round trip: fit on a sample, resample, compare quantiles."""
-        truth = TEXT_400K_DIST
-        observed = truth.sample(RngStream(4), 20_000)
-        fitted = LongTailSizeDistribution.fit(observed)
-        resampled = fitted.sample(RngStream(5), 20_000)
-        for q in (0.25, 0.5, 0.75, 0.9):
-            a = float(np.quantile(observed, q))
-            b = float(np.quantile(resampled, q))
-            assert b == pytest.approx(a, rel=0.25)
-
-    def test_tail_mass_estimated(self):
-        sizes = TEXT_400K_DIST.sample(RngStream(6), 20_000)
-        fitted = LongTailSizeDistribution.fit(sizes, tail_quantile=0.95)
-        assert fitted.tail_weight == pytest.approx(0.05, abs=0.01)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            LongTailSizeDistribution.fit([1.0] * 5)
-        with pytest.raises(ValueError):
-            LongTailSizeDistribution.fit([0.0] * 20)
-        with pytest.raises(ValueError):
-            LongTailSizeDistribution.fit([1.0] * 20, tail_quantile=0.4)
 
 
 class TestCatalogueUtilities:

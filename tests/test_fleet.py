@@ -525,3 +525,19 @@ class TestExecuteOnFleet:
         for lease in mgr.leases:
             mgr_release = lease.state.value
             assert mgr_release == "released"
+
+
+# ---------------------------------------------------------------------------
+# CLI
+
+
+class TestFleetCli:
+    @pytest.mark.parametrize("n", ["0", "-2"])
+    def test_campaigns_below_one_rejected(self, n, capsys, caplog):
+        from repro.cli import main as cli_main
+
+        assert cli_main(["fleet", "--campaigns", n, "--no-ledger"]) == 2
+        assert capsys.readouterr().out == ""
+        assert any(r.name == "repro.cli"
+                   and "--campaigns must be at least 1" in r.getMessage()
+                   for r in caplog.records)

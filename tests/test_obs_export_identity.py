@@ -1,11 +1,10 @@
-"""Exporter identity: raw-tuple/bulk span paths vs the eager span path.
+"""Exporter identity: the raw-tuple span path vs the eager span path.
 
 The tracer stores raw tuples and materialises ``SpanRecord`` objects
-lazily; ``add_spans`` bulk rows additionally skip the per-span args dict
-(``args=None``).  Both Chrome-trace and JSONL exports must be
-byte-identical no matter which recording path produced the spans —
-otherwise a perf-motivated switch to the fast path would silently change
-committed trace artifacts.
+lazily.  Both Chrome-trace and JSONL exports must be byte-identical no
+matter which recording path produced the spans — otherwise a
+perf-motivated switch to the fast path would silently change committed
+trace artifacts.
 """
 
 from repro.obs.export import to_chrome_trace, write_chrome_trace, write_jsonl
@@ -27,7 +26,7 @@ def _eager_tracer() -> Tracer:
         pass                                   # [2.5, 2.5] zero-length
     with tracer.span("fleet.lease", cat="fleet", track="fleet"):
         pass                                   # [3.0, 4.0]
-    # The bulk column: two same-name spans with no args.
+    # A column: two same-name spans with no args.
     with tracer.span("col.member", cat="columnar", track="col"):
         pass                                   # [10.0, 11.0]
     with tracer.span("col.member", cat="columnar", track="col"):
@@ -37,13 +36,13 @@ def _eager_tracer() -> Tracer:
 
 
 def _fast_tracer() -> Tracer:
-    """The same history via add_span (raw tuples) + add_spans (bulk)."""
+    """The same history via add_span (raw tuples)."""
     tracer = Tracer(clock=_scripted_clock([20.0]))
     tracer.add_span("runner.execute", 1.0, 2.5, cat="runner", bin=0)
     tracer.add_span("runner.execute", 2.5, 2.5, cat="runner", bin=1)
     tracer.add_span("fleet.lease", 3.0, 4.0, cat="fleet", track="fleet")
-    assert tracer.add_spans("col.member", [10.0, 12.0], [11.0, 13.0],
-                            cat="columnar", track="col") == 2
+    tracer.add_span("col.member", 10.0, 11.0, cat="columnar", track="col")
+    tracer.add_span("col.member", 12.0, 13.0, cat="columnar", track="col")
     tracer.instant("engine.fire", cat="sim")
     return tracer
 

@@ -6,7 +6,7 @@ import logging
 import pytest
 
 from repro import obs as obs_mod
-from repro.obs import Obs, bridge_to_tracer, get_logger, get_obs
+from repro.obs import Obs, get_obs
 from repro.sim.engine import SimulationEngine
 
 
@@ -56,17 +56,16 @@ class TestDefaultBundle:
 
 
 class TestEngineEventLog:
-    def test_schedule_fire_cancel_instants(self, enabled_obs):
+    def test_schedule_fire_instants(self, enabled_obs):
         eng = SimulationEngine(tracer=enabled_obs.tracer)
         eng.schedule_at(1.0, lambda: None, label="a")
-        ev = eng.schedule_at(2.0, lambda: None, label="b")
-        ev.cancel()
+        eng.schedule_at(2.0, lambda: None, label="b")
         eng.run()
         names = [i.name for i in enabled_obs.tracer.instants]
         assert names == ["sim.engine.schedule", "sim.engine.schedule",
-                         "sim.engine.cancel", "sim.engine.fire"]
-        cancel = enabled_obs.tracer.instants[2]
-        assert cancel.args["label"] == "b"
+                         "sim.engine.fire", "sim.engine.fire"]
+        assert [i.args["label"] for i in enabled_obs.tracer.instants] == [
+            "a", "b", "a", "b"]
 
     def test_run_records_span_on_sim_track(self, enabled_obs):
         eng = SimulationEngine(tracer=enabled_obs.tracer)
@@ -122,21 +121,6 @@ class TestTracedCampaign:
 
 
 class TestLogBridge:
-    def test_records_mirrored_as_instants(self, enabled_obs):
-        handler = bridge_to_tracer(enabled_obs.tracer)
-        try:
-            get_logger("test.bridge").info("hello %s", "trace")
-        finally:
-            get_logger().removeHandler(handler)
-        instants = [i for i in enabled_obs.tracer.instants if i.cat == "log"]
-        assert instants and instants[0].name == "log.info"
-        assert instants[0].args["message"] == "hello trace"
-
-    def test_bridge_refuses_disabled_tracer(self):
-        from repro.obs.trace import Tracer
-
-        assert bridge_to_tracer(Tracer(enabled=False)) is None
-
     def test_install_is_idempotent(self):
         from repro.obs.log import install
 

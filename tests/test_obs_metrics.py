@@ -100,7 +100,7 @@ class TestMerge:
         b.gauge("m.g").set(9.0)
         a.histogram("m.h").observe(0.2)
         b.histogram("m.h").observe(2.0)
-        a.merge(b)
+        a.merge_dump(b.dump())
         assert a.value("m.c") == 3.0
         assert a.value("m.g") == 9.0
         h = a.histogram("m.h")
@@ -109,7 +109,7 @@ class TestMerge:
     def test_merge_brings_new_series(self):
         a, b = MetricsRegistry(), MetricsRegistry()
         b.counter("m.only_b", k="v").inc(4)
-        a.merge(b)
+        a.merge_dump(b.dump())
         assert a.value("m.only_b", k="v") == 4.0
 
     def test_merge_rejects_bucket_mismatch(self):
@@ -117,7 +117,7 @@ class TestMerge:
         a.histogram("m.h", buckets=(1.0, 2.0)).observe(0.5)
         b.histogram("m.h", buckets=(1.0, 3.0)).observe(0.5)
         with pytest.raises(MetricsError):
-            a.merge(b)
+            a.merge_dump(b.dump())
 
 
 class TestDisabledFastPath:
@@ -153,7 +153,7 @@ class TestDumpMerge:
         via_dump = MetricsRegistry()
         via_dump.merge_dump(dump)
         via_merge = MetricsRegistry()
-        via_merge.merge(src)
+        via_merge.merge_dump(src.dump())
         assert via_dump.snapshot() == via_merge.snapshot() == src.snapshot()
 
     def test_merge_dump_accumulates(self):

@@ -80,13 +80,6 @@ class TestTracerBasics:
         tr.bind_clock(FakeClock(9.0))
         assert tr.now == 9.0
 
-    def test_reset_clears_records(self):
-        tr = Tracer(FakeClock())
-        tr.add_span("a.b", 0.0, 1.0)
-        tr.instant("a.c")
-        tr.reset()
-        assert tr.event_count == 0
-
     def test_max_records_drops_and_counts(self):
         tr = Tracer(FakeClock(), max_records=2)
         tr.add_span("a.b", 0.0, 1.0)
@@ -200,45 +193,6 @@ class TestJsonlExport:
 
 
 class TestBulkSpans:
-    def test_add_spans_records_column(self):
-        from repro.obs.trace import Tracer
-
-        tr = Tracer()
-        n = tr.add_spans("runner.task.run", [0.0, 1.0, 2.0],
-                         [5.0, 6.0, 7.0], cat="runner", track="fleet")
-        assert n == 3
-        assert tr.span_count == 3
-        spans = tr.spans
-        assert [s.t0 for s in spans] == [0.0, 1.0, 2.0]
-        assert all(s.name == "runner.task.run" for s in spans)
-        assert all(s.args == {} for s in spans)
-
-    def test_add_spans_validates_before_recording(self):
-        import pytest
-
-        from repro.obs.trace import Tracer
-
-        tr = Tracer()
-        with pytest.raises(ValueError):
-            tr.add_spans("x.y", [0.0, 5.0], [1.0, 4.0])
-        assert tr.span_count == 0  # atomic: nothing landed
-
-    def test_add_spans_honours_max_records(self):
-        from repro.obs.trace import Tracer
-
-        tr = Tracer(max_records=5)
-        n = tr.add_spans("x.y", range(10), range(1, 11))
-        assert n == 5
-        assert tr.span_count == 5
-        assert tr.dropped == 5
-
-    def test_add_spans_disabled_is_noop(self):
-        from repro.obs.trace import Tracer
-
-        tr = Tracer(enabled=False)
-        assert tr.add_spans("x.y", [0.0], [1.0]) == 0
-        assert tr.span_count == 0
-
     def test_lazy_materialization_is_stable(self):
         from repro.obs.trace import Tracer
 

@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cloud.bonnie import BonnieResult
-from repro.perfmodel import (
-    Measurement,
-    QualityTracker,
-    variance_weighted_fit,
-    volume_weighted_fit,
-)
+from repro.perfmodel import QualityTracker, volume_weighted_fit
 from repro.perfmodel.quality import QualityError
 from repro.perfmodel.regression import FitError
 from repro.units import MB
@@ -66,22 +61,6 @@ class TestVolumeWeightedFit:
             volume_weighted_fit([1.0, 2.0], [1.0, 2.0], power=-1)
         with pytest.raises(FitError):
             volume_weighted_fit([0.0, 2.0], [1.0, 2.0])
-
-
-class TestVarianceWeightedFit:
-    def test_quiet_points_dominate(self):
-        # two precise large-volume measurements, one wild small one
-        pts = [
-            (1e4, Measurement(values=(50.0, 0.5, 10.0))),       # garbage
-            (1e6, Measurement(values=(102.0, 102.2, 101.8))),
-            (2e6, Measurement(values=(202.0, 202.3, 201.7))),
-        ]
-        model = variance_weighted_fit(pts)
-        assert model.b == pytest.approx(1e-4, rel=0.05)
-
-    def test_needs_two_points(self):
-        with pytest.raises(FitError):
-            variance_weighted_fit([(1.0, Measurement(values=(1.0,)))])
 
 
 def bonnie(read_mb: float) -> BonnieResult:

@@ -97,20 +97,12 @@ class TestAnalyticalStreamModel:
         m = AnalyticalStreamModel(setup=1.0, per_file=0.01, bandwidth=1e6)
         assert m.predict(2e6, 10) == pytest.approx(1.0 + 0.1 + 2.0)
 
-    def test_as_predictor_matches_formula(self):
-        m = AnalyticalStreamModel(setup=1.0, per_file=0.01, bandwidth=1e6)
-        p = m.as_predictor(unit_size=100_000)
-        v = 5e6
-        assert p.predict(v) == pytest.approx(m.predict(v, int(v / 100_000)), rel=1e-6)
-
     def test_validation(self):
         with pytest.raises(FitError):
             AnalyticalStreamModel(setup=0.0, per_file=0.0, bandwidth=0.0)
         m = AnalyticalStreamModel(setup=0.0, per_file=0.0, bandwidth=1.0)
         with pytest.raises(FitError):
             m.predict(-1, 0)
-        with pytest.raises(FitError):
-            m.as_predictor(0)
 
 
 class TestCalibration:

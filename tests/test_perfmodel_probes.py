@@ -74,9 +74,6 @@ class TestProbeSetResult:
         label, m = self.make().best_variant()
         assert label == 1000 and m.mean == pytest.approx(8.1)
 
-    def test_ordered_unit_sizes(self):
-        assert self.make().ordered_unit_sizes() == [1000, 2000]
-
     def test_stability(self):
         assert self.make().stable()
 

@@ -167,22 +167,6 @@ class TestEngineProperties:
         assert fired == sorted(fired)
         assert len(fired) == len(times)
 
-    @given(st.lists(st.floats(min_value=0.0, max_value=1e4,
-                              allow_nan=False), min_size=1, max_size=30),
-           st.data())
-    @settings(max_examples=50)
-    def test_cancellation_removes_exactly_those_events(self, times, data):
-        eng = SimulationEngine()
-        fired = []
-        events = [eng.schedule_at(t, lambda i=i: fired.append(i))
-                  for i, t in enumerate(times)]
-        to_cancel = data.draw(st.sets(st.integers(min_value=0,
-                                                  max_value=len(times) - 1)))
-        for i in to_cancel:
-            events[i].cancel()
-        eng.run()
-        assert set(fired) == set(range(len(times))) - to_cancel
-
 
 # --- catalogue / sampling ------------------------------------------------------------
 

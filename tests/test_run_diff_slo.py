@@ -14,6 +14,7 @@ from repro.cli import main as cli_main
 from repro.obs import configure, disable
 from repro.obs.diff import (
     Delta,
+    DiffError,
     GateViolation,
     diff_runs,
     regression_gate,
@@ -182,6 +183,43 @@ class TestGateEdges:
         assert Delta("x", 100.0, 80.0, "higher").regressed(0.15)
         assert not Delta("x", 100.0, 80.0, "lower").regressed(0.15)
         assert not Delta("x", 100.0, 90.0, "higher").regressed(0.15)
+
+
+class TestDiffThresholds:
+    """A NaN threshold would make every comparison false and hide every
+    delta; negative ones make no sense.  Both are refused up front."""
+
+    @pytest.mark.parametrize("kwargs", [
+        {"threshold": float("nan")},
+        {"perf_threshold": float("nan")},
+        {"threshold": -0.05},
+        {"perf_threshold": -0.15},
+        {"threshold": float("inf")},
+    ])
+    def test_bad_threshold_raises(self, kwargs):
+        rec = RunRecord(kind="experiment", label="x")
+        with pytest.raises(DiffError):
+            diff_runs(rec, rec, **kwargs)
+
+    def test_zero_threshold_accepted(self):
+        rec = RunRecord(kind="experiment", label="x")
+        assert diff_runs(rec, rec, threshold=0.0, perf_threshold=0.0).clean
+
+    @pytest.mark.parametrize("flags", [
+        ["--threshold", "nan", "--perf-threshold", "nan"],
+        ["--perf-threshold", "-1"],
+    ])
+    def test_cli_rejects_bad_threshold(self, flags, tmp_path, capsys,
+                                       caplog):
+        ledger = RunLedger(tmp_path)
+        for label in ("a", "b"):
+            ledger.append(RunRecord(kind="experiment", label=label))
+        rc = cli_main(["runs", "diff", "--runs-dir", str(tmp_path),
+                       *flags, "--", "-2", "-1"])
+        assert rc == 2
+        assert capsys.readouterr().out == ""
+        assert any(r.name == "repro.cli" and "threshold" in r.getMessage()
+                   for r in caplog.records)
 
 
 class TestChaosSlos:

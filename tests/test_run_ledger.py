@@ -74,13 +74,6 @@ class TestRunRecord:
         assert rec.get("profile.phases.execute.wall_s") == 2.0
         assert rec.get("billing.nope", -1) == -1
 
-    def test_metric_value_reads_series(self):
-        rec = RunRecord(kind="runner", label="x",
-                        metrics=encode_metrics_dump(
-                            _registry_with_everything().dump()))
-        assert rec.metric_value("a.count", side="x") == 3.0
-        assert rec.metric_value("a.count", side="other") == 0.0
-
     def test_from_dict_missing_kind_raises(self):
         with pytest.raises(LedgerError):
             RunRecord.from_dict({"label": "x"})
@@ -167,7 +160,7 @@ class TestModuleDefault:
             with capture_runs() as ledger:
                 record_experiment("probe")
             rec = ledger.records()[0]
-            assert rec.metric_value("probe.hits") == 4.0
+            assert rec.metric_rows() == [("probe.hits", (), "counter", 4.0)]
         finally:
             disable()
 

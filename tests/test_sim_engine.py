@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.engine import Event, SimulationEngine, SimulationError
+from repro.sim.engine import SimulationEngine, SimulationError
 
 
 class TestScheduling:
@@ -90,26 +90,7 @@ class TestNonFiniteTimes:
         with pytest.raises(SimulationError, match="non-finite"):
             eng.schedule_batch([1.0, t, 2.0], lambda: None)
         assert eng.pending == 0
-        assert eng.stored_entries == 0
         assert eng.run() == 0.0
-
-
-class TestCancellation:
-    def test_cancelled_event_skipped(self):
-        eng = SimulationEngine()
-        log = []
-        ev = eng.schedule_at(1.0, lambda: log.append("x"))
-        eng.schedule_at(2.0, lambda: log.append("y"))
-        ev.cancel()
-        eng.run()
-        assert log == ["y"]
-
-    def test_pending_ignores_cancelled(self):
-        eng = SimulationEngine()
-        ev = eng.schedule_at(1.0, lambda: None)
-        eng.schedule_at(2.0, lambda: None)
-        ev.cancel()
-        assert eng.pending == 1
 
 
 class TestRunUntil:
@@ -156,141 +137,18 @@ class TestSafety:
 
 
 class TestPendingCounter:
-    """``pending`` is a live counter, not a heap scan (regression)."""
+    """``pending`` counts scheduled, not-yet-fired events."""
 
-    def test_cancel_is_idempotent(self):
+    def test_counter_tracks_schedule_and_fire(self):
         eng = SimulationEngine()
-        ev = eng.schedule_at(1.0, lambda: None)
-        eng.schedule_at(2.0, lambda: None)
-        ev.cancel()
-        ev.cancel()
-        ev.cancel()
-        assert eng.pending == 1
-
-    def test_cancel_after_fire_does_not_decrement(self):
-        eng = SimulationEngine()
-        ev = eng.schedule_at(1.0, lambda: None)
-        eng.schedule_at(2.0, lambda: None)
-        eng.step()
-        assert eng.pending == 1
-        ev.cancel()  # already fired: must be a no-op
-        assert eng.pending == 1
-
-    def test_counter_tracks_schedule_fire_cancel(self):
-        eng = SimulationEngine()
-        events = [eng.schedule_at(float(i), lambda: None) for i in range(10)]
+        for i in range(10):
+            eng.schedule_at(float(i), lambda: None)
         assert eng.pending == 10
-        events[7].cancel()
-        events[8].cancel()
-        assert eng.pending == 8
         for _ in range(3):
             eng.step()
-        assert eng.pending == 5
+        assert eng.pending == 7
         eng.run()
         assert eng.pending == 0
-
-    def test_cancel_inside_callback(self):
-        eng = SimulationEngine()
-        victim = eng.schedule_at(5.0, lambda: None)
-        eng.schedule_at(1.0, victim.cancel)
-        eng.run()
-        assert eng.pending == 0
-        assert eng.events_fired == 1
-
-    def test_cancel_after_drain_cannot_underflow(self):
-        """Regression: cancelling once the engine drained must not push
-        the live counter negative (the decrement is gated on ``_tracked``,
-        which firing clears)."""
-        eng = SimulationEngine()
-        events = [eng.schedule_at(float(i), lambda: None) for i in range(3)]
-        eng.run()
-        assert eng.pending == 0
-        for ev in events:
-            ev.cancel()
-            ev.cancel()
-        assert eng.pending == 0
-
-    def test_cancel_of_unscheduled_event_cannot_underflow(self):
-        """A hand-built Event pointing at an engine was never counted, so
-        cancelling it must not decrement."""
-        eng = SimulationEngine()
-        eng.schedule_at(1.0, lambda: None)
-        stray = Event(time=9.0, callback=lambda: None, _engine=eng)
-        stray.cancel()
-        assert stray.cancelled
-        assert eng.pending == 1
-        eng.run()
-        assert eng.pending == 0
-
-    def test_pending_matches_heap_scan(self):
-        import random as _random
-
-        rnd = _random.Random(11)
-        eng = SimulationEngine()
-        live = []
-        for _ in range(300):
-            r = rnd.random()
-            if r < 0.5:
-                live.append(eng.schedule_at(eng.now + rnd.random(), lambda: None))
-            elif r < 0.75 and live:
-                live.pop(rnd.randrange(len(live))).cancel()
-            else:
-                eng.step()
-            scan = sum(1 for e in eng._heap if not e[2].cancelled)
-            assert eng.pending == scan
-
-
-class TestUnderflowRaises:
-    """Satellite: the pending-counter underflow guard must survive
-    ``python -O`` — it raises :class:`SimulationError`, not ``assert``."""
-
-    def test_underflow_raises_simulation_error(self):
-        eng = SimulationEngine()
-        # A hand-built event claiming to be tracked, while the engine's
-        # counter is at zero: the only way to drive the counter negative.
-        rogue = Event(time=1.0, callback=lambda: None,
-                      _engine=eng, _tracked=True)
-        with pytest.raises(SimulationError, match="underflow"):
-            rogue.cancel()
-        # The counter is clamped back to zero, not left negative.
-        assert eng.pending == 0
-
-    def test_underflow_guard_not_an_assert(self):
-        import inspect
-
-        from repro.sim import engine as engine_mod
-
-        src = inspect.getsource(engine_mod.SimulationEngine._note_cancel)
-        assert "assert" not in src
-
-
-class TestCompaction:
-    """Satellite: cancelled entries must not accumulate without bound."""
-
-    def test_heap_size_stays_bounded_under_cancel_storm(self):
-        eng = SimulationEngine()
-        for round_ in range(50):
-            events = [eng.schedule_at(eng.now + 1.0 + i * 1e-3, lambda: None)
-                      for i in range(100)]
-            for ev in events:
-                ev.cancel()
-            # Compaction guarantee: stored <= 2 * pending (+ small floor).
-            assert eng.stored_entries <= max(2 * eng.pending, 128)
-        assert eng.pending == 0
-        assert eng.stored_entries <= 128
-
-    def test_compaction_preserves_live_events(self):
-        eng = SimulationEngine()
-        log = []
-        keep = [eng.schedule_at(float(i), lambda i=i: log.append(i))
-                for i in range(10)]
-        doomed = [eng.schedule_at(100.0 + i, lambda: log.append(-1))
-                  for i in range(200)]
-        for ev in doomed:
-            ev.cancel()
-        assert keep  # silence unused warning
-        eng.run()
-        assert log == list(range(10))
 
 
 class TestScheduleBatch:
@@ -367,9 +225,9 @@ class TestScheduleBatch:
 
     def test_batch_pending_counter(self):
         eng = SimulationEngine()
-        events = eng.schedule_batch([1.0, 2.0, 3.0], lambda: None)
+        eng.schedule_batch([1.0, 2.0, 3.0], lambda: None)
         assert eng.pending == 3
-        events[1].cancel()
+        eng.step()
         assert eng.pending == 2
         eng.run()
         assert eng.pending == 0

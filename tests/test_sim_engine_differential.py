@@ -7,9 +7,8 @@ not merely equivalent.  Two layers of evidence:
 
 * a hypothesis property drives the engine and :class:`ReferenceQueue`
   through the same random program of ``schedule`` / ``schedule_batch`` /
-  ``cancel`` / ``run-until`` / ``step`` operations (including callbacks
-  that schedule follow-ups while firing) and compares the full firing
-  transcript;
+  ``run-until`` / ``step`` operations (including callbacks that schedule
+  follow-ups while firing) and compares the full firing transcript;
 * whole campaigns — scalar ``execute_plan`` under chaos scenarios and the
   columnar fleet runner — must reproduce recorded fingerprints of their
   reports, ledgers and timelines bit for bit across seeds × scenarios.
@@ -40,22 +39,18 @@ from repro.sim.engine import SimulationEngine
 class _RefEvent:
     def __init__(self, time, seq, callback):
         self.time, self.seq, self.callback = time, seq, callback
-        self.cancelled = False
-
-    def cancel(self):
-        self.cancelled = True
 
 
 class ReferenceQueue:
     """Naive oracle: one list of events kept sorted by ``(time, seq)``,
-    fired front first, skipping cancelled ones.  Slow and obviously right."""
+    fired front first.  Slow and obviously right."""
 
     def __init__(self):
         self.now, self.events_fired, self._seq, self._events = 0.0, 0, 0, []
 
     @property
     def pending(self):
-        return sum(not e.cancelled for e in self._events)
+        return len(self._events)
 
     def schedule_in(self, delay, callback, label=""):
         return self.schedule_batch([self.now + delay], [callback])[0]
@@ -71,10 +66,9 @@ class ReferenceQueue:
         return new
 
     def step(self, until=math.inf):
-        ev = next((e for e in self._events if not e.cancelled), None)
-        if ev is None or ev.time > until:
+        if not self._events or self._events[0].time > until:
             return None
-        self._events.remove(ev)
+        ev = self._events.pop(0)
         self.now, self.events_fired = ev.time, self.events_fired + 1
         ev.callback()
         return ev
@@ -104,7 +98,6 @@ _OPS = st.one_of(
     st.tuples(st.just("chain"),
               st.floats(0.0, 200.0, allow_nan=False, allow_infinity=False),
               st.floats(0.0, 200.0, allow_nan=False, allow_infinity=False)),
-    st.tuples(st.just("cancel"), st.integers(0, 10_000)),
     st.tuples(st.just("run"),
               st.floats(0.0, 300.0, allow_nan=False, allow_infinity=False)),
     st.tuples(st.just("step"),),
@@ -116,7 +109,6 @@ PROGRAMS = st.lists(_OPS, min_size=1, max_size=40)
 def _interpret(engine, program) -> dict:
     """Run a program; return the full observable transcript."""
     fired: list[tuple[float, str, int]] = []
-    handles: list = []
     n = 0
 
     def logger(label):
@@ -127,8 +119,8 @@ def _interpret(engine, program) -> dict:
     def chained(label, dt2):
         def cb():
             fired.append((engine.now, label, engine.events_fired))
-            handles.append(engine.schedule_in(
-                dt2, logger(f"{label}.child"), label=f"{label}.child"))
+            engine.schedule_in(dt2, logger(f"{label}.child"),
+                               label=f"{label}.child")
         return cb
 
     for op in program:
@@ -136,21 +128,16 @@ def _interpret(engine, program) -> dict:
         if kind == "schedule":
             label = f"ev{n}"
             n += 1
-            handles.append(engine.schedule_in(op[1], logger(label), label=label))
+            engine.schedule_in(op[1], logger(label), label=label)
         elif kind == "batch":
             labels = [f"b{n + i}" for i in range(len(op[1]))]
             n += len(op[1])
-            handles.extend(engine.schedule_batch(
-                [engine.now + dt for dt in op[1]],
-                [logger(lb) for lb in labels], labels))
+            engine.schedule_batch([engine.now + dt for dt in op[1]],
+                                  [logger(lb) for lb in labels], labels)
         elif kind == "chain":
             label = f"c{n}"
             n += 1
-            handles.append(engine.schedule_in(
-                op[1], chained(label, op[2]), label=label))
-        elif kind == "cancel":
-            if handles:
-                handles[op[1] % len(handles)].cancel()
+            engine.schedule_in(op[1], chained(label, op[2]), label=label)
         elif kind == "run":
             engine.run(until=engine.now + op[1])
         elif kind == "step":
@@ -176,7 +163,7 @@ class TestRandomPrograms:
     @settings(max_examples=40, deadline=None)
     @given(program=PROGRAMS)
     def test_traced_engine_matches_reference_queue(self, program):
-        """An enabled tracer takes the traced schedule/cancel/step branches;
+        """An enabled tracer takes the traced schedule/step branches;
         the transcript must not change."""
         engine = _interpret(SimulationEngine(tracer=Tracer()), program)
         reference = _interpret(ReferenceQueue(), program)
