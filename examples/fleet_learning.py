@@ -11,13 +11,13 @@ Run:  python examples/fleet_learning.py
 """
 
 import tempfile
-from pathlib import Path
 
 from repro.apps import GrepApplication, GrepCostProfile
 from repro.cloud import Cloud, ExecutionService, Workload, bonnie_probe
 from repro.cloud.instance import HeterogeneityModel
 from repro.corpus import html_18mil_like
-from repro.perfmodel import HistoricalPredictor, QualityTracker, RunHistory
+from repro.obs import RunLedger, RunRecord
+from repro.perfmodel import HistoricalPredictor, QualityTracker
 from repro.runner import execute_quality_aware
 from repro.units import fmt_bytes, fmt_seconds
 
@@ -30,7 +30,7 @@ def main() -> None:
     # ---- day one: a campaign that records everything it sees -------------
     cloud = Cloud(seed=77, io_heterogeneity=rough)
     svc = ExecutionService(cloud)
-    history = RunHistory()
+    history: list[RunRecord] = []
     tracker = QualityTracker()
     day_one = html_18mil_like(scale=2e-3, seed=77)
 
@@ -46,21 +46,26 @@ def main() -> None:
         inst = cloud.launch_instance()
         label = tracker.classify(bonnie_probe(cloud, inst))
         t = svc.run(inst, list(part), workload)
-        history.record("grep", part.total_size, t,
-                       instance_id=inst.instance_id, n_units=len(part))
+        history.append(RunRecord(
+            kind="history", label="grep",
+            config={"instance_id": inst.instance_id, "n_units": len(part)},
+            extra={"volume": part.total_size, "seconds": t}))
         tracker.record(label, part.total_size, t)
         cloud.terminate_instance(inst)
         print(f"  {inst.instance_id} [{label:>4}] {fmt_bytes(part.total_size)} "
               f"in {fmt_seconds(t)}")
 
     with tempfile.TemporaryDirectory() as tmp:
-        hist_path = Path(tmp) / "grep_history.jsonl"
-        history.save(hist_path)
-        print(f"\nsaved {len(history)} run records to {hist_path.name}")
+        ledger = RunLedger(tmp, filename="grep_history.jsonl")
+        for record in history:
+            ledger.append(record)
+        print(f"\nsaved {len(ledger)} run records to {ledger.path.name}")
 
         # ---- day two: plan from history, share by quality -----------------
-        loaded = RunHistory.load(hist_path)
-        predictor = HistoricalPredictor.from_history(loaded, "grep")
+        past = ledger.records(kind="history", label="grep")
+        predictor = HistoricalPredictor.from_runs(
+            [r.extra["volume"] for r in past],
+            [r.extra["seconds"] for r in past])
         day_two = html_18mil_like(scale=4e-3, seed=78)
         processing_budget = 60.0               # per-instance processing target
         deadline = processing_budget + 120.0   # + the 2-minute bonnie probe

@@ -8,8 +8,7 @@ retry/breaker/hedge stacks — is expressed as a
 entry point drives them through one
 :class:`~repro.capacity.acquisition.BrokerAcquisition` policy.  Brokers
 compose: a :class:`~repro.capacity.brokers.LadderBroker` chains stacks in
-preference order, a :class:`~repro.capacity.brokers.ResilientBroker`
-wraps any inner stack with retry/backoff, and a
+preference order, and a
 :class:`~repro.capacity.brokers.SpotBroker` escalates into whatever
 broker it is given — which is how DAG stages end up on spot capacity
 with warm-lease escalation without any runner growing new code paths.

@@ -10,16 +10,21 @@ and spot placements behind a fallback ladder.  A
   :class:`CapacityOffer` — the instance plus where it came from (zone,
   type, pricing model, boot latency, the lease when a fleet manager owns
   it) — or raises (:class:`OfferUnavailable`, a chaos rejection, a
-  capacity/lease exhaustion) when this source cannot serve it;
-* :meth:`~CapacityBroker.settle` returns the capacity when the bin is
-  done — terminate a private boot, release a lease back to the warm
-  pool.
+  capacity/lease exhaustion) when this source cannot serve it.
 
-Brokers compose: :class:`ResilientBroker` decorates any inner broker
-with the retry ladder, and :class:`LadderBroker` chains brokers in
-preference order, falling through on refusal.  ``LadderBroker([
-WarmLeaseBroker(mgr), SpotBroker(...), OnDemandBroker()])`` is a
-sentence: *prefer warm hours, then the market, then pay list price*.
+Brokers only grant.  Disposing of the capacity when a bin is done —
+terminating a private boot, releasing a lease back to the warm pool —
+is the completion policy's job (:class:`~repro.runner.core.FleetCompletion`,
+:class:`~repro.runner.spot.SpotCompletion`); the one broker-side release
+is :meth:`WarmLeaseBroker.settle`, which a leased spot-escalation
+segment calls.
+
+Brokers compose: :class:`LadderBroker` chains brokers in preference
+order, falling through on refusal, and :class:`SpotBroker` escalates
+into whatever broker it is given.  ``LadderBroker([WarmLeaseBroker(mgr),
+SpotBroker(...), OnDemandBroker()])`` is a sentence: *prefer warm hours,
+then the market, then pay list price*.  :class:`ResilientBroker` puts a
+launcher's retry/steer/hedge ladder behind the protocol.
 
 The policy classes in :mod:`repro.runner` are thin broker
 configurations over :class:`~repro.capacity.acquisition
@@ -104,10 +109,9 @@ class CapacityOffer:
     ``"spot"`` per-market-hour, ``"lease"`` manager-owned); ``wait`` is
     resilience-absorbed latency before the final boot; ``boot`` the
     final boot delay itself; ``lease`` is set when a fleet manager owns
-    the instance (settle releases instead of terminating); ``state`` is
-    the spot market placement when the spot broker made it.  ``broker``
-    points back at the broker that must :meth:`~CapacityBroker.settle`
-    this offer.
+    the instance (it goes back to the manager instead of terminating);
+    ``state`` is the spot market placement when the spot broker made it.
+    ``broker`` is the broker that granted the offer.
     """
 
     instance: "Instance"
@@ -128,11 +132,6 @@ class CapacityBroker(Protocol):
 
     def request(self, cloud: "Cloud", req: CapacityRequest) -> CapacityOffer:
         """Grant capacity for ``req`` or raise why this source cannot."""
-        ...
-
-    def settle(self, cloud: "Cloud", offer: CapacityOffer,
-               at: float) -> None:
-        """Return the offer's capacity (terminate or release) at ``at``."""
         ...
 
 
@@ -162,17 +161,12 @@ class OnDemandBroker:
                              pricing="on-demand", zone=inst.zone.name,
                              itype=inst.itype, boot=inst.boot_delay)
 
-    def settle(self, cloud: "Cloud", offer: CapacityOffer,
-               at: float) -> None:
-        """Terminate the private boot."""
-        offer.instance.terminate(at)
-
 
 class WarmLeaseBroker:
     """Shared-fleet capacity: every request draws a lease from a manager.
 
-    Warm hits ride hours someone already paid for; settle releases the
-    lease back to the pool (billing stays with the manager).  Raises
+    Warm hits ride hours someone already paid for; :meth:`settle` releases
+    the lease back to the pool (billing stays with the manager).  Raises
     :class:`~repro.fleet.lease.LeaseError` when the manager is exhausted,
     which a :class:`LadderBroker` treats as fall-through.
     """
@@ -201,73 +195,23 @@ class WarmLeaseBroker:
 
 
 class ResilientBroker:
-    """Retry/steer/hedge as a decorator: absorb faults, pay in latency.
+    """Retry/steer/hedge behind the protocol: absorb faults, pay in latency.
 
-    With no ``inner`` the launcher's own zone-steered
-    ``launch_instance`` path runs (bit-identical to the pre-broker
-    resilient fleet launch); with an ``inner`` broker the same retry
-    schedule wraps *its* requests — e.g. a resilient spot ladder — with
-    each refusal feeding the backoff and the absorbed wait landing on
-    the offer's ``wait``.
+    Each request runs the launcher's zone-steered ``launch_instance``
+    path (bit-identical to the pre-broker resilient fleet launch); the
+    absorbed wait lands on the offer's ``wait``.
     """
 
-    def __init__(self, launcher: "ResilientLauncher", *,
-                 inner: "CapacityBroker | None" = None) -> None:
+    def __init__(self, launcher: "ResilientLauncher") -> None:
         self.launcher = launcher
-        self.inner = inner
 
     def request(self, cloud: "Cloud", req: CapacityRequest) -> CapacityOffer:
         """Acquire through the retry ladder; raise ``CapacityError`` spent."""
-        if self.inner is None:
-            acq = self.launcher.launch(at=req.at)
-            return CapacityOffer(
-                instance=acq.instance, broker=self, pricing="on-demand",
-                zone=acq.zone, itype=acq.instance.itype,
-                boot=acq.instance.boot_delay, wait=acq.wait_seconds)
-        return self._request_inner(cloud, req)
-
-    def _request_inner(self, cloud: "Cloud",
-                       req: CapacityRequest) -> CapacityOffer:
-        from repro.chaos import ChaosError
-        from repro.fleet.lease import LeaseError
-        from repro.resilience.launch import CapacityError
-
-        launcher = self.launcher
-        waited = 0.0
-        faults: list[str] = []
-        delays = launcher.retry.delays(
-            launcher.rng.fork(f"acquire.{launcher.attempts}"))
-        attempt = 0
-        while attempt < launcher.retry.max_attempts:
-            attempt += 1
-            launcher.attempts += 1
-            try:
-                offer = self.inner.request(
-                    cloud, dataclasses.replace(req, at=req.at + waited))
-            except (ChaosError, LeaseError, OfferUnavailable) as e:
-                reason = getattr(e, "reason", None) or str(e)
-                faults.append(reason)
-                launcher.absorbed_faults += 1
-                delay = next(delays, None)
-                if delay is None:
-                    break
-                waited += delay
-                continue
-            launcher.wait_seconds_total += waited
-            offer.wait += waited
-            return offer
-        launcher.wait_seconds_total += waited
-        raise CapacityError(
-            f"no capacity after {attempt} attempts / {waited:.0f}s of "
-            f"backoff (faults: {', '.join(faults) or 'none'})")
-
-    def settle(self, cloud: "Cloud", offer: CapacityOffer,
-               at: float) -> None:
-        """Settle with whoever granted (the launcher path terminates)."""
-        if offer.broker is not self:
-            offer.broker.settle(cloud, offer, at)
-        else:
-            offer.instance.terminate(at)
+        acq = self.launcher.launch(at=req.at)
+        return CapacityOffer(
+            instance=acq.instance, broker=self, pricing="on-demand",
+            zone=acq.zone, itype=acq.instance.itype,
+            boot=acq.instance.boot_delay, wait=acq.wait_seconds)
 
 
 class SpotBroker:
@@ -362,14 +306,6 @@ class SpotBroker:
             bin_index=bin_index, predicted=predicted, at=at,
             tenant="spot", campaign=campaign, itype=itype))
 
-    def settle(self, cloud: "Cloud", offer: CapacityOffer,
-               at: float) -> None:
-        """Settle with whoever granted (spot placements terminate)."""
-        if offer.broker is not self:
-            offer.broker.settle(cloud, offer, at)
-        else:
-            offer.instance.terminate(at)
-
 
 class LadderBroker:
     """Chain brokers in preference order; refusal falls through.
@@ -399,8 +335,3 @@ class LadderBroker:
                 if i == last:
                     raise
         raise AssertionError("unreachable")  # pragma: no cover
-
-    def settle(self, cloud: "Cloud", offer: CapacityOffer,
-               at: float) -> None:
-        """Settle with the broker that granted the offer."""
-        offer.broker.settle(cloud, offer, at)

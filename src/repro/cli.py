@@ -40,7 +40,7 @@ from typing import Callable
 
 from repro.obs import configure, disable, get_logger, install
 from repro.obs.export import render_metrics_table, write_chrome_trace, write_jsonl
-from repro.obs.ledger import RunLedger, set_run_ledger
+from repro.obs.ledger import LedgerError, RunLedger, set_run_ledger
 from repro.report.figures import FigureResult, render_ascii
 
 __all__ = ["main", "build_parser", "FIGURES", "DEMOS"]
@@ -438,7 +438,11 @@ def cmd_runs_list(args: argparse.Namespace) -> int:
 
 def cmd_runs_show(args: argparse.Namespace) -> int:
     """``runs show REF``: dump one record as pretty JSON."""
-    record = _ledger_for(args).resolve(args.ref)
+    try:
+        record = _ledger_for(args).resolve(args.ref)
+    except LedgerError as e:
+        _log.error("%s", e)
+        return 2
     print(json.dumps(record.to_dict(), indent=2, sort_keys=True))
     return 0
 
@@ -448,12 +452,11 @@ def cmd_runs_diff(args: argparse.Namespace) -> int:
     from repro.obs.diff import DiffError, diff_runs, render_diff_table
 
     ledger = _ledger_for(args)
-    a = ledger.resolve(args.a)
-    b = ledger.resolve(args.b)
     try:
-        diff = diff_runs(a, b, threshold=args.threshold,
+        diff = diff_runs(ledger.resolve(args.a), ledger.resolve(args.b),
+                         threshold=args.threshold,
                          perf_threshold=args.perf_threshold)
-    except DiffError as e:
+    except (LedgerError, DiffError) as e:
         _log.error("%s", e)
         return 2
     print(render_diff_table(diff))

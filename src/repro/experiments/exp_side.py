@@ -106,7 +106,6 @@ def prediction_approaches(seed: int = 55, scale: float = 5e-3) -> tuple[FigureRe
     from repro.corpus import html_18mil_like
     from repro.perfmodel import (
         HistoricalPredictor,
-        RunHistory,
         build_probe_set,
         calibrate_stream_model,
         fit_affine,
@@ -125,16 +124,15 @@ def prediction_approaches(seed: int = 55, scale: float = 5e-3) -> tuple[FigureRe
 
     # historical: past runs on unvetted instances of mixed quality
     _log.info("prediction_approaches: building historical record (8 past runs)")
-    history = RunHistory()
+    past_volumes, past_seconds = [], []
     for i in range(8):
         past = cloud.launch_instance()
         vol_i = int((0.3 + 0.2 * i) * GB)
         ps = build_probe_set(catalogue, vol_i, [unit])
-        t = svc.run(past, ps.variants[unit], wl)
-        history.record("grep", sum(u.size for u in ps.variants[unit]), t,
-                       instance_id=past.instance_id)
+        past_seconds.append(svc.run(past, ps.variants[unit], wl))
+        past_volumes.append(sum(u.size for u in ps.variants[unit]))
         cloud.terminate_instance(past)
-    historical = HistoricalPredictor.from_history(history, "grep")
+    historical = HistoricalPredictor.from_runs(past_volumes, past_seconds)
 
     # analytical: microbenchmarks on the vetted instance
     analytical = calibrate_stream_model(

@@ -20,7 +20,7 @@ Pipeline:
    data set (Eq. (2), Eq. (4)).
 """
 
-from repro.perfmodel.measurement import Measurement, ProbeSetResult, repeat_measure
+from repro.perfmodel.measurement import Measurement, ProbeSetResult
 from repro.perfmodel.probes import ProbeCampaign, ProbeSet, build_probe_set
 from repro.perfmodel.regression import (
     AffinePredictor,
@@ -38,7 +38,7 @@ from repro.perfmodel.regression import (
     select_best,
 )
 from repro.perfmodel.analytical import AnalyticalStreamModel, calibrate_stream_model
-from repro.perfmodel.history import HistoricalPredictor, RunHistory, RunRecord
+from repro.perfmodel.history import HistoricalPredictor
 from repro.perfmodel.quality import QualityTracker
 from repro.perfmodel.sampling import collect_sample_points, refit_with_samples
 from repro.perfmodel.selection import PreferredUnit, preferred_unit_size
@@ -47,7 +47,6 @@ from repro.perfmodel.weighted import volume_weighted_fit
 __all__ = [
     "Measurement",
     "ProbeSetResult",
-    "repeat_measure",
     "ProbeCampaign",
     "ProbeSet",
     "build_probe_set",
@@ -73,6 +72,4 @@ __all__ = [
     "AnalyticalStreamModel",
     "calibrate_stream_model",
     "HistoricalPredictor",
-    "RunHistory",
-    "RunRecord",
 ]

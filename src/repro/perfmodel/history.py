@@ -6,10 +6,11 @@ The paper rejects history because the cloud is "volatile and opaque"; this
 module implements the approach so the comparison is runnable
 (``benchmarks/test_prediction_approaches.py``).
 
-:class:`RunHistory` accumulates past run records (the execution service
-can append automatically); :class:`HistoricalPredictor` predicts by
-volume interpolation over the aggregated history — which inherits the
-quality mix of whatever instances happened to serve past runs, exactly the
+:class:`HistoricalPredictor` is fitted from past runs' (volume, seconds)
+points — X6 passes the runs it just made, ``examples/fleet_learning.py``
+reads them back from a :class:`~repro.obs.ledger.RunLedger` file — and
+predicts by volume interpolation over them, which inherits the quality
+mix of whatever instances happened to serve past runs, exactly the
 weakness the paper calls out.
 """
 
@@ -19,92 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.perfmodel.regression import FitError, Predictor
+from repro.perfmodel.regression import FitError, Predictor, _validate
 
-__all__ = ["RunRecord", "RunHistory", "HistoricalPredictor"]
-
-
-@dataclass(frozen=True)
-class RunRecord:
-    """One past execution."""
-
-    app: str
-    volume: int
-    seconds: float
-    instance_id: str = ""
-    n_units: int = 0
-
-    def __post_init__(self) -> None:
-        if self.volume <= 0 or self.seconds <= 0:
-            raise ValueError("run records need positive volume and time")
-
-
-class RunHistory:
-    """Append-only store of past runs, filterable by application.
-
-    Histories persist as JSON-lines (:meth:`save` / :meth:`load`) so a real
-    deployment can accumulate them across campaigns — the [17] premise of
-    "predicting application run times using historical information".
-    """
-
-    def __init__(self) -> None:
-        self._records: list[RunRecord] = []
-
-    def append(self, record: RunRecord) -> None:
-        """Add a pre-built record."""
-        self._records.append(record)
-
-    def record(self, app: str, volume: int, seconds: float, **kw) -> RunRecord:
-        """Build and store a record from its fields."""
-        rec = RunRecord(app=app, volume=volume, seconds=seconds, **kw)
-        self.append(rec)
-        return rec
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def for_app(self, app: str) -> list[RunRecord]:
-        """Records of one application."""
-        return [r for r in self._records if r.app == app]
-
-    # -- persistence ---------------------------------------------------------
-
-    def save(self, path) -> None:
-        """Write the history as JSON-lines."""
-        import json
-        from dataclasses import asdict
-        from pathlib import Path
-
-        lines = [json.dumps(asdict(r), sort_keys=True) for r in self._records]
-        Path(path).write_text("\n".join(lines) + ("\n" if lines else ""),
-                              encoding="utf-8")
-
-    @classmethod
-    def load(cls, path) -> "RunHistory":
-        """Read a history written by :meth:`save` (bad lines are an error)."""
-        import json
-        from pathlib import Path
-
-        h = cls()
-        for lineno, line in enumerate(
-            Path(path).read_text(encoding="utf-8").splitlines(), start=1
-        ):
-            if not line.strip():
-                continue
-            try:
-                h.append(RunRecord(**json.loads(line)))
-            except (TypeError, ValueError, KeyError) as e:
-                raise ValueError(f"{path}:{lineno}: bad history record: {e}") from e
-        return h
-
-    def points(self, app: str) -> tuple[np.ndarray, np.ndarray]:
-        """(volumes, seconds) arrays for one application."""
-        recs = self.for_app(app)
-        if not recs:
-            return np.zeros(0), np.zeros(0)
-        x = np.array([r.volume for r in recs], dtype=float)
-        y = np.array([r.seconds for r in recs], dtype=float)
-        return x, y
+__all__ = ["HistoricalPredictor"]
 
 
 @dataclass
@@ -125,10 +43,11 @@ class HistoricalPredictor(Predictor):
         self.name = "historical"
 
     @classmethod
-    def from_history(cls, history: RunHistory, app: str) -> "HistoricalPredictor":
-        x, y = history.points(app)
-        if x.size < 2:
-            raise FitError(f"need at least two historical runs of {app!r}")
+    def from_runs(cls, volumes, seconds) -> "HistoricalPredictor":
+        """Fit over past runs given as parallel (bytes, seconds) arrays."""
+        x, y = _validate(volumes, seconds, 2)
+        if np.any(x <= 0) or np.any(y <= 0):
+            raise FitError("past runs need positive volume and time")
         vols = np.unique(x)
         if vols.size < 2:
             raise FitError("history covers a single volume; cannot interpolate")

@@ -7,11 +7,11 @@ standard deviation are noted."
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
-__all__ = ["Measurement", "repeat_measure", "ProbeSetResult", "DEFAULT_REPEATS"]
+__all__ = ["Measurement", "ProbeSetResult", "DEFAULT_REPEATS"]
 
 DEFAULT_REPEATS = 5
 
@@ -50,13 +50,6 @@ class Measurement:
         return self.cv <= cv_threshold
 
 
-def repeat_measure(fn: Callable[[], float], repeats: int = DEFAULT_REPEATS) -> Measurement:
-    """Call a timing function ``repeats`` times and summarise."""
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
-    return Measurement(values=tuple(fn() for _ in range(repeats)))
-
-
 @dataclass(frozen=True)
 class ProbeSetResult:
     """Measurements for all variants of one probe volume.
@@ -71,8 +64,3 @@ class ProbeSetResult:
     def stable(self, cv_threshold: float = 0.25) -> bool:
         """A probe set is stable when every variant is."""
         return all(m.is_stable(cv_threshold) for m in self.variants.values())
-
-    def best_variant(self) -> tuple[str | int, Measurement]:
-        """Variant with the minimal mean time."""
-        label = min(self.variants, key=lambda k: self.variants[k].mean)
-        return label, self.variants[label]

@@ -105,12 +105,6 @@ class ProtocolResult:
     probe_sets: list[ProbeSetResult] = field(default_factory=list)
     stable: bool = False
 
-    @property
-    def final(self) -> ProbeSetResult:
-        if not self.probe_sets:
-            raise ValueError("protocol produced no probe sets")
-        return self.probe_sets[-1]
-
 
 class ProbeCampaign:
     """Runs probe sets on a vetted instance, §4-style.
@@ -229,10 +223,6 @@ class ProbeCampaign:
         return result
 
     # -- model input -----------------------------------------------------------
-
-    def observations_for(self, label: str | int) -> list[tuple[float, float]]:
-        """(volume, mean time) points for one variant across probe sets."""
-        return [(float(v), m.mean) for v, lab, m in self._observations if lab == label]
 
     def timing_points(self, label: str | int) -> tuple[list[float], list[float]]:
         """Raw per-repeat points for regression: every repeat is a sample."""

@@ -33,8 +33,8 @@ class QualityTracker:
     """Buckets instances by measured disk throughput.
 
     ``bands`` maps a label to its minimum block-read speed; classification
-    picks the fastest band the measurement clears.  Observations and
-    likelihoods are tracked per band.
+    picks the fastest band the measurement clears.  Observations are
+    tracked per band.
     """
 
     bands: dict[str, float] = field(default_factory=lambda: {
@@ -43,7 +43,6 @@ class QualityTracker:
         "slow": 0.0,
     })
     _points: dict[str, list[tuple[float, float]]] = field(default_factory=dict)
-    _counts: dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not self.bands:
@@ -57,20 +56,7 @@ class QualityTracker:
         """Label for a vetting measurement (fastest band it clears)."""
         eligible = [(thr, name) for name, thr in self.bands.items()
                     if result.block_read >= thr]
-        label = max(eligible)[1]
-        self._counts[label] = self._counts.get(label, 0) + 1
-        return label
-
-    def likelihood(self, label: str) -> float:
-        """Empirical probability of drawing this quality from the cloud."""
-        total = sum(self._counts.values())
-        if total == 0:
-            raise QualityError("no instances classified yet")
-        return self._counts.get(label, 0) / total
-
-    @property
-    def observed_labels(self) -> list[str]:
-        return sorted(self._counts)
+        return max(eligible)[1]
 
     # -- per-band models -------------------------------------------------------
 
@@ -81,10 +67,6 @@ class QualityTracker:
         if volume <= 0 or seconds <= 0:
             raise QualityError("observations must be positive")
         self._points.setdefault(label, []).append((float(volume), float(seconds)))
-
-    def observations(self, label: str) -> list[tuple[float, float]]:
-        """Copies of one band's (volume, seconds) points."""
-        return list(self._points.get(label, []))
 
     def predictor_for(self, label: str):
         """Band-specific predictor; pools all bands as a fallback when the

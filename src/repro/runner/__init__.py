@@ -12,8 +12,6 @@ public entry points are thin configurations of it:
   volume to a replacement;
 * :func:`~repro.runner.fault_tolerant.execute_fault_tolerant` — §7 crash
   recovery in unit batches;
-* :func:`~repro.runner.fleet.execute_on_fleet` — warm leases from a
-  shared fleet instead of private boots;
 * :func:`~repro.runner.spot.execute_plan_spot` — spot-market capacity
   with interruption absorption, the fallback ladder, and deadline-aware
   on-demand escalation.
@@ -21,7 +19,10 @@ public entry points are thin configurations of it:
 Every entry point but the spot one settles its bins through
 :class:`~repro.runner.core.FleetCompletion`; ``ExecutionCore(...).run()``
 also returns the :class:`~repro.runner.core.FleetTimeline` of completion
-events.
+events.  Warm leases from a shared fleet are a policy triple, not an
+entry point: :meth:`~repro.runner.core.StagePolicy.leased` builds it
+(``DagScheduler(policy="leased")`` runs it per stage), and multi-tenant
+campaigns go through :class:`~repro.fleet.scheduler.FleetScheduler`.
 """
 
 from repro.runner.core import (
@@ -48,7 +49,6 @@ from repro.runner.columnar import (
 from repro.runner.dynamic import DynamicPolicy, ReplacementEvent, execute_with_monitoring
 from repro.runner.execute import ExecutionReport, FailedBin, InstanceRun, execute_plan
 from repro.runner.fault_tolerant import CrashEvent, FaultPolicy, execute_fault_tolerant
-from repro.runner.fleet import execute_on_fleet
 from repro.runner.quality import execute_quality_aware
 from repro.runner.spot import (
     SpotAcquisition,
@@ -64,7 +64,6 @@ __all__ = [
     "FailedBin",
     "InstanceRun",
     "execute_plan",
-    "execute_on_fleet",
     "DynamicPolicy",
     "ReplacementEvent",
     "execute_with_monitoring",

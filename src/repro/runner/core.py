@@ -2,9 +2,9 @@
 
 The public runners — :func:`~repro.runner.execute.execute_plan`,
 :func:`~repro.runner.dynamic.execute_with_monitoring`,
-:func:`~repro.runner.fault_tolerant.execute_fault_tolerant`,
-:func:`~repro.runner.fleet.execute_on_fleet` and
-:func:`~repro.runner.spot.execute_plan_spot` — share one launch →
+:func:`~repro.runner.fault_tolerant.execute_fault_tolerant` and
+:func:`~repro.runner.spot.execute_plan_spot`, and the leased stages of
+:class:`~repro.dag.scheduler.DagScheduler` — share one launch →
 boot-barrier → process → bill → terminate loop.  :class:`ExecutionCore` is
 that loop, on the cloud's :class:`~repro.sim.engine.SimulationEngine`:
 fleet start is an engine event at the boot barrier, every bin completion is

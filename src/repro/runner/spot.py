@@ -40,7 +40,7 @@ Span/metric taxonomy (extends the ``runner.*`` vocabulary):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, cast
 
 from repro.cloud.cluster import Cloud
 from repro.cloud.service import ExecutionService, Workload
@@ -61,7 +61,7 @@ from repro.runner.execute import ExecutionReport, FailedBin, InstanceRun
 from repro.units import ceil_hour_cost, resume_time
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.capacity import BrokerAcquisition, CapacityOffer
+    from repro.capacity import BrokerAcquisition, CapacityOffer, WarmLeaseBroker
     from repro.chaos import FaultInjector
     from repro.cloud.instance import Instance
     from repro.resilience.launch import ResilientLauncher
@@ -314,8 +314,9 @@ class SpotProgress:
                                         strategy=ctx.report.strategy).inc()
                     obs.metrics.histogram("runner.task.seconds"
                                           ).observe(seg_need)
-                if leased:
-                    active_offer.broker.settle(ctx.cloud, active_offer, end)
+                if leased:  # only a WarmLeaseBroker grants a lease
+                    cast("WarmLeaseBroker", active_offer.broker).settle(
+                        ctx.cloud, active_offer, end)
                 else:
                     active.terminate(end)
                 elapsed += seg_need

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import heapq
 from math import inf, isfinite
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.trace import Tracer
@@ -98,10 +98,6 @@ class SimulationEngine:
         self.max_events = max_events
         self._tracer = tracer if (tracer is not None and tracer.enabled) else None
 
-    def attach_tracer(self, tracer: "Tracer | None") -> None:
-        """Install (or remove, with ``None``) the structured event log."""
-        self._tracer = tracer if (tracer is not None and tracer.enabled) else None
-
     # -- clock -----------------------------------------------------------
 
     @property
@@ -132,13 +128,6 @@ class SimulationEngine:
             self._tracer.instant("sim.engine.schedule", cat="sim",
                                  track="sim", label=label, t=time)
         return ev
-
-    def schedule_in(self, delay: float, callback: Callable[[], None],
-                    label: str = "") -> Event:
-        """Schedule ``callback`` after ``delay`` seconds of simulated time."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay} for {label or 'event'}")
-        return self.schedule_at(self._now + delay, callback, label)
 
     def schedule_batch(
         self,
@@ -193,7 +182,7 @@ class SimulationEngine:
 
     # -- execution -------------------------------------------------------
 
-    def _fire(self, entry: tuple[float, int, Event]) -> Event:
+    def _fire(self, entry: tuple[float, int, Event]) -> None:
         """Consume one entry (already popped off the heap)."""
         ev = entry[2]
         self._now = entry[0]
@@ -204,13 +193,6 @@ class SimulationEngine:
             self._tracer.instant("sim.engine.fire", cat="sim",
                                  track="sim", label=ev.label)
         ev.callback()
-        return ev
-
-    def step(self) -> Optional[Event]:
-        """Fire the next pending event; return it, or ``None`` if drained."""
-        if not self._heap:
-            return None
-        return self._fire(heapq.heappop(self._heap))
 
     def run(self, until: float | None = None) -> float:
         """Fire events until the heap drains (or ``until`` passes).

@@ -25,6 +25,7 @@ from tests.test_runner_core_differential import (
     chaos_cloud,
     make_plan,
     pos_workload,
+    run_leased,
 )
 from repro.capacity import (
     BrokerAcquisition,
@@ -41,7 +42,6 @@ from repro.resilience import ResilientLauncher, SpotFallbackPolicy, SpotLadder
 from repro.runner import (
     FaultPolicy,
     execute_fault_tolerant,
-    execute_on_fleet,
     execute_plan,
     execute_plan_spot,
 )
@@ -138,15 +138,15 @@ class TestFleetBrokerDifferential:
 
 
 class TestLeaseBrokerDifferential:
-    """execute_on_fleet's warm-lease broker vs the frozen lazy policy."""
+    """The leased stage's warm-lease broker vs the frozen lazy policy."""
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_leased(self, seed):
         plan, wl = make_plan(), pos_workload()
         ca, cb = Cloud(seed=seed), Cloud(seed=seed)
         ma, mb = LeaseManager(ca), LeaseManager(cb)
-        new = execute_on_fleet(ma, wl, plan, tenant="t",
-                               campaign="uniform-campaign")
+        new = run_leased(ma, wl, plan, tenant="t",
+                         campaign="uniform-campaign")
         ref = ExecutionCore(
             cb, wl, plan,
             acquisition=ReferenceLeaseAcquisition(mb, tenant="t",
@@ -154,7 +154,7 @@ class TestLeaseBrokerDifferential:
             progress=RunToCompletion(),
             completion=FleetCompletion(lease_manager=mb),
             strategy=f"{plan.strategy}+fleet",
-            label="execute_on_fleet").run().report
+            label="leased").run().report
         assert_reports_equal(new, ref)
         assert ma.stats() == mb.stats()
         ma.shutdown()
@@ -175,8 +175,8 @@ class TestLeaseBrokerDifferential:
         ma, mb = LeaseManager(ca), LeaseManager(cb)
         new = ref = err_new = err_ref = None
         try:
-            new = execute_on_fleet(ma, wl, plan, tenant="t",
-                                   campaign="uniform-campaign")
+            new = run_leased(ma, wl, plan, tenant="t",
+                             campaign="uniform-campaign")
         except LeaseError as e:
             err_new = str(e)
         try:
@@ -187,7 +187,7 @@ class TestLeaseBrokerDifferential:
                 progress=RunToCompletion(),
                 completion=FleetCompletion(lease_manager=mb),
                 strategy=f"{plan.strategy}+fleet",
-                label="execute_on_fleet").run().report
+                label="leased").run().report
         except LeaseError as e:
             err_ref = str(e)
         assert err_new == err_ref

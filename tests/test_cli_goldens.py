@@ -4,8 +4,9 @@ Each digest is the sha256 of what ``repro.cli`` prints for one small,
 seed-deterministic campaign grid.  The four campaigns write one shared
 ledger, and ``runs slo --policy <campaign>`` is pinned over it, so a
 change to the sweep-cell record format or the SLO verdict shows here as
-well as a change to the tables.  Regenerate a digest only for an
-intended change of output, and say so in the change log.
+well as a change to the tables.  The X6 figure (prediction from past
+runs vs. models) is pinned the same way.  Regenerate a digest only for
+an intended change of output, and say so in the change log.
 """
 
 import hashlib
@@ -31,6 +32,10 @@ STDOUT_SHA256 = {
     "spot": "b4287071287708be88bb41fedf336aeaed80f9c806bd8a02a0604c6b6588661b",
     "dag": "8a321ffd841408080f1e42e8ca72d13a6998adff52eaf683c71b69ba13ef2aea",
     "matrix": "abbe74fcea275da3afb688dacc735f29c24c7f10a8536b52db9445fa11a16ba9",
+}
+
+FIGURE_SHA256 = {
+    "X6": "cec06f00c1df861caf544e8b86c1725ff7df31eafe64b0cf188d79db07c1f4c4",
 }
 
 RUNS_SLO_SHA256 = {
@@ -78,3 +83,9 @@ def test_chaos_pool_matches_inline():
     """Two worker processes print what the inline sweep prints."""
     out = _run(CAMPAIGNS["chaos"] + ["--processes", "2", "--no-ledger"])
     assert _sha(out) == STDOUT_SHA256["chaos"], out
+
+
+@pytest.mark.parametrize("fig", sorted(FIGURE_SHA256))
+def test_figure_stdout(fig):
+    out = _run(["figures", "--ids", fig, "--no-ledger"])
+    assert _sha(out) == FIGURE_SHA256[fig], out

@@ -6,6 +6,7 @@ reduced scale; here the cheap ones run verbatim so a broken public API
 surfaces immediately.
 """
 
+import hashlib
 import runpy
 from pathlib import Path
 
@@ -51,6 +52,14 @@ class TestFastExamples:
         assert "spot-lease" in out
         assert "interruptions ridden out" in out
         assert "the broker stack is the only thing that changed" in out
+
+    def test_fleet_learning(self, capsys):
+        """Byte-identical stdout: the day-one runs round-trip through a
+        run ledger file and size day two's fleet from it."""
+        out = run_example("fleet_learning.py", capsys)
+        assert "saved 6 run records to grep_history.jsonl" in out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+            "2bed5d05326f7f70243b6e940de1810c67841bc3812aefa52c1c0d7a067c8dbc")
 
     def test_fleet_sharing(self, capsys):
         out = run_example("fleet_sharing.py", capsys)

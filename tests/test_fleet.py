@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tests.test_runner_core_differential import run_leased
 from repro.apps import GrepApplication, GrepCostProfile
 from repro.cloud import Cloud, Workload
 from repro.core import StaticProvisioner, reshape
@@ -30,7 +31,7 @@ from repro.fleet import (
     WarmPool,
 )
 from repro.perfmodel.regression import fit_affine
-from repro.runner import execute_on_fleet, execute_plan
+from repro.runner import execute_plan
 from repro.units import HOUR, KB, MB
 
 
@@ -495,7 +496,7 @@ class TestDynamicLeaseReplacement:
 
 
 # ---------------------------------------------------------------------------
-# execute_on_fleet
+# one plan on warm leases (the StagePolicy.leased triple)
 
 
 class TestExecuteOnFleet:
@@ -504,8 +505,8 @@ class TestExecuteOnFleet:
         mgr = LeaseManager(cloud, max_instances=4)
         wl = grep_workload()
         p1, p2 = make_plan(), make_plan()
-        r1 = execute_on_fleet(mgr, wl, p1, tenant="acme", campaign="c1")
-        r2 = execute_on_fleet(mgr, wl, p2, tenant="acme", campaign="c2")
+        r1 = run_leased(mgr, wl, p1, tenant="acme", campaign="c1")
+        r2 = run_leased(mgr, wl, p2, tenant="acme", campaign="c2")
         assert r1.strategy.endswith("+fleet")
         assert p2.reused_bins > 0
         assert any(v.startswith(("warm:", "extension:"))
@@ -519,7 +520,7 @@ class TestExecuteOnFleet:
         cloud = make_cloud()
         mgr = LeaseManager(cloud)
         plan = make_plan()
-        rep = execute_on_fleet(mgr, grep_workload(), plan)
+        rep = run_leased(mgr, grep_workload(), plan)
         for run in rep.runs:
             assert run.boot_delay > 0   # cold boots on an empty pool
         for lease in mgr.leases:

@@ -4,37 +4,39 @@ import pytest
 
 from repro.apps import PosTaggerApplication
 from repro.corpus import text_400k_like
-from repro.perfmodel import RunHistory
+from repro.obs.ledger import RunLedger, RunRecord
+from repro.perfmodel import HistoricalPredictor
 
 
 class TestHistoryPersistence:
+    """Past runs persist as ``kind="history"`` records in a run ledger
+    file, the store ``examples/fleet_learning.py`` plans day two from."""
+
     def test_save_load_roundtrip(self, tmp_path):
-        h = RunHistory()
-        h.record("grep", 1000, 1.5, instance_id="i-1", n_units=3)
-        h.record("postag", 2000, 9.0)
-        path = tmp_path / "history.jsonl"
-        h.save(path)
-        loaded = RunHistory.load(path)
+        ledger = RunLedger(tmp_path, filename="history.jsonl")
+        ledger.append(RunRecord(kind="history", label="grep",
+                                config={"instance_id": "i-1", "n_units": 3},
+                                extra={"volume": 1000, "seconds": 0.1 + 0.2}))
+        ledger.append(RunRecord(kind="history", label="postag",
+                                extra={"volume": 2000, "seconds": 9.0}))
+        loaded = RunLedger(tmp_path, filename="history.jsonl")
         assert len(loaded) == 2
-        assert loaded.for_app("grep")[0].instance_id == "i-1"
-        assert loaded.for_app("postag")[0].seconds == 9.0
-
-    def test_empty_roundtrip(self, tmp_path):
-        path = tmp_path / "empty.jsonl"
-        RunHistory().save(path)
-        assert len(RunHistory.load(path)) == 0
-
-    def test_corrupt_line_reported_with_location(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text('{"app": "grep", "volume": 10, "seconds": 1.0}\nnot json\n')
-        with pytest.raises(ValueError, match="bad.jsonl:2"):
-            RunHistory.load(path)
+        grep, = loaded.records(kind="history", label="grep")
+        assert grep.config["instance_id"] == "i-1"
+        # float seconds come back bit-exact, so a plan sized from the
+        # loaded history equals one sized from the in-memory runs
+        assert grep.extra["seconds"] == 0.1 + 0.2
+        assert loaded.records(label="postag")[0].extra["seconds"] == 9.0
 
     def test_invalid_record_rejected_on_load(self, tmp_path):
-        path = tmp_path / "neg.jsonl"
-        path.write_text('{"app": "grep", "volume": -5, "seconds": 1.0}\n')
+        ledger = RunLedger(tmp_path)
+        for volume in (-5, 2000):
+            ledger.append(RunRecord(kind="history", label="grep",
+                                    extra={"volume": volume, "seconds": 1.0}))
+        past = RunLedger(tmp_path).records(kind="history", label="grep")
         with pytest.raises(ValueError):
-            RunHistory.load(path)
+            HistoricalPredictor.from_runs([r.extra["volume"] for r in past],
+                                          [r.extra["seconds"] for r in past])
 
 
 class TestTagDistributionRealism:

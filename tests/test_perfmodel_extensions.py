@@ -74,17 +74,6 @@ class TestQualityTracker:
         assert t.classify(bonnie(60)) == "ok"
         assert t.classify(bonnie(30)) == "slow"
 
-    def test_likelihoods(self):
-        t = QualityTracker()
-        for r in (90, 95, 60, 30):
-            t.classify(bonnie(r))
-        assert t.likelihood("fast") == pytest.approx(0.5)
-        assert t.likelihood("slow") == pytest.approx(0.25)
-
-    def test_likelihood_requires_data(self):
-        with pytest.raises(QualityError):
-            QualityTracker().likelihood("fast")
-
     def test_band_validation(self):
         with pytest.raises(QualityError):
             QualityTracker(bands={})

@@ -19,7 +19,6 @@ from repro.perfmodel import (
     collect_sample_points,
     preferred_unit_size,
     refit_with_samples,
-    repeat_measure,
 )
 from repro.sim.random import RngStream
 from repro.units import KB
@@ -49,14 +48,9 @@ class TestMeasurement:
         with pytest.raises(ValueError):
             Measurement(values=(1.0, -0.1))
 
-    def test_repeat_measure(self):
-        counter = iter(range(100))
-        m = repeat_measure(lambda: float(next(counter)), repeats=5)
-        assert m.values == (0.0, 1.0, 2.0, 3.0, 4.0)
-
     def test_repeat_measure_bad_count(self):
-        with pytest.raises(ValueError):
-            repeat_measure(lambda: 1.0, repeats=0)
+        with pytest.raises(ValueError, match="repeats"):
+            make_campaign(repeats=0)
 
 
 class TestProbeSetResult:
@@ -69,10 +63,6 @@ class TestProbeSetResult:
                 2000: Measurement(values=(9.0, 9.1)),
             },
         )
-
-    def test_best_variant(self):
-        label, m = self.make().best_variant()
-        assert label == 1000 and m.mean == pytest.approx(8.1)
 
     def test_stability(self):
         assert self.make().stable()
@@ -157,15 +147,6 @@ class TestProbeCampaign:
         assert volumes == sorted(volumes)
         if len(volumes) > 1:
             assert volumes[1] == volumes[0] * 5
-
-    def test_protocol_final_accessor(self):
-        campaign, _ = make_campaign()
-        cat = text_400k_like(scale=5e-4)
-        result = campaign.run_protocol(
-            cat, initial_volume=100 * KB,
-            unit_sizes_for=lambda v: [KB], max_rounds=2,
-        )
-        assert result.final is result.probe_sets[-1]
 
     def test_observation_points_accumulate(self):
         campaign, _ = make_campaign()

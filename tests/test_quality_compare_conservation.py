@@ -16,6 +16,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tests.test_runner_core_differential import run_leased
 from repro.apps import (
     GrepApplication,
     GrepCostProfile,
@@ -44,7 +45,6 @@ from repro.runner import (
     DynamicPolicy,
     FaultPolicy,
     execute_fault_tolerant,
-    execute_on_fleet,
     execute_plan,
     execute_plan_spot,
     execute_quality_aware,
@@ -233,7 +233,7 @@ class TestWorkConservation:
     def test_fleet_runner(self, seed, strategy):
         plan = make_plan(strategy=strategy)
         manager = LeaseManager(Cloud(seed=seed))
-        report = execute_on_fleet(manager, pos_workload(), plan)
+        report = run_leased(manager, pos_workload(), plan)
         assert_work_conserved(plan, report)
 
     @settings(max_examples=8, deadline=None)

@@ -222,6 +222,33 @@ class TestDiffThresholds:
                    for r in caplog.records)
 
 
+class TestBadLedgerRefs:
+    """An empty ledger, an out-of-range index or an unknown run id is a
+    bad argument: one ``E repro.cli:`` line and exit 2, as for every
+    other bad argument."""
+
+    @pytest.mark.parametrize("n_records, refs, needle", [
+        (0, ["-1"], "ledger is empty"),
+        (2, ["-3"], "out of range"),
+        (2, ["no-such-run"], "no run 'no-such-run'"),
+    ])
+    @pytest.mark.parametrize("sub", ["show", "diff"])
+    def test_exit_2(self, sub, n_records, refs, needle, tmp_path, capsys,
+                    caplog):
+        ledger = RunLedger(tmp_path)
+        for label in ("a", "b")[:n_records]:
+            ledger.append(RunRecord(kind="experiment", label=label))
+        if sub == "diff":
+            refs = ["-1", *refs] if n_records else ["-1", "-1"]
+        rc = cli_main(["runs", sub, "--runs-dir", str(tmp_path),
+                       "--", *refs])
+        assert rc == 2
+        assert capsys.readouterr().out == ""
+        errors = [r.getMessage() for r in caplog.records
+                  if r.name == "repro.cli"]
+        assert len(errors) == 1 and needle in errors[0], errors
+
+
 class TestChaosSlos:
     @pytest.fixture(scope="class")
     def slo_reports(self):

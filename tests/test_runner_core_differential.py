@@ -30,10 +30,10 @@ from repro.runner import (
     DynamicPolicy,
     FaultPolicy,
     execute_fault_tolerant,
-    execute_on_fleet,
     execute_plan,
     execute_with_monitoring,
 )
+from repro.runner.core import ExecutionCore, StagePolicy
 
 SEEDS = [1, 7, 42]
 CHAOS = ["capacity-crunch", "flaky-boots"]
@@ -64,6 +64,23 @@ def make_straggly_plan(deadline=30.0, scale=2e-3):
     cat = text_400k_like(scale=scale)
     return StaticProvisioner(model).plan(
         list(reshape(cat, None).units), deadline, strategy="uniform")
+
+
+def run_leased(manager, workload, plan, *, tenant="default", campaign=None):
+    """Run ``plan`` on warm leases from ``manager``.
+
+    The lease triple :meth:`StagePolicy.leased` builds, under the strategy
+    tag and campaign name ``execute_on_fleet_reference`` uses, so the two
+    compare report for report.
+    """
+    policy = StagePolicy.leased(
+        manager, tenant=tenant,
+        campaign=campaign or f"{plan.strategy}-campaign")
+    return ExecutionCore(
+        manager.cloud, workload, plan,
+        acquisition=policy.acquisition, progress=policy.progress,
+        completion=policy.completion,
+        strategy=f"{plan.strategy}+fleet", label="leased").run().report
 
 
 def chaos_cloud(seed, scenario, **kw):
@@ -267,7 +284,7 @@ class TestFleetRunner:
         for strategy in ("uniform", "first-fit"):
             plan_a = make_plan(strategy=strategy)
             plan_b = make_plan(strategy=strategy)
-            new = execute_on_fleet(ma, wl, plan_a, tenant="t")
+            new = run_leased(ma, wl, plan_a, tenant="t")
             ref = execute_on_fleet_reference(mb, wl, plan_b, tenant="t")
             assert_reports_equal(new, ref)
             assert plan_a.lease_sources == plan_b.lease_sources
@@ -314,7 +331,7 @@ class TestCoreInvariants:
 
         cloud, wl = Cloud(seed=7), pos_workload()
         other = LeaseManager(cloud)
-        execute_on_fleet(other, wl, make_plan(), tenant="a")
+        run_leased(other, wl, make_plan(), tenant="a")
         pooled = [i for i in cloud.running_instances()
                   if other.owns(i.instance_id)]
         assert pooled

@@ -35,7 +35,7 @@ class TestScheduling:
         eng = SimulationEngine()
         log = []
         def first():
-            eng.schedule_in(2.0, lambda: log.append(eng.now))
+            eng.schedule_at(eng.now + 2.0, lambda: log.append(eng.now))
         eng.schedule_at(1.0, first)
         eng.run()
         assert log == [3.0]
@@ -48,8 +48,9 @@ class TestScheduling:
             eng.schedule_at(1.0, lambda: None)
 
     def test_negative_delay_rejected(self):
+        eng = SimulationEngine()
         with pytest.raises(SimulationError):
-            SimulationEngine().schedule_in(-0.1, lambda: None)
+            eng.schedule_at(eng.now - 0.1, lambda: None)
 
 
 NON_FINITE = [float("nan"), float("inf"), float("-inf")]
@@ -81,7 +82,7 @@ class TestNonFiniteTimes:
         eng = SimulationEngine()
         eng.schedule_at(2.0, lambda: None)
         with pytest.raises(SimulationError, match="non-finite"):
-            eng.schedule_in(delay, lambda: None)
+            eng.schedule_at(eng.now + delay, lambda: None)
         assert eng.run() == 2.0
 
     @pytest.mark.parametrize("t", NON_FINITE)
@@ -122,9 +123,9 @@ class TestSafety:
         eng = SimulationEngine(max_events=10)
 
         def reschedule():
-            eng.schedule_in(1.0, reschedule)
+            eng.schedule_at(eng.now + 1.0, reschedule)
 
-        eng.schedule_in(1.0, reschedule)
+        eng.schedule_at(1.0, reschedule)
         with pytest.raises(SimulationError):
             eng.run()
 
@@ -144,8 +145,7 @@ class TestPendingCounter:
         for i in range(10):
             eng.schedule_at(float(i), lambda: None)
         assert eng.pending == 10
-        for _ in range(3):
-            eng.step()
+        eng.run(until=2.0)          # fires t = 0, 1, 2
         assert eng.pending == 7
         eng.run()
         assert eng.pending == 0
@@ -227,7 +227,7 @@ class TestScheduleBatch:
         eng = SimulationEngine()
         eng.schedule_batch([1.0, 2.0, 3.0], lambda: None)
         assert eng.pending == 3
-        eng.step()
+        eng.run(until=1.0)
         assert eng.pending == 2
         eng.run()
         assert eng.pending == 0

@@ -7,7 +7,7 @@ not merely equivalent.  Two layers of evidence:
 
 * a hypothesis property drives the engine and :class:`ReferenceQueue`
   through the same random program of ``schedule`` / ``schedule_batch`` /
-  ``run-until`` / ``step`` operations (including callbacks that schedule
+  ``run-until`` operations (including callbacks that schedule
   follow-ups while firing) and compares the full firing transcript;
 * whole campaigns — scalar ``execute_plan`` under chaos scenarios and the
   columnar fleet runner — must reproduce recorded fingerprints of their
@@ -52,9 +52,6 @@ class ReferenceQueue:
     def pending(self):
         return len(self._events)
 
-    def schedule_in(self, delay, callback, label=""):
-        return self.schedule_batch([self.now + delay], [callback])[0]
-
     def schedule_at(self, time, callback, label=""):
         return self.schedule_batch([time], [callback])[0]
 
@@ -65,7 +62,7 @@ class ReferenceQueue:
         self._events = sorted(self._events + new, key=lambda e: (e.time, e.seq))
         return new
 
-    def step(self, until=math.inf):
+    def _fire_next(self, until):
         if not self._events or self._events[0].time > until:
             return None
         ev = self._events.pop(0)
@@ -74,7 +71,7 @@ class ReferenceQueue:
         return ev
 
     def run(self, until=None):
-        while self.step(math.inf if until is None else until) is not None:
+        while self._fire_next(math.inf if until is None else until) is not None:
             pass
         if until is not None and until > self.now:
             self.now = until
@@ -100,7 +97,6 @@ _OPS = st.one_of(
               st.floats(0.0, 200.0, allow_nan=False, allow_infinity=False)),
     st.tuples(st.just("run"),
               st.floats(0.0, 300.0, allow_nan=False, allow_infinity=False)),
-    st.tuples(st.just("step"),),
 )
 
 PROGRAMS = st.lists(_OPS, min_size=1, max_size=40)
@@ -119,7 +115,7 @@ def _interpret(engine, program) -> dict:
     def chained(label, dt2):
         def cb():
             fired.append((engine.now, label, engine.events_fired))
-            engine.schedule_in(dt2, logger(f"{label}.child"),
+            engine.schedule_at(engine.now + dt2, logger(f"{label}.child"),
                                label=f"{label}.child")
         return cb
 
@@ -128,7 +124,7 @@ def _interpret(engine, program) -> dict:
         if kind == "schedule":
             label = f"ev{n}"
             n += 1
-            engine.schedule_in(op[1], logger(label), label=label)
+            engine.schedule_at(engine.now + op[1], logger(label), label=label)
         elif kind == "batch":
             labels = [f"b{n + i}" for i in range(len(op[1]))]
             n += len(op[1])
@@ -137,11 +133,10 @@ def _interpret(engine, program) -> dict:
         elif kind == "chain":
             label = f"c{n}"
             n += 1
-            engine.schedule_in(op[1], chained(label, op[2]), label=label)
+            engine.schedule_at(engine.now + op[1], chained(label, op[2]),
+                               label=label)
         elif kind == "run":
             engine.run(until=engine.now + op[1])
-        elif kind == "step":
-            engine.step()
     # drain whatever is left so late events are compared too
     engine.run()
     return {
@@ -163,7 +158,7 @@ class TestRandomPrograms:
     @settings(max_examples=40, deadline=None)
     @given(program=PROGRAMS)
     def test_traced_engine_matches_reference_queue(self, program):
-        """An enabled tracer takes the traced schedule/step branches;
+        """An enabled tracer takes the traced schedule/fire branches;
         the transcript must not change."""
         engine = _interpret(SimulationEngine(tracer=Tracer()), program)
         reference = _interpret(ReferenceQueue(), program)
