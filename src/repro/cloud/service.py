@@ -1,8 +1,10 @@
 """Execution service: charge an application run against an instance.
 
 This is the boundary between the hidden ground truth and the empirical
-world.  A *measured time* returned by :meth:`ExecutionService.run` folds
-together:
+world.  A run is priced, then charged: :meth:`Workload.price` turns the
+units into a reference-instance :class:`TimeBreakdown`, and
+:meth:`ExecutionService.charge` turns that into a *measured time*, which
+folds together:
 
 * the workload profile's reference-time breakdown (setup / io / cpu),
 * the instance's hidden cpu/io factors (heterogeneity, §3.1),
@@ -48,7 +50,14 @@ class Workload:
 
 
 class ExecutionService:
-    """Runs workloads on cloud instances and reports measured seconds."""
+    """Runs workloads on cloud instances and reports measured seconds.
+
+    :meth:`run` is :meth:`Workload.price` followed by :meth:`charge`.
+    Pricing is a pure function of the units, so a caller timing the same
+    units repeatedly (a probe's repeats) prices once and charges each
+    repeat; every charge draws its own setup and noise from the next
+    ``exec.{instance}.{n}`` fork, so the times equal repeated runs.
+    """
 
     def __init__(self, cloud: Cloud, noise_sigma: float = 0.02) -> None:
         if noise_sigma < 0:
@@ -74,13 +83,30 @@ class ExecutionService:
         ``instance``).  With ``advance_clock`` the cloud clock moves by the
         measured duration, so billing sees the usage.
         """
+        return self.charge(instance, workload.price(units), workload,
+                           storage=storage, directory=directory,
+                           advance_clock=advance_clock)
+
+    def charge(
+        self,
+        instance: Instance,
+        breakdown: TimeBreakdown,
+        workload: Workload,
+        *,
+        storage: EbsVolume | None = None,
+        directory: str = "data",
+        advance_clock: bool = True,
+    ) -> float:
+        """Measured seconds for one run of already-priced reference work.
+
+        ``breakdown`` is ``workload.price(units)``; the options are
+        :meth:`run`'s.
+        """
         instance.require_running()
         if storage is not None and storage.attached_to is not instance:
             raise ValueError(
                 f"{storage.volume_id} is not attached to {instance.instance_id}"
             )
-        breakdown = workload.price(units)
-
         n = self._run_counts.get(instance.instance_id, 0)
         self._run_counts[instance.instance_id] = n + 1
         rng = self.cloud.rng.fork(f"exec.{instance.instance_id}.{n}")

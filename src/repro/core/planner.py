@@ -27,6 +27,7 @@ from repro.packing import (
 from repro.packing.index import BinLayout
 from repro.perfmodel.regression import FitError, Predictor
 from repro.units import HOUR, billed_hours
+from repro.vfs.files import Catalogue
 
 __all__ = ["PlanError", "plan_cost", "ebs_assignment", "ProvisioningPlan", "StaticProvisioner"]
 
@@ -189,6 +190,8 @@ class StaticProvisioner:
 
         ``planning_deadline`` lets the §5.2 adjusted-deadline strategy plan
         against ``D/(1+a)`` while reporting misses against the real ``D``.
+        ``units`` may be a :class:`~repro.vfs.Catalogue`, whose paths are
+        already unique and whose size column is packed as is.
         """
         if not units:
             raise PlanError("nothing to plan")
@@ -197,11 +200,16 @@ class StaticProvisioner:
             raise PlanError("deadlines must be positive")
         # Columnar: the packers consume the size column directly; units are
         # regrouped by index afterwards, so no Item dataclasses or key dicts
-        # are built per call.
-        sizes = [u.size for u in units]
+        # are built per call.  A catalogue already guarantees unique paths;
+        # any other sequence (e.g. reshaped segments) is checked here.
+        if isinstance(units, Catalogue):
+            sizes = units.sizes().tolist()
+            units = units.files
+        else:
+            sizes = [u.size for u in units]
+            if len({self._key(u) for u in units}) != len(units):
+                raise PlanError("unit names are not unique")
         volume = sum(sizes)
-        if len({self._key(u) for u in units}) != len(units):
-            raise PlanError("unit names are not unique")
 
         if strategy == "first-fit":
             n = self.instances_for(volume, eff_deadline)

@@ -81,11 +81,6 @@ def reshape(
         preserve_order=preserve_order,
         keys=None if preserve_order else [f.path for f in files],
     )
-    units = tuple(
-        Segment(name=f"{name_prefix}/unit{i:06d}",
-                members=tuple(files[j] for j in l.indices))
-        for i, l in enumerate(layouts)
-        if l.indices
-    )
+    units = tuple(Segment.from_layouts(layouts, files, name_prefix, digits=6))
     return ReshapePlan(unit_size=unit_size, units=units,
                        n_input_files=len(catalogue))

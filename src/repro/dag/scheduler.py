@@ -349,7 +349,7 @@ class DagScheduler:
         """All inputs arrived: plan the stage and obtain its capacity."""
         st = self._states[name]
         st.ready_at = self.cloud.now
-        units = list(self._data[name].input)
+        units = self._data[name].input
         sub = self._subdeadlines[name]
         if not units:
             # Nothing survived the upstream filters: the stage is a no-op.

@@ -128,8 +128,7 @@ def _schedule_and_run(tb: PosTestbed, model: AffinePredictor, deadline: float,
     from repro.core.deadline import expected_misses
 
     prov = StaticProvisioner(model)
-    units = list(tb.catalogue)
-    plan = prov.plan(units, deadline, strategy=strategy,
+    plan = prov.plan(tb.catalogue, deadline, strategy=strategy,
                      planning_deadline=planning_deadline)
     report = execute_plan(tb.cloud, tb.workload, plan)
     return {

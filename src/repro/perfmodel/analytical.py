@@ -81,8 +81,9 @@ def calibrate_stream_model(
     def measure(units, directory):
         if storage is not None:
             storage.store(directory)
-        vals = [service.run(instance, units, workload, storage=storage,
-                            directory=directory) for _ in range(repeats)]
+        breakdown = workload.price(units)
+        vals = [service.charge(instance, breakdown, workload, storage=storage,
+                               directory=directory) for _ in range(repeats)]
         return sum(vals) / len(vals)
 
     t_big = measure(big_units, "analytical/big")

@@ -28,22 +28,10 @@ from repro.cloud.ebs import EbsVolume
 from repro.cloud.instance import Instance
 from repro.cloud.service import ExecutionService, Workload
 from repro.packing import PackingCache
-from repro.packing.index import BinLayout
 from repro.perfmodel.measurement import DEFAULT_REPEATS, Measurement, ProbeSetResult
-from repro.vfs.files import Catalogue, Segment, VirtualFile
+from repro.vfs.files import Catalogue, Segment
 
 __all__ = ["ProbeSet", "build_probe_set", "ProbeCampaign", "ProtocolResult"]
-
-
-def _layouts_to_segments(layouts: Sequence[BinLayout],
-                         files: Sequence[VirtualFile],
-                         prefix: str) -> list[Segment]:
-    return [
-        Segment(name=f"{prefix}/unit{idx:05d}",
-                members=tuple(files[i] for i in l.indices))
-        for idx, l in enumerate(layouts)
-        if l.indices
-    ]
 
 
 @dataclass(frozen=True)
@@ -93,7 +81,7 @@ def build_probe_set(
         layouts = cache.pack_layout(head, s, heuristic="subset_sum",
                                     preserve_order=True, derive_from=s0)
         variants[s] = tuple(
-            _layouts_to_segments(layouts, files, f"probe_v{volume}_s{s}")
+            Segment.from_layouts(layouts, files, f"probe_v{volume}_s{s}", digits=5)
         )
     return ProbeSet(volume=volume, variants=variants)
 
@@ -138,7 +126,12 @@ class ProbeCampaign:
     # -- low-level -----------------------------------------------------------
 
     def measure(self, units: Sequence[Unit], directory: str) -> Measurement:
-        """Time one probe ``repeats`` times (mean/std recorded)."""
+        """Time one probe ``repeats`` times (mean/std recorded).
+
+        The probe's reference work is priced once; each repeat is charged
+        with its own setup draw and noise, exactly as ``repeats`` calls of
+        :meth:`ExecutionService.run` would be.
+        """
         if self.storage is not None:
             self.storage.store(directory)
         obs = self._obs
@@ -147,9 +140,10 @@ class ProbeCampaign:
         with obs.tracer.span("perfmodel.probe.measure", cat="perfmodel",
                              track="probes", directory=directory,
                              units=len(units), repeats=self.repeats):
+            breakdown = self.workload.price(units)
             values = tuple(
-                self.service.run(
-                    self.instance, units, self.workload,
+                self.service.charge(
+                    self.instance, breakdown, self.workload,
                     storage=self.storage, directory=directory,
                 )
                 for _ in range(self.repeats)

@@ -12,11 +12,13 @@ from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+
 from repro.packing import subset_sum_layout
-from repro.perfmodel.probes import ProbeCampaign, _layouts_to_segments
+from repro.perfmodel.probes import ProbeCampaign
 from repro.perfmodel.regression import AffinePredictor, fit_affine
 from repro.sim.random import RngStream
-from repro.vfs.files import Catalogue
+from repro.vfs.files import Catalogue, Segment
 
 __all__ = ["collect_sample_points", "refit_with_samples"]
 
@@ -44,11 +46,11 @@ def collect_sample_points(
         if not 0 < f < 1:
             raise ValueError("subset fractions must be in (0, 1)")
     points: list[tuple[float, float]] = []
-    taken: set[str] = set()
+    taken = np.zeros(len(catalogue), dtype=bool)
     for i in range(n_samples):
         sample = catalogue.sample_by_volume(sample_volume, rng.fork(f"sample.{i}"),
                                             exclude=taken)
-        taken.update(f.path for f in sample)
+        taken[sample.positions] = True
         if sample.total_size == 0:
             break
         volumes = [sample.total_size] + [
@@ -63,7 +65,7 @@ def collect_sample_points(
             else:
                 layouts = subset_sum_layout(part.sizes().tolist(), unit_size)
                 units = tuple(
-                    _layouts_to_segments(layouts, part.files, f"sample{i}_v{v}")
+                    Segment.from_layouts(layouts, part.files, f"sample{i}_v{v}", digits=5)
                 )
             m = campaign.measure(units, directory=f"samples/{i}/v{v}")
             points.append((float(part.total_size), m.mean))

@@ -113,8 +113,12 @@ class RngStream:
         idx = int(self._gen.choice(len(options), p=p))
         return options[idx]
 
-    def shuffle(self, items: list) -> None:
-        """In-place Fisher–Yates shuffle."""
+    def shuffle(self, items: list | np.ndarray) -> None:
+        """In-place Fisher–Yates shuffle.
+
+        The permutation depends only on ``len(items)``: a list and a 1-d
+        array of the same length are permuted alike.
+        """
         self._gen.shuffle(items)
 
     def sample_indices(self, n: int, k: int) -> list[int]:

@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from repro.sim.random import RngStream
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.packing.index import BinLayout
 
 __all__ = ["TextStats", "VirtualFile", "Segment", "Catalogue"]
 
@@ -120,6 +122,25 @@ class Segment:
         # Separator newlines count toward nothing: size is the member sum, folded once.
         object.__setattr__(self, "_size", sum(m.size for m in self.members))
 
+    @classmethod
+    def from_layouts(cls, layouts: Sequence["BinLayout"], files: Sequence[VirtualFile],
+                     prefix: str, *, digits: int) -> list["Segment"]:
+        """One segment per non-empty packed bin, named ``{prefix}/unit{k}``.
+
+        ``k`` is the bin's position among all ``layouts``, zero-padded to
+        ``digits``.  Each size is the bin's ``used`` total, which the packer
+        already holds as the exact member sum, so members are not re-summed.
+        """
+        segments = []
+        for idx, l in enumerate(layouts):
+            if l.indices:
+                seg = cls.__new__(cls)
+                object.__setattr__(seg, "name", f"{prefix}/unit{idx:0{digits}d}")
+                object.__setattr__(seg, "members", tuple([files[i] for i in l.indices]))
+                object.__setattr__(seg, "_size", l.used)
+                segments.append(seg)
+        return segments
+
     @property
     def size(self) -> int:
         return self._size
@@ -148,11 +169,19 @@ class Segment:
 
 
 class Catalogue:
-    """Ordered, immutable-ish collection of virtual files.
+    """Ordered, immutable collection of virtual files.
 
     Supports the operations the experiments need: totals, slicing by count
     or by volume (probe construction, §4), random volume samples without
     replacement (§5.1/§5.2 refits), and size histograms (Fig. 1).
+
+    A catalogue built from files checks once that its paths are unique.
+    Every catalogue derived from one — a volume head, a random sample, a
+    partition, a filter or a size ordering — is an *index slice*: it holds
+    the parent's own :class:`VirtualFile` objects, gathers its size column
+    from the parent's with numpy, and exposes the parent positions it holds
+    as :attr:`positions`.  A subset of unique paths is unique, so a slice
+    only checks that its positions are distinct and in range.
     """
 
     def __init__(self, files: Iterable[VirtualFile], name: str = "catalogue") -> None:
@@ -165,7 +194,40 @@ class Catalogue:
             seen.add(f.path)
         self._sizes = np.array([f.size for f in self._files], dtype=np.int64)
         self._cum = np.cumsum(self._sizes) if self._files else np.array([])
+        self._positions: np.ndarray | None = None
         self._fingerprint: str | None = None
+
+    @classmethod
+    def _slice(cls, files: list[VirtualFile], sizes: np.ndarray, cum: np.ndarray,
+               positions: np.ndarray | None, name: str) -> "Catalogue":
+        out = cls.__new__(cls)
+        out._files = files
+        out.name = name
+        out._sizes = sizes
+        out._cum = cum if len(files) else np.array([])
+        out._positions = positions
+        out._fingerprint = None
+        return out
+
+    def _take(self, indices: Sequence[int] | np.ndarray, name: str) -> "Catalogue":
+        """Slice holding the files at ``indices``, in the order given."""
+        idx = np.asarray(indices, dtype=np.int64)
+        if idx.size:
+            ordered = np.sort(idx)
+            if (ordered[0] < 0 or ordered[-1] >= len(self._files)
+                    or (ordered[1:] == ordered[:-1]).any()):
+                raise ValueError(
+                    f"{name}: slice positions must be distinct and within "
+                    f"the {len(self._files)} files of {self.name!r}"
+                )
+        files = self._files
+        sizes = self._sizes[idx]
+        return self._slice([files[i] for i in idx.tolist()], sizes, np.cumsum(sizes),
+                           idx, name)
+
+    def _prefix(self, k: int, name: str) -> "Catalogue":
+        """Slice holding the first ``k`` files (``0 <= k <= len(self)``)."""
+        return self._slice(self._files[:k], self._sizes[:k], self._cum[:k], None, name)
 
     # -- basics ------------------------------------------------------------
 
@@ -181,6 +243,19 @@ class Catalogue:
     @property
     def files(self) -> Sequence[VirtualFile]:
         return tuple(self._files)
+
+    @property
+    def positions(self) -> np.ndarray:
+        """Positions, in the catalogue this one was sliced from, of its files.
+
+        A catalogue built from files is its own parent, and a prefix holds
+        its parent's first files: both report ``0..n-1``.  Masks over the
+        parent index with these, e.g. to exclude drawn files from the next
+        :meth:`sample_by_volume`.
+        """
+        if self._positions is None:
+            return np.arange(len(self._files))
+        return self._positions
 
     @property
     def total_size(self) -> int:
@@ -224,48 +299,59 @@ class Catalogue:
         form" up to the requested probe volume.
         """
         if volume <= 0:
-            return Catalogue([], name=f"{self.name}[:0B]")
+            return self._prefix(0, f"{self.name}[:0B]")
         if volume >= self.total_size:
-            return Catalogue(self._files, name=f"{self.name}[:all]")
-        k = int(bisect.bisect_left(self._cum, volume)) + 1
-        return Catalogue(self._files[:k], name=f"{self.name}[:{volume}B]")
+            return self._prefix(len(self._files), f"{self.name}[:all]")
+        k = int(np.searchsorted(self._cum, volume)) + 1
+        return self._prefix(k, f"{self.name}[:{volume}B]")
 
     def sample_by_volume(
-        self, volume: int, rng: RngStream, *, exclude: set[str] | None = None
+        self, volume: int, rng: RngStream, *, exclude: np.ndarray | None = None
     ) -> "Catalogue":
         """Random sample of ≈``volume`` bytes without replacement.
 
-        Files already in ``exclude`` are never drawn, supporting the paper's
-        repeated non-overlapping samples ("10 random samples (without
-        replacement) of 2 GB", §5.1).
+        ``exclude`` is a boolean mask over this catalogue's files; masked
+        files are never drawn.  Setting a sample's :attr:`positions` in the
+        mask supports the paper's repeated non-overlapping samples ("10
+        random samples (without replacement) of 2 GB", §5.1).  The sample
+        is the shortest prefix of a shuffle of the remaining files that
+        reaches ``volume`` (nothing for ``volume`` 0, everything when the
+        remaining files fall short), returned in catalogue order.
         """
         if volume < 0:
             raise ValueError("sample volume must be non-negative")
-        pool = [f for f in self._files if not exclude or f.path not in exclude]
-        order = list(range(len(pool)))
-        rng.shuffle(order)
-        picked: list[int] = []
-        acc = 0
-        for i in order:
-            if acc >= volume:
-                break
-            picked.append(i)
-            acc += pool[i].size
+        n = len(self._files)
+        if exclude is None:
+            pool = np.arange(n)
+        else:
+            mask = np.asarray(exclude)
+            if mask.dtype != np.bool_ or mask.shape != (n,):
+                raise ValueError(
+                    f"exclude must be a boolean mask over the {n} files of {self.name!r}"
+                )
+            pool = np.flatnonzero(~mask)
+        # The permutation depends only on the pool's length, so shuffling
+        # the positions draws exactly what shuffling range(len(pool)) would.
+        rng.shuffle(pool)
+        k = 0
+        if volume > 0:
+            k = min(int(np.searchsorted(np.cumsum(self._sizes[pool]), volume)) + 1,
+                    len(pool))
         # Restore catalogue order so downstream packing sees original order.
-        return Catalogue([pool[i] for i in sorted(picked)],
-                         name=f"{self.name}[sample {volume}B]")
+        return self._take(np.sort(pool[:k]), f"{self.name}[sample {volume}B]")
 
     def filter(self, predicate) -> "Catalogue":
         """Files satisfying ``predicate`` (original order preserved)."""
-        return Catalogue([f for f in self._files if predicate(f)],
-                         name=f"{self.name}[filtered]")
+        keep = [i for i, f in enumerate(self._files) if predicate(f)]
+        return self._take(keep, f"{self.name}[filtered]")
 
     def sorted_by_size(self, *, descending: bool = False) -> "Catalogue":
-        """Size-ordered copy (the paper builds initial probes 'among the
+        """Size-ordered slice (the paper builds initial probes 'among the
         smallest' files, §4)."""
-        ordered = sorted(self._files, key=lambda f: (f.size, f.path),
-                         reverse=descending)
-        return Catalogue(ordered, name=f"{self.name}[by-size]")
+        files = self._files
+        order = sorted(range(len(files)), key=lambda i: (files[i].size, files[i].path),
+                       reverse=descending)
+        return self._take(order, f"{self.name}[by-size]")
 
     @staticmethod
     def concat(parts: Sequence["Catalogue"], name: str = "concat") -> "Catalogue":
@@ -284,12 +370,8 @@ class Catalogue:
 
         layouts = uniform_layout(self._sizes.tolist(), n_bins=n_parts,
                                  preserve_order=True)
-        return [
-            Catalogue(
-                [self._files[j] for j in l.indices], name=f"{self.name}/part{i}"
-            )
-            for i, l in enumerate(layouts)
-        ]
+        return [self._take(l.indices, f"{self.name}/part{i}")
+                for i, l in enumerate(layouts)]
 
     # -- analytics -----------------------------------------------------------
 

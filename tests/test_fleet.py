@@ -19,7 +19,6 @@ from repro.core import StaticProvisioner, reshape
 from repro.corpus import text_400k_like
 from repro.fleet import (
     ADMITTED,
-    DEFERRED,
     REJECTED,
     AdmissionController,
     FleetRequest,

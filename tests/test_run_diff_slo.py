@@ -15,7 +15,6 @@ from repro.obs import configure, disable
 from repro.obs.diff import (
     Delta,
     DiffError,
-    GateViolation,
     diff_runs,
     regression_gate,
     render_diff_table,

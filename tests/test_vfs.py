@@ -1,5 +1,6 @@
 """Tests for the virtual file system."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -138,7 +139,9 @@ class TestCatalogue:
     def test_sample_without_replacement_exclusion(self):
         c = make_catalogue([100] * 10)
         s1 = c.sample_by_volume(300, RngStream(3))
-        s2 = c.sample_by_volume(300, RngStream(4), exclude={f.path for f in s1})
+        taken = np.zeros(len(c), dtype=bool)
+        taken[s1.positions] = True
+        s2 = c.sample_by_volume(300, RngStream(4), exclude=taken)
         assert not ({f.path for f in s1} & {f.path for f in s2})
 
     @pytest.mark.parametrize("arrange", ["concat", "by-size"])

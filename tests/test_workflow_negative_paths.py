@@ -8,7 +8,6 @@ from repro.cloud import Cloud, Workload
 from repro.core import (
     PlanError,
     TextWorkflow,
-    WorkflowError,
     WorkflowStage,
 )
 from repro.corpus import html_18mil_like
