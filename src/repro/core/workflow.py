@@ -27,12 +27,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import networkx as nx
+import numpy as np
 
 from repro.cloud.service import Workload
 from repro.perfmodel.regression import Predictor
 from repro.sim.random import stable_seed
 from repro.units import HOUR
-from repro.vfs.files import Catalogue, VirtualFile
+from repro.vfs.files import Catalogue, TextStats
 from repro.vfs.memo import ByIdentity, shared
 
 __all__ = ["WorkflowStage", "TextWorkflow", "WorkflowError", "StageData",
@@ -203,46 +204,54 @@ def derived_catalogue(
     Per-file shares use largest-remainder rounding: floor each share,
     then hand the leftover bytes to the files with the largest fractional
     parts (ties by catalogue order).
+
+    The apportionment runs on the int64 size column: a stable argsort of
+    the fractional deficits gives the same tie order as a stable sort,
+    and a leftover of ``rem`` bytes over ``n`` files is ``rem // n`` each
+    plus one more for the first ``rem % n`` in that order.  Files whose
+    share rounds to zero are dropped; the rest keep their parent's
+    :class:`TextStats` (a fresh markup-free copy for markup-stripping
+    stages) and are built in one bulk pass
+    (:meth:`Catalogue._from_columns`).
     """
     files_in = list(source)
-    target = int(source.total_size * stage.output_ratio)
-    shares = [f.size * stage.output_ratio for f in files_in]
-    sizes = [int(s) for s in shares]
-    rem = target - sum(sizes)
+    ratio = stage.output_ratio
+    target = int(source.total_size * ratio)
+    shares = source.sizes() * ratio
+    sizes = shares.astype(np.int64)
+    rem = target - int(sizes.sum())
     if rem and files_in:
         n = len(files_in)
         # Most-underfunded first for handing out bytes; walk the same
         # ranking backwards to claw bytes back if float error overshot.
-        order = sorted(range(n), key=lambda i: sizes[i] - shares[i])
+        order = np.argsort(sizes - shares, kind="stable")
+        if rem > 0:
+            sizes += rem // n
+            sizes[order[:rem % n]] += 1
         i = 0
-        while rem > 0:
-            sizes[order[i % n]] += 1
-            rem -= 1
-            i += 1
         while rem < 0:
             j = order[-1 - (i % n)]
             if sizes[j] > 0:
                 sizes[j] -= 1
                 rem += 1
             i += 1
-    files = []
-    for f, out_size in zip(files_in, sizes):
-        if out_size <= 0:
-            continue
-        stats = f.stats
-        if stage.strips_markup and stats.markup_fraction > 0:
-            from repro.vfs.files import TextStats
-
-            stats = TextStats(avg_word_len=stats.avg_word_len,
-                              avg_sentence_words=stats.avg_sentence_words,
-                              markup_fraction=0.0)
-        files.append(VirtualFile(
-            path=f"{stage.name}/{f.path}",
-            size=out_size,
-            stats=stats,
-            content_seed=stable_seed(f.content_seed, seed_tag),
-        ))
-    return Catalogue(files, name=f"{source.name}->{stage.name}")
+    kept = np.flatnonzero(sizes > 0)
+    files = [files_in[k] for k in kept.tolist()]
+    stats = [f.stats for f in files]
+    if stage.strips_markup:
+        marked = [k for k, s in enumerate(stats) if s.markup_fraction > 0]
+        plain = TextStats._column([stats[k].avg_word_len for k in marked],
+                                  [stats[k].avg_sentence_words for k in marked],
+                                  0.0)
+        for k, s in zip(marked, plain):
+            stats[k] = s
+    return Catalogue._from_columns(
+        f"{source.name}->{stage.name}",
+        [f"{stage.name}/{f.path}" for f in files],
+        sizes[kept],
+        stats,
+        [stable_seed(f.content_seed, seed_tag) for f in files],
+    )
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ from repro.corpus.text import (
     TextProfile,
     synthesize_novel,
 )
-from repro.sim.random import RngStream, stable_seed
+from repro.sim.random import RngStream, stable_seeds
 from repro.units import KB, MB
 from repro.vfs.files import Catalogue, TextStats, VirtualFile
 from repro.vfs.memo import shared_in_sweep
@@ -100,6 +100,11 @@ def _build_catalogue(
     while §5 refits use *random samples*; a head/average complexity gap is
     exactly what makes the refit slope differ from the probe slope
     (Eq. (3) vs Eq. (4)).
+
+    Sizes and sentence lengths are numpy draws, so the catalogue is built
+    from columns in one bulk pass (:meth:`Catalogue._from_columns`): the
+    columns are checked once, and the files equal those the per-file
+    constructors would build, content seeds included.
     """
     rng = RngStream(seed, name=name)
     sizes = dist.ensure_max_present(dist.sample(rng.fork("sizes"), n_files))
@@ -114,20 +119,14 @@ def _build_catalogue(
     # HTML corpus hides ≈1 % of bytes from the tokenizer.
     markup = 0.011 if html else 0.0
     ext = "html" if html else "txt"
-    files = [
-        VirtualFile(
-            path=f"{name}/{i:0{width}d}.{ext}",
-            size=int(sizes[i]),
-            stats=TextStats(
-                avg_word_len=7.1,
-                avg_sentence_words=float(slens[i]),
-                markup_fraction=markup,
-            ),
-            content_seed=stable_seed(seed, f"{name}/{i}"),
-        )
-        for i in range(n_files)
-    ]
-    return Catalogue(files, name=name)
+    path = f"{name.replace('%', '%%')}/%0{width}d.{ext}"
+    return Catalogue._from_columns(
+        name,
+        [path % i for i in range(n_files)],
+        sizes,
+        TextStats._column(7.1, slens, markup),
+        stable_seeds(seed, [f"{name}/{i}" for i in range(n_files)]),
+    )
 
 
 @shared_in_sweep
@@ -233,19 +232,19 @@ def mixed_domain_like(scale: float = 1e-3, seed: int = 2012) -> Catalogue:
         ("academic", 28.0, 3.0),
     )
     per = n // len(domains)
-    width = max(6, len(str(n)))
-    files = []
+    path = f"mixed_domain/%0{max(6, len(str(n)))}d.txt"
+    slens = []
     for i in range(n):
         d = min(i // max(1, per), len(domains) - 1)
         _, mean, sd = domains[d]
-        slen = min(45.0, max(6.0, rng.fork(f"c{i}").normal(mean, sd)))
-        files.append(VirtualFile(
-            path=f"mixed_domain/{i:0{width}d}.txt",
-            size=int(sizes[i]),
-            stats=TextStats(avg_word_len=7.1, avg_sentence_words=float(slen)),
-            content_seed=stable_seed(seed, f"mixed/{i}"),
-        ))
-    return Catalogue(files, name="mixed_domain")
+        slens.append(min(45.0, max(6.0, rng.fork(f"c{i}").normal(mean, sd))))
+    return Catalogue._from_columns(
+        "mixed_domain",
+        [path % i for i in range(n)],
+        sizes,
+        TextStats._column(7.1, slens, 0.0),
+        stable_seeds(seed, [f"mixed/{i}" for i in range(n)]),
+    )
 
 
 def _make_novel(name: str, n_words: int, profile: TextProfile, seed: int) -> Novel:

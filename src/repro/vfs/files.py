@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import gc
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -14,6 +17,39 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.packing.index import BinLayout
 
 __all__ = ["TextStats", "VirtualFile", "Segment", "Catalogue"]
+
+_STATS_RANGE = "text statistics must be positive and finite"
+_MARKUP_RANGE = "markup fraction must be in [0, 1)"
+
+
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector, then restore the caller's setting.
+
+    A bulk build allocates one tracked object per file, and every full
+    collection it triggers walks all live files, the other catalogues held
+    at the time included.  The objects built under the pause hold only
+    numbers, strings and :class:`TextStats`, so they form no cycles and
+    the pause leaves no garbage behind.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _check_unique(paths: Sequence[str]) -> None:
+    """Raise for the first repeated path; one set build when all are unique."""
+    if len(set(paths)) == len(paths):
+        return
+    seen: set[str] = set()
+    for p in paths:
+        if p in seen:
+            raise ValueError(f"duplicate path in catalogue: {p!r}")
+        seen.add(p)
 
 
 @dataclass(frozen=True)
@@ -33,9 +69,39 @@ class TextStats:
     def __post_init__(self) -> None:
         # Range checks that NaN fails too: the cost model's int casts need finite stats.
         if not (0 < self.avg_word_len < math.inf and 0 < self.avg_sentence_words < math.inf):
-            raise ValueError("text statistics must be positive and finite")
+            raise ValueError(_STATS_RANGE)
         if not 0.0 <= self.markup_fraction < 1.0:
-            raise ValueError("markup fraction must be in [0, 1)")
+            raise ValueError(_MARKUP_RANGE)
+
+    @classmethod
+    def _column(cls, avg_word_len, avg_sentence_words,
+                markup_fraction) -> list["TextStats"]:
+        """One ``TextStats`` per row of the broadcast float columns.
+
+        :meth:`__post_init__`'s predicates run once over whole columns with
+        numpy and raise its error for the first bad row.  The objects are
+        then built without re-checking them and equal constructor-built
+        ones; a scalar column is one float shared by every row.
+        """
+        columns = [np.asarray(c, dtype=np.float64)
+                   for c in (avg_word_len, avg_sentence_words, markup_fraction)]
+        awl, asw, mf = np.atleast_1d(*np.broadcast_arrays(*columns))
+        in_range = (0 < awl) & (awl < math.inf) & (0 < asw) & (asw < math.inf)
+        bad = np.flatnonzero(~(in_range & (0.0 <= mf) & (mf < 1.0)))
+        if bad.size:
+            raise ValueError(_STATS_RANGE if not in_range[bad[0]] else _MARKUP_RANGE)
+        rows = [repeat(c.item(), len(b)) if c.ndim == 0 else b.tolist()
+                for c, b in zip(columns, (awl, asw, mf))]
+        new, put = object.__new__, object.__setattr__
+        column = []
+        with _collector_paused():
+            for a, s, m in zip(*rows):
+                stats = new(cls)
+                put(stats, "avg_word_len", a)
+                put(stats, "avg_sentence_words", s)
+                put(stats, "markup_fraction", m)
+                column.append(stats)
+        return column
 
 
 @dataclass(frozen=True)
@@ -176,6 +242,8 @@ class Catalogue:
     replacement (§5.1/§5.2 refits), and size histograms (Fig. 1).
 
     A catalogue built from files checks once that its paths are unique.
+    Corpus and stage catalogues are built in one bulk pass instead
+    (:meth:`_from_columns`), which checks whole columns once.
     Every catalogue derived from one — a volume head, a random sample, a
     partition, a filter or a size ordering — is an *index slice*: it holds
     the parent's own :class:`VirtualFile` objects, gathers its size column
@@ -187,11 +255,7 @@ class Catalogue:
     def __init__(self, files: Iterable[VirtualFile], name: str = "catalogue") -> None:
         self._files: list[VirtualFile] = list(files)
         self.name = name
-        seen: set[str] = set()
-        for f in self._files:
-            if f.path in seen:
-                raise ValueError(f"duplicate path in catalogue: {f.path!r}")
-            seen.add(f.path)
+        _check_unique([f.path for f in self._files])
         self._sizes = np.array([f.size for f in self._files], dtype=np.int64)
         self._cum = np.cumsum(self._sizes) if self._files else np.array([])
         self._positions: np.ndarray | None = None
@@ -208,6 +272,40 @@ class Catalogue:
         out._positions = positions
         out._fingerprint = None
         return out
+
+    @classmethod
+    def _from_columns(cls, name: str, paths: Sequence[str], sizes: np.ndarray,
+                      stats: Sequence[TextStats],
+                      seeds: Sequence[int]) -> "Catalogue":
+        """Catalogue of ``VirtualFile(paths[i], sizes[i], stats[i], seeds[i])``.
+
+        The bulk build of corpus and stage catalogues.  Sizes and path
+        uniqueness are checked once over the columns, raising the errors
+        :class:`VirtualFile` and :meth:`__init__` raise; ``stats`` are
+        already-checked objects (e.g. from :meth:`TextStats._column`).  The
+        files are then built without per-object re-checks, with the cyclic
+        collector paused, and equal constructor-built ones.  The int64
+        ``sizes`` column becomes the catalogue's own, so callers pass a
+        fresh array.
+        """
+        sizes = np.asarray(sizes, dtype=np.int64)
+        if not len(paths) == len(sizes) == len(stats) == len(seeds):
+            raise ValueError(f"{name}: file columns differ in length")
+        negative = np.flatnonzero(sizes < 0)
+        if negative.size:
+            raise ValueError(f"file {paths[int(negative[0])]!r} has negative size")
+        _check_unique(paths)
+        new, put = object.__new__, object.__setattr__
+        files = []
+        with _collector_paused():
+            for path, size, text, seed in zip(paths, sizes.tolist(), stats, seeds):
+                f = new(VirtualFile)
+                put(f, "path", path)
+                put(f, "size", size)
+                put(f, "stats", text)
+                put(f, "content_seed", seed)
+                files.append(f)
+        return cls._slice(files, sizes, np.cumsum(sizes), None, name)
 
     def _take(self, indices: Sequence[int] | np.ndarray, name: str) -> "Catalogue":
         """Slice holding the files at ``indices``, in the order given."""
