@@ -1,17 +1,17 @@
-"""Shared benchmark fixtures.
+"""Shared benchmark helpers.
 
 Each benchmark regenerates one paper figure/table: it prints the ASCII
 rendering of the regenerated figure, appends paper-vs-measured comparison
-rows, and asserts the *shape* claims (who wins, by what factor).  Expensive
-testbeds are session-scoped so the grep and POS figure groups share their
-probe infrastructure, like the paper's own measurement campaigns did.
+rows, and asserts the *shape* claims (who wins, by what factor).  A figure
+bench runs the ``repro.cli`` figure function itself, which builds its own
+testbed, so the claims hold on exactly the numbers
+``python -m repro.cli figures`` prints and docs/FIGURES.md shows.
 """
 
 from __future__ import annotations
 
-import pytest
-
-from repro.experiments import exp_grep, exp_pos
+from repro.cli import FIGURES
+from repro.experiments.sweep import resolve
 
 
 def single_shot(benchmark, fn, *args, **kwargs):
@@ -19,16 +19,9 @@ def single_shot(benchmark, fn, *args, **kwargs):
     return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
 
 
-@pytest.fixture(scope="session")
-def grep_testbed():
-    """Vetted instance + EBS volume + ~9 GB HTML catalogue (shared)."""
-    return exp_grep.make_testbed()
-
-
-@pytest.fixture(scope="session")
-def pos_testbed():
-    """Vetted instance + full-scale Text_400K catalogue (shared)."""
-    return exp_pos.make_testbed()
+def run_figure(benchmark, fid: str):
+    """Regenerate ``repro.cli`` figure ``fid`` once; ``(figure, stats)``."""
+    return single_shot(benchmark, resolve(FIGURES[fid]))
 
 
 def show(fig) -> None:

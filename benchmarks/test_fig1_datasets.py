@@ -1,16 +1,15 @@
 """Bench F1a/F1b: regenerate the Fig. 1 data-set size histograms."""
 
 import pytest
-from conftest import show, single_shot
+from conftest import run_figure, show
 
 pytestmark = pytest.mark.smoke  # fast enough for the CI benchmark smoke job
 
-from repro.experiments import exp_fig1
 from repro.report import ComparisonTable
 
 
 def test_fig1a_html_dataset(benchmark):
-    fig, stats = single_shot(benchmark, exp_fig1.fig1a)
+    fig, stats = run_figure(benchmark, "F1a")
     show(fig)
     table = ComparisonTable()
     table.add("F1a", "majority of files under 50 kB", ">50%",
@@ -24,7 +23,7 @@ def test_fig1a_html_dataset(benchmark):
 
 
 def test_fig1b_text_dataset(benchmark):
-    fig, stats = single_shot(benchmark, exp_fig1.fig1b)
+    fig, stats = run_figure(benchmark, "F1b")
     show(fig)
     table = ComparisonTable()
     table.add("F1b", "files under 1 kB", ">40%",

@@ -1,16 +1,15 @@
 """Bench F2: curve shapes and the §5 marginal provisioning rule."""
 
 import pytest
-from conftest import show, single_shot
+from conftest import run_figure, show
 
 pytestmark = pytest.mark.smoke  # fast enough for the CI benchmark smoke job
 
-from repro.experiments import exp_fig2
 from repro.report import ComparisonTable
 
 
 def test_fig2_marginal_rule(benchmark):
-    fig, out = single_shot(benchmark, exp_fig2.fig2)
+    fig, out = run_figure(benchmark, "F2")
     show(fig)
     table = ComparisonTable()
     table.add("F2", "convex (b>1) strategy", "start new instances",

@@ -1,13 +1,12 @@
 """Bench F3: grep on a 1 MB probe — tiny values, huge deviations (Fig. 3)."""
 
-from conftest import show, single_shot
+from conftest import run_figure, show
 
-from repro.experiments import exp_grep
 from repro.report import ComparisonTable
 
 
 def test_fig3_unstable_small_probes(benchmark):
-    fig, out = single_shot(benchmark, exp_grep.fig3)
+    fig, out = run_figure(benchmark, "F3")
     show(fig)
     table = ComparisonTable()
     table.add("F3", "small-probe instability (max CV)", "large std, discarded",

@@ -1,14 +1,13 @@
 """Bench F4: grep on 5 GB vs unit file size — the 10 MB plateau (Fig. 4)."""
 
-from conftest import show, single_shot
+from conftest import run_figure, show
 
-from repro.experiments import exp_grep
 from repro.report import ComparisonTable
 from repro.units import MB
 
 
-def test_fig4_plateau(benchmark, grep_testbed):
-    fig, out = single_shot(benchmark, exp_grep.fig4, grep_testbed)
+def test_fig4_plateau(benchmark):
+    fig, out = run_figure(benchmark, "F4")
     show(fig)
     table = ComparisonTable()
     table.add("F4", "plateau from 10 MB units up to 2 GB", "flat",

@@ -1,14 +1,12 @@
 """Bench F5: fine unit-size sampling — repeatable EBS placement spikes (Fig. 5)."""
 
-import numpy as np
-from conftest import show, single_shot
+from conftest import run_figure, show
 
-from repro.experiments import exp_grep
 from repro.report import ComparisonTable
 
 
-def test_fig5_placement_spikes(benchmark, grep_testbed):
-    fig, out = single_shot(benchmark, exp_grep.fig5, grep_testbed)
+def test_fig5_placement_spikes(benchmark):
+    fig, out = run_figure(benchmark, "F5")
     show(fig)
     table = ComparisonTable()
     table.add("F5", "plateau is not smooth: spikes exist", "spikes observed",

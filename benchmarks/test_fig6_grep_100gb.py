@@ -1,16 +1,15 @@
 """Bench F6 + E1/E2: the full grep run — model fit, prediction gap, 5.6x
 reshaping gain (Fig. 6, Eqs. (1)–(2)).  10 GB stands in for 100 GB."""
 
-from conftest import show, single_shot
+from conftest import run_figure, show
 
-from repro.experiments import exp_grep
 from repro.report import ComparisonTable
 
 PAPER_EQ1_SLOPE = 1.324e-8
 
 
-def test_fig6_full_run(benchmark, grep_testbed):
-    fig, out = single_shot(benchmark, exp_grep.fig6, grep_testbed)
+def test_fig6_full_run(benchmark):
+    fig, out = run_figure(benchmark, "F6")
     show(fig)
     table = ComparisonTable()
     table.add("E1", "Eq.(1) slope (s/byte at 100 MB units)", f"{PAPER_EQ1_SLOPE:.3e}",

@@ -1,15 +1,14 @@
 """Bench F7: POS tagging on a 1000 kB probe — original segmentation wins
 (Fig. 7)."""
 
-from conftest import show, single_shot
+from conftest import run_figure, show
 
-from repro.experiments import exp_pos
 from repro.report import ComparisonTable
 from repro.units import KB
 
 
-def test_fig7_original_segmentation_best(benchmark, pos_testbed):
-    fig, out = single_shot(benchmark, exp_pos.fig7, pos_testbed)
+def test_fig7_original_segmentation_best(benchmark):
+    fig, out = run_figure(benchmark, "F7")
     show(fig)
     means = out["means"]
     table = ComparisonTable()

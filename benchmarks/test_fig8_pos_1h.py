@@ -1,17 +1,16 @@
 """Bench F8 + E3/E4: POS scheduling for D = 1 h — first-fit vs uniform vs
 sample-refit vs adjusted deadline (Fig. 8(a)–(d), Eqs. (3)–(4))."""
 
-from conftest import show, single_shot
+from conftest import run_figure, show
 
-from repro.experiments import exp_pos
 from repro.report import ComparisonTable
 
 PAPER_EQ3_SLOPE = 0.865e-4
 PAPER_EQ4_SLOPE = 0.725482e-4
 
 
-def test_fig8_one_hour_scheduling(benchmark, pos_testbed):
-    fig, out = single_shot(benchmark, exp_pos.fig8, pos_testbed)
+def test_fig8_one_hour_scheduling(benchmark):
+    fig, out = run_figure(benchmark, "F8")
     show(fig)
     v = out["variants"]
     a8, b8, c8, d8 = (v["8a_first_fit_model3"], v["8b_uniform_model3"],

@@ -1,13 +1,12 @@
 """Bench F9: POS scheduling for D = 2 h (Fig. 9(a)–(c))."""
 
-from conftest import show, single_shot
+from conftest import run_figure, show
 
-from repro.experiments import exp_pos
 from repro.report import ComparisonTable
 
 
-def test_fig9_two_hour_scheduling(benchmark, pos_testbed):
-    fig, out = single_shot(benchmark, exp_pos.fig9, pos_testbed)
+def test_fig9_two_hour_scheduling(benchmark):
+    fig, out = run_figure(benchmark, "F9")
     show(fig)
     v = out["variants"]
     a9, b9, c9 = (v["9a_uniform_model3"], v["9b_uniform_model4"],

@@ -1,19 +1,18 @@
 """Bench X2: the §3.1 slow-instance switching argument, analytic + simulated."""
 
-from conftest import show, single_shot
+from conftest import run_figure, show, single_shot
 
 from repro.apps import PosCostProfile, PosTaggerApplication
 from repro.cloud import Cloud, Workload
 from repro.core import StaticProvisioner, reshape
 from repro.corpus import text_400k_like
-from repro.experiments import exp_side
 from repro.perfmodel.regression import fit_affine
 from repro.report import ComparisonTable
 from repro.runner import DynamicPolicy, execute_plan, execute_with_monitoring
 
 
 def test_switching_arithmetic(benchmark):
-    fig, out = single_shot(benchmark, exp_side.instance_switching)
+    fig, out = run_figure(benchmark, "X2")
     show(fig)
     table = ComparisonTable()
     table.add("X2", "keep slow instance: GB in next hour", "~210 GB",

@@ -1,15 +1,14 @@
 """Bench X1: Dubliners vs Agnes Grey — equal words, ~2x POS time (§5.2)."""
 
-from conftest import show, single_shot
+from conftest import run_figure, show
 
-from repro.experiments import exp_pos
 from repro.report import ComparisonTable
 
 PAPER_RATIO = (6 * 60 + 32) / (3 * 60 + 48)  # 6m32s / 3m48s = 1.72
 
 
 def test_novels_complexity(benchmark):
-    fig, out = single_shot(benchmark, exp_pos.novels)
+    fig, out = run_figure(benchmark, "X1")
     show(fig)
     table = ComparisonTable()
     table.add("X1", "word counts nearly equal", "gap < 300 words",

@@ -15,14 +15,13 @@ have available:
   quality), volume-interpolated.
 """
 
-from conftest import show, single_shot
+from conftest import run_figure, show
 
-from repro.experiments import exp_side
 from repro.report import ComparisonTable
 
 
 def test_prediction_approach_comparison(benchmark):
-    fig, out = single_shot(benchmark, exp_side.prediction_approaches)
+    fig, out = run_figure(benchmark, "X6")
     show(fig)
     actual, preds, errors = out["actual"], out["predictions"], out["errors"]
     print(f"\nheld-out run: {actual:.1f}s actual")

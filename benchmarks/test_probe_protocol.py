@@ -1,16 +1,15 @@
 """Bench X3: the §4 escalating probe protocol and bonnie vetting loop."""
 
-from conftest import show, single_shot
+from conftest import run_figure, show
 
 from repro.cloud import Cloud, acquire_good_instance
 from repro.cloud.instance import HeterogeneityModel
-from repro.experiments import exp_side
 from repro.report import ComparisonTable
 from repro.units import MB
 
 
 def test_probe_protocol_escalates(benchmark):
-    fig, out = single_shot(benchmark, exp_side.probe_protocol_trace)
+    fig, out = run_figure(benchmark, "X3")
     show(fig)
     table = ComparisonTable()
     table.add("X3", "small probes discarded as unstable", "CV too large",

@@ -2,17 +2,16 @@
 (§1.1)."""
 
 import pytest
-from conftest import show, single_shot
+from conftest import run_figure, show
 
 pytestmark = pytest.mark.smoke  # fast enough for the CI benchmark smoke job
 
-from repro.experiments import exp_side
 from repro.report import ComparisonTable
 
 
 def test_output_retrieval_speedup(benchmark):
     """§1: merging input also merges output, making result retrieval faster."""
-    fig, out = single_shot(benchmark, exp_side.output_retrieval)
+    fig, out = run_figure(benchmark, "X4")
     show(fig)
     table = ComparisonTable()
     table.add("X4", "merged output retrieves faster", "shorter retrieval time",
@@ -23,7 +22,7 @@ def test_output_retrieval_speedup(benchmark):
 
 def test_spot_tradeoff(benchmark):
     """§1.1: spot is cheaper but unsuitable under deadlines."""
-    fig, out = single_shot(benchmark, exp_side.spot_tradeoff)
+    fig, out = run_figure(benchmark, "X5")
     show(fig)
     table = ComparisonTable()
     done = [r for r in out["bids"] if r[1] is not None]

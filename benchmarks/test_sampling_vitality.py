@@ -7,14 +7,13 @@ For other corpora, as seen in the experiment above, random sampling can be
 vital to help capture the variation in text complexity."
 """
 
-from conftest import show, single_shot
+from conftest import run_figure, show
 
-from repro.experiments import exp_side
 from repro.report import ComparisonTable
 
 
 def test_sampling_vitality(benchmark):
-    fig, out = single_shot(benchmark, exp_side.sampling_vitality)
+    fig, out = run_figure(benchmark, "X7")
     show(fig)
     uni = out["uniform_news"]
     clu = out["clustered_domains"]

@@ -1,9 +1,10 @@
 #!/usr/bin/env python
-"""Regenerate EXPERIMENTS.md by running every experiment in bench order.
+"""Regenerate EXPERIMENTS.md from one run of every ``repro.cli`` figure.
 
-The grep experiments share one testbed and the POS experiments another, in
-the same order the benchmarks use, so the recorded numbers match what
-``pytest benchmarks/ --benchmark-only`` prints.
+The figures run through :func:`repro.cli.figure_session`, so each row
+reports a number that ``python -m repro.cli figures`` prints and that
+``pytest benchmarks/ --benchmark-only`` asserts on: every figure builds
+its own testbed in all three.
 """
 
 from __future__ import annotations
@@ -11,23 +12,24 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
-from repro.experiments import exp_fig1, exp_fig2, exp_grep, exp_pos, exp_side
+from repro.cli import FIGURES, figure_session
 from repro.report import ComparisonTable
 
 OUT = Path(__file__).resolve().parent.parent / "EXPERIMENTS.md"
 
 
 def main() -> None:
+    stats = {fid: st for fid, _, st in figure_session(FIGURES)}
     t = ComparisonTable()
     notes: list[str] = []
 
     # ---- data sets -----------------------------------------------------
-    _, s1a = exp_fig1.fig1a()
+    s1a = stats["F1a"]
     t.add("F1a", "HTML set: fraction under 50 kB", "majority",
           f"{s1a['frac_under_50kb']:.0%}", s1a["frac_under_50kb"] > 0.5)
     t.add("F1a", "HTML set: largest file", "43 MB", f"{s1a['max_mb']:.0f} MB",
           abs(s1a["max_mb"] - 43) < 0.5)
-    _, s1b = exp_fig1.fig1b()
+    s1b = stats["F1b"]
     t.add("F1b", "text set: fraction under 1 kB", ">40%",
           f"{s1b['frac_under_1kb']:.0%}", s1b["frac_under_1kb"] > 0.4)
     t.add("F1b", "text set: total volume at 400k files", "~1 GB",
@@ -37,23 +39,22 @@ def main() -> None:
           abs(s1b["max_kb"] - 705) < 1)
 
     # ---- curve shapes ----------------------------------------------------
-    _, s2 = exp_fig2.fig2()
+    s2 = stats["F2"]
     t.add("F2", "convex model strategy", "start new instances",
           s2["convex_rule"], s2["convex_rule"] == "start-new-instances")
     t.add("F2", "concave model strategy", "pack to deadline",
           s2["concave_rule"], s2["concave_rule"] == "pack-to-deadline")
 
     # ---- grep -----------------------------------------------------------
-    gtb = exp_grep.make_testbed()
-    _, s3 = exp_grep.fig3()
+    s3 = stats["F3"]
     t.add("F3", "1 MB probe: worst coefficient of variation",
           "large std, discarded", f"{s3['max_cv']:.2f}", s3["max_cv"] > 0.25)
-    _, s4 = exp_grep.fig4(gtb)
+    s4 = stats["F4"]
     t.add("F4", "plateau spread across 10 MB–2 GB units", "flat plateau",
           f"{s4['plateau_spread']:.1%}", s4["plateau_spread"] < 0.10)
     t.add("F4", "original files vs plateau", "several-fold slower",
           f"{s4['orig_over_plateau']:.1f}x", s4["orig_over_plateau"] > 3)
-    _, s5 = exp_grep.fig5(gtb)
+    s5 = stats["F5"]
     worst_spike = max((s[2] for s in s5["spikes"]), default=0.0)
     t.add("F5", "placement spikes on the plateau", "up to ~3x, repeatable",
           f"{len(s5['spikes'])} spikes, worst {worst_spike:.2f}x",
@@ -61,7 +62,7 @@ def main() -> None:
     drift = max((abs(r - 1) for r in s5["repeat_ratios"]), default=0.0)
     t.add("F5", "spike repeatability (re-measure drift)", "repeatable",
           f"{drift:.1%}", drift < 0.10)
-    _, s6 = exp_grep.fig6(gtb)
+    s6 = stats["F6"]
     t.add("E1", "Eq.(1) slope s/byte", "1.324e-8", f"{s6['eq1']['b']:.3e}",
           abs(s6["eq1"]["b"] - 1.324e-8) / 1.324e-8 < 0.25)
     t.add("E1", "Eq.(1) R²", "0.999", f"{s6['eq1']['r2']:.4f}",
@@ -80,8 +81,7 @@ def main() -> None:
         f"measurement noise the clean-instance model never saw.")
 
     # ---- POS -------------------------------------------------------------
-    ptb = exp_pos.make_testbed()
-    _, s7 = exp_pos.fig7(ptb)
+    s7 = stats["F7"]
     best_merged = min(v for k, v in s7["means"].items() if k != "orig")
     t.add("F7", "original segmentation fares best", "orig minimal",
           f"orig {s7['means']['orig']:.1f}s vs best merged {best_merged:.1f}s",
@@ -92,7 +92,7 @@ def main() -> None:
     t.add("F7", "degradation at 1000 kB units", "pronounced",
           f"{s7['degradation_at_1000kb']:.2f}x", s7["degradation_at_1000kb"] > 1.3)
 
-    _, s8 = exp_pos.fig8(ptb)
+    s8 = stats["F8"]
     v8 = s8["variants"]
     t.add("E3", "Eq.(3) slope s/byte", "0.865e-4", f"{s8['eq3']['b']:.3e}",
           abs(s8["eq3"]["b"] - 0.865e-4) / 0.865e-4 < 0.45)
@@ -129,7 +129,7 @@ def main() -> None:
           and v8["8d_adjusted_model4"]["instance_hours"]
           >= v8["8c_uniform_model4"]["instance_hours"])
 
-    _, s9 = exp_pos.fig9(ptb)
+    s9 = stats["F9"]
     v9 = s9["variants"]
     t.add("F9a", "instances for D=2h (model 3)", "14",
           str(v9["9a_uniform_model3"]["instances"]),
@@ -163,14 +163,14 @@ def main() -> None:
         f"fixes the *calibration*, not just the slope.")
 
     # ---- side experiments -------------------------------------------------
-    _, sn = exp_pos.novels()
+    sn = stats["X1"]
     t.add("X1", "novels word counts", "67,496 / 67,755",
           f"{sn['words']['dubliners']} / {sn['words']['agnes_grey']}",
           sn["word_gap"] < 300)
     t.add("X1", "complex/simple prose time ratio", "1.72x",
           f"{sn['ratio']:.2f}x", 1.35 < sn["ratio"] < 2.2)
 
-    _, sw = exp_side.instance_switching()
+    sw = stats["X2"]
     t.add("X2", "keep slow instance: GB next hour", "~210 GB",
           f"{sw['keep_gb']:.0f} GB", 190 < sw["keep_gb"] < 230)
     t.add("X2", "swap to fast: extra GB", "~57 GB",
@@ -178,13 +178,13 @@ def main() -> None:
     t.add("X2", "swap to slow again: GB lost", "~10 GB",
           f"{sw['lost_if_slow_gb']:.1f} GB", 5 < sw["lost_if_slow_gb"] < 15)
 
-    _, sp = exp_side.probe_protocol_trace()
+    sp = stats["X3"]
     t.add("X3", "probe protocol escalates to stability",
           "discard unstable, grow volume",
           f"{sp['rounds']} rounds, volumes {sp['volumes']}, "
           f"stable={sp['stable']}", sp["stable"])
 
-    _, sx6 = exp_side.prediction_approaches()
+    sx6 = stats["X6"]
     err = sx6["errors"]
     t.add("X6", "empirical beats analytical & historical prediction",
           "empirical preferable (§4)",
@@ -192,7 +192,7 @@ def main() -> None:
           f"hist {err['historical']:.1%}",
           err["empirical"] <= min(err["analytical"], err["historical"]) + 0.02)
 
-    _, sv = exp_side.sampling_vitality()
+    sv = stats["X7"]
     t.add("X7", "sampling marginal for uniform corpora, vital for clustered",
           "no dramatic improvement vs vital (§5.2)",
           f"uniform {sv['uniform_news']['head_error']:.1%}→"
@@ -202,11 +202,11 @@ def main() -> None:
           sv["clustered_domains"]["improvement"]
           > 3 * abs(sv["uniform_news"]["improvement"]))
 
-    _, sr = exp_side.output_retrieval()
+    sr = stats["X4"]
     t.add("X4", "merged output retrieval speedup", "shorter retrieval",
           f"{sr['speedup']:.1f}x", sr["speedup"] > 1.5)
 
-    _, ss = exp_side.spot_tradeoff()
+    ss = stats["X5"]
     done = [r for r in ss["bids"] if r[1] is not None]
     t.add("X5", "spot cheaper than on-demand (resume-capable work)",
           "cheaper, later",

@@ -1,78 +1,59 @@
 #!/usr/bin/env python
 """Render every regenerated figure into docs/FIGURES.md.
 
-A human-skimmable gallery: each paper figure's ASCII rendering, straight
-from the same experiment code the benchmarks assert on.  Heavy testbeds
-are shared within their group (grep, POS), mirroring the bench fixtures.
+A human-skimmable gallery: each figure's block is exactly what
+``python -m repro.cli figures --ids <id>`` prints, because both run the
+figures through :func:`repro.cli.figure_session`.  The tier-1 suite
+compares every block with the CLI's output, so rerun this script after
+an intended change of figure output.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
-from repro.experiments import exp_fig1, exp_fig2, exp_grep, exp_pos, exp_side
+from repro.cli import FIGURES, figure_session
 from repro.report.figures import render_ascii
 
 OUT = Path(__file__).resolve().parent.parent / "docs" / "FIGURES.md"
 
-PAPER_CAPTIONS = {
-    "Fig1a": "Fig. 1(a): HTML data set size distribution",
-    "Fig1b": "Fig. 1(b): text data set size distribution",
-    "Fig2": "Fig. 2: fitted-curve shapes and the provisioning rule",
-    "Fig3": "Fig. 3: grep on 1 MB — unstable small probes",
-    "Fig4": "Fig. 4: grep on 5 GB — the 10 MB plateau",
-    "Fig5": "Fig. 5: fine sampling — repeatable EBS spikes",
-    "Fig6": "Fig. 6 + Eqs. (1)-(2): full grep run",
-    "Fig7": "Fig. 7: POS vs unit size — original wins",
-    "Fig8": "Fig. 8: POS scheduling, D = 1 h",
-    "Fig9": "Fig. 9: POS scheduling, D = 2 h",
-    "Novels": "§5.2: Dubliners vs Agnes Grey",
-    "Switching": "§3.1: slow-instance switching arithmetic",
-    "Protocol": "§4: escalating probe protocol",
-    "Retrieval": "§1: output-retrieval speedup",
-    "Spot": "§1.1: spot bidding trade-off",
-    "Approaches": "§4: analytical vs empirical vs historical",
-    "Vitality": "§5.2: when random sampling is vital",
+#: Heading for each ``repro.cli`` figure id.
+CAPTIONS = {
+    "F1a": "Fig. 1(a): HTML data set size distribution",
+    "F1b": "Fig. 1(b): text data set size distribution",
+    "F2": "Fig. 2: fitted-curve shapes and the provisioning rule",
+    "F3": "Fig. 3: grep on 1 MB — unstable small probes",
+    "F4": "Fig. 4: grep on 5 GB — the 10 MB plateau",
+    "F5": "Fig. 5: fine sampling — repeatable EBS spikes",
+    "F6": "Fig. 6 + Eqs. (1)-(2): full grep run",
+    "F7": "Fig. 7: POS vs unit size — original wins",
+    "F8": "Fig. 8: POS scheduling, D = 1 h",
+    "F9": "Fig. 9: POS scheduling, D = 2 h",
+    "X1": "§5.2: Dubliners vs Agnes Grey",
+    "X2": "§3.1: slow-instance switching arithmetic",
+    "X3": "§4: escalating probe protocol",
+    "X4": "§1: output-retrieval speedup",
+    "X5": "§1.1: spot bidding trade-off",
+    "X6": "§4: analytical vs empirical vs historical",
+    "X7": "§5.2: when random sampling is vital",
 }
 
 
 def main() -> None:
-    figs = []
-    figs.append(exp_fig1.fig1a()[0])
-    figs.append(exp_fig1.fig1b()[0])
-    figs.append(exp_fig2.fig2()[0])
-
-    gtb = exp_grep.make_testbed()
-    figs.append(exp_grep.fig3()[0])
-    figs.append(exp_grep.fig4(gtb)[0])
-    figs.append(exp_grep.fig5(gtb)[0])
-    figs.append(exp_grep.fig6(gtb)[0])
-
-    ptb = exp_pos.make_testbed()
-    figs.append(exp_pos.fig7(ptb)[0])
-    figs.append(exp_pos.fig8(ptb)[0])
-    figs.append(exp_pos.fig9(ptb)[0])
-    figs.append(exp_pos.novels()[0])
-
-    figs.append(exp_side.instance_switching()[0])
-    figs.append(exp_side.probe_protocol_trace()[0])
-    figs.append(exp_side.output_retrieval()[0])
-    figs.append(exp_side.spot_tradeoff()[0])
-    figs.append(exp_side.prediction_approaches()[0])
-    figs.append(exp_side.sampling_vitality()[0])
-
     lines = [
         "# Regenerated figures",
         "",
-        "Rendered by `python scripts/generate_figures_md.py`; the benchmark",
-        "suite asserts the shape claims on exactly these series.",
+        "Rendered by `python scripts/generate_figures_md.py`.  Each block is",
+        "what `python -m repro.cli figures --ids <id>` prints; the tier-1",
+        "suite checks every block against the CLI, and the benchmark suite",
+        "asserts the shape claims on the same series.",
         "",
     ]
-    for fig in figs:
-        caption = PAPER_CAPTIONS.get(fig.fig_id, fig.fig_id)
-        lines += [f"## {caption}", "", "```text", render_ascii(fig), "```", ""]
+    for fid, fig, _ in figure_session(FIGURES):
+        lines += [f"## {fid} · {CAPTIONS[fid]}", "", "```text",
+                  render_ascii(fig), "```", ""]
     OUT.write_text("\n".join(lines), encoding="utf-8")
-    print(f"wrote {OUT} ({len(figs)} figures)")
+    print(f"wrote {OUT} ({len(FIGURES)} figures)")
 
 
 if __name__ == "__main__":

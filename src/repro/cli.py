@@ -36,14 +36,14 @@ from __future__ import annotations
 import argparse
 import json
 from pathlib import Path
-from typing import Callable
+from typing import Iterable, Iterator
 
 from repro.obs import configure, disable, get_logger, install
 from repro.obs.export import render_metrics_table, write_chrome_trace, write_jsonl
 from repro.obs.ledger import LedgerError, RunLedger, set_run_ledger
 from repro.report.figures import FigureResult, render_ascii
 
-__all__ = ["main", "build_parser", "FIGURES", "DEMOS"]
+__all__ = ["main", "build_parser", "FIGURES", "DEMOS", "figure_session"]
 
 _log = get_logger("cli")
 
@@ -63,75 +63,46 @@ DEMOS: dict[str, str] = {
 }
 
 
-def _fig1a() -> FigureResult:
-    from repro.experiments.exp_fig1 import fig1a
-
-    return fig1a()[0]
-
-
-def _fig1b() -> FigureResult:
-    from repro.experiments.exp_fig1 import fig1b
-
-    return fig1b()[0]
-
-
-def _fig2() -> FigureResult:
-    from repro.experiments.exp_fig2 import fig2
-
-    return fig2()[0]
-
-
-def _fig3() -> FigureResult:
-    from repro.experiments.exp_grep import fig3
-
-    return fig3()[0]
-
-
-def _grep_figure(which: str) -> FigureResult:
-    from repro.experiments import exp_grep
-
-    tb = exp_grep.make_testbed()
-    return getattr(exp_grep, which)(tb)[0]
-
-
-def _pos_figure(which: str) -> FigureResult:
-    from repro.experiments import exp_pos
-
-    tb = exp_pos.make_testbed()
-    return getattr(exp_pos, which)(tb)[0]
-
-
-def _novels() -> FigureResult:
-    from repro.experiments.exp_pos import novels
-
-    return novels()[0]
-
-
-def _side(which: str) -> FigureResult:
-    from repro.experiments import exp_side
-
-    return getattr(exp_side, which)()[0]
-
-
-FIGURES: dict[str, Callable[[], FigureResult]] = {
-    "F1a": _fig1a,
-    "F1b": _fig1b,
-    "F2": _fig2,
-    "F3": _fig3,
-    "F4": lambda: _grep_figure("fig4"),
-    "F5": lambda: _grep_figure("fig5"),
-    "F6": lambda: _grep_figure("fig6"),
-    "F7": lambda: _pos_figure("fig7"),
-    "F8": lambda: _pos_figure("fig8"),
-    "F9": lambda: _pos_figure("fig9"),
-    "X1": _novels,
-    "X2": lambda: _side("instance_switching"),
-    "X3": lambda: _side("probe_protocol_trace"),
-    "X4": lambda: _side("output_retrieval"),
-    "X5": lambda: _side("spot_tradeoff"),
-    "X6": lambda: _side("prediction_approaches"),
-    "X7": lambda: _side("sampling_vitality"),
+#: Figure id → the ``"module:function"`` that regenerates it.  Each
+#: function takes no arguments, builds its own testbed and returns
+#: ``(FigureResult, stats)``; :func:`figure_session` runs them.
+FIGURES: dict[str, str] = {
+    "F1a": "repro.experiments.exp_fig1:fig1a",
+    "F1b": "repro.experiments.exp_fig1:fig1b",
+    "F2": "repro.experiments.exp_fig2:fig2",
+    "F3": "repro.experiments.exp_grep:fig3",
+    "F4": "repro.experiments.exp_grep:fig4",
+    "F5": "repro.experiments.exp_grep:fig5",
+    "F6": "repro.experiments.exp_grep:fig6",
+    "F7": "repro.experiments.exp_pos:fig7",
+    "F8": "repro.experiments.exp_pos:fig8",
+    "F9": "repro.experiments.exp_pos:fig9",
+    "X1": "repro.experiments.exp_pos:novels",
+    "X2": "repro.experiments.exp_side:instance_switching",
+    "X3": "repro.experiments.exp_side:probe_protocol_trace",
+    "X4": "repro.experiments.exp_side:output_retrieval",
+    "X5": "repro.experiments.exp_side:spot_tradeoff",
+    "X6": "repro.experiments.exp_side:prediction_approaches",
+    "X7": "repro.experiments.exp_side:sampling_vitality",
 }
+
+
+def figure_session(
+        ids: Iterable[str]) -> Iterator[tuple[str, FigureResult, dict]]:
+    """Run the figures ``ids`` in order; yield ``(id, figure, stats)``.
+
+    The session is one :func:`~repro.vfs.memo.sweep_memo`, so figures
+    that generate the same seeded corpus (F4–F6, F7–F9) share one
+    immutable catalogue.  Each figure still builds its own ``Cloud``
+    from its own seed, so it prints the same alone as in the session.
+    """
+    from repro.experiments.sweep import resolve
+    from repro.vfs.memo import sweep_memo
+
+    with sweep_memo():
+        for fid in ids:
+            fig, stats = resolve(FIGURES[fid])()
+            yield fid, fig, stats
 
 
 def _examples_dir() -> Path:
@@ -161,8 +132,8 @@ def cmd_figures(args: argparse.Namespace) -> int:
         _log.error("unknown figure id(s): %s; known: %s",
                    unknown, sorted(FIGURES))
         return 2
-    for fid in ids:
-        print(render_ascii(FIGURES[fid]()))
+    for _, fig, _ in figure_session(ids):
+        print(render_ascii(fig))
         print()
     return 0
 

@@ -62,7 +62,7 @@ def fig7(tb: PosTestbed | None = None) -> tuple[FigureResult, dict]:
     Probe built from the smallest files (paper: 2183 original files vs 1000
     one-kB bins for the same 1000 kB volume).
     """
-    tb = tb or make_testbed(scale=0.05)
+    tb = tb or make_testbed()
     small = _smallest_first(tb.catalogue)
     sizes = [1 * KB, 2 * KB, 5 * KB, 10 * KB, 50 * KB, 100 * KB, 500 * KB, 1000 * KB]
     ps = build_probe_set(small, 1000 * KB, sizes)

@@ -1,21 +1,30 @@
-"""Byte-identity guard for the campaign subcommands' stdout.
+"""Byte-identity guard for the figure and campaign subcommands' stdout.
 
-Each digest is the sha256 of what ``repro.cli`` prints for one small,
-seed-deterministic campaign grid.  The four campaigns write one shared
-ledger, and ``runs slo --policy <campaign>`` is pinned over it, so a
-change to the sweep-cell record format or the SLO verdict shows here as
-well as a change to the tables.  The X6 figure (prediction from past
-runs vs. models) is pinned the same way.  Regenerate a digest only for
+Figures are pinned by docs/FIGURES.md: one ``figures --all`` session
+runs once, its stdout is split per figure, and each figure must equal
+its block in that file, so a failure names the figure and its first
+differing line.  Rerun ``scripts/generate_figures_md.py`` only for an
+intended change of figure output.
+
+Each campaign digest is the sha256 of what ``repro.cli`` prints for one
+small, seed-deterministic campaign grid.  The four campaigns write one
+shared ledger, and ``runs slo --policy <campaign>`` is pinned over it,
+so a change to the sweep-cell record format or the SLO verdict shows
+here as well as a change to the tables.  Regenerate a digest only for
 an intended change of output, and say so in the change log.
 """
 
 import hashlib
 import io
 from contextlib import redirect_stdout
+from itertools import zip_longest
+from pathlib import Path
 
 import pytest
 
-from repro.cli import main
+from repro.cli import FIGURES, main
+
+FIGURES_MD = Path(__file__).resolve().parent.parent / "docs" / "FIGURES.md"
 
 CAMPAIGNS = {
     "chaos": ["chaos", "--scenario", "slow-ebs", "--seeds", "1"],
@@ -32,10 +41,6 @@ STDOUT_SHA256 = {
     "spot": "b4287071287708be88bb41fedf336aeaed80f9c806bd8a02a0604c6b6588661b",
     "dag": "8a321ffd841408080f1e42e8ca72d13a6998adff52eaf683c71b69ba13ef2aea",
     "matrix": "abbe74fcea275da3afb688dacc735f29c24c7f10a8536b52db9445fa11a16ba9",
-}
-
-FIGURE_SHA256 = {
-    "X6": "cec06f00c1df861caf544e8b86c1725ff7df31eafe64b0cf188d79db07c1f4c4",
 }
 
 RUNS_SLO_SHA256 = {
@@ -85,7 +90,74 @@ def test_chaos_pool_matches_inline():
     assert _sha(out) == STDOUT_SHA256["chaos"], out
 
 
-@pytest.mark.parametrize("fig", sorted(FIGURE_SHA256))
-def test_figure_stdout(fig):
-    out = _run(["figures", "--ids", fig, "--no-ledger"])
-    assert _sha(out) == FIGURE_SHA256[fig], out
+def _doc_blocks() -> dict[str, str]:
+    """Figure id → what the CLI prints for it, per docs/FIGURES.md.
+
+    A figure's section is headed ``## <id> · <caption>`` and holds one
+    fenced ``text`` block; the CLI prints that block and a blank line.
+    """
+    blocks: dict[str, str] = {}
+    lines = iter(FIGURES_MD.read_text(encoding="utf-8").split("\n"))
+    fid = None
+    for line in lines:
+        if line.startswith("## "):
+            fid = line[3:].split(" ", 1)[0]
+        elif line == "```text":
+            body = []
+            for line in lines:
+                if line == "```":
+                    break
+                body.append(line)
+            blocks[fid] = "\n".join(body) + "\n\n"
+    return blocks
+
+
+def _per_figure(ids: list[str], out: str) -> dict[str, str]:
+    """Split ``figures`` stdout at each ``== <title> ==`` heading."""
+    lines = out.split("\n")
+    starts = [i for i, line in enumerate(lines) if line.startswith("== ")]
+    assert len(starts) == len(ids), out
+    bounds = starts[1:] + [len(lines) - 1]
+    return {fid: "\n".join(lines[a:b]) + "\n"
+            for fid, a, b in zip(ids, starts, bounds)}
+
+
+def _check_against_docs(fid: str, printed: str) -> None:
+    """Fail with the figure id and its first line that differs from the docs."""
+    pairs = zip_longest(printed.split("\n"), _doc_blocks()[fid].split("\n"),
+                        fillvalue="<end>")
+    for n, (got, doc) in enumerate(pairs, 1):
+        if got != doc:
+            pytest.fail(f"{fid} differs from docs/FIGURES.md at block line "
+                        f"{n}:\n  docs: {doc!r}\n  cli:  {got!r}",
+                        pytrace=False)
+
+
+@pytest.fixture(scope="session")
+def figure_session_stdout():
+    """``figures --all --no-ledger`` stdout, run once."""
+    return _run(["figures", "--all", "--no-ledger"])
+
+
+def test_docs_list_every_figure_in_order():
+    assert list(_doc_blocks()) == list(FIGURES)
+
+
+@pytest.mark.parametrize("fig", list(FIGURES))
+def test_figure_stdout(figure_session_stdout, fig):
+    """Every figure of the session prints its docs/FIGURES.md block."""
+    _check_against_docs(
+        fig, _per_figure(list(FIGURES), figure_session_stdout)[fig])
+
+
+@pytest.mark.parametrize("fig", ["F5", "F8"])
+def test_figure_alone_matches_docs(fig):
+    """A figure that shares its corpus in the session prints the same alone."""
+    _check_against_docs(fig, _run(["figures", "--ids", fig, "--no-ledger"]))
+
+
+def test_figures_with_ledger_print_the_same(figure_session_stdout, tmp_path):
+    """Recording every figure to the ledger leaves the stdout unchanged."""
+    out = _run(["figures", "--all", "--runs-dir", str(tmp_path)])
+    assert list(tmp_path.glob("*.jsonl")), "no ledger was written"
+    assert out == figure_session_stdout
