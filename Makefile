@@ -10,14 +10,15 @@ test:
 bench:
 	$(PY) -m pytest benchmarks/ --benchmark-only
 
-# Append a labelled median snapshot of the kernel benches to
-# BENCH_packing.json (the committed perf trajectory).
+# Append a labelled entry to BENCH_packing.json (the committed perf
+# trajectory): perfbench's metrics and layer tables per workload, the
+# figure walls, the two cost ratios and the host calibration.
 LABEL ?= local
 bench-json:
-	PYTHONPATH=src $(PY) scripts/bench_packing_trajectory.py --run --label "$(LABEL)"
+	PYTHONPATH=src $(PY) scripts/bench_packing_trajectory.py --record --label "$(LABEL)"
 
-# Re-measure the tracked perf headlines and gate them against the newest
-# committed BENCH_packing.json entry (REPRO_GATE_THRESHOLD to widen).
+# Re-measure and gate against the newest committed BENCH_packing.json
+# entry (15% budget, calibrated timings, best of 3).
 perf-gate:
 	PYTHONPATH=src $(PY) scripts/bench_packing_trajectory.py --check
 

@@ -5,8 +5,9 @@ the packing and corpus-generation kernels are the paths that must scale to
 18-million-file catalogues, and these benches guard their asymptotics.
 All four packing heuristics are asymptotics-guarded here, timed on the
 path production runs: a ``*_layout`` kernel over the catalogue's size
-column.  ``make bench-json`` distils the timings into ``BENCH_packing.json``
-so future PRs have a committed baseline trajectory.
+column.  Their medians are the older entries of ``BENCH_packing.json``;
+the trajectory now records and gates the perfbench workloads and the
+figure session, which run these kernels inside the real jobs.
 """
 
 from repro.corpus import html_18mil_like, text_400k_like

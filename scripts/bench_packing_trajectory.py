@@ -1,23 +1,27 @@
 #!/usr/bin/env python
-"""Distil pytest-benchmark output into the committed BENCH_packing.json.
+"""Record and gate the committed perf trajectory, BENCH_packing.json.
 
-``make bench-json`` runs the kernel benchmarks with ``--benchmark-json`` and
-pipes the result through this script, which reduces the full statistics dump
-to one ``kernel -> {median_s, ops_per_s}`` map and appends it as a labelled
-entry to ``BENCH_packing.json``.  The file therefore accumulates a
-*trajectory*: one entry per significant packing-engine change, so a
-regression shows up as a worsening median against the committed history
-rather than against a number someone has to remember.
+An entry holds what the system runs, measured the way it runs:
+
+- for every workload ``BENCHMARK.json`` declares, the end-to-end metrics
+  from the last line of ``perfbench/run.py --workload W --seconds S``
+  (``S`` is the benchmark's ``run_seconds``) and the per-layer table
+  from the same command with ``--trace 1``;
+- ``figures.total_wall_s`` and the wall of every ``repro.cli`` figure
+  id, timed around :func:`repro.cli.figure_session` with a run ledger
+  installed, as ``figures`` runs by default;
+- the spot and capacity-matrix cost ratios against on-demand, which are
+  seed-deterministic;
+- a host-speed probe, :func:`host_calibration`.
 
 Usage::
 
-    python scripts/bench_packing_trajectory.py --label "my change" RAW.json
-    python scripts/bench_packing_trajectory.py --label "my change" --run
+    python scripts/bench_packing_trajectory.py --record --label "my change"
+    python scripts/bench_packing_trajectory.py --check [--warn-only]
 
-With ``--run`` the script invokes pytest itself (into a temp file); with a
-positional path it distils an existing ``--benchmark-json`` dump.  Entries
-with the same label are replaced, not duplicated, so re-running is
-idempotent.
+``--record`` appends the entry; an entry with the same label is
+replaced, so re-running is idempotent.  ``--check`` re-measures and
+gates against the newest entry (see :func:`check`).
 """
 
 from __future__ import annotations
@@ -28,141 +32,32 @@ import math
 import subprocess
 import sys
 import tempfile
+import time
 from datetime import date
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 OUT = REPO / "BENCH_packing.json"
-BENCH_FILES = [
-    "benchmarks/test_perf_kernels.py",
-    "benchmarks/test_perf_obs_overhead.py",
-    "benchmarks/test_perf_engine.py",
-]
-BENCH_FILE = BENCH_FILES[0]  # kept for the trajectory-file description
-
-
-def run_benchmarks(raw_path: Path) -> None:
-    """Run the kernel bench suite, writing pytest-benchmark JSON to ``raw_path``."""
-    cmd = [
-        sys.executable, "-m", "pytest", *BENCH_FILES,
-        "--benchmark-only", f"--benchmark-json={raw_path}", "-q",
-    ]
-    res = subprocess.run(cmd, cwd=REPO, env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin:/usr/local/bin"})
-    if res.returncode != 0:
-        raise SystemExit(f"benchmark run failed (exit {res.returncode})")
-
-
-def collect_obs_stats() -> dict:
-    """Observability facts for the entry: cache hit-rate and span volume.
-
-    Runs the same probe-set workload twice against one shared cache with
-    the observability bundle enabled — the second pass must be all hits —
-    and reports the packing-cache counters plus how many trace records the
-    instrumentation produced.  A future change that silently stops caching
-    (hit-rate drop) or floods the tracer (span-count jump) shows up in the
-    trajectory next to the kernel medians it would distort.
-    """
-    sys.path.insert(0, str(REPO / "src"))
-    from repro import obs as obs_mod
-    from repro.corpus import text_400k_like
-    from repro.packing import PackingCache
-    from repro.perfmodel.probes import build_probe_set
-    from repro.units import KB, MB
-
-    o = obs_mod.configure()
-    try:
-        cat = text_400k_like(scale=0.1)          # 40k files, as in the bench
-        cache = PackingCache()
-        sizes = [256 * KB, 512 * KB, 1 * MB, 2 * MB]
-        volume = cat.total_size // 2
-        for _ in range(2):
-            build_probe_set(cat, volume, sizes, cache=cache)
-        counters = o.metrics.snapshot()["counters"]
-
-        def total(prefix: str) -> float:
-            return sum(v for k, v in counters.items() if k.startswith(prefix))
-
-        hits = total("packing.cache.hits")
-        misses = total("packing.cache.misses")
-        return {
-            "workload": "probe-set build x2, 40k files, 4 unit sizes",
-            "cache_hits": int(hits),
-            "cache_misses": int(misses),
-            "cache_derived": int(total("packing.cache.derived")),
-            "cache_hit_rate": round(hits / (hits + misses), 4)
-            if hits + misses else 0.0,
-            "span_count": o.tracer.span_count,
-            "instant_count": len(o.tracer.instants),
-        }
-    finally:
-        obs_mod.disable()
-
-
-def collect_fleet_stats() -> dict:
-    """Fleet-sharing facts for the entry: shared vs isolated economics.
-
-    Runs the concurrent-campaigns experiment (8 grep+POS campaigns on one
-    shared fleet vs the same plans run in isolation) and records the two
-    bills, the warm-pool hit rate, and the miss rates.  A change that
-    regresses the warm pool (hit-rate drop) or erodes the §7 sharing
-    saving shows up in the trajectory like a kernel-median regression.
-    """
-    sys.path.insert(0, str(REPO / "src"))
-    from repro.experiments.exp_fleet import shared_vs_isolated
-
-    _, stats = shared_vs_isolated()
-    return {
-        "workload": f"{stats['n_campaigns']} concurrent grep+POS campaigns, "
-                    "shared fleet vs isolated",
-        "shared_cost_usd": stats["shared_cost_usd"],
-        "isolated_cost_usd": stats["isolated_cost_usd"],
-        "saving_pct": stats["saving_pct"],
-        "warm_hit_rate": stats["warm_hit_rate"],
-        "shared_miss_rate": stats["shared_miss_rate"],
-        "isolated_miss_rate": stats["isolated_miss_rate"],
-        "shared_instance_hours": stats["shared_instance_hours"],
-        "isolated_instance_hours": stats["isolated_instance_hours"],
-    }
-
-
-def collect_chaos_stats() -> dict:
-    """Chaos-sweep facts for the entry: miss rates with and without policy.
-
-    Runs the full scenario x policy sweep (every shipped fault scenario,
-    resilience on and off, the default seed set) and records per-scenario
-    miss rates plus the two acceptance verdicts the resilience layer is
-    held to: policy-on stays at or under a 10 % miss rate under *every*
-    scenario, and policy-off exceeds 25 % under at least one.  A change
-    that erodes a defence (retry, steering, hedging, degradation) flips
-    a verdict or moves a miss rate in the trajectory.
-    """
-    sys.path.insert(0, str(REPO / "src"))
-    from repro.experiments.exp_chaos import chaos_sweep
-    from repro.experiments.sweep import DEFAULT_SEEDS
-
-    _, stats = chaos_sweep()
-    scenarios = {
-        name: {
-            "on_miss_rate": cell["on"]["miss_rate"],
-            "off_miss_rate": cell["off"]["miss_rate"],
-            "on_mean_cost_usd": cell["on"]["mean_cost_usd"],
-            "off_mean_cost_usd": cell["off"]["mean_cost_usd"],
-        }
-        for name, cell in sorted(stats["scenarios"].items())
-    }
-    return {
-        "workload": f"{len(scenarios)} fault scenarios x (resilience on/off) "
-                    f"x seeds {list(DEFAULT_SEEDS)}",
-        "scenarios": scenarios,
-        "on_worst_miss_rate": max(
-            s["on_miss_rate"] for s in scenarios.values()),
-        "off_worst_miss_rate": max(
-            s["off_miss_rate"] for s in scenarios.values()),
-        "acceptance_on_le_10pct_everywhere": all(
-            s["on_miss_rate"] <= 0.10 for s in scenarios.values()),
-        "acceptance_off_gt_25pct_somewhere": any(
-            s["off_miss_rate"] > 0.25 for s in scenarios.values()),
-    }
+DESCRIPTION = (
+    "Perf trajectory, one entry per significant change. Since "
+    "2026-10-19 an entry holds perfbench's end-to-end metrics and "
+    "--trace 1 layer table per BENCHMARK.json workload, the wall of every "
+    "figure, the spot and matrix cost ratios and the host calibration. "
+    "Record with `make bench-json LABEL=...`; gate with `make perf-gate`."
+)
+#: Worst change of a gated metric against the baseline entry.
+THRESHOLD = 0.15
+#: Timings are best-of-N: host interference only ever adds time.
+BEST_OF = 3
+#: perfbench end-to-end metrics the gate tracks.  Timings are scaled by
+#: the host calibration; the simulated outcomes are seed-deterministic.
+TIMED = ("wall_s", "setup_s")
+SIMULATED = ("sim_usd", "on_time_ratio")
+#: The in-process figure session and the two cost ratios.
+FIGURES = "figures.total_wall_s"
+RATIOS = ("spot.cost_ratio_vs_on_demand", "matrix.cost_ratio_vs_on_demand")
+#: Layers printed for a workload whose timing failed the gate.
+TOP_LAYERS = 3
 
 
 def collect_spot_stats() -> dict:
@@ -177,7 +72,7 @@ def collect_spot_stats() -> dict:
     ``cost_ratio_vs_on_demand`` (mean over regimes, ladder on) feeds
     the ``--check`` gate: a change that erodes the spot saving — a
     ladder rung regressing to on-demand too eagerly, billing drift —
-    moves it like a kernel-median regression.
+    moves it past the budget.
     """
     sys.path.insert(0, str(REPO / "src"))
     from repro.experiments.exp_spot import spot_sweep
@@ -223,7 +118,7 @@ def collect_matrix_stats() -> dict:
     headline feeds the ``--check`` gate: a broker regression that makes
     the ladder escalate to list price too eagerly, leaks lease hours, or
     re-runs interrupted segments it already paid for moves the ratio
-    toward 1.0 like a kernel-median regression.
+    toward 1.0.
     """
     sys.path.insert(0, str(REPO / "src"))
     from repro.experiments.exp_matrix import matrix_sweep
@@ -260,16 +155,12 @@ def collect_matrix_stats() -> dict:
     }
 
 
-#: Capability metrics are min-of-N: host interference is one-sided.
-BEST_OF = 3
-
-
 def host_calibration() -> float:
     """Host-speed probe: ops/s of a fixed pure-Python mixed workload.
 
-    The gate compares throughput measured *now* against numbers committed
+    The gate compares timings measured *now* against numbers committed
     from a different machine (or the same machine in a different load
-    regime), so raw events/s are not comparable: CPU steal, frequency
+    regime), so raw seconds are not comparable: CPU steal, frequency
     scaling and thermal state move every pure-Python workload roughly
     proportionally.  Each trajectory entry records this probe's ops/s at
     measurement time and ``--check`` normalises its own measurements by
@@ -277,8 +168,6 @@ def host_calibration() -> float:
     host is not flagged and a regressed build on a fast host is.
     Best-of-5 (interference is one-sided), ~50 ms per rep.
     """
-    import time
-
     n = 200_000
     best = math.inf
     for _ in range(5):
@@ -293,350 +182,237 @@ def host_calibration() -> float:
     return n / best
 
 
-def collect_runner_core_stats() -> dict:
-    """Execution-core facts for the entry: event throughput at fleet scale.
+def benchmark() -> dict:
+    """The declared benchmark: workloads, run length and metric directions."""
+    return json.loads((REPO / "BENCHMARK.json").read_text())
 
-    Runs one 64-instance plan through ``execute_plan`` (one fleet-ready
-    barrier event plus one completion event per bin) and reads wall-clock
-    runtime, engine events fired, and events/sec off the flight-recorder
-    :class:`~repro.obs.ledger.RunRecord` the core emits — the same record
-    ``repro.cli runs diff`` compares, so the trajectory and the ledger
-    can never disagree about what a run cost.  A change that bloats the
-    core's per-event work — extra spans, accidental quadratic scans over
-    grants — shows up here before it hurts the big experiments.
 
-    The plan runs ``BEST_OF`` times and the fastest run's record is
-    kept: scheduler interference on a shared host only ever slows a
-    run down, so the minimum is the least-biased capability estimate
-    and keeps the committed baseline comparable with ``--check``.
+def run_perfbench(workload: str, seconds: float,
+                  trace: bool = False) -> dict[str, float]:
+    """Metric values from one ``perfbench/run.py`` run of ``workload``.
+
+    The run's working directory is a temp dir, so its ``.perfbench/``
+    output stays out of the repo.  A run that fails or whose outputs
+    fail perfbench's checks stops the script: its timings mean nothing.
+    """
+    argv = [sys.executable, str(REPO / "perfbench" / "run.py"),
+            "--workload", workload, "--seconds", str(seconds),
+            "--trace", str(int(trace))]
+    print(f"perfbench {workload} ({seconds:g} s{', traced' if trace else ''})",
+          file=sys.stderr, flush=True)
+    with tempfile.TemporaryDirectory() as cwd:
+        res = subprocess.run(argv, cwd=cwd, capture_output=True, text=True)
+    lines = res.stdout.strip().splitlines()
+    if res.returncode or not lines:
+        raise SystemExit(f"perfbench {workload} exited {res.returncode}:\n"
+                         f"{res.stderr[-2000:]}")
+    result = json.loads(lines[-1])
+    if not result["correct"]:
+        raise SystemExit(f"perfbench {workload}: {result['failed']} of "
+                         f"{result['attempted']} iterations failed their "
+                         "checks")
+    return {name: m["value"] for name, m in result["metrics"].items()}
+
+
+def time_figures() -> dict:
+    """Wall seconds of every figure id and their total, in one session.
+
+    A file-backed run ledger under ``.repro/runs`` is installed, as the
+    ``figures`` subcommand does by default, so the walls include the
+    flight recorder and CI can upload the ledger next to the verdict.
     """
     sys.path.insert(0, str(REPO / "src"))
-    import numpy as np
+    from repro.cli import FIGURES as IDS
+    from repro.cli import figure_session
+    from repro.obs.ledger import RunLedger, set_run_ledger
 
-    from repro.apps import PosCostProfile, PosTaggerApplication
-    from repro.cloud import Cloud, Workload
-    from repro.core import reshape
-    from repro.core.planner import ProvisioningPlan
-    from repro.corpus import text_400k_like
-    from repro.obs.ledger import capture_runs, get_run_ledger
-    from repro.perfmodel.regression import fit_affine
-    from repro.runner import execute_plan
-
-    n_bins = 64
-    units = list(reshape(text_400k_like(scale=0.02), None).units)
-    model = fit_affine(np.array([1e5, 1e6, 5e6]),
-                       0.327 + 0.865e-4 * np.array([1e5, 1e6, 5e6]))
-    assignments = [units[i::n_bins] for i in range(n_bins)]
-    plan = ProvisioningPlan(
-        deadline=240.0, planning_deadline=240.0, strategy="uniform",
-        predictor_name="affine", assignments=assignments,
-        predicted_times=[model.predict(sum(u.size for u in b))
-                         for b in assignments],
-    )
-    workload = Workload("postag", PosTaggerApplication(), PosCostProfile())
-
-    record = report = None
-    for _ in range(BEST_OF):
-        cloud = Cloud(seed=2010)
-        ledger = get_run_ledger()
-        if ledger is not None:
-            rep = execute_plan(cloud, workload, plan)
-            rec = ledger.records(kind="runner", label="execute_plan")[-1]
-        else:
-            with capture_runs() as mem:
-                rep = execute_plan(cloud, workload, plan)
-            rec = mem.records()[-1]
-        if record is None or ((rec.get("profile.events_per_s") or 0.0)
-                              > (record.get("profile.events_per_s") or 0.0)):
-            record, report = rec, rep
-    wall = record.get("profile.wall_s") or 0.0
-    return {
-        "workload": f"execute_plan core, {n_bins}-instance plan, "
-                    f"{len(units)} units",
-        "n_runs": len(report.runs),
-        "events_fired": record.get("profile.events_fired"),
-        "wall_seconds": round(wall, 4),
-        "events_per_s": round(record.get("profile.events_per_s") or 0.0, 1),
-        "run_id": record.run_id,
-    }
+    print("figure session", file=sys.stderr, flush=True)
+    walls = {}
+    previous = set_run_ledger(RunLedger(REPO / ".repro" / "runs"))
+    try:
+        t0 = last = time.perf_counter()
+        for fid, _, _ in figure_session(IDS):
+            now = time.perf_counter()
+            walls[fid], last = round(now - last, 4), now
+    finally:
+        set_run_ledger(previous)
+    return {"total_wall_s": round(last - t0, 4), "wall_s": walls}
 
 
-def collect_dag_stats() -> dict:
-    """DAG-scheduler facts for the entry: backend sweep + event throughput.
+def measure(sources: list[str], seconds: float) -> tuple[dict, float]:
+    """Results of ``sources`` (workload names, or ``"figures"``) and the
+    host-speed probe.
 
-    Two measurements.  First, the backend-comparison sweep
-    (S3/EBS/local x linear/fan-out x the default seeds, plus the serial
-    fan-out baseline): per-backend mean makespan/cost, the
-    serial-over-concurrent speedup, and the campaign SLO verdict — a
-    change that erodes stage-concurrency or mis-prices a backend moves
-    these next to the kernel medians.  Second, the scheduler's own event
-    throughput: one fan-out DAG run's flight-recorder profile
-    (events fired / wall seconds), best of ``BEST_OF`` like every other
-    capability metric, feeding the ``dag.events_per_s`` gate.
+    The probe runs after each source and the fastest reading counts:
+    like the timings, it can only read slow when another tenant is busy.
     """
-    sys.path.insert(0, str(REPO / "src"))
-    from repro.cloud import Cloud
-    from repro.corpus import html_18mil_like
-    from repro.dag import S3Backend, execute_dag, fanout_pipeline
-    from repro.experiments.exp_dag import DEADLINE, SCALE, dag_sweep
-    from repro.experiments.sweep import DEFAULT_SEEDS
-    from repro.obs.ledger import capture_runs, get_run_ledger
-
-    _, stats = dag_sweep()
-    slo = stats["slo"]
-
-    record = None
-    for _ in range(BEST_OF):
-        cloud = Cloud(seed=2010)
-        cat = html_18mil_like(scale=SCALE, seed=2010)
-        ledger = get_run_ledger()
-        if ledger is not None:
-            execute_dag(cloud, fanout_pipeline(), cat, DEADLINE,
-                        backend=S3Backend(), label="bench.dag")
-            rec = ledger.records(kind="dag", label="bench.dag")[-1]
-        else:
-            with capture_runs() as mem:
-                execute_dag(cloud, fanout_pipeline(), cat, DEADLINE,
-                            backend=S3Backend(), label="bench.dag")
-            rec = mem.records()[-1]
-        if record is None or ((rec.get("profile.events_per_s") or 0.0)
-                              > (record.get("profile.events_per_s") or 0.0)):
-            record = rec
-    return {
-        "workload": "backend sweep (3 backends x 2 shapes x seeds "
-                    f"{list(DEFAULT_SEEDS)} + serial baseline); "
-                    "fan-out DAG on S3 for throughput",
-        "agg": stats["agg"],
-        "speedup": stats["speedup"],
-        "slo_ok": {b: r.ok for b, r in sorted(slo.items())},
-        "events_fired": record.get("profile.events_fired"),
-        "wall_seconds": round(record.get("profile.wall_s") or 0.0, 4),
-        "events_per_s": round(record.get("profile.events_per_s") or 0.0, 1),
-        "run_id": record.run_id,
-    }
+    results, probes = {}, []
+    for source in sources:
+        results[source] = (time_figures() if source == "figures"
+                           else run_perfbench(source, seconds))
+        probes.append(host_calibration())
+    return results, max(probes)
 
 
-def collect_engine_stats() -> dict:
-    """Simulation-core facts for the entry: raw event throughput and
-    columnar fleet advance.
-
-    Two measurements.  First, engine throughput: ``schedule_batch`` +
-    ``run`` of a 200k-event storm on the heap event queue, tracer off
-    and on — the events/s headline the engine
-    rewrite is held to (the pre-rewrite runner managed ~1.3k events/s
-    end to end).  Second, the columnar uniform-fleet runner at 1k / 10k /
-    100k instances, tracer off and on: wall seconds, member-advances/s,
-    and the engine event count (exactly two — boot barrier plus fleet
-    completion — whatever the fleet size).  Every timing is the best of
-    ``BEST_OF`` repeats (interference only slows a run down), so the
-    committed entry and the ``--check`` gate estimate the same quantity.
-    """
-    import time
-
-    sys.path.insert(0, str(REPO / "src"))
-    from repro import obs as obs_mod
-    from repro.cloud import Cloud, Workload
-    from repro.core import reshape
-    from repro.corpus import text_400k_like
-    from repro.obs import Tracer
-    from repro.sim.engine import SimulationEngine
-
-    def noop() -> None:
-        pass
-
-    n_storm = 200_000
-    storm_times = [((i * 2654435761) & 0xFFFFF) / 16.0 for i in range(n_storm)]
-    storm: dict = {}
-    for traced in (False, True):
-        elapsed = math.inf
-        for _ in range(BEST_OF):
-            engine = SimulationEngine(tracer=Tracer() if traced else None)
-            t0 = time.perf_counter()
-            engine.schedule_batch(storm_times, noop, "storm")
-            engine.run()
-            elapsed = min(elapsed, time.perf_counter() - t0)
-        storm["traced" if traced else "fast"] = {
-            "wall_seconds": round(elapsed, 4),
-            "events_per_s": round(n_storm / elapsed, 1),
-        }
-
-    from repro.apps import GrepApplication, GrepCostProfile
-    from repro.runner import execute_uniform_fleet
-
-    workload = Workload("scan", GrepApplication(), GrepCostProfile())
-    units = list(reshape(text_400k_like(scale=1e-3), None).units)[:6]
-    fleets: dict = {}
-    for n in (1_000, 10_000, 100_000):
-        for traced in (False, True):
-            o = obs_mod.configure(metrics=False) if traced else None
-            try:
-                elapsed = math.inf
-                for _ in range(BEST_OF):
-                    cloud = Cloud(seed=42)
-                    t0 = time.perf_counter()
-                    execute_uniform_fleet(cloud, workload, n, units,
-                                          deadline=3600.0)
-                    elapsed = min(elapsed, time.perf_counter() - t0)
-            finally:
-                if o is not None:
-                    obs_mod.disable()
-            key = f"{n}_{'traced' if traced else 'fast'}"
-            fleets[key] = {
-                "wall_seconds": round(elapsed, 4),
-                "instances_per_s": round(n / elapsed, 1),
-                "events_fired": cloud.engine.events_fired,
-            }
-
-    return {
-        "workload": f"{n_storm}-event engine storm; columnar uniform "
-                    "fleets of 1k/10k/100k instances (tracer off/on)",
-        "storm": storm,
-        "fleets": fleets,
-        "events_per_s": storm["fast"]["events_per_s"],
-        "baseline_events_per_s": 1338.9,
-        "speedup_vs_baseline": round(
-            storm["fast"]["events_per_s"] / 1338.9, 1),
-        "fleet_100k_wall_seconds": fleets["100000_fast"]["wall_seconds"],
-    }
-
-
-def distil(raw: dict) -> dict[str, dict[str, float]]:
-    """Reduce a pytest-benchmark dump to ``kernel -> median/ops``."""
-    kernels: dict[str, dict[str, float]] = {}
-    for b in raw["benchmarks"]:
-        median = b["stats"]["median"]
-        kernels[b["name"]] = {
-            "median_s": round(median, 6),
-            "ops_per_s": round(1.0 / median, 3) if median else 0.0,
-        }
-    return dict(sorted(kernels.items()))
+def cost_ratios() -> dict[str, dict[str, float]]:
+    """The two seed-deterministic cost ratios, as an entry holds them."""
+    return {name: {"cost_ratio_vs_on_demand":
+                   collect()["cost_ratio_vs_on_demand"]}
+            for name, collect in (("spot", collect_spot_stats),
+                                  ("matrix", collect_matrix_stats))}
 
 
 def load_trajectory() -> dict:
     """Load the committed trajectory file, or an empty skeleton."""
     if OUT.exists():
         return json.loads(OUT.read_text())
-    return {
-        "description": (
-            "Median runtimes of the packing/corpus kernels "
-            f"({BENCH_FILE}), one entry per packing-engine change. "
-            "Regenerate with `make bench-json LABEL=...`."
-        ),
-        "entries": [],
+    return {"description": DESCRIPTION, "entries": []}
+
+
+def directions(workloads: list[str]) -> dict[str, str]:
+    """Gated metric name -> the direction that is better."""
+    better = {m["name"]: m["better"] for m in benchmark()["end_to_end"]}
+    return {**{f"{w}.{m}": better[m] for w in workloads
+               for m in TIMED + SIMULATED},
+            FIGURES: "lower", **{r: "lower" for r in RATIOS}}
+
+
+def gated_values(entry: dict) -> dict[str, float]:
+    """The gated metrics an entry holds, by dotted name."""
+    values = {f"{w}.{m}": runs["end_to_end"][m]
+              for w, runs in entry.get("workloads", {}).items()
+              for m in TIMED + SIMULATED if m in runs["end_to_end"]}
+    if "figures" in entry:
+        values[FIGURES] = entry["figures"]["total_wall_s"]
+    for name in RATIOS:
+        group, metric = name.split(".")
+        if metric in entry.get(group, {}):
+            values[name] = entry[group][metric]
+    return values
+
+
+def calibrated(name: str) -> bool:
+    """Whether host speed moves the metric (a timing, not an outcome)."""
+    return name == FIGURES or name.endswith(tuple(f".{m}" for m in TIMED))
+
+
+def record(label: str) -> None:
+    """``--record``: measure everything an entry holds and append it."""
+    bench = benchmark()
+    seconds = bench["run_seconds"]
+    workloads = [w["name"] for w in bench["workloads"]]
+    results, calibration = measure([*workloads, "figures"], seconds)
+    entry = {
+        "label": label,
+        "date": date.today().isoformat(),
+        "run_seconds": seconds,
+        "workloads": {
+            w: {"end_to_end": results[w],
+                "layers": run_perfbench(w, seconds, trace=True)}
+            for w in workloads
+        },
+        "figures": results["figures"],
+        **cost_ratios(),
+        "calibration_ops_per_s": round(calibration, 1),
     }
+    trajectory = load_trajectory()
+    trajectory["description"] = DESCRIPTION
+    trajectory["entries"] = [
+        e for e in trajectory["entries"] if e["label"] != label
+    ] + [entry]
+    OUT.write_text(json.dumps(trajectory, indent=2) + "\n")
+    print(f"wrote {OUT.name} ({len(trajectory['entries'])} entries)")
 
 
-#: Gate metrics: dotted path into a trajectory entry -> direction.
-TRACKED_METRICS = {
-    "runner_core.events_per_s": "higher",
-    "engine.events_per_s": "higher",
-    "engine.fleet_100k_wall_seconds": "lower",
-    "dag.events_per_s": "higher",
-    "spot.cost_ratio_vs_on_demand": "lower",
-    "matrix.cost_ratio_vs_on_demand": "lower",
-}
-
-#: Simulated-economics metrics are seed-deterministic: host speed cannot
-#: move them, so the calibration ratio must not be applied.
-CALIBRATION_EXEMPT = {"spot.cost_ratio_vs_on_demand",
-                      "matrix.cost_ratio_vs_on_demand"}
-
-
-def _tracked_values(entry: dict) -> dict[str, float]:
-    """Flatten a trajectory entry to the gate's tracked metric map."""
-    out = {}
-    for path in TRACKED_METRICS:
-        node = entry
-        for part in path.split("."):
-            node = node.get(part) if isinstance(node, dict) else None
-            if node is None:
-                break
-        if isinstance(node, (int, float)):
-            out[path] = float(node)
-    return out
+def grown(base: dict[str, float], current: dict[str, float],
+          ratio: float) -> list[tuple[str, float, float]]:
+    """``(name, base, calibrated current)`` of the ``TOP_LAYERS`` timings
+    (``*.self_s`` or figure walls) that grew most, largest growth first."""
+    rows = [(name, base[name], current[name] * ratio)
+            for name in current if name in base]
+    rows.sort(key=lambda r: r[1] - r[2])
+    return [r for r in rows[:TOP_LAYERS] if r[2] > r[1]]
 
 
 def check(warn_only: bool) -> int:
-    """``--check``: re-measure the tracked perf headlines and gate them
-    against the newest committed trajectory entry.
+    """``--check``: re-measure and gate against the newest entry.
 
-    Measurements run with a file-backed run ledger installed under
-    ``.repro/runs``, so CI can upload the JSONL flight-recorder artifact
-    alongside the gate verdict.  Two defences keep the gate about the
-    build rather than the machine: measurements are normalised by the
-    :func:`host_calibration` ratio against the probe speed recorded in
-    the baseline entry (different machines and load regimes become
-    comparable), and — since timing noise on a shared host is strictly
-    additive, interference makes a run slower, never faster — a failing
-    first measurement is re-taken up to ``REPRO_GATE_ATTEMPTS`` times
-    (default 3) with each metric keeping its best observation; only a
-    regression that survives every attempt fails the gate.  The budget
-    defaults to 15% and can be widened/narrowed via
-    ``REPRO_GATE_THRESHOLD``; ``--warn-only`` reports violations but
-    exits 0 (the pull-request lane), while the default exits 1 on any
-    violation (the main-branch lane).
+    Gated are perfbench's ``wall_s``, ``setup_s``, ``sim_usd`` and
+    ``on_time_ratio`` per workload, ``figures.total_wall_s`` and the two
+    cost ratios; a metric fails when it is worse than the entry by more
+    than ``THRESHOLD``.  Timings are multiplied by the
+    :func:`host_calibration` ratio against the entry's probe (see
+    :func:`measure`), so a correct build on a slow host is not flagged
+    and a regressed build on a fast host is.  Noise on a shared host
+    only ever adds time, so a source (a workload, or the figure session)
+    whose timing fails is measured again, up to ``BEST_OF`` times in
+    all; each metric keeps its best reading and the probe its fastest,
+    so a probe that read the host slow cannot excuse a slow timing.
+    For a timing that still fails, the workload runs once more with
+    ``--trace 1`` and the layers whose self time grew most are printed
+    (for the figure session: the figures whose wall grew most), so the
+    failure names its layer.  ``--warn-only`` reports violations but
+    exits 0.
     """
-    import os
-
     sys.path.insert(0, str(REPO / "src"))
     from repro.obs.diff import regression_gate, render_gate_report
-    from repro.obs.ledger import RunLedger, set_run_ledger
 
     entries = load_trajectory()["entries"]
     if not entries:
         print("no committed trajectory entries; gate skipped")
         return 0
-    baseline_entry = entries[-1]
-    baseline = _tracked_values(baseline_entry)
-    cal_base = baseline_entry.get("calibration_ops_per_s")
+    entry = entries[-1]
+    baseline = gated_values(entry)
+    workloads = [w["name"] for w in benchmark()["workloads"]]
+    tracked = directions(workloads)
+    seconds = entry["run_seconds"]
+    cal_base = entry["calibration_ops_per_s"]
 
-    def measure() -> dict[str, float]:
-        previous = set_run_ledger(RunLedger(REPO / ".repro" / "runs"))
-        try:
-            values = _tracked_values({
-                "runner_core": collect_runner_core_stats(),
-                "engine": collect_engine_stats(),
-                "dag": collect_dag_stats(),
-                "spot": collect_spot_stats(),
-                "matrix": collect_matrix_stats(),
-            })
-        finally:
-            set_run_ledger(previous)
-        if cal_base:
-            # Express this host's numbers in baseline-host units so the
-            # budget measures the *build*, not the machine or its load.
-            ratio = host_calibration() / cal_base
-            print(f"host calibration x{ratio:.2f} vs baseline entry "
-                  f"({cal_base:,.0f} ops/s)")
-            for path, direction in TRACKED_METRICS.items():
-                if path in values and path not in CALIBRATION_EXEMPT:
-                    values[path] = (values[path] / ratio
-                                    if direction == "higher"
-                                    else values[path] * ratio)
-        return values
-
-    threshold = float(os.environ.get("REPRO_GATE_THRESHOLD", "0.15"))
-    attempts = max(1, int(os.environ.get("REPRO_GATE_ATTEMPTS", "3")))
-    current = measure()
-    violations = regression_gate(baseline, current, TRACKED_METRICS,
-                                 threshold=threshold)
-    for retry in range(1, attempts):
-        if not violations:
+    current = gated_values(cost_ratios())
+    best: dict[str, float] = {}
+    figures: dict = {}
+    calibration = 0.0
+    sources = everything = [*workloads, "figures"]
+    for attempt in range(1, BEST_OF + 1):
+        results, probe = measure(sources, seconds)
+        calibration = max(calibration, probe)
+        ratio = calibration / cal_base
+        print(f"attempt {attempt}/{BEST_OF}: host calibration x{ratio:.2f} "
+              f"vs baseline entry ({cal_base:,.0f} ops/s)")
+        figures = results.pop("figures", figures)
+        fresh = {f"{w}.{m}": v for w, metrics in results.items()
+                 for m, v in metrics.items() if m in TIMED + SIMULATED}
+        if "figures" in sources:
+            fresh[FIGURES] = figures["total_wall_s"]
+        for name, value in fresh.items():
+            pick = min if tracked[name] == "lower" else max
+            best[name] = pick(best.get(name, value), value)
+        current.update({name: value * ratio if calibrated(name) else value
+                        for name, value in best.items()})
+        violations = regression_gate(baseline, current, tracked,
+                                     threshold=THRESHOLD)
+        # A faster probe can tip a source measured earlier, so every
+        # source whose timing fails now is measured again.
+        sources = [s for s in everything
+                   if any(v.metric.split(".")[0] == s and calibrated(v.metric)
+                          for v in violations)]
+        if not sources:
             break
-        print(f"attempt {retry}/{attempts}: {len(violations)} violation(s), "
-              "re-measuring (best-of-N, noise is one-sided)")
-        fresh = measure()
-        for path, direction in TRACKED_METRICS.items():
-            if path in fresh:
-                best = max if direction == "higher" else min
-                current[path] = best(current.get(path, fresh[path]),
-                                     fresh[path])
-        violations = regression_gate(baseline, current, TRACKED_METRICS,
-                                     threshold=threshold)
-    print(render_gate_report(baseline, current, TRACKED_METRICS, violations,
-                             threshold=threshold))
-    print(f"(baseline entry: {baseline_entry['label']!r}, "
-          f"{baseline_entry['date']})")
+    print(render_gate_report(baseline, current, tracked, violations,
+                             threshold=THRESHOLD))
+    print(f"(baseline entry: {entry['label']!r}, {entry['date']})")
+    for source in sources:
+        if source == "figures":
+            rows = grown(entry["figures"]["wall_s"], figures["wall_s"], ratio)
+        else:
+            layers = run_perfbench(source, seconds, trace=True)
+            rows = grown(entry["workloads"][source]["layers"],
+                         {k: v for k, v in layers.items()
+                          if k.endswith(".self_s")}, ratio)
+        print(f"{source}: grew most against the entry's table "
+              "(calibrated): " + (", ".join(
+                  f"{name} {base:.3f} -> {cur:.3f} s" for name, base, cur
+                  in rows) or "nothing grew"))
     if violations and warn_only:
         print("warn-only mode: regressions reported above, exiting 0")
         return 0
@@ -645,12 +421,12 @@ def check(warn_only: bool) -> int:
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("raw", nargs="?", help="existing --benchmark-json dump to distil")
-    ap.add_argument("--run", action="store_true", help="run the bench suite first")
+    mode = ap.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--record", action="store_true",
+                      help="measure and append an entry (needs --label)")
+    mode.add_argument("--check", action="store_true",
+                      help="regression-gate against the newest entry")
     ap.add_argument("--label", help="entry label (same label = replace)")
-    ap.add_argument("--check", action="store_true",
-                    help="regression-gate the tracked perf headlines "
-                         "against the newest committed entry")
     ap.add_argument("--warn-only", action="store_true",
                     help="with --check: report regressions but exit 0")
     args = ap.parse_args()
@@ -658,39 +434,8 @@ def main() -> None:
     if args.check:
         raise SystemExit(check(args.warn_only))
     if not args.label:
-        ap.error("--label is required (unless --check)")
-    if args.run == bool(args.raw):
-        ap.error("pass exactly one of --run or a raw JSON path")
-
-    if args.run:
-        with tempfile.NamedTemporaryFile(suffix=".json", delete=False) as tmp:
-            raw_path = Path(tmp.name)
-        run_benchmarks(raw_path)
-    else:
-        raw_path = Path(args.raw)
-
-    raw = json.loads(raw_path.read_text())
-    entry = {
-        "label": args.label,
-        "date": date.today().isoformat(),
-        "kernels": distil(raw),
-        "obs": collect_obs_stats(),
-        "fleet": collect_fleet_stats(),
-        "chaos": collect_chaos_stats(),
-        "spot": collect_spot_stats(),
-        "runner_core": collect_runner_core_stats(),
-        "engine": collect_engine_stats(),
-        "dag": collect_dag_stats(),
-        "matrix": collect_matrix_stats(),
-        "calibration_ops_per_s": round(host_calibration(), 1),
-    }
-
-    trajectory = load_trajectory()
-    trajectory["entries"] = [
-        e for e in trajectory["entries"] if e["label"] != args.label
-    ] + [entry]
-    OUT.write_text(json.dumps(trajectory, indent=2) + "\n")
-    print(f"wrote {OUT.relative_to(REPO)} ({len(trajectory['entries'])} entries)")
+        ap.error("--record needs --label")
+    record(args.label)
 
 
 if __name__ == "__main__":

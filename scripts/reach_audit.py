@@ -116,9 +116,7 @@ def second_scope() -> list[Entry]:
 def profile(entries: list[Entry], tmp: Path, tag: str) -> set[tuple[str, int]]:
     """Run each entry under cProfile; the ``(file, first line)`` keys of
     every code object any of them called."""
-    env = {**os.environ, "PYTHONPATH": str(SRC),
-           # One gate measurement: re-measuring reaches no new code.
-           "REPRO_GATE_ATTEMPTS": "1"}
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
     reached: set[tuple[str, int]] = set()
     for i, (name, argv) in enumerate(entries):
         out = tmp / f"{tag}-{i}.prof"

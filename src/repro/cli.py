@@ -34,6 +34,7 @@ JSONL ledger under ``.repro/runs/`` (``--runs-dir`` to relocate,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -91,18 +92,24 @@ def figure_session(
         ids: Iterable[str]) -> Iterator[tuple[str, FigureResult, dict]]:
     """Run the figures ``ids`` in order; yield ``(id, figure, stats)``.
 
-    The session is one :func:`~repro.vfs.memo.sweep_memo`, so figures
-    that generate the same seeded corpus (F4–F6, F7–F9) share one
-    immutable catalogue.  Each figure still builds its own ``Cloud``
-    from its own seed, so it prints the same alone as in the session.
+    Each run of consecutive ids whose functions live in one module gets
+    one :func:`~repro.vfs.memo.sweep_memo`, so figures that generate the
+    same seeded corpus (F4–F6, F7–F9) share one immutable catalogue, and
+    the catalogue is dropped once the next module's figures start.  Each
+    figure still builds its own ``Cloud`` from its own seed, so it
+    prints the same alone as in the session.
     """
     from repro.experiments.sweep import resolve
     from repro.vfs.memo import sweep_memo
 
-    with sweep_memo():
-        for fid in ids:
-            fig, stats = resolve(FIGURES[fid])()
-            yield fid, fig, stats
+    def module(fid: str) -> str:
+        return FIGURES[fid].split(":")[0]
+
+    for _, group in itertools.groupby(ids, key=module):
+        with sweep_memo():
+            for fid in group:
+                fig, stats = resolve(FIGURES[fid])()
+                yield fid, fig, stats
 
 
 def _examples_dir() -> Path:

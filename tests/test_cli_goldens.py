@@ -161,3 +161,44 @@ def test_figures_with_ledger_print_the_same(figure_session_stdout, tmp_path):
     out = _run(["figures", "--all", "--runs-dir", str(tmp_path)])
     assert list(tmp_path.glob("*.jsonl")), "no ledger was written"
     assert out == figure_session_stdout
+
+
+def test_figure_session_shares_data_per_module_run(monkeypatch):
+    """Figures of one module share memoised data, and that data is freed
+    before the next module's figures run."""
+    import sys
+    import types
+    import weakref
+
+    from repro.cli import figure_session
+    from repro.vfs.memo import shared
+
+    class Corpus:
+        pass
+
+    built, refs = [], []
+
+    def figure(module):
+        def run():
+            corpus = shared("corpus",
+                            lambda: built.append(module) or Corpus())
+            refs.append(weakref.ref(corpus))
+            return None, {}
+        return run
+
+    for module in ("_figs_a", "_figs_b"):
+        stub = types.ModuleType(module)
+        stub.one, stub.two = figure(module), figure(module)
+        monkeypatch.setitem(sys.modules, module, stub)
+    monkeypatch.setattr("repro.cli.FIGURES", {
+        "A1": "_figs_a:one", "A2": "_figs_a:two",
+        "B1": "_figs_b:one", "B2": "_figs_b:two"})
+
+    session = figure_session(["A1", "A2", "B1", "B2"])
+    assert [next(session)[0], next(session)[0]] == ["A1", "A2"]
+    assert refs[0]() is refs[1]() is not None
+    assert next(session)[0] == "B1"
+    assert refs[0]() is None, "module A's data outlived its figures"
+    assert [fid for fid, _, _ in session] == ["B2"]
+    assert built == ["_figs_a", "_figs_b"]
+    assert refs[2]() is None and refs[3]() is None

@@ -382,8 +382,6 @@ class TestSlosJudgedOnce:
     @pytest.mark.parametrize("name, sweep, kwargs", [
         ("spot", "spot_sweep", {"regimes": ["calm"], "seeds": (11,),
                                 "bids": (0.06,), "slacks": (1.0,)}),
-        ("dag", "dag_sweep", {"backends": ("local",), "shapes": ("linear",),
-                              "seeds": (11,)}),
         ("matrix", "matrix_sweep", {"stacks": ["fleet"],
                                     "shapes": ("linear",),
                                     "regimes": ("calm",), "seeds": (11,)}),
