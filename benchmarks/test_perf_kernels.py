@@ -60,11 +60,11 @@ def test_perf_pack_into_n_bins_100k_items(benchmark):
 
 
 def test_perf_uniform_bins_100k_items(benchmark):
-    """Greedy balanced binning (order broken) at 100k files — lightest-bin
-    lookups through the engine's lazy heap."""
+    """Order-preserving balanced split at 100k files — one searchsorted
+    over the share boundaries."""
     cat = html_18mil_like(scale=5.6e-3)
     sizes = cat.sizes().tolist()
-    layouts = benchmark(uniform_layout, sizes, 30, preserve_order=False)
+    layouts = benchmark(uniform_layout, sizes, 30)
     assert placed(layouts) == len(sizes)
     assert len(layouts) == 30
 

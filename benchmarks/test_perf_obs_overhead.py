@@ -66,15 +66,14 @@ def test_tracer_off_overhead_on_100k_pack(benchmark):
         # pack_layout minus the observability calls: same fingerprint,
         # same column extraction, same kernel, same store shape
         store = {}
-        key = (cat.fingerprint(), "first_fit", True, capacity)
+        key = (cat.fingerprint(), capacity)
         layouts = first_fit_layout(cat.sizes().tolist(), capacity)
         store[key] = layouts
         return layouts
 
     def instrumented():
         # a fresh cache forces the miss path through every obs check
-        return PackingCache().pack_layout(cat, capacity,
-                                          heuristic="first_fit")
+        return PackingCache().pack_layout(cat, capacity)
 
     baseline(), instrumented()            # shared warmup
 
@@ -132,50 +131,6 @@ def test_tracer_off_overhead_on_engine_storm(benchmark):
         f"disabled-tracer engine storm overhead {min(overheads):.1%} "
         f"exceeds {OVERHEAD_BUDGET:.0%} in {len(overheads)} attempts "
         f"({overheads})")
-
-
-def test_obs_off_overhead_on_columnar_fleet(benchmark):
-    """Flight-recorder emission must not tax the columnar fast path.
-
-    The columnar runner consults ``get_run_ledger()`` once per column and,
-    when a ledger is active, serialises one record.  With observability
-    disabled that record is small (no metrics dump, no span rollup), so a
-    ledgered 20k-member fleet run must stay within 3% of an un-ledgered
-    one — the guard that keeps always-on flight recording viable.
-    """
-    from repro.apps import GrepApplication, GrepCostProfile
-    from repro.cloud import Cloud, Workload
-    from repro.core import reshape
-    from repro.corpus import text_400k_like
-    from repro.obs.ledger import RunLedger, set_run_ledger
-    from repro.runner import execute_uniform_fleet
-
-    assert not get_obs().enabled, "bench requires the disabled default"
-    workload = Workload("scan", GrepApplication(), GrepCostProfile())
-    units = list(reshape(text_400k_like(scale=1e-3), None).units)[:6]
-    n = 20_000
-
-    def run_fleet():
-        execute_uniform_fleet(Cloud(seed=42), workload, n, units,
-                              deadline=3600.0)
-
-    def instrumented():
-        previous = set_run_ledger(RunLedger(None))
-        try:
-            run_fleet()
-        finally:
-            set_run_ledger(previous)
-
-    instrumented(), run_fleet()           # shared warmup
-    overheads = []
-    for _ in range(ATTEMPTS):
-        overheads.append(_paired_overhead(instrumented, run_fleet, rounds=8))
-        if overheads[-1] < OVERHEAD_BUDGET:
-            break
-    benchmark.pedantic(instrumented, rounds=3, iterations=1)
-    assert min(overheads) < OVERHEAD_BUDGET, (
-        f"ledgered columnar fleet overhead {min(overheads):.1%} exceeds "
-        f"{OVERHEAD_BUDGET:.0%} in {ATTEMPTS} attempts ({overheads})")
 
 
 def test_disabled_tracer_span_is_nanoseconds(benchmark):

@@ -17,8 +17,13 @@ unreached def counts once, with its parent.
 
 The report lists, per module, the unreached functions' line counts and
 qualified names in two columns: those no run reached, and those only the
-benchmarks or scripts reached.  Totals follow.  The script takes no
-options, always exits 0, and takes 20–30 minutes on a 2-core host.
+benchmarks or scripts reached.  Totals follow, then the ratchet: the
+entry-point unreached-line count next to :data:`MAX_UNREACHED_LINES`.
+The script exits 1 when the count is above that limit (wire the new code
+into an entry point, or raise the limit with a CHANGES.md line saying
+why), and otherwise exits 0, asking for the limit to be lowered when the
+count fell below it.  It takes no options and 20–30 minutes on a 2-core
+host.
 
 Two limits follow from profiling one process per entry point: code that
 runs only inside ``--processes`` pool workers (the sweep's worker and
@@ -43,6 +48,8 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src"
 WORKLOADS = ("grep-reshape", "pos-deadline", "capacity-matrix")
+#: The ratchet: entry-point unreached function lines may not exceed this.
+MAX_UNREACHED_LINES = 1_136
 #: One subprocess: ``(name, argv after the interpreter)``.
 Entry = tuple[str, list[str]]
 
@@ -245,8 +252,18 @@ def main() -> int:
         print("benchmarks and scripts:", file=sys.stderr)
         by_scripts = profile(second_scope(), tmp, "scripts")
     defs = all_defs()
-    print(render(defs, unreached(defs, by_entries),
-                 unreached(defs, by_entries | by_scripts)))
+    entry_scope = unreached(defs, by_entries)
+    print(render(defs, entry_scope, unreached(defs, by_entries | by_scripts)))
+    measured = sum(d.lines for d in entry_scope)
+    limit = MAX_UNREACHED_LINES
+    print(f"ratchet: {measured:,} unreached entry-point function lines, "
+          f"limit {limit:,}")
+    if measured > limit:
+        print(f"FAIL: {measured - limit:,} lines above the limit; reach them "
+              "from an entry point or raise MAX_UNREACHED_LINES")
+        return 1
+    if measured < limit:
+        print(f"lower MAX_UNREACHED_LINES to {measured}")
     return 0
 
 

@@ -99,11 +99,6 @@ class FaultInjector:
         self._hang_prob = 1.0 - p_ok
         self._hang_seconds = hang_seconds
 
-    @property
-    def names(self) -> tuple[str, ...]:
-        """Names of the installed scenarios, in composition order."""
-        return tuple(s.name for s in self.scenarios)
-
     # -- launch path -------------------------------------------------------
 
     def launch_decision(self, zone_name: str, now: float,

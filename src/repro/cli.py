@@ -635,8 +635,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rl = runs_sub.add_parser("list", help="list recorded runs")
     p_rl.add_argument("--kind", default=None, metavar="KIND",
-                      help="only records of this kind (runner, columnar, "
-                           "dag, spot, matrix, experiment, sweep-cell)")
+                      help="only records of this kind (runner, dag, spot, "
+                           "matrix, experiment, sweep-cell)")
     p_rl.add_argument("--label", default=None, metavar="LABEL",
                       help="only records with this label")
     p_rl.set_defaults(fn=cmd_runs_list)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from repro.obs import Obs, get_obs
 from repro.cloud.billing import BillingLedger, ColumnUsage, UsageRecord
-from repro.cloud.ebs import EbsError, EbsVolume, PlacementModel
+from repro.cloud.ebs import EbsVolume, PlacementModel
 from repro.cloud.instance import (
     HeterogeneityModel,
     Instance,
@@ -70,7 +70,6 @@ class Cloud:
         self.s3 = S3Store(region_name=region.name)
         self._instances: dict[str, Instance] = {}
         self._columns: dict[str, InstanceColumn] = {}
-        self._volumes: dict[str, EbsVolume] = {}
         self._launches = 0
         self._column_launches = 0
         self._volume_count = 0
@@ -197,8 +196,7 @@ class Cloud:
         adding columnar launches to a campaign leaves every scalar
         instance's hidden state byte-identical.  The column boots
         asynchronously; callers advance the clock to ``column.barrier``
-        and call ``mark_running_all`` (or use the columnar runner, which
-        does both through one engine event).
+        and call ``mark_running_all``.
 
         Chaos hooks are scalar-path-only by design: columnar fleets model
         the homogeneous happy path whose cost is pure scale.
@@ -238,13 +236,6 @@ class Cloud:
     @property
     def columns(self) -> tuple[InstanceColumn, ...]:
         return tuple(self._columns.values())
-
-    def wait_until_running(self, instance: Instance) -> None:
-        """Advance the clock to the instance's boot completion if needed."""
-        if instance.state is InstanceState.PENDING:
-            if instance.ready_at > self.now:
-                self.advance(instance.ready_at - self.now)
-            instance.mark_running(self.now)
 
     def terminate_instance(self, instance: Instance, *,
                            at: float | None = None) -> "UsageRecord | None":
@@ -288,12 +279,6 @@ class Cloud:
         hours = billed_hours(elapsed)
         return instance.running_since + hours * 3600.0
 
-    def remaining_paid_seconds(self, instance: Instance,
-                               at: float | None = None) -> float:
-        """Seconds left in the currently-paid hour (0 on the boundary)."""
-        t = self.now if at is None else at
-        return self.paid_through(instance, t) - t
-
     def fail_instance(self, instance: Instance) -> None:
         """Crash a running instance at the current time and bill its usage.
 
@@ -313,10 +298,6 @@ class Cloud:
         for inst in self._instances.values():
             if inst.state is InstanceState.RUNNING:
                 self.terminate_instance(inst)
-
-    @property
-    def instances(self) -> tuple[Instance, ...]:
-        return tuple(self._instances.values())
 
     def running_instances(self) -> list[Instance]:
         """Instances currently in the RUNNING state."""
@@ -338,18 +319,5 @@ class Cloud:
             chaos = self.chaos
             vol.degradation = (
                 lambda z=vol.zone.name: chaos.ebs_factor(self.now, z))
-        self._volumes[vol.volume_id] = vol
         return vol
 
-    @property
-    def volumes(self) -> tuple[EbsVolume, ...]:
-        return tuple(self._volumes.values())
-
-    def swap_volume(self, volume: EbsVolume, new_instance: Instance) -> None:
-        """Detach ``volume`` from its current instance and attach it to a new
-        one — the §3.1/§7 recovery path ("replacing poorly performing
-        instances can be done easily without explicit data transfers")."""
-        if new_instance.zone != volume.zone:
-            raise EbsError("replacement instance must be in the volume's zone")
-        volume.detach()
-        volume.attach(new_instance)

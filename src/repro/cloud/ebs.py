@@ -152,7 +152,3 @@ class EbsVolume:
             raise EbsError("negative transfer size")
         base = (size / throughput) * self.access_factor(directory)
         return base * rng.lognormal(0.0, sigma)
-
-    @property
-    def directories(self) -> tuple[str, ...]:
-        return tuple(self._directories)

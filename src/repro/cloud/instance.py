@@ -208,9 +208,9 @@ class InstanceColumn:
     """``n`` homogeneous instances held as parallel numpy arrays.
 
     The columnar counterpart of :class:`Instance` — the PR-1 reshaping
-    move (object rows → columns) applied to fleet state.  One engine event
+    move (object rows → columns) applied to fleet state.  One call
     advances the whole column through a lifecycle edge (boot barrier,
-    completion sweep) instead of ``n`` per-instance callbacks; hidden
+    completion sweep) instead of ``n`` per-instance calls; hidden
     per-instance quality lives in ``cpu_factor`` / ``io_factor`` vectors.
 
     Lifecycle is deliberately coarser than the scalar class: the column

@@ -67,16 +67,6 @@ class S3Store:
             raise S3Error(f"no such object: {key!r}")
         return self._objects[key]
 
-    def delete(self, key: str) -> None:
-        """Remove an object if present (idempotent)."""
-        self._objects.pop(key, None)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._objects
-
-    def __len__(self) -> int:
-        return len(self._objects)
-
     def transfer_time(self, size: int, rng: RngStream) -> float:
         """Seconds to move ``size`` bytes in or out of the store."""
         if size < 0:

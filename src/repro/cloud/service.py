@@ -151,8 +151,8 @@ class ExecutionService:
         multiplicative measurement noise.  Draws come from an
         ``exec.column.{id}.{k}`` fork, a namespace scalar runs never use.
 
-        The clock is *not* advanced here — the columnar runner owns the
-        engine events.  Storage reads are instance-local (factor 1.0);
+        The clock is *not* advanced here — the caller owns the engine
+        events.  Storage reads are instance-local (factor 1.0);
         EBS placement and chaos episodes stay on the scalar path.
         """
         column.require_running()

@@ -217,7 +217,7 @@ class StaticProvisioner:
             layouts = pack_into_n_bins_layout(sizes, n_bins=n, capacity=x0)
         elif strategy == "uniform":
             n = self.instances_for(volume, eff_deadline)
-            layouts = uniform_layout(sizes, n_bins=n, preserve_order=True)
+            layouts = uniform_layout(sizes, n_bins=n)
         elif strategy == "hour-pack":
             if eff_deadline < HOUR:
                 raise PlanError("hour-pack needs a deadline of at least one hour")

@@ -1,9 +1,9 @@
 """Workflow graphs: the stage DAG the scheduler executes.
 
 A :class:`WorkflowGraph` is a :class:`~repro.core.workflow.TextWorkflow`
-with the edge-level accounting a DAG scheduler needs on top of the
-topological API: successors, roots/sinks, per-stage *output* volumes and
-per-edge handoff volumes.  Volume flow follows the workflow convention:
+with the edge-level queries a DAG scheduler needs on top of the
+topological API: successors and edges.  Volume flow follows the workflow
+convention:
 a stage's output is ``int(output_ratio * input)`` bytes, a fan-out edge
 *broadcasts* that output to every consumer (one stored copy, one get per
 edge), and a fan-in stage consumes the sum of its predecessors' outputs
@@ -42,37 +42,16 @@ __all__ = ["WorkflowGraph", "fanout_pipeline", "linear_pipeline"]
 
 
 class WorkflowGraph(TextWorkflow):
-    """A stage DAG with the edge accounting the scheduler runs on."""
+    """A stage DAG with the edge queries the scheduler runs on."""
 
     def successors(self, name: str) -> list[str]:
         """Sorted names of a stage's direct successors."""
         self.stage(name)  # raise WorkflowError on unknown stages
         return sorted(self._graph.successors(name))
 
-    def roots(self) -> list[str]:
-        """Stages with no predecessors (consume the workflow input)."""
-        return sorted(n for n in self._graph if not any(
-            True for _ in self._graph.predecessors(n)))
-
-    def sinks(self) -> list[str]:
-        """Stages with no successors (produce the workflow result)."""
-        return sorted(n for n in self._graph if not any(
-            True for _ in self._graph.successors(n)))
-
     def edges(self) -> list[tuple[str, str]]:
         """All (producer, consumer) edges, sorted."""
         return sorted(self._graph.edges())
-
-    def output_volumes(self, input_volume: int) -> dict[str, int]:
-        """Predicted *output* bytes of each stage (one stored copy)."""
-        vins = self.stage_volumes(input_volume)
-        return {s.name: int(s.output_ratio * vins[s.name])
-                for s in self.stages()}
-
-    def edge_volumes(self, input_volume: int) -> dict[tuple[str, str], int]:
-        """Bytes crossing each edge: the producer's full (broadcast) output."""
-        outs = self.output_volumes(input_volume)
-        return {(p, c): outs[p] for p, c in self.edges()}
 
 
 def _affine(a: float, b: float) -> Predictor:

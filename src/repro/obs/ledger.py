@@ -12,7 +12,7 @@ Activation is explicit, mirroring the metrics/trace default bundle: the
 module default ledger starts as ``None`` (nothing is written), the CLI
 installs a file-backed ledger per invocation, and tests capture records
 in-memory with :func:`capture_runs`.  Emission sites (``runner/core.py``,
-``runner/columnar.py``, the sweep harness, the experiments) all guard on
+``dag/scheduler.py``, the sweep harness, the experiments) all guard on
 ``get_run_ledger() is not None`` so un-ledgered runs pay one global read.
 
 Records stay bounded: every field holds only JSON values its caller
@@ -185,7 +185,7 @@ def span_rollup(tracer: Tracer) -> dict[str, dict[str, float]]:
 class RunRecord:
     """One run's flight-recorder entry (see module docstring for fields)."""
 
-    kind: str                       # "runner" | "columnar" | "sweep-cell" | ...
+    kind: str                       # "runner" | "spot" | "sweep-cell" | ...
     label: str                      # entry point / experiment name
     run_id: str = ""                # assigned by the ledger on append if empty
     created_at: str = ""            # ISO-8601 UTC wall clock

@@ -24,7 +24,8 @@ Public API
   open-ended list of bins.
 - :func:`pack_into_n_bins_layout` — first-fit into a *fixed* number of bins
   (capacity = prescribed per-instance volume).
-- :func:`uniform_layout` — balanced packing into ``n`` bins.
+- :func:`uniform_layout` — order-preserving balanced split into ``n`` bins
+  (one vectorised ``searchsorted``, no bin index).
 - :func:`subset_sum_layout` — the paper's merge heuristic.
 - :func:`derive_multiples_layout` — derive ``P^{V}_{s1..sn}`` probe
   groupings from a base packing at ``s0`` without re-running the packer

@@ -2,8 +2,8 @@
 
 Probe-set construction re-packs the same catalogue head at many unit sizes,
 and every provisioning strategy re-packs the data per candidate deadline.
-Both are pure functions of ``(catalogue, unit size, heuristic, order)``, so
-a campaign-scoped :class:`PackingCache` removes the repeats:
+Both are pure functions of ``(catalogue, unit size)``, so a campaign-scoped
+:class:`PackingCache` removes the repeats:
 
 * exact repeats return the memoised layout immediately;
 * a requested size that is a *multiple* of an already-packed base size is
@@ -12,10 +12,12 @@ a campaign-scoped :class:`PackingCache` removes the repeats:
   re-running the packer — so ``P^V_s`` probe sets pack once per volume, not
   once per (volume, size) pair.
 
-Keys use :meth:`Catalogue.fingerprint`, a content hash of the size column.
-Layouts are pure functions of the size column for the index tie-break used
-here, so catalogues with equal size columns may legitimately share entries.
-Returned layouts are shared objects: treat them as immutable.
+The packer is the order-preserving subset-sum first-fit, i.e.
+:func:`~repro.packing.first_fit.first_fit_layout`.  Keys use
+:meth:`Catalogue.fingerprint`, a content hash of the size column.
+Layouts are pure functions of the size column, so catalogues with equal
+size columns may legitimately share entries.  Returned layouts are shared
+objects: treat them as immutable.
 """
 
 from __future__ import annotations
@@ -26,23 +28,19 @@ from typing import TYPE_CHECKING, Sequence
 from repro.obs import get_obs
 from repro.packing.first_fit import first_fit_layout
 from repro.packing.index import BinLayout
-from repro.packing.subset_sum import derive_multiples_layout, subset_sum_layout
+from repro.packing.subset_sum import derive_multiples_layout
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.vfs.files import Catalogue
 
 __all__ = ["PackingCache"]
 
-_KERNELS = {
-    "subset_sum": lambda sizes, s, preserve_order: subset_sum_layout(
-        sizes, s, preserve_order=preserve_order
-    ),
-    "first_fit": lambda sizes, s, preserve_order: first_fit_layout(sizes, s),
-}
+#: The ``heuristic`` label of the ``packing.*`` metrics and spans.
+_HEURISTIC = "subset_sum"
 
 
 class PackingCache:
-    """Memoises packings keyed by (catalogue fingerprint, size, heuristic, order)."""
+    """Memoises packings keyed by (catalogue fingerprint, unit size)."""
 
     def __init__(self, max_entries: int = 128) -> None:
         if max_entries < 1:
@@ -61,8 +59,6 @@ class PackingCache:
         catalogue: "Catalogue",
         unit_size: int,
         *,
-        heuristic: str = "subset_sum",
-        preserve_order: bool = True,
         derive_from: int | None = None,
     ) -> list[BinLayout]:
         """Layout for ``catalogue`` at ``unit_size``, memoised.
@@ -73,43 +69,39 @@ class PackingCache:
         consecutive base bins rather than re-packed; otherwise the packer
         runs and the result is stored.
         """
-        if heuristic not in _KERNELS:
-            raise ValueError(f"unknown packing heuristic {heuristic!r}")
         obs = get_obs()
         fp = catalogue.fingerprint()
-        key = (fp, heuristic, preserve_order, unit_size)
+        key = (fp, unit_size)
         found = self._store.get(key)
         if found is not None:
             self.hits += 1
             if obs.enabled:
                 obs.metrics.counter("packing.cache.hits",
-                                    heuristic=heuristic).inc()
+                                    heuristic=_HEURISTIC).inc()
             return found
         self.misses += 1
-        layouts = self._derive(fp, heuristic, preserve_order, unit_size, derive_from)
+        layouts = self._derive(fp, unit_size, derive_from)
         derived = layouts is not None
         if layouts is None:
             if obs.enabled:
                 with obs.tracer.span("packing.pack", cat="packing",
-                                     track="packing", heuristic=heuristic,
+                                     track="packing", heuristic=_HEURISTIC,
                                      unit_size=unit_size, n=len(catalogue)):
                     t0 = time.perf_counter()
-                    layouts = _KERNELS[heuristic](
-                        catalogue.sizes().tolist(), unit_size, preserve_order
-                    )
+                    layouts = first_fit_layout(catalogue.sizes().tolist(),
+                                               unit_size)
                     obs.metrics.histogram(
-                        "packing.pack.seconds", heuristic=heuristic
+                        "packing.pack.seconds", heuristic=_HEURISTIC
                     ).observe(time.perf_counter() - t0)
             else:
-                layouts = _KERNELS[heuristic](
-                    catalogue.sizes().tolist(), unit_size, preserve_order
-                )
+                layouts = first_fit_layout(catalogue.sizes().tolist(),
+                                           unit_size)
         if obs.enabled:
             obs.metrics.counter("packing.cache.misses",
-                                heuristic=heuristic).inc()
+                                heuristic=_HEURISTIC).inc()
             if derived:
                 obs.metrics.counter("packing.cache.derived",
-                                    heuristic=heuristic).inc()
+                                    heuristic=_HEURISTIC).inc()
             obs.metrics.histogram(
                 "packing.layout.bins",
                 buckets=(1, 10, 100, 1_000, 10_000, 100_000, 1_000_000),
@@ -120,8 +112,6 @@ class PackingCache:
     def _derive(
         self,
         fp: str,
-        heuristic: str,
-        preserve_order: bool,
         unit_size: int,
         derive_from: int | None,
     ) -> list[BinLayout] | None:
@@ -132,12 +122,11 @@ class PackingCache:
             )
         else:
             bases = sorted(
-                s for (f, h, p, s) in self._store
-                if f == fp and h == heuristic and p == preserve_order
-                and 0 < s < unit_size and unit_size % s == 0
+                s for (f, s) in self._store
+                if f == fp and 0 < s < unit_size and unit_size % s == 0
             )
         for base in bases:
-            base_layouts = self._store.get((fp, heuristic, preserve_order, base))
+            base_layouts = self._store.get((fp, base))
             if base_layouts is not None:
                 k = unit_size // base
                 self.derived += 1

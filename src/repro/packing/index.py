@@ -8,7 +8,7 @@ Every packing heuristic in this package reduces to three bin queries:
     fullest bin that still takes ``size`` (smallest sufficient free space,
     ties to the leftmost) — the subset-sum greedy question.
 ``lightest()``
-    bin with the least used volume — uniform balancing and overflow spill.
+    bin with the least used volume — the fixed-bin packer's overflow spill.
 
 :class:`FreeSpaceIndex` answers all three in O(log B) amortised for B bins:
 a power-of-two max-segment-tree over per-bin free space drives

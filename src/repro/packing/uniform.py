@@ -6,72 +6,47 @@ each instance": every instance gets ≈``V/i`` bytes, which lowers the maximum
 bin volume and therefore the chance of missing the deadline at identical
 cost (Fig. 8(b)).
 
-The heuristic here is greedy longest-processing-time-style balancing when
-order may be broken — each item (largest first) lands on the currently
-lightest bin, found through the engine's
-:meth:`~repro.packing.index.FreeSpaceIndex.lightest` heap in O(log B) — and
-a volume-threshold splitter when the original file order must be preserved
-(the POS workload case), which is a single O(n) streaming pass.
+The split keeps the original file order (the POS workload case): item ``i``
+lands in the bin whose share interval holds its midpoint
+``running_i + size_i/2``, so one ``searchsorted`` over the share boundaries
+places every item at once.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from repro.packing.first_fit import _decreasing_order
-from repro.packing.index import BinLayout, FreeSpaceIndex, PackingError
+import numpy as np
+
+from repro.packing.index import BinLayout, PackingError
 
 __all__ = ["uniform_layout"]
 
 
-def uniform_layout(
-    sizes: Sequence[int],
-    n_bins: int,
-    *,
-    preserve_order: bool = True,
-) -> list[BinLayout]:
-    """Distribute ``sizes`` across exactly ``n_bins`` bins of ≈equal volume.
+def uniform_layout(sizes: Sequence[int] | np.ndarray, n_bins: int) -> list[BinLayout]:
+    """Distribute ``sizes`` in order across exactly ``n_bins`` bins of ≈equal volume.
 
-    With ``preserve_order`` the items are streamed in order and a bin is
-    closed once it reaches the ideal share ``total/n_bins`` (the last bin
-    absorbs rounding).  Without it, a greedy balance pass assigns each item
-    (largest first, equal sizes in index order) to the currently lightest
-    bin — tighter balance, broken order.
+    The items are streamed in order and a bin is closed once it has met
+    the ideal share ``total/n_bins``: item ``i`` goes to bin
+    ``#{k in 1..n_bins-1 : share·k <= running_i + size_i/2}`` (the last
+    bin absorbs rounding).  The midpoints and boundaries are the same
+    float products a streaming loop compares, so the split is exact.
 
     Returned layouts are uncapacitated (``capacity=None``); balance, not
     capacity, is the constraint.
     """
     if n_bins <= 0:
         raise PackingError(f"need at least one bin, got {n_bins}")
-    layouts = [BinLayout(capacity=None) for _ in range(n_bins)]
-    if not sizes:
-        return layouts
-    total = sum(sizes)
-
-    if preserve_order:
-        # Stream in order, closing a bin once it has met its ideal share
-        # total/n (the last bin absorbs rounding).  Float arithmetic matches
-        # the classic splitter exactly.
-        share = total / n_bins
-        idx = 0
-        running = 0
-        current = layouts[0]
-        for i, size in enumerate(sizes):
-            while idx < n_bins - 1 and running + size / 2 >= share * (idx + 1):
-                idx += 1
-                current = layouts[idx]
-            current.indices.append(i)
-            current.used += size
-            running += size
-        return layouts
-
-    index = FreeSpaceIndex()
-    for _ in range(n_bins):
-        index.append(0)
-    for i in _decreasing_order(sizes, None):
-        slot = index.lightest()
-        size = sizes[i]
-        index.add_load(slot, size)
-        layouts[slot].indices.append(i)
-        layouts[slot].used += size
-    return layouts
+    n = len(sizes)
+    if not n:
+        return [BinLayout(capacity=None) for _ in range(n_bins)]
+    arr = np.asarray(sizes, dtype=np.int64)
+    ends = np.cumsum(arr)
+    share = int(ends[-1]) / n_bins
+    midpoints = (ends - arr) + arr / 2
+    bins = np.searchsorted(share * np.arange(1, n_bins), midpoints, side="right")
+    # Bins are non-decreasing along the items: bin b holds one index run.
+    starts = np.searchsorted(bins, np.arange(n_bins + 1), side="left").tolist()
+    loads = np.concatenate(([0], ends))[starts].tolist()
+    return [BinLayout(capacity=None, indices=list(range(a, b)), used=used_b - used_a)
+            for a, b, used_a, used_b in zip(starts, starts[1:], loads, loads[1:])]

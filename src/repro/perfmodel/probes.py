@@ -78,8 +78,7 @@ def build_probe_set(
         # derive_from=s0 routes multiples of the base through bin
         # coalescing and packs non-multiples directly — the seed behaviour,
         # now memoised.
-        layouts = cache.pack_layout(head, s, heuristic="subset_sum",
-                                    preserve_order=True, derive_from=s0)
+        layouts = cache.pack_layout(head, s, derive_from=s0)
         variants[s] = tuple(
             Segment.from_layouts(layouts, files, f"probe_v{volume}_s{s}", digits=5)
         )

@@ -57,11 +57,6 @@ class Acquisition:
     wait_seconds: float        # backoff + hung-boot waits before final boot
     faults: tuple[str, ...]    # reasons of the absorbed failures
 
-    @property
-    def ready_latency(self) -> float:
-        """Submission-to-RUNNING seconds: absorbed waits + the final boot."""
-        return self.wait_seconds + self.instance.boot_delay
-
 
 class ResilientLauncher:
     """Retry/steer/hedge policy wrapper around one cloud's launch path.

@@ -2,8 +2,9 @@
 
 One event-driven loop — :class:`~repro.runner.core.ExecutionCore` — runs
 every :class:`~repro.core.planner.ProvisioningPlan`, delegating each
-decision to a policy triple (acquisition / progress / completion).  The
-public entry points are thin configurations of it:
+decision to a policy triple (acquisition / progress / completion); there
+is no second plan executor.  The public entry points are thin
+configurations of it:
 
 * :func:`~repro.runner.execute.execute_plan` — fresh instances, per-
   instance misses against the user deadline (Figs. 8–9), ceil-hour bill;
@@ -41,11 +42,6 @@ from repro.runner.core import (
     RunToCompletion,
     StragglerProgress,
 )
-from repro.runner.columnar import (
-    ColumnarReport,
-    execute_plan_columnar,
-    execute_uniform_fleet,
-)
 from repro.runner.dynamic import DynamicPolicy, ReplacementEvent, execute_with_monitoring
 from repro.runner.execute import ExecutionReport, FailedBin, InstanceRun, execute_plan
 from repro.runner.fault_tolerant import CrashEvent, FaultPolicy, execute_fault_tolerant
@@ -72,9 +68,6 @@ __all__ = [
     "execute_fault_tolerant",
     "execute_quality_aware",
     "FleetTimeline",
-    "ColumnarReport",
-    "execute_plan_columnar",
-    "execute_uniform_fleet",
     "SpotAcquisition",
     "SpotCompletion",
     "SpotProgress",

@@ -122,18 +122,6 @@ class FleetTimeline:
         """Append one snapshot."""
         self.points.append((t, working, completed))
 
-    @property
-    def completion_times(self) -> list[float]:
-        return [t for t, _, c in self.points]
-
-    def completed_at(self, t: float) -> int:
-        """Instances completed by simulated time ``t``."""
-        done = 0
-        for when, _, completed in self.points:
-            if when <= t:
-                done = completed
-        return done
-
 
 @dataclass
 class ReplacementEvent:

@@ -107,10 +107,6 @@ class RngStream:
         """One lognormal draw (log-space mean/sigma)."""
         return float(self._gen.lognormal(mean, sigma))
 
-    def pareto(self, shape: float) -> float:
-        """Standard Pareto draw (support ``[0, inf)``, heavier for small shape)."""
-        return float(self._gen.pareto(shape))
-
     def exponential(self, scale: float) -> float:
         """One exponential draw with the given scale."""
         return float(self._gen.exponential(scale))
@@ -135,12 +131,6 @@ class RngStream:
         array of the same length are permuted alike.
         """
         self._gen.shuffle(items)
-
-    def sample_indices(self, n: int, k: int) -> list[int]:
-        """``k`` distinct indices from ``range(n)`` (without replacement)."""
-        if k > n:
-            raise ValueError(f"cannot sample {k} from {n} without replacement")
-        return [int(i) for i in self._gen.choice(n, size=k, replace=False)]
 
     # -- vector draws ----------------------------------------------------
 

@@ -466,8 +466,7 @@ class Catalogue:
         """
         from repro.packing import uniform_layout
 
-        layouts = uniform_layout(self._sizes.tolist(), n_bins=n_parts,
-                                 preserve_order=True)
+        layouts = uniform_layout(self._sizes, n_bins=n_parts)
         return [self._take(l.indices, f"{self.name}/part{i}")
                 for i, l in enumerate(layouts)]
 

@@ -73,13 +73,13 @@ class TestLeaseAwareTerminate:
         start = inst.running_since
         # the first hour is committed the moment the instance runs
         assert cloud.paid_through(inst) == pytest.approx(start + 3600.0)
-        assert cloud.remaining_paid_seconds(inst) == pytest.approx(3600.0)
+        assert cloud.paid_through(inst) - cloud.now == pytest.approx(3600.0)
         cloud.advance(3600.0)
         # exactly on the boundary: nothing of the paid hour remains
-        assert cloud.remaining_paid_seconds(inst) == pytest.approx(0.0)
+        assert cloud.paid_through(inst) - cloud.now == pytest.approx(0.0)
         cloud.advance(1.0)
         # one second into hour two: a fresh hour is committed
-        assert cloud.remaining_paid_seconds(inst) == pytest.approx(3599.0)
+        assert cloud.paid_through(inst) - cloud.now == pytest.approx(3599.0)
 
     def test_paid_through_requires_running(self):
         cloud = Cloud(seed=1)

@@ -57,8 +57,7 @@ def oracle_partition(cat: Catalogue, n_parts: int) -> list[Catalogue]:
     from repro.packing import uniform_layout
 
     files = list(cat)
-    layouts = uniform_layout([f.size for f in files], n_bins=n_parts,
-                             preserve_order=True)
+    layouts = uniform_layout([f.size for f in files], n_bins=n_parts)
     return [Catalogue([files[j] for j in l.indices], name=f"{cat.name}/part{i}")
             for i, l in enumerate(layouts)]
 

@@ -1,15 +1,14 @@
-"""Tests for the columnar fleet stack.
+"""Tests for the column primitives of the cloud layer.
 
 The columnar path (InstanceColumn / launch_column / run_column /
-record_column / execute_plan_columnar) is a *new* deterministic API, not a
-re-draw of the scalar path: its RNG forks live in their own namespace.
-What these tests pin down is the semantic contract:
+record_column) is a *new* deterministic API, not a re-draw of the scalar
+path: its RNG forks live in their own namespace.  What these tests pin
+down is the semantic contract:
 
 * vectorized kernels compute member-for-member the same arithmetic as the
   scalar classes (factor mixture, duration composition, ceil-hour bill);
-* columnar runs are bit-reproducible per seed;
-* installing columnar launches never shifts scalar-path draws;
-* the two-event engine flow produces a coherent timeline and ledger.
+* columnar launches are bit-reproducible per seed;
+* installing columnar launches never shifts scalar-path draws.
 """
 
 import numpy as np
@@ -23,31 +22,11 @@ from repro.cloud.instance import (
     InstanceColumn,
     InstanceError,
 )
-from repro.core import StaticProvisioner, reshape
-from repro.corpus import text_400k_like
-from repro.perfmodel.regression import fit_affine
-from repro.runner import execute_plan_columnar, execute_uniform_fleet
 from repro.sim.random import RngStream
-
-
-def model():
-    x = np.array([1e5, 1e6, 5e6])
-    return fit_affine(x, 0.327 + 0.865e-4 * x)
 
 
 def pos_workload():
     return Workload("postag", PosTaggerApplication(), PosCostProfile())
-
-
-def make_plan(deadline=30.0, strategy="uniform", scale=1e-3):
-    cat = text_400k_like(scale=scale)
-    units = list(reshape(cat, None).units)
-    return StaticProvisioner(model()).plan(units, deadline, strategy=strategy)
-
-
-def some_units(scale=1e-3, k=5):
-    cat = text_400k_like(scale=scale)
-    return list(reshape(cat, None).units)[:k]
 
 
 class TestDrawFactors:
@@ -211,94 +190,3 @@ class TestRecordColumn:
                              np.array([1800.0, 5400.0]), 0.085)
         assert ledger.total_instance_hours == 1 + 3
         assert ledger.summary()["instances"] == 3
-
-
-class TestColumnarRunner:
-    def test_plan_columnar_report_shape(self):
-        cloud = Cloud(seed=1)
-        plan = make_plan()
-        report = execute_plan_columnar(cloud, pos_workload(), plan)
-        assert report.n_instances == plan.n_instances
-        assert report.makespan > 0
-        assert report.ends.shape == report.durations.shape
-        assert np.allclose(report.ends, report.work_start + report.durations)
-
-    def test_deterministic_per_seed(self):
-        plan = make_plan()
-        r1 = execute_plan_columnar(Cloud(seed=9), pos_workload(), plan)
-        r2 = execute_plan_columnar(Cloud(seed=9), pos_workload(), plan)
-        assert np.array_equal(r1.durations, r2.durations)
-        assert r1.billing == r2.billing
-
-    def test_engine_clock_lands_on_makespan(self):
-        cloud = Cloud(seed=2)
-        report = execute_uniform_fleet(cloud, pos_workload(), 32,
-                                       some_units())
-        assert cloud.now == pytest.approx(float(report.ends.max()))
-
-    def test_timeline_is_bulk_filled_and_ordered(self):
-        cloud = Cloud(seed=3)
-        report = execute_uniform_fleet(cloud, pos_workload(), 50,
-                                       some_units())
-        points = report.timeline.points
-        assert len(points) == 50
-        times = [t for t, _, _ in points]
-        assert times == sorted(times)
-        # completed counts 1..n, working counts n-1..0
-        assert [c for _, _, c in points] == list(range(1, 51))
-        assert [w for _, w, _ in points] == list(range(49, -1, -1))
-
-    def test_billing_written_once_and_consistent(self):
-        cloud = Cloud(seed=4)
-        report = execute_uniform_fleet(cloud, pos_workload(), 20,
-                                       some_units())
-        assert len(cloud.ledger.column_records) == 1
-        assert report.billing is cloud.ledger.column_records[0]
-        assert report.instance_hours >= 20  # every member entered an hour
-        assert cloud.ledger.total_cost == pytest.approx(report.cost)
-
-    def test_bill_false_skips_ledger(self):
-        cloud = Cloud(seed=5)
-        report = execute_uniform_fleet(cloud, pos_workload(), 10,
-                                       some_units(), bill=False)
-        assert report.billing is None
-        assert not cloud.ledger.column_records
-        assert not cloud.columns[0].running  # still wound down
-
-    def test_two_events_only(self):
-        """The whole campaign is exactly two engine events."""
-        cloud = Cloud(seed=6)
-        fired_before = cloud.engine.events_fired
-        execute_uniform_fleet(cloud, pos_workload(), 1000, some_units())
-        assert cloud.engine.events_fired - fired_before == 2
-
-    def test_misses_counted_vectorized(self):
-        cloud = Cloud(seed=7)
-        report = execute_uniform_fleet(cloud, pos_workload(), 30,
-                                       some_units(), deadline=1e-3)
-        assert report.n_missed == 30
-
-    def test_empty_plan(self):
-        from repro.core.planner import ProvisioningPlan
-
-        plan = ProvisioningPlan(deadline=30.0, planning_deadline=30.0,
-                                strategy="uniform", predictor_name="test",
-                                assignments=[], predicted_times=[])
-        report = execute_plan_columnar(Cloud(seed=8), pos_workload(), plan)
-        assert report.n_instances == 0
-        assert report.makespan == 0.0
-
-    def test_scalar_campaign_unchanged_by_columnar_neighbour(self):
-        """Running a columnar fleet first must not perturb a scalar run
-        (disjoint RNG namespaces — the non-interference contract)."""
-        from repro.runner import execute_plan
-
-        plan = make_plan()
-        wl = pos_workload()
-        plain = Cloud(seed=12)
-        r_plain = execute_plan(plain, wl, plan)
-        mixed = Cloud(seed=12)
-        execute_uniform_fleet(mixed, wl, 40, some_units())
-        r_mixed = execute_plan(mixed, wl, make_plan())
-        assert [a.duration for a in r_plain.runs] == \
-            [b.duration for b in r_mixed.runs]

@@ -155,10 +155,6 @@ class TestUniformBins:
         # order preserved: concatenating bins recovers the input order
         assert [i for l in layouts for i in l.indices] == list(range(6))
 
-    def test_unordered_balance_tight(self):
-        layouts = uniform_layout([9, 1, 5, 5], n_bins=2, preserve_order=False)
-        assert sorted(l.used for l in layouts) == [10, 10]
-
     def test_zero_bins_rejected(self):
         with pytest.raises(PackingError):
             uniform_layout([1], n_bins=0)
@@ -173,15 +169,6 @@ class TestUniformBins:
         layouts = uniform_layout(sizes, n_bins=n)
         assert len(layouts) == n
         validate_layouts(sizes, layouts)
-
-    @given(size_lists, st.integers(min_value=1, max_value=10))
-    @settings(max_examples=100)
-    def test_unordered_max_load_bound(self, sizes, n):
-        """Greedy balancing: max load <= average + max item size."""
-        if not sizes:
-            return
-        layouts = uniform_layout(sizes, n_bins=n, preserve_order=False)
-        assert max(l.used for l in layouts) <= sum(sizes) / n + max(sizes)
 
 
 class TestSubsetSumFirstFit:

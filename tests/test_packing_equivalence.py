@@ -11,7 +11,7 @@ additionally checked with :func:`~tests.reference_packing.validate_layouts`.
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.packing import (
@@ -138,13 +138,21 @@ class TestPackIntoNBinsEquivalence:
 
 
 class TestUniformEquivalence:
-    @given(sizes=size_lists, n_bins=bin_counts, preserve_order=st.booleans())
+    @given(sizes=size_lists, n_bins=bin_counts)
     @settings(max_examples=200, deadline=None)
-    def test_uniform(self, sizes, n_bins, preserve_order):
-        got = uniform_layout(sizes, n_bins, preserve_order=preserve_order)
-        want = reference.uniform_bins(
-            items_of(sizes), n_bins, preserve_order=preserve_order
-        )
+    # item 1's midpoint 2 + 2/2 equals the boundary share·1 = 3: the tie
+    # moves it to bin 1
+    @example(sizes=[2, 2, 2, 2, 1], n_bins=3)
+    # all-zero sizes: every midpoint meets every boundary, so every item
+    # lands in the last bin
+    @example(sizes=[0, 0, 0, 0], n_bins=3)
+    # more bins than items: some bins stay empty
+    @example(sizes=[5, 5], n_bins=5)
+    # one item larger than the share takes a bin of its own
+    @example(sizes=[1, 30, 1, 1, 1], n_bins=3)
+    def test_uniform(self, sizes, n_bins):
+        got = uniform_layout(sizes, n_bins)
+        want = reference.uniform_bins(items_of(sizes), n_bins)
         assert_identical(sizes, got, want)
         validate_layouts(sizes, got)
 

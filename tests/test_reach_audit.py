@@ -4,7 +4,8 @@ The audit itself takes tens of minutes, so these tests check what it
 would run and how it matches, not a full run: every ``repro.cli``
 subcommand and every example is in its entry-point list (a new one cannot
 escape the audit), a decorated def is matched by its first decorator's
-line, and a def nested in an unreached def counts once, with its parent.
+line, a def nested in an unreached def counts once, with its parent, and
+the ratchet fails only a count above its committed limit.
 """
 
 import argparse
@@ -130,3 +131,37 @@ class TestMatcher:
             ("outer_unreached", 4),
             ("outer_reached.inner_unreached", 2),
         ]
+
+
+class TestRatchet:
+    """``main`` with the profiling stubbed out: one unreached 10-line def."""
+
+    @pytest.fixture()
+    def run(self, audit, monkeypatch, capsys):
+        monkeypatch.setattr(audit, "entry_points", lambda tmp: [])
+        monkeypatch.setattr(audit, "second_scope", lambda: [])
+        monkeypatch.setattr(audit, "profile", lambda entries, tmp, tag: set())
+        monkeypatch.setattr(audit, "all_defs", lambda: [
+            audit.Def("m.py", "/m.py", "f", 1, 10, None)])
+
+        def run(limit):
+            monkeypatch.setattr(audit, "MAX_UNREACHED_LINES", limit)
+            status = audit.main()
+            return status, capsys.readouterr().out
+        return run
+
+    def test_count_above_limit_fails(self, run):
+        status, out = run(9)
+        assert status == 1
+        assert "ratchet: 10 unreached entry-point function lines, limit 9" in out
+        assert "FAIL: 1 lines above the limit" in out
+
+    def test_count_at_limit_passes(self, run):
+        status, out = run(10)
+        assert status == 0
+        assert "FAIL" not in out and "lower" not in out
+
+    def test_count_below_limit_passes_and_asks_to_lower(self, run):
+        status, out = run(11)
+        assert status == 0
+        assert "lower MAX_UNREACHED_LINES to 10" in out

@@ -83,13 +83,13 @@ class TestRunLedger:
     def test_file_backed_append_and_read(self, tmp_path):
         ledger = RunLedger(tmp_path / "runs")
         ledger.append(RunRecord(kind="runner", label="execute_plan"))
-        ledger.append(RunRecord(kind="columnar", label="fleet"))
+        ledger.append(RunRecord(kind="dag", label="fleet"))
         assert (tmp_path / "runs" / "ledger.jsonl").exists()
         # A second instance over the same root sees both lines.
         again = RunLedger(tmp_path / "runs")
         ids = [r.run_id for r in again.records()]
         assert ids == ["execute_plan-0001", "fleet-0002"]
-        assert [r.kind for r in again.records(kind="columnar")] == ["columnar"]
+        assert [r.kind for r in again.records(kind="dag")] == ["dag"]
 
     def test_in_memory_ledger_never_touches_disk(self, tmp_path):
         ledger = RunLedger(None)
@@ -219,20 +219,6 @@ class TestRunnerEmission:
         assert bare.makespan == ledgered.makespan
         assert bare.cost == ledgered.cost
         assert len(ledger.records()) == 1
-
-    def test_columnar_emission(self):
-        from repro.cloud import Cloud
-        from repro.runner import execute_uniform_fleet
-
-        units = _quick_plan().assignments[0]
-        with capture_runs() as ledger:
-            report = execute_uniform_fleet(Cloud(seed=5), _pos_workload(),
-                                           50, units, deadline=3600.0)
-        rec = ledger.records(kind="columnar")[0]
-        assert rec.label == "execute_uniform_fleet"
-        assert rec.config["instances"] == 50
-        assert rec.deadline["makespan_s"] == pytest.approx(report.makespan)
-        assert rec.profile["events_fired"] == 2   # barrier + completion
 
     def test_sweep_ships_cell_records_home(self):
         from repro.experiments.sweep import Cell, run_sweep

@@ -122,19 +122,22 @@ class TestFleetTimeline:
 
     def test_times_nondecreasing(self):
         _, timeline = self._run()
-        times = timeline.completion_times
+        times = [t for t, _, _ in timeline.points]
         assert times == sorted(times)
 
     def test_completed_at_queries(self):
         plan, timeline = self._run()
-        t_last = timeline.points[-1][0]
-        assert timeline.completed_at(t_last) == plan.n_instances
-        assert timeline.completed_at(0.0) == 0
+
+        def completed_at(t):
+            return max((c for when, _, c in timeline.points if when <= t),
+                       default=0)
+
+        assert completed_at(timeline.points[-1][0]) == plan.n_instances
+        assert completed_at(0.0) == 0
 
     def test_empty_timeline(self):
         t = FleetTimeline()
-        assert t.completed_at(100.0) == 0
-        assert t.completion_times == []
+        assert t.points == []
 
 
 class TestDynamicRescheduling:

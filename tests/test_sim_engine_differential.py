@@ -9,9 +9,9 @@ not merely equivalent.  Two layers of evidence:
   through the same random program of ``schedule`` / ``schedule_batch`` /
   ``run-until`` operations (including callbacks that schedule
   follow-ups while firing) and compares the full firing transcript;
-* whole campaigns — scalar ``execute_plan`` under chaos scenarios and the
-  columnar fleet runner — must reproduce recorded fingerprints of their
-  reports, ledgers and timelines bit for bit across seeds × scenarios.
+* whole campaigns — scalar ``execute_plan``, clean and under chaos
+  scenarios — must reproduce recorded fingerprints of their reports and
+  ledgers bit for bit across seeds × scenarios.
 """
 
 import hashlib
@@ -29,7 +29,7 @@ from repro.core import StaticProvisioner, reshape
 from repro.corpus import text_400k_like
 from repro.obs.trace import Tracer
 from repro.perfmodel.regression import fit_affine
-from repro.runner import execute_plan, execute_uniform_fleet
+from repro.runner import execute_plan
 from repro.sim.engine import SimulationEngine
 
 # ---------------------------------------------------------------------------
@@ -229,7 +229,6 @@ RECORDED = {
     ("slow-ebs", 23): "d89f3dea7f226ccd",
     ("clean", 3): "58249c85d0c1e61e",
     ("clean", 17): "1c861816872b14cf",
-    ("columnar", 29): "74bd1f3112d55c7b",
 }
 
 
@@ -249,14 +248,3 @@ class TestCampaignEquality:
         report = execute_plan(cloud, _workload(), _plan())
         fingerprint = _report_fingerprint(cloud, report)
         assert _digest(fingerprint) == RECORDED[("clean", seed)]
-
-    def test_columnar_fleet_bit_identical(self):
-        cat = text_400k_like(scale=1e-3)
-        units = list(reshape(cat, None).units)[:6]
-        cloud = Cloud(seed=29)
-        rep = execute_uniform_fleet(
-            cloud, _workload(), 500, units, deadline=3600.0)
-        fingerprint = (rep.durations.tolist(), rep.ends.tolist(),
-                       rep.makespan, rep.n_missed,
-                       cloud.ledger.total_cost, cloud.engine.now)
-        assert _digest(fingerprint) == RECORDED[("columnar", 29)]

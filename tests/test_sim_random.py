@@ -73,14 +73,6 @@ class TestRngStream:
         with pytest.raises(ValueError):
             RngStream(0).choice(["a", "b"], weights=[1.0])
 
-    def test_sample_indices_distinct(self):
-        idx = RngStream(5).sample_indices(10, 10)
-        assert sorted(idx) == list(range(10))
-
-    def test_sample_indices_too_many(self):
-        with pytest.raises(ValueError):
-            RngStream(5).sample_indices(3, 4)
-
     def test_shuffle_is_permutation(self):
         items = list(range(20))
         RngStream(8).shuffle(items)

@@ -98,7 +98,7 @@ class TestQualityAwareExecution:
         wl = Workload("grep", GrepApplication(), GrepCostProfile())
         n = 6
 
-        layouts = uniform_layout(cat.sizes().tolist(), n_bins=n, preserve_order=True)
+        layouts = uniform_layout(cat.sizes().tolist(), n_bins=n)
         plan = ProvisioningPlan(
             deadline=120.0, planning_deadline=120.0, strategy="uniform",
             predictor_name="fixed",
