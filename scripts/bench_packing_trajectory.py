@@ -14,6 +14,10 @@ An entry holds what the system runs, measured the way it runs:
   seed-deterministic;
 - a host-speed probe, :func:`host_calibration`.
 
+The figure session and every host probe run pinned to the fastest
+allowed CPU (:func:`pinned_to_fastest_cpu`), as perfbench pins each of
+its iterations.
+
 Usage::
 
     python scripts/bench_packing_trajectory.py --record --label "my change"
@@ -29,12 +33,15 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import subprocess
 import sys
 import tempfile
 import time
+from contextlib import contextmanager
 from datetime import date
 from pathlib import Path
+from typing import Iterator
 
 REPO = Path(__file__).resolve().parent.parent
 OUT = REPO / "BENCH_packing.json"
@@ -155,6 +162,43 @@ def collect_matrix_stats() -> dict:
     }
 
 
+def _probe_s() -> float:
+    """Best of three runs of a fixed ~5 ms pure-Python loop."""
+    best = math.inf
+    for _ in range(3):
+        t0 = time.perf_counter()
+        total = 0
+        for i in range(100_000):
+            total += i * i % 7
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
+@contextmanager
+def pinned_to_fastest_cpu() -> Iterator[None]:
+    """Run the body pinned to whichever allowed CPU runs :func:`_probe_s`
+    fastest, then restore the process's CPU set.
+
+    The rule perfbench applies before every iteration: unpinned, a
+    single-threaded run migrates between cores and runs ~35% slower, and
+    a core whose sibling hyper-thread is busy runs up to ~50% slower, so
+    the core is chosen afresh each time.
+    """
+    if not hasattr(os, "sched_setaffinity"):
+        yield
+        return
+    allowed = os.sched_getaffinity(0)
+    try:
+        speeds = {}
+        for cpu in sorted(allowed):
+            os.sched_setaffinity(0, {cpu})
+            speeds[cpu] = _probe_s()
+        os.sched_setaffinity(0, {min(speeds, key=speeds.get)})
+        yield
+    finally:
+        os.sched_setaffinity(0, allowed)
+
+
 def host_calibration() -> float:
     """Host-speed probe: ops/s of a fixed pure-Python mixed workload.
 
@@ -230,10 +274,11 @@ def time_figures() -> dict:
     walls = {}
     previous = set_run_ledger(RunLedger(REPO / ".repro" / "runs"))
     try:
-        t0 = last = time.perf_counter()
-        for fid, _, _ in figure_session(IDS):
-            now = time.perf_counter()
-            walls[fid], last = round(now - last, 4), now
+        with pinned_to_fastest_cpu():
+            t0 = last = time.perf_counter()
+            for fid, _, _ in figure_session(IDS):
+                now = time.perf_counter()
+                walls[fid], last = round(now - last, 4), now
     finally:
         set_run_ledger(previous)
     return {"total_wall_s": round(last - t0, 4), "wall_s": walls}
@@ -250,7 +295,8 @@ def measure(sources: list[str], seconds: float) -> tuple[dict, float]:
     for source in sources:
         results[source] = (time_figures() if source == "figures"
                            else run_perfbench(source, seconds))
-        probes.append(host_calibration())
+        with pinned_to_fastest_cpu():
+            probes.append(host_calibration())
     return results, max(probes)
 
 

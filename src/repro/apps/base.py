@@ -9,7 +9,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from repro.vfs.files import Segment, VirtualFile
+from repro.vfs.files import Catalogue, Segment, VirtualFile
 
 __all__ = ["WorkAccount", "AppResult", "UnitColumns", "fold", "TextApplication", "Unit"]
 
@@ -71,12 +71,17 @@ class UnitColumns:
     ``size`` is gathered up front; ``avg_word_len``, ``avg_sentence_words``
     and ``markup_fraction`` on first read, so a profile that never reads
     them (grep) never aggregates segment statistics.  A single unit is a
-    length-1 column.
+    length-1 column.  Units that are a :class:`~repro.vfs.Catalogue` (a
+    probe head, a partition, a plan bin) are gathered from its columns by
+    index, so pricing them builds no file object.
     """
 
     def __init__(self, units: Sequence[Unit]) -> None:
         self._units = units
-        self.size = np.array([u.size for u in units], dtype=np.int64)
+        if isinstance(units, Catalogue):
+            self.size = units.sizes()
+        else:
+            self.size = np.array([u.size for u in units], dtype=np.int64)
 
     def __len__(self) -> int:
         return len(self.size)
@@ -84,6 +89,10 @@ class UnitColumns:
     def __getattr__(self, name: str) -> np.ndarray:
         if name not in _STAT_COLUMNS:
             raise AttributeError(name)
+        if isinstance(self._units, Catalogue):
+            for column, values in zip(_STAT_COLUMNS, self._units._stat_columns()):
+                setattr(self, column, values)
+            return getattr(self, name)
         stats = [u.stats() if isinstance(u, Segment) else u.stats for u in self._units]
         for column in _STAT_COLUMNS:
             setattr(self, column, np.fromiter(map(attrgetter(column), stats), float, len(stats)))

@@ -33,6 +33,7 @@ from repro.capacity.brokers import (
 )
 from repro.runner.core import BinGrant, CoreContext
 from repro.runner.execute import FailedBin
+from repro.vfs.files import volume_of
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.fleet.lease import LeaseManager
@@ -117,7 +118,7 @@ class BrokerAcquisition:
             except OfferUnavailable as e:
                 ctx.report.failures.append(FailedBin(
                     bin_index=idx, reason=e.reason, n_units=len(units),
-                    volume=sum(u.size for u in units)))
+                    volume=volume_of(units)))
                 if ctx.obs.enabled:
                     ctx.obs.metrics.counter("runner.bins.failed",
                                             reason=e.reason).inc()
@@ -126,14 +127,14 @@ class BrokerAcquisition:
                 reason = getattr(e, "reason", None) or str(e)
                 ctx.report.failures.append(FailedBin(
                     bin_index=idx, reason=reason, n_units=len(units),
-                    volume=sum(u.size for u in units)))
+                    volume=volume_of(units)))
                 launch_failures += 1
                 continue
             except CapacityError as e:
                 ctx.report.failures.append(FailedBin(
                     bin_index=idx, reason=f"capacity-exhausted: {e}",
                     n_units=len(units),
-                    volume=sum(u.size for u in units)))
+                    volume=volume_of(units)))
                 launch_failures += 1
                 continue
             grants.append(self._grant(idx, units, offer, now,

@@ -23,7 +23,7 @@ from repro.perfmodel.regression import AffinePredictor, Predictor, fit_affine
 from repro.perfmodel.sampling import collect_sample_points, refit_with_samples
 from repro.perfmodel.selection import PreferredUnit, preferred_unit_size
 from repro.runner.execute import ExecutionReport, execute_plan
-from repro.vfs.files import Catalogue
+from repro.vfs.files import Catalogue, volume_of
 
 __all__ = ["CampaignResult", "Campaign"]
 
@@ -122,7 +122,7 @@ class Campaign:
             sizes = [preferred.label] if isinstance(preferred.label, int) else []
             ps = build_probe_set(self.catalogue, vol, sizes)
             units = ps.variants[preferred.label]
-            actual = sum(u.size for u in units)
+            actual = volume_of(units)
             probes.measure_labeled(actual, preferred.label, units,
                                    directory=f"probes/extend/v{vol}")
             xs, ys = probes.timing_points(preferred.label)
@@ -156,7 +156,7 @@ class Campaign:
             a = adjustment_factor(final_model, miss_probability)
             planning_deadline = adjusted_deadline(deadline, a)
         plan = provisioner.plan(
-            list(reshape_plan.units), deadline,
+            reshape_plan.units, deadline,
             strategy=strategy, planning_deadline=planning_deadline,
         )
         report = execute_plan(cloud, self.workload, plan, service=svc)

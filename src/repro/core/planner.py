@@ -27,7 +27,7 @@ from repro.packing import (
 from repro.packing.index import BinLayout
 from repro.perfmodel.regression import FitError, Predictor
 from repro.units import HOUR, billed_hours
-from repro.vfs.files import Catalogue
+from repro.vfs.files import Catalogue, volume_of
 
 __all__ = ["PlanError", "plan_cost", "ebs_assignment", "ProvisioningPlan", "StaticProvisioner"]
 
@@ -76,13 +76,19 @@ def ebs_assignment(volume: int, per_device_volume: int, volume_by_deadline: floa
 
 @dataclass
 class ProvisioningPlan:
-    """A concrete execution plan: per-instance unit-file assignments."""
+    """A concrete execution plan: per-instance unit-file assignments.
+
+    A plan of a :class:`~repro.vfs.Catalogue` holds each bin as an index
+    slice of it, so a bin's sizes and stats are read from the catalogue's
+    columns and its files are the catalogue's own views; a plan of any
+    other units holds each bin as a list.
+    """
 
     deadline: float                     # seconds
     planning_deadline: float            # seconds actually planned against
     strategy: str                       # "first-fit" | "uniform" | "adjusted"
     predictor_name: str
-    assignments: list[list[Unit]]
+    assignments: list[Sequence[Unit]]
     predicted_times: list[float] = field(default_factory=list)
     #: Lease provenance per executed bin, filled in by a fleet scheduler:
     #: ``bin index -> "warm:lease-000007" | "cold:lease-000001" |
@@ -105,7 +111,7 @@ class ProvisioningPlan:
 
     @property
     def total_volume(self) -> int:
-        return sum(u.size for b in self.assignments for u in b)
+        return sum(volume_of(b) for b in self.assignments)
 
     def max_predicted_time(self) -> float:
         """Largest per-instance predicted time (the makespan bound)."""
@@ -152,11 +158,14 @@ class StaticProvisioner:
 
     def _predict_times(
         self, layouts: Sequence[BinLayout], units: Sequence[Unit]
-    ) -> tuple[list[list[Unit]], list[float]]:
-        assignments: list[list[Unit]] = []
+    ) -> tuple[list[Sequence[Unit]], list[float]]:
+        assignments: list[Sequence[Unit]] = []
         times: list[float] = []
-        for l in layouts:
-            assignments.append([units[i] for i in l.indices])
+        for i, l in enumerate(layouts):
+            if isinstance(units, Catalogue):
+                assignments.append(units._take(l.indices, f"{units.name}[bin{i}]"))
+            else:
+                assignments.append([units[j] for j in l.indices])
             times.append(float(self.predictor.predict(l.used)))
         return assignments, times
 
@@ -191,7 +200,8 @@ class StaticProvisioner:
         ``planning_deadline`` lets the §5.2 adjusted-deadline strategy plan
         against ``D/(1+a)`` while reporting misses against the real ``D``.
         ``units`` may be a :class:`~repro.vfs.Catalogue`, whose paths are
-        already unique and whose size column is packed as is.
+        already unique, whose size column is packed as is and whose bins
+        are index slices of it.
         """
         if not units:
             raise PlanError("nothing to plan")
@@ -204,7 +214,6 @@ class StaticProvisioner:
         # any other sequence (e.g. reshaped segments) is checked here.
         if isinstance(units, Catalogue):
             sizes = units.sizes().tolist()
-            units = units.files
         else:
             sizes = [u.size for u in units]
             if len({self._key(u) for u in units}) != len(units):

@@ -10,12 +10,13 @@ transparent to grep and the tagger).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from repro.apps.base import Unit
 from repro.packing import subset_sum_layout
-from repro.vfs.files import Catalogue, Segment
+from repro.vfs.files import Catalogue, Segment, volume_of
 
 __all__ = ["ReshapePlan", "reshape"]
 
@@ -25,11 +26,12 @@ class ReshapePlan:
     """The result of reshaping a catalogue.
 
     ``unit_size`` of ``None`` means the original segmentation was kept (the
-    Fig. 7 outcome for the POS workload).
+    Fig. 7 outcome for the POS workload) and ``units`` is the catalogue
+    itself; otherwise the units are segments holding catalogue positions.
     """
 
     unit_size: int | None
-    units: tuple[Unit, ...]
+    units: Sequence[Unit]
     n_input_files: int
 
     @property
@@ -38,7 +40,7 @@ class ReshapePlan:
 
     @property
     def total_size(self) -> int:
-        return sum(u.size for u in self.units)
+        return volume_of(self.units)
 
     def fill_stats(self) -> dict:
         """How closely unit files match the desired size."""
@@ -69,18 +71,17 @@ def reshape(
     large files.
     """
     if unit_size is None:
-        return ReshapePlan(unit_size=None, units=tuple(catalogue),
+        return ReshapePlan(unit_size=None, units=catalogue,
                            n_input_files=len(catalogue))
     if unit_size <= 0:
         raise ValueError("unit size must be positive")
-    # Columnar fast path: pack the cached size column and regroup the
-    # catalogue's files by index — no per-file Item dataclasses, no key dict.
-    files = catalogue.files
+    # Columnar: pack the cached size column; each segment holds its bin's
+    # catalogue positions, so no file object is built.
     layouts = subset_sum_layout(
         catalogue.sizes().tolist(), unit_size,
         preserve_order=preserve_order,
-        keys=None if preserve_order else [f.path for f in files],
+        keys=None if preserve_order else catalogue.paths(),
     )
-    units = tuple(Segment.from_layouts(layouts, files, name_prefix, digits=6))
+    units = tuple(Segment.from_layouts(layouts, catalogue, name_prefix, digits=6))
     return ReshapePlan(unit_size=unit_size, units=units,
                        n_input_files=len(catalogue))

@@ -31,9 +31,8 @@ import numpy as np
 
 from repro.cloud.service import Workload
 from repro.perfmodel.regression import Predictor
-from repro.sim.random import stable_seed
 from repro.units import HOUR
-from repro.vfs.files import Catalogue, TextStats
+from repro.vfs.files import Catalogue
 from repro.vfs.memo import ByIdentity, shared
 
 __all__ = ["WorkflowStage", "TextWorkflow", "WorkflowError", "StageData",
@@ -209,19 +208,19 @@ def derived_catalogue(
     the fractional deficits gives the same tie order as a stable sort,
     and a leftover of ``rem`` bytes over ``n`` files is ``rem // n`` each
     plus one more for the first ``rem % n`` in that order.  Files whose
-    share rounds to zero are dropped; the rest keep their parent's
-    :class:`TextStats` (a fresh markup-free copy for markup-stripping
-    stages) and are built in one bulk pass
-    (:meth:`Catalogue._from_columns`).
+    share rounds to zero are dropped; the rest keep their parent's stat
+    columns (markup zeroed for markup-stripping stages).  The result is a
+    stage store over the source's (:meth:`Catalogue._stage`), so no file
+    object is built: a file's path and content seed are worked out from
+    its parent's when code asks for it.
     """
-    files_in = list(source)
+    n = len(source)
     ratio = stage.output_ratio
     target = int(source.total_size * ratio)
     shares = source.sizes() * ratio
     sizes = shares.astype(np.int64)
     rem = target - int(sizes.sum())
-    if rem and files_in:
-        n = len(files_in)
+    if rem and n:
         # Most-underfunded first for handing out bytes; walk the same
         # ranking backwards to claw bytes back if float error overshot.
         order = np.argsort(sizes - shares, kind="stable")
@@ -236,22 +235,11 @@ def derived_catalogue(
                 rem += 1
             i += 1
     kept = np.flatnonzero(sizes > 0)
-    files = [files_in[k] for k in kept.tolist()]
-    stats = [f.stats for f in files]
+    awl, asw, mf = (c[kept] for c in source._stat_columns())
     if stage.strips_markup:
-        marked = [k for k, s in enumerate(stats) if s.markup_fraction > 0]
-        plain = TextStats._column([stats[k].avg_word_len for k in marked],
-                                  [stats[k].avg_sentence_words for k in marked],
-                                  0.0)
-        for k, s in zip(marked, plain):
-            stats[k] = s
-    return Catalogue._from_columns(
-        f"{source.name}->{stage.name}",
-        [f"{stage.name}/{f.path}" for f in files],
-        sizes[kept],
-        stats,
-        [stable_seed(f.content_seed, seed_tag) for f in files],
-    )
+        mf = np.where(mf > 0, 0.0, mf)
+    return Catalogue._stage(f"{source.name}->{stage.name}", source, kept,
+                            f"{stage.name}/", seed_tag, sizes[kept], (awl, asw, mf))
 
 
 @dataclass(frozen=True)

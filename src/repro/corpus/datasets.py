@@ -15,6 +15,11 @@ can work with hundreds of files while benchmarks use tens of thousands; the
     67 755 words) but very different sentence complexity, for the §5.2
     complexity experiment.
 
+A catalogue factory only draws numbers: the result stores the sizes and
+text statistics as columns, with a path pattern and a seed rule from
+which each file's path and content seed are worked out when code asks
+for that file (:class:`~repro.vfs.files.Catalogue`).
+
 The three catalogue factories share their result by argument values
 inside a sweep (:func:`~repro.vfs.memo.shared_in_sweep`): the cells of
 one sweep that ask for the same corpus get the same immutable
@@ -33,7 +38,7 @@ from repro.corpus.text import (
     TextProfile,
     synthesize_novel,
 )
-from repro.sim.random import RngStream, stable_seeds
+from repro.sim.random import RngStream
 from repro.units import KB, MB
 from repro.vfs.files import Catalogue, TextStats, VirtualFile
 from repro.vfs.memo import shared_in_sweep
@@ -101,10 +106,11 @@ def _build_catalogue(
     exactly what makes the refit slope differ from the probe slope
     (Eq. (3) vs Eq. (4)).
 
-    Sizes and sentence lengths are numpy draws, so the catalogue is built
-    from columns in one bulk pass (:meth:`Catalogue._from_columns`): the
-    columns are checked once, and the files equal those the per-file
-    constructors would build, content seeds included.
+    Sizes and sentence lengths are numpy draws, and they are the whole
+    catalogue: it stores them as columns with a path pattern and a seed
+    rule (:meth:`Catalogue._generated`), and builds a file's
+    :class:`~repro.vfs.files.VirtualFile` view, content seed included,
+    only when code asks for that file.
     """
     rng = RngStream(seed, name=name)
     sizes = dist.ensure_max_present(dist.sample(rng.fork("sizes"), n_files))
@@ -120,22 +126,20 @@ def _build_catalogue(
     markup = 0.011 if html else 0.0
     ext = "html" if html else "txt"
     path = f"{name.replace('%', '%%')}/%0{width}d.{ext}"
-    return Catalogue._from_columns(
-        name,
-        [path % i for i in range(n_files)],
-        sizes,
-        TextStats._column(7.1, slens, markup),
-        stable_seeds(seed, [f"{name}/{i}" for i in range(n_files)]),
-    )
+    return Catalogue._generated(name, path, seed, name, sizes,
+                                TextStats._column(7.1, slens, markup))
 
 
 @shared_in_sweep
 def html_18mil_like(scale: float = 1e-4, seed: int = 2010) -> Catalogue:
     """NewsLab-like HTML catalogue.  ``scale=1.0`` → the full 18 M files.
 
-    Practical ceiling: the catalogue is held in memory (~500 B/file), so
-    full scale costs ~9 GB of RAM.  The distribution is scale-invariant;
-    experiments run at reduced scale and reason in ratios.
+    The catalogue is stored as columns (≈24 B/file: the size, its running
+    total and the sentence length), so full scale holds ≈0.4 GB and no
+    per-file object until code asks for files; the paper-scale test in
+    ``benchmarks/test_perf_corpus.py`` guards the build's peak memory.  The
+    distribution is scale-invariant; experiments run at reduced scale and
+    reason in ratios.
     """
     if scale <= 0:
         raise ValueError("scale must be positive")
@@ -238,13 +242,8 @@ def mixed_domain_like(scale: float = 1e-3, seed: int = 2012) -> Catalogue:
         d = min(i // max(1, per), len(domains) - 1)
         _, mean, sd = domains[d]
         slens.append(min(45.0, max(6.0, rng.fork(f"c{i}").normal(mean, sd))))
-    return Catalogue._from_columns(
-        "mixed_domain",
-        [path % i for i in range(n)],
-        sizes,
-        TextStats._column(7.1, slens, 0.0),
-        stable_seeds(seed, [f"mixed/{i}" for i in range(n)]),
-    )
+    return Catalogue._generated("mixed_domain", path, seed, "mixed", sizes,
+                                TextStats._column(7.1, slens, 0.0))
 
 
 def _make_novel(name: str, n_words: int, profile: TextProfile, seed: int) -> Novel:

@@ -176,7 +176,7 @@ def fig6(tb: GrepTestbed | None = None, *, n_devices: int = 10) -> tuple[FigureR
     for i, part in enumerate(parts):
         run_vol.store(f"full_orig/dev{i}")
         orig_actual += tb.service.run(
-            runner, list(part), tb.workload,
+            runner, part, tb.workload,
             storage=run_vol, directory=f"full_orig/dev{i}",
         )
 

@@ -13,6 +13,7 @@ from repro.obs.ledger import record_experiment
 from repro.report.figures import FigureResult
 from repro.sim.random import RngStream
 from repro.units import GB, KB, MB
+from repro.vfs.files import volume_of
 
 __all__ = ["instance_switching", "probe_protocol_trace", "output_retrieval",
            "spot_tradeoff", "prediction_approaches", "sampling_vitality"]
@@ -59,7 +60,7 @@ def sampling_vitality(seed: int = 23) -> tuple[FigureResult, dict]:
         for vol in (200 * KB, 1 * MB, 4 * MB):
             ps = build_probe_set(cat, vol, [])
             m = campaign.measure(ps.variants["orig"], directory=f"{name}/v{vol}")
-            actual_v = float(sum(u.size for u in ps.variants["orig"]))
+            actual_v = float(volume_of(ps.variants["orig"]))
             for t in m.values:
                 xs.append(actual_v)
                 ys.append(t)

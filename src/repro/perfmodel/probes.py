@@ -36,10 +36,14 @@ __all__ = ["ProbeSet", "build_probe_set", "ProbeCampaign", "ProtocolResult"]
 
 @dataclass(frozen=True)
 class ProbeSet:
-    """All variants of one probe volume, ready to run."""
+    """All variants of one probe volume, ready to run.
+
+    ``"orig"`` is the head slice of the catalogue; every other variant is
+    a tuple of segments holding positions in that slice.
+    """
 
     volume: int
-    variants: dict[str | int, tuple[Unit, ...]]
+    variants: dict[str | int, Sequence[Unit]]
 
     def labels(self) -> list[str | int]:
         """Variant labels: ``"orig"`` first, then unit sizes ascending."""
@@ -66,8 +70,7 @@ def build_probe_set(
     if any(s <= 0 for s in sizes):
         raise ValueError("unit sizes must be positive")
     head = catalogue.head_by_volume(volume)
-    files = head.files
-    variants: dict[str | int, tuple[Unit, ...]] = {"orig": tuple(head)}
+    variants: dict[str | int, Sequence[Unit]] = {"orig": head}
     if not sizes:
         return ProbeSet(volume=volume, variants=variants)
 
@@ -80,7 +83,7 @@ def build_probe_set(
         # now memoised.
         layouts = cache.pack_layout(head, s, derive_from=s0)
         variants[s] = tuple(
-            Segment.from_layouts(layouts, files, f"probe_v{volume}_s{s}", digits=5)
+            Segment.from_layouts(layouts, head, f"probe_v{volume}_s{s}", digits=5)
         )
     return ProbeSet(volume=volume, variants=variants)
 

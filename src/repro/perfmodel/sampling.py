@@ -61,11 +61,11 @@ def collect_sample_points(
             if len(part) == 0:
                 continue
             if unit_size is None:
-                units = tuple(part)
+                units = part
             else:
                 layouts = subset_sum_layout(part.sizes().tolist(), unit_size)
                 units = tuple(
-                    Segment.from_layouts(layouts, part.files, f"sample{i}_v{v}", digits=5)
+                    Segment.from_layouts(layouts, part, f"sample{i}_v{v}", digits=5)
                 )
             m = campaign.measure(units, directory=f"samples/{i}/v{v}")
             points.append((float(part.total_size), m.mean))

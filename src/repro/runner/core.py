@@ -66,7 +66,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Protocol
+from typing import TYPE_CHECKING, Iterable, Protocol, Sequence
 
 from repro.cloud.cluster import Cloud
 from repro.cloud.service import ExecutionService, Workload
@@ -79,6 +79,7 @@ from repro.obs.ledger import (
 )
 from repro.runner.execute import ExecutionReport, FailedBin, InstanceRun
 from repro.units import HOUR, billed_hours
+from repro.vfs.files import volume_of
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cloud.instance import Instance
@@ -155,7 +156,7 @@ class BinGrant:
     """
 
     index: int
-    units: list
+    units: Sequence
     instance: "Instance"
     launch_wait: float = 0.0
     boot_delay: float = 0.0
@@ -207,8 +208,8 @@ class CoreContext:
     bill: bool = True
     timeline: FleetTimeline = field(default_factory=FleetTimeline)
     events: list = field(default_factory=list)
-    occupied: list[tuple[int, list]] = field(default_factory=list)
-    by_index: dict[int, list] = field(default_factory=dict)
+    occupied: list[tuple[int, Sequence]] = field(default_factory=list)
+    by_index: dict[int, Sequence] = field(default_factory=dict)
     predicted: dict[int, float] = field(default_factory=dict)
     grants: list[BinGrant] = field(default_factory=list)
     ends: list[float] = field(default_factory=list)
@@ -346,7 +347,7 @@ class RunToCompletion:
         run = InstanceRun(
             instance_id=grant.instance.instance_id,
             n_units=len(grant.units),
-            volume=sum(u.size for u in grant.units),
+            volume=volume_of(grant.units),
             boot_delay=grant.boot_delay,
             duration=duration,
             predicted=grant.predicted,
@@ -371,7 +372,7 @@ class RunToCompletion:
 
 def _split_point(units: list, fraction: float) -> int:
     """Index splitting ``units`` so the head holds ≈``fraction`` of bytes."""
-    total = sum(u.size for u in units)
+    total = volume_of(units)
     if total == 0:
         return len(units)
     acc = 0
@@ -408,8 +409,8 @@ class StragglerProgress:
 
         split = _split_point(units, policy.probe_fraction)
         probe, rest = units[:split], units[split:]
-        probe_volume = sum(u.size for u in probe)
-        volume = sum(u.size for u in units)
+        probe_volume = volume_of(probe)
+        volume = volume_of(units)
 
         t_probe = ctx.svc.run(inst, probe, ctx.workload, advance_clock=False)
         expected_probe = predicted * (probe_volume / volume) if volume else t_probe
@@ -453,7 +454,7 @@ class StragglerProgress:
                     duration += ctx.svc.run(active, rest[:done], ctx.workload,
                                             advance_clock=False)
                     rest = rest[done:]
-            rest_volume = sum(u.size for u in rest)
+            rest_volume = volume_of(rest)
             est_rest = (predicted * (rest_volume / volume)
                         if volume else t_probe)
             launcher = getattr(ctx.acquisition, "launcher", None)
@@ -490,7 +491,7 @@ class StragglerProgress:
                     bin_index=idx,
                     old_instance=active.instance_id,
                     new_instance=replacement.instance_id,
-                    at_progress=(volume - sum(u.size for u in rest)) / volume
+                    at_progress=(volume - volume_of(rest)) / volume
                     if volume else 1.0,
                     observed_ratio=ratio,
                 ))
@@ -614,7 +615,7 @@ class CrashProgress:
                 failed_bin = FailedBin(
                     bin_index=idx, reason="crash-exhausted",
                     n_units=len(units),
-                    volume=sum(u.size for u in units),
+                    volume=volume_of(units),
                     completed_units=completed,
                     elapsed=crash_elapsed + policy.detection_timeout,
                     billed_hours=bin_billed_hours)
@@ -666,7 +667,7 @@ class CrashProgress:
                     bin_index=idx,
                     reason=f"replacement-failed: {e}",
                     n_units=len(units),
-                    volume=sum(u.size for u in units),
+                    volume=volume_of(units),
                     completed_units=completed,
                     elapsed=elapsed,
                     billed_hours=bin_billed_hours)
@@ -684,7 +685,7 @@ class CrashProgress:
         run = InstanceRun(
             instance_id=active.instance_id,
             n_units=len(units),
-            volume=sum(u.size for u in units),
+            volume=volume_of(units),
             boot_delay=grant.launch_wait + inst.boot_delay,
             duration=elapsed,
             predicted=grant.predicted,
@@ -994,7 +995,9 @@ class ExecutionCore:
                                    strategy=self.strategy),
             bill=self.bill,
         )
-        ctx.occupied = [(i, list(units))
+        # Bins are kept as the plan holds them: a catalogue plan's bins are
+        # index slices, so pricing reads their columns and builds no file.
+        ctx.occupied = [(i, units)
                         for i, units in enumerate(plan.assignments) if units]
         ctx.by_index = dict(ctx.occupied)
         ctx.predicted = {

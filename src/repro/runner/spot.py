@@ -59,6 +59,7 @@ from repro.runner.core import (
 )
 from repro.runner.execute import ExecutionReport, FailedBin, InstanceRun
 from repro.units import ceil_hour_cost, resume_time
+from repro.vfs.files import volume_of
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.capacity import BrokerAcquisition, CapacityOffer, WarmLeaseBroker
@@ -266,7 +267,7 @@ class SpotProgress:
         stats = self.stats
         state = self.acquisition.bin_state(grant.index)
         idx, units = grant.index, grant.units
-        volume = sum(u.size for u in units)
+        volume = volume_of(units)
         work_start = grant.work_start
         deadline = ctx.plan.deadline
 

@@ -7,6 +7,7 @@ against ``BENCHMARK.json``, so the trajectory and the benchmark keep one
 set of workloads and metric names.
 """
 
+import contextlib
 import importlib.util
 import json
 import sys
@@ -71,6 +72,7 @@ def stub(monkeypatch, bench, *, slower=None, factor=1.0, host=1.0):
     monkeypatch.setattr(bench, "collect_matrix_stats",
                         lambda: {"cost_ratio_vs_on_demand": 0.4})
     monkeypatch.setattr(bench, "host_calibration", lambda: 1000.0 * host)
+    monkeypatch.setattr(bench, "pinned_to_fastest_cpu", contextlib.nullcontext)
 
 
 def test_check_passes_on_equal_numbers(bench, monkeypatch, capsys):
@@ -183,6 +185,37 @@ def test_newest_entry_holds_the_benchmark():
     for name in ("spot", "matrix"):
         assert 0 < entry[name]["cost_ratio_vs_on_demand"] < 1
     assert entry["calibration_ops_per_s"] > 0
+
+
+def test_probe_and_figure_session_run_pinned_to_the_fastest_cpu(
+        bench, monkeypatch, tmp_path):
+    """Both run on the CPU whose probe was fastest; the process's CPU set
+    is restored afterwards."""
+    allowed = {0, 1, 2}
+    pinned = [set(allowed)]
+    monkeypatch.setattr(bench.os, "sched_getaffinity", lambda pid: set(pinned[-1]))
+    monkeypatch.setattr(bench.os, "sched_setaffinity",
+                        lambda pid, cpus: pinned.append(set(cpus)))
+    monkeypatch.setattr(bench, "_probe_s",
+                        lambda: {0: 0.009, 1: 0.007, 2: 0.004}[min(pinned[-1])])
+    seen = []
+    monkeypatch.setattr(bench, "host_calibration",
+                        lambda: seen.append(("probe", pinned[-1])) or 1000.0)
+    monkeypatch.setattr(bench, "run_perfbench", lambda w, s, trace=False: {})
+
+    def figure_session(ids):
+        for fid in ids:
+            seen.append((fid, pinned[-1]))
+            yield fid, None, None
+
+    monkeypatch.setattr("repro.cli.figure_session", figure_session)
+    monkeypatch.setattr(bench, "REPO", tmp_path)
+    results, calibration = bench.measure(["grep-reshape", "figures"], 1.0)
+    assert calibration == 1000.0
+    assert list(results["figures"]["wall_s"]) == list(FIGURES)
+    assert [what for what, _ in seen] == ["probe", *FIGURES, "probe"]
+    assert all(cpus == {2} for _, cpus in seen)
+    assert pinned[-1] == allowed
 
 
 @pytest.mark.parametrize("argv", [

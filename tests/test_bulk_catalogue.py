@@ -1,14 +1,15 @@
-"""Corpus and stage catalogues are built in one bulk pass from checked columns.
+"""Corpus and stage catalogues are column stores built from checked columns.
 
-The oracles below are the per-object builds the bulk pass replaces: every
-file went through the ``TextStats`` and ``VirtualFile`` constructors (each
-re-checking its own fields), every content seed through ``stable_seed``,
-and the catalogue through ``Catalogue(files)``.  A bulk-built catalogue
-must equal the oracle's in everything the program reads: each file's
-fields and their types, ``==``, ``hash``, ``repr``, pickled bytes,
-``dataclasses.replace``, the size column, the running total and the name.
-Bad columns must fail with the error the per-object checks raise, and the
-caller's garbage-collector setting must survive every build.
+The oracles below are the per-object builds the column stores replace:
+every file went through the ``TextStats`` and ``VirtualFile``
+constructors (each re-checking its own fields), every content seed
+through ``stable_seed``, and the catalogue through ``Catalogue(files)``.
+The views a column store builds on access must equal the oracle's files
+in everything the program reads: each file's fields and their types,
+``==``, ``hash``, ``repr``, pickled bytes, ``dataclasses.replace``, the
+size column, the running total and the name.  Bad columns must fail with
+the error the per-object checks raise, and the caller's garbage-collector
+setting must survive every build.
 """
 
 import dataclasses
@@ -204,13 +205,18 @@ def test_derived_matches_per_object_build_on_a_corpus(ratio, strips):
 
 
 def test_derived_reuses_parent_stats_unless_stripped():
+    # The stage store gathers its parent's stat columns; only a stripping
+    # stage zeroes the markup column, and only where it was positive.
     source = _source([10, 20, 30], markups=[0.0, 0.5, 0.0])
     kept = derived_catalogue(source, _stage("k", 0.5), seed_tag="k")
-    assert all(out.stats is src.stats for out, src in zip(kept, source))
+    assert [out.stats for out in kept] == [src.stats for src in source]
     stripped = derived_catalogue(source, _stage("x", 0.5, strips=True), seed_tag="x")
-    assert [out.stats is src.stats for out, src in zip(stripped, source)] == \
+    assert [out.stats == src.stats for out, src in zip(stripped, source)] == \
            [True, False, True]
     assert stripped[1].stats == TextStats(avg_sentence_words=11.0)
+    assert all(c.dtype == np.float64 for c in stripped._stat_columns())
+    np.testing.assert_array_equal(stripped._stat_columns()[2], [0.0, 0.0, 0.0])
+    np.testing.assert_array_equal(kept._stat_columns()[1], source._stat_columns()[1])
 
 
 def test_forced_negative_remainder_claws_back_like_the_oracle():
@@ -294,61 +300,54 @@ def test_bad_stat_column_raises_the_constructor_error(field, bad):
 
 
 def test_stat_columns_broadcast_and_share_scalar_rows():
-    rows = TextStats._column([7.1], np.array([10.0, 20.0, 30.0]), 0.011)
-    assert rows == [TextStats(7.1, w, 0.011) for w in (10.0, 20.0, 30.0)]
-    assert rows[0].markup_fraction is rows[2].markup_fraction
-    assert TextStats._column(5.0, 18.0, 0.0) == [TextStats()]
-    assert TextStats._column([], [], 0.0) == []
+    awl, asw, mf = TextStats._column([7.1], np.array([10.0, 20.0, 30.0]), 0.011)
+    assert (awl.tolist(), asw.tolist(), mf.tolist()) == \
+           ([7.1] * 3, [10.0, 20.0, 30.0], [0.011] * 3)
+    assert awl.strides == mf.strides == (0,)   # one shared row, no copy
+    assert [c.tolist() for c in TextStats._column(5.0, 18.0, 0.0)] == \
+           [[5.0], [18.0], [0.0]]
+    assert [c.tolist() for c in TextStats._column([], [], 0.0)] == [[], [], []]
 
 
-def _columns(n):
-    return ([f"c/{i}" for i in range(n)], np.arange(n, dtype=np.int64) + 1,
-            TextStats._column(7.1, np.full(n, 18.0), 0.0), list(range(n)))
+def _generated(sizes, stats=None):
+    n = len(sizes)
+    stats = stats or TextStats._column(7.1, np.full(n, 18.0), 0.0)
+    return Catalogue._generated("c", "c/%d", 0, "c", np.asarray(sizes, dtype=np.int64),
+                                stats)
 
 
 def test_negative_size_raises_the_constructor_error():
-    paths, sizes, stats, seeds = _columns(5)
+    sizes = np.arange(5, dtype=np.int64) + 1
     sizes[3] = -1
     sizes[4] = -2
     expected = _error(lambda: VirtualFile(path="c/3", size=-1))
-    assert _error(lambda: Catalogue._from_columns("c", paths, sizes, stats, seeds)) \
-        == expected
+    assert _error(lambda: _generated(sizes)) == expected
 
 
 def test_duplicate_path_raises_the_catalogue_error():
-    paths, sizes, stats, seeds = _columns(5)
-    paths[4] = paths[1]
-    files = [VirtualFile(path=p, size=1) for p in paths]
+    # Generated stores are unique by construction; catalogues of files,
+    # and concatenations repeating a file, are checked.
+    files = [VirtualFile(path=p, size=1) for p in ("c/0", "c/1", "c/2", "c/3", "c/1")]
     expected = _error(lambda: Catalogue(files))
     assert expected == "duplicate path in catalogue: 'c/1'"
-    assert _error(lambda: Catalogue._from_columns("c", paths, sizes, stats, seeds)) \
+    head, tail = Catalogue(files[:4]), Catalogue(files[4:])
+    assert _error(lambda: Catalogue.concat([head, tail])) == expected
+    generated = _generated([1, 1, 1, 1])
+    assert _error(lambda: Catalogue.concat([generated, generated._take([1], "t")])) \
         == expected
 
 
 def test_column_lengths_must_agree():
-    paths, sizes, stats, seeds = _columns(5)
     with pytest.raises(ValueError, match="differ in length"):
-        Catalogue._from_columns("c", paths, sizes, stats, seeds[:4])
+        _generated([1, 2, 3, 4, 5], TextStats._column(7.1, np.full(4, 18.0), 0.0))
 
 
 def test_empty_columns_build_an_empty_catalogue():
-    cat = Catalogue._from_columns("e", [], np.zeros(0, dtype=np.int64), [], [])
-    assert_same_catalogue(cat, Catalogue([], name="e"))
+    cat = _generated([], TextStats._column([], [], 0.0))
+    assert_same_catalogue(cat, Catalogue([], name="c"))
 
 
-# -- the collector pause ------------------------------------------------------------
-
-
-class _FailingSeeds:
-    """A seed column that raises part-way through the object loop."""
-
-    def __len__(self):
-        return 5
-
-    def __iter__(self):
-        yield 0
-        yield 1
-        raise RuntimeError("seed column broke")
+# -- the garbage collector ------------------------------------------------------------
 
 
 @pytest.fixture
@@ -373,15 +372,6 @@ def test_build_leaves_a_disabled_collector_disabled(collector_restored):
     html_18mil_like(scale=1e-4, seed=1)
     derived_catalogue(_source([5, 6]), _stage("s", 0.5, strips=True), seed_tag="s")
     assert not gc.isenabled()
-
-
-@pytest.mark.parametrize("enabled", [True, False])
-def test_failing_build_restores_the_collector(collector_restored, enabled):
-    (gc.enable if enabled else gc.disable)()
-    paths, sizes, stats, _ = _columns(5)
-    with pytest.raises(RuntimeError, match="seed column broke"):
-        Catalogue._from_columns("c", paths, sizes, stats, _FailingSeeds())
-    assert gc.isenabled() is enabled
 
 
 def test_no_full_collection_while_a_corpus_builds_next_to_another(collector_restored):

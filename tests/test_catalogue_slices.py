@@ -9,6 +9,7 @@ total, the fingerprint and the name.
 """
 
 import bisect
+import dataclasses
 
 import numpy as np
 import pytest
@@ -276,10 +277,15 @@ class TestPlannerTakesCatalogue:
 
     @pytest.mark.parametrize("strategy", ["first-fit", "uniform", "hour-pack"])
     def test_catalogue_plan_equals_list_plan(self, provisioner, strategy):
+        # A catalogue's bins are index slices holding the list plan's own files.
         cat = html_18mil_like(scale=2e-4)
         deadline = 2 * 3600.0
-        assert (provisioner.plan(cat, deadline, strategy=strategy)
-                == provisioner.plan(list(cat), deadline, strategy=strategy))
+        got = provisioner.plan(cat, deadline, strategy=strategy)
+        want = provisioner.plan(list(cat), deadline, strategy=strategy)
+        assert all(isinstance(b, Catalogue) for b in got.assignments)
+        assert [[id(f) for f in b] for b in got.assignments] == \
+               [[id(f) for f in b] for b in want.assignments]
+        assert dataclasses.replace(got, assignments=want.assignments) == want
 
     def test_duplicate_names_in_a_list_still_rejected(self, provisioner):
         f = VirtualFile("same", 100)
