@@ -27,7 +27,7 @@ def main() -> None:
     model = fit_affine(x, 0.327 + 0.865e-4 * x)
     catalogue = text_400k_like(scale=0.01)
     plan = StaticProvisioner(model).plan(
-        list(reshape(catalogue, None).units), deadline=400.0, strategy="uniform")
+        reshape(catalogue, None).units, deadline=400.0, strategy="uniform")
     workload = Workload("postag", PosTaggerApplication(), PosCostProfile())
     print(f"corpus {fmt_bytes(catalogue.total_size)} across "
           f"{plan.n_instances} instance(s)")

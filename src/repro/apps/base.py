@@ -5,7 +5,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Sequence, Union
+from typing import Any, Callable, Sequence, Union
 
 import numpy as np
 
@@ -74,10 +74,15 @@ class UnitColumns:
     length-1 column.  Units that are a :class:`~repro.vfs.Catalogue` (a
     probe head, a partition, a plan bin) are gathered from its columns by
     index, so pricing them builds no file object.
+
+    Work that several passes over one bin read is kept with :meth:`once`,
+    and a per-file value of a stat with :meth:`per_file`, once per store
+    position when the units are a catalogue.
     """
 
     def __init__(self, units: Sequence[Unit]) -> None:
         self._units = units
+        self._once: dict[Callable, Any] = {}
         if isinstance(units, Catalogue):
             self.size = units.sizes()
         else:
@@ -97,6 +102,20 @@ class UnitColumns:
         for column in _STAT_COLUMNS:
             setattr(self, column, np.fromiter(map(attrgetter(column), stats), float, len(stats)))
         return getattr(self, name)
+
+    def once(self, fn: Callable[["UnitColumns"], Any]) -> Any:
+        """``fn(self)``, computed on the first call and kept for the next."""
+        if fn not in self._once:
+            self._once[fn] = fn(self)
+        return self._once[fn]
+
+    def per_file(self, name: str, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+        """``fn`` of stat column ``name``; for a catalogue, computed once per
+        store position (:meth:`~repro.vfs.Catalogue.stat_map`), so a file
+        priced in many bins is computed once."""
+        if isinstance(self._units, Catalogue):
+            return self._units.stat_map(name, fn)
+        return fn(getattr(self, name))
 
 
 def fold(values: np.ndarray) -> float:

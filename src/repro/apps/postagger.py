@@ -108,18 +108,31 @@ def tag_sentence(tokens: Sequence[str]) -> tuple[list[str], float]:
     return tags, context_ops
 
 
+def _context_scale(avg_sentence_words: np.ndarray) -> np.ndarray:
+    """``max(L, 1)**(e-1)`` per unit, with libm's power: ``np.power`` can
+    round the last ulp differently."""
+    avg_len = np.maximum(avg_sentence_words, 1.0).tolist()
+    scale = map(math.pow, avg_len, repeat(CONTEXT_EXPONENT - 1.0))
+    return np.fromiter(scale, float, len(avg_len))
+
+
+def _token_work(units: UnitColumns) -> tuple[np.ndarray, np.ndarray]:
+    text_bytes = units.size * (1.0 - units.markup_fraction)
+    tokens = (text_bytes / (units.avg_word_len + 1.0)).astype(np.int64)
+    return tokens, tokens * units.per_file("avg_sentence_words", _context_scale)
+
+
 def token_work(units: UnitColumns) -> tuple[np.ndarray, np.ndarray]:
     """Per-unit ``(tokens, context_ops)`` estimated from the stat columns.
 
     Tokens are text bytes over word + separator.  Summed over sentences,
-    ``L**e`` ≈ ``tokens · avg_len**(e-1)``, taken with libm's power:
-    ``np.power`` can round the last ulp differently.
+    ``L**e`` ≈ ``tokens · avg_len**(e-1)``; the context scale
+    ``avg_len**(e-1)`` is computed once per file of a catalogue's store.
+    The result is kept on ``units``, so :meth:`PosTaggerApplication.estimate_work`
+    and :meth:`PosCostProfile.breakdown <repro.apps.profiles.PosCostProfile.breakdown>`
+    pricing one bin share one pass.
     """
-    text_bytes = units.size * (1.0 - units.markup_fraction)
-    tokens = (text_bytes / (units.avg_word_len + 1.0)).astype(np.int64)
-    avg_len = np.maximum(units.avg_sentence_words, 1.0).tolist()
-    scale = map(math.pow, avg_len, repeat(CONTEXT_EXPONENT - 1.0))
-    return tokens, tokens * np.fromiter(scale, float, len(avg_len))
+    return units.once(_token_work)
 
 
 class PosTaggerApplication(TextApplication):

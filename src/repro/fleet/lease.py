@@ -135,7 +135,7 @@ class WarmPool:
             boundary: float) -> None:
         """Pool ``instance``, free from ``available_at`` until ``boundary``."""
         remaining = max(0, int(boundary - available_at))
-        slot = self._index.append(remaining, 0)
+        slot = self._index.append(remaining)
         self._entries[slot] = _PoolEntry(instance, available_at, boundary, slot)
 
     def take(self, need_seconds: float, at: float) -> tuple[_PoolEntry, float] | None:

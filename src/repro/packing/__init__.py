@@ -23,7 +23,9 @@ Public API
 - :func:`first_fit_layout` — classic capacitated first-fit into an
   open-ended list of bins.
 - :func:`pack_into_n_bins_layout` — first-fit into a *fixed* number of bins
-  (capacity = prescribed per-instance volume).
+  (capacity = prescribed per-instance volume): the first ``n_bins`` regular
+  bins of :func:`first_fit_layout`, with every other item spilled into the
+  least-loaded bin.
 - :func:`uniform_layout` — order-preserving balanced split into ``n`` bins
   (one vectorised ``searchsorted``, no bin index).
 - :func:`subset_sum_layout` — the paper's merge heuristic.

@@ -22,10 +22,15 @@ integer compares and a list append, with the tree only consulted when some
 closed bin genuinely has room (``size ≤ tree max``).  Placement is exactly
 classic first-fit; the property tests hold every layout byte-identical to
 the O(n·B) oracle kept in the test suite.
+
+:func:`pack_into_n_bins_layout`, first-fit into a fixed number of bins,
+needs no kernel of its own: it is :func:`first_fit_layout` cut at
+``n_bins`` regular bins, plus a spill (the argument is in its docstring).
 """
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Sequence
 
 from repro.packing.index import BinLayout, FreeSpaceIndex, PackingError
@@ -101,39 +106,36 @@ def pack_into_n_bins_layout(
     per-instance volume ``x0`` and an instance count ``i0 = ceil(V/ceil(x0))``;
     the data set is then packed into ``i0`` bins, in its *original order*.
 
+    Fixed-bin first-fit is first-fit: open-ended first-fit opens bin k only
+    once bins 0..k−1 hold items, so its first ``n_bins`` regular bins are
+    exactly the fixed bins (padded with empty bins when it opens fewer),
+    and every other item — one it put in a later bin, or an oversized one
+    it gave a bin of its own — is exactly an item no fixed bin takes.  So
+    this runs :func:`first_fit_layout` and keeps those bins.
+
     When the capacity turns out too tight for first-fit (possible because
-    first-fit wastes some space), overflow items spill into the least-loaded
-    bin via the engine's :meth:`~repro.packing.index.FreeSpaceIndex.lightest`
-    heap, widening its capacity — unless ``strict``, which raises
+    first-fit wastes some space), the leftover items spill in index order
+    into the least-loaded bin (ties to the lowest), widening its capacity —
+    unless ``strict``, which raises
     :class:`~repro.packing.index.PackingError` instead.
     """
     if n_bins <= 0:
         raise PackingError(f"need at least one bin, got {n_bins}")
-    if capacity <= 0:
-        raise PackingError(f"capacity must be positive, got {capacity}")
-    index = FreeSpaceIndex()
-    layouts = [BinLayout(capacity=capacity) for _ in range(n_bins)]
-    for _ in range(n_bins):
-        index.append(capacity)
+    layouts: list[BinLayout] = []
     overflow: list[int] = []
-    for i, size in enumerate(sizes):
-        slot = index.first_fit_slot(size)
-        if slot >= 0:
-            index.consume(slot, size)
-            layouts[slot].indices.append(i)
+    for l in first_fit_layout(sizes, capacity):
+        if l.capacity == capacity and len(layouts) < n_bins:
+            layouts.append(l)
         else:
-            overflow.append(i)
-    for slot, l in enumerate(layouts):
-        l.used = index.used_of(slot)
+            overflow.extend(l.indices)
+    layouts += [BinLayout(capacity=capacity) for _ in range(n_bins - len(layouts))]
     if overflow:
         if strict:
             raise PackingError(
                 f"{len(overflow)} items do not fit into {n_bins} bins of {capacity} B"
             )
-        for i in overflow:
-            slot = index.lightest()
-            index.add_load(slot, sizes[i])
-            l = layouts[slot]
+        for i in sorted(overflow):
+            l = min(layouts, key=attrgetter("used"))    # first minimum: lowest slot
             l.indices.append(i)
             l.used += sizes[i]
             l.capacity = max(l.capacity, l.used)

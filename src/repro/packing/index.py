@@ -1,21 +1,20 @@
 """The indexed packing engine's data structures.
 
-Every packing heuristic in this package reduces to three bin queries:
+Every capacitated packer in this package reduces to two bin queries:
 
 ``first_fit_slot(size)``
     leftmost bin whose free space is at least ``size`` — classic first-fit.
 ``best_fit_slot(size)``
     fullest bin that still takes ``size`` (smallest sufficient free space,
-    ties to the leftmost) — the subset-sum greedy question.
-``lightest()``
-    bin with the least used volume — the fixed-bin packer's overflow spill.
+    ties to the leftmost) — the subset-sum greedy question, and the warm
+    pool's lease placement.
 
-:class:`FreeSpaceIndex` answers all three in O(log B) amortised for B bins:
-a power-of-two max-segment-tree over per-bin free space drives
-``first_fit_slot``, a lazily maintained sorted free-list with ``bisect``
-drives ``best_fit_slot``, and a lazy min-heap over (used, index) drives
-``lightest``.  The heap and the sorted list are only materialised on first
-use, so heuristics that never balance pay nothing for them.
+:class:`FreeSpaceIndex` answers both in O(log B) amortised for B bins: a
+power-of-two max-segment-tree over per-bin free space drives
+``first_fit_slot``, and a lazily maintained sorted free-list with
+``bisect`` drives ``best_fit_slot``.  The sorted list is only materialised
+on first use, so first-fit pays nothing for it.  The fixed-bin packer's
+overflow spill needs neither: it is a min over its own bins' loads.
 
 :class:`BinLayout` is the result format of every packer: bins as lists of
 *item indices* into the size column the caller packed, so million-file
@@ -25,7 +24,6 @@ catalogues are packed and regrouped without a per-file object.
 
 from __future__ import annotations
 
-import heapq
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 
@@ -57,23 +55,21 @@ class BinLayout:
 
 
 class FreeSpaceIndex:
-    """Max-segment-tree + free-list + load-heap over a growing set of bins.
+    """Max-segment-tree + sorted free-list over a growing set of bins.
 
     Bins are registered with :meth:`append` in creation order; the slot
-    number returned is the bin's permanent index, and all three queries
+    number returned is the bin's permanent index, and both queries
     break ties toward the lowest slot — the classic scans' "first bin
     encountered" semantics exactly.
     """
 
-    __slots__ = ("_n", "_cap", "_tree", "_free", "_used", "_heap", "_sorted")
+    __slots__ = ("_n", "_cap", "_tree", "_free", "_sorted")
 
     def __init__(self) -> None:
         self._n = 0
         self._cap = 1                      # leaf capacity, always a power of two
         self._tree: list[int] = [_NEG, _NEG]
         self._free: list[int] = []
-        self._used: list[int] = []
-        self._heap: list[tuple[int, int]] | None = None   # lazy (used, slot)
         self._sorted: list[tuple[int, int]] | None = None  # lazy (free, slot)
 
     # -- registration ------------------------------------------------------
@@ -81,13 +77,12 @@ class FreeSpaceIndex:
     def __len__(self) -> int:
         return self._n
 
-    def append(self, free: int, used: int = 0) -> int:
+    def append(self, free: int) -> int:
         """Register a new bin; returns its slot (= creation index)."""
         slot = self._n
         if slot == self._cap:
             self._grow()
         self._free.append(free)
-        self._used.append(used)
         self._n = slot + 1
         tree = self._tree
         pos = self._cap + slot
@@ -101,8 +96,6 @@ class FreeSpaceIndex:
                 break
             tree[pos] = top
             pos >>= 1
-        if self._heap is not None:
-            heapq.heappush(self._heap, (used, slot))
         if self._sorted is not None:
             insort(self._sorted, (free, slot))
         return slot
@@ -127,10 +120,6 @@ class FreeSpaceIndex:
     def free_of(self, slot: int) -> int:
         """Remaining free space of bin ``slot``."""
         return self._free[slot]
-
-    def used_of(self, slot: int) -> int:
-        """Load (placed bytes) of bin ``slot``."""
-        return self._used[slot]
 
     def first_fit_slot(self, size: int) -> int:
         """Leftmost bin with free ≥ ``size`` (−1 if none).  O(log B)."""
@@ -159,34 +148,13 @@ class FreeSpaceIndex:
             return -1
         return arr[k][1]
 
-    def lightest(self) -> int:
-        """Slot of the least-loaded bin (ties to the lowest slot).
-
-        Heap-backed with lazy invalidation: stale entries (whose recorded
-        load no longer matches the bin) are popped on sight, so interleaved
-        ``lightest``/``add_load`` loops run in O(log B) amortised.
-        """
-        if self._n == 0:
-            raise IndexError("no bins registered")
-        if self._heap is None:
-            self._heap = [(u, s) for s, u in enumerate(self._used)]
-            heapq.heapify(self._heap)
-        heap = self._heap
-        used = self._used
-        while True:
-            top_used, slot = heap[0]
-            if top_used == used[slot]:
-                return slot
-            heapq.heappop(heap)
-
     # -- updates -----------------------------------------------------------
 
     def consume(self, slot: int, nbytes: int) -> None:
-        """Place ``nbytes`` into ``slot``: free −= n, used += n."""
+        """Place ``nbytes`` into ``slot``: its free space shrinks by ``nbytes``."""
         old_free = self._free[slot]
         new_free = old_free - nbytes
         self._free[slot] = new_free
-        self._used[slot] += nbytes
         tree = self._tree
         pos = self._cap + slot
         tree[pos] = new_free
@@ -199,19 +167,7 @@ class FreeSpaceIndex:
                 break
             tree[pos] = top
             pos >>= 1
-        if self._heap is not None:
-            heapq.heappush(self._heap, (self._used[slot], slot))
         if self._sorted is not None:
             arr = self._sorted
             arr.pop(bisect_left(arr, (old_free, slot)))
             insort(arr, (new_free, slot))
-
-    def add_load(self, slot: int, nbytes: int) -> None:
-        """Add ``nbytes`` of load without touching free space.
-
-        For uncapacitated (balance-only) bins, where only ``used`` is
-        meaningful.
-        """
-        self._used[slot] += nbytes
-        if self._heap is not None:
-            heapq.heappush(self._heap, (self._used[slot], slot))

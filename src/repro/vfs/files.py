@@ -164,6 +164,7 @@ class _Store:
         self.sizes = sizes
         self.stats = stats
         self._views: dict[int, VirtualFile] = {}
+        self.memos: dict[tuple[str, Callable], np.ndarray] = {}
 
     def paths(self, positions: list[int]) -> list[str]:
         raise NotImplementedError
@@ -499,6 +500,29 @@ class Catalogue:
         else:
             awl, asw, mf = (c[index] for c in columns)
         return awl, asw, mf
+
+    def stat_map(self, field: str, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+        """``fn`` of this catalogue's ``field`` stat column, computed once per
+        store position.
+
+        ``fn`` maps a float64 column to a float64 column elementwise and
+        never returns NaN.  The store keeps one memo per ``(field, fn)``,
+        NaN where not yet computed, and fills it only at the positions
+        asked for: a slice of a large store computes its own files, and
+        every catalogue over the store reuses them.
+        """
+        store = self._store
+        memo = store.memos.get((field, fn))
+        if memo is None:
+            memo = store.memos[field, fn] = np.full(len(store.sizes), np.nan)
+        idx = self._store_positions()
+        values = memo[idx]
+        todo = np.isnan(values)
+        if todo.any():
+            missing = idx[todo]
+            column = store.stats[_STAT_FIELDS.index(field)]
+            values[todo] = memo[missing] = fn(column[missing])
+        return values
 
     def _take(self, indices: Sequence[int] | np.ndarray, name: str) -> "Catalogue":
         """Slice holding the files at ``indices``, in the order given."""

@@ -137,6 +137,66 @@ class TestPackIntoNBinsEquivalence:
         validate_layouts(sizes, got)
 
 
+class TestFixedBinReduction:
+    """The fixed-bin packer is open-ended first-fit plus a spill: its bins
+    are first-fit's first ``n_bins`` regular bins, and the items first-fit
+    puts anywhere else spill.  These cases aim at the edges of that
+    argument: oversized items (first-fit's own bins, which no fixed bin
+    takes), size-0 items, and bin counts on both sides of first-fit's."""
+
+    mixed_sizes = st.lists(
+        st.one_of(
+            st.integers(min_value=0, max_value=0),
+            st.integers(min_value=1, max_value=300),
+            st.integers(min_value=1_000, max_value=3_000),   # over capacity
+        ),
+        min_size=0,
+        max_size=120,
+    )
+
+    @given(sizes=mixed_sizes, n_bins=st.integers(min_value=1, max_value=15),
+           capacity=st.integers(min_value=300, max_value=999))
+    @settings(max_examples=200, deadline=None)
+    @example(sizes=[0, 0, 0], n_bins=2, capacity=300)
+    @example(sizes=[1_000, 0, 5, 2_000, 0], n_bins=1, capacity=300)
+    def test_oversized_and_empty_items(self, sizes, n_bins, capacity):
+        got = pack_into_n_bins_layout(sizes, n_bins, capacity)
+        want = reference.pack_into_n_bins(items_of(sizes), n_bins, capacity)
+        assert_identical(sizes, got, want)
+        validate_layouts(sizes, got)
+
+    @given(sizes=size_lists, capacity=capacities,
+           offset=st.integers(min_value=-5, max_value=5))
+    @settings(max_examples=200, deadline=None)
+    def test_bin_count_around_first_fits(self, sizes, capacity, offset):
+        # n_bins below first-fit's count forces a spill, above it pads
+        # empty bins.  Either way each fixed bin starts with the items of
+        # first-fit's bin in the same slot; spilled items follow them.
+        regular = [l for l in first_fit_layout(sizes, capacity)
+                   if l.capacity == capacity]
+        n_bins = max(1, len(regular) + offset)
+        got = pack_into_n_bins_layout(sizes, n_bins, capacity)
+        want = reference.pack_into_n_bins(items_of(sizes), n_bins, capacity)
+        assert_identical(sizes, got, want)
+        for fixed, open_ended in zip(got, regular):
+            assert fixed.indices[:len(open_ended.indices)] == open_ended.indices
+
+    @given(sizes=mixed_sizes, n_bins=st.integers(min_value=1, max_value=15),
+           capacity=st.integers(min_value=300, max_value=999))
+    @settings(max_examples=150, deadline=None)
+    def test_strict_error_counts_the_reference_overflow(self, sizes, n_bins, capacity):
+        try:
+            reference.pack_into_n_bins(items_of(sizes), n_bins, capacity, strict=True)
+        except PackingError as err:
+            with pytest.raises(PackingError) as got:
+                pack_into_n_bins_layout(sizes, n_bins, capacity, strict=True)
+            assert str(got.value) == str(err)
+        else:
+            got_bins = pack_into_n_bins_layout(sizes, n_bins, capacity, strict=True)
+            assert_identical(sizes, got_bins, reference.pack_into_n_bins(
+                items_of(sizes), n_bins, capacity))
+
+
 class TestUniformEquivalence:
     @given(sizes=size_lists, n_bins=bin_counts)
     @settings(max_examples=200, deadline=None)
@@ -223,18 +283,6 @@ class TestFreeSpaceIndex:
         assert fsi.best_fit_slot(51) == -1
         fsi.consume(1, 8)                    # slot 1 now full
         assert fsi.best_fit_slot(7) == 3
-
-    def test_lightest_tracks_loads(self):
-        fsi = FreeSpaceIndex()
-        for _ in range(3):
-            fsi.append(0)
-        fsi.add_load(0, 5)
-        fsi.add_load(1, 2)
-        assert fsi.lightest() == 2
-        fsi.add_load(2, 10)
-        assert fsi.lightest() == 1
-        fsi.add_load(1, 100)
-        assert fsi.lightest() == 0
 
     def test_growth_keeps_answers(self):
         fsi = FreeSpaceIndex()
