@@ -105,6 +105,46 @@ def test_fixed_bin_packing_costs_one_first_fit(benchmark):
         f"(ceiling {MAX_FIXED_OVER_FIRST_FIT}x)")
 
 
+#: Fig. 4's 5 GB probe head of the benchmark's grep-reshape input:
+#: ``html_18mil_like(scale=7e-3, seed=2010)``, 106,474 files.
+GREP_HEAD_SCALE = 7e-3
+GREP_HEAD_SEED = 2010
+MAX_SMALL_OVER_LARGE_UNIT = 5.0
+
+
+@pytest.mark.perf
+def test_small_unit_first_fit_stays_out_of_the_tree(benchmark):
+    """Fig. 4's 1 MB pack of the grep head (4,479 bins) against the 100 MB
+    pack of the same input (51 bins).  Small units close thousands of bins
+    that small files later back-fill; with the newest closed bins kept out
+    of the segment tree the ratio is ≈3.7× on a 2-core shared x86 host,
+    and ≈6× when every closed bin went through the tree.  Both timings
+    are best of 5, interleaved, on the same host, so the 5× ceiling does
+    not depend on its speed."""
+    from repro.units import GB
+
+    head = html_18mil_like(scale=GREP_HEAD_SCALE, seed=GREP_HEAD_SEED)
+    sizes = head.head_by_volume(5 * GB).sizes().tolist()
+
+    def ratio() -> float:
+        small = large = float("inf")
+        for _ in range(5):
+            t0 = time.perf_counter()
+            first_fit_layout(sizes, 1 * MB)
+            t1 = time.perf_counter()
+            first_fit_layout(sizes, 100 * MB)
+            t2 = time.perf_counter()
+            small, large = min(small, t1 - t0), min(large, t2 - t1)
+        return small / large
+
+    assert placed(first_fit_layout(sizes, 1 * MB)) == len(sizes)
+    got = benchmark.pedantic(ratio, rounds=1, iterations=1)
+    print(f"\n1 MB / 100 MB first-fit on {len(sizes):,} items: {got:.2f}x")
+    assert got <= MAX_SMALL_OVER_LARGE_UNIT, (
+        f"the 1 MB pack took {got:.2f}x the 100 MB pack "
+        f"(ceiling {MAX_SMALL_OVER_LARGE_UNIT}x)")
+
+
 def test_perf_uniform_bins_100k_items(benchmark):
     """Order-preserving balanced split at 100k files — one searchsorted
     over the share boundaries."""

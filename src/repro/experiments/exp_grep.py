@@ -16,7 +16,8 @@ from repro.cloud import Cloud, ExecutionService, Workload, acquire_good_instance
 from repro.cloud.ebs import EbsVolume
 from repro.cloud.instance import Instance
 from repro.corpus import html_18mil_like
-from repro.perfmodel import ProbeCampaign, build_probe_set, fit_affine
+from repro.packing import PackingCache
+from repro.perfmodel import ProbeCampaign, ProbeSet, build_probe_set, fit_affine
 from repro.perfmodel.sampling import collect_sample_points, refit_with_samples
 from repro.report.figures import FigureResult
 from repro.obs.ledger import record_experiment
@@ -53,22 +54,32 @@ def make_testbed(seed: int = 7, scale: float = 1.1e-2, repeats: int = 5) -> Grep
     return GrepTestbed(cloud, instance, volume, service, workload, catalogue, campaign)
 
 
-def _measure_sweep(tb: GrepTestbed, volume: int, unit_sizes: list[int],
-                   *, include_orig: bool = True) -> dict:
-    """Measure one probe set; returns {label: Measurement}."""
-    ps = build_probe_set(tb.catalogue, volume, unit_sizes)
-    out = {}
-    labels = (["orig"] if include_orig else []) + unit_sizes
-    for label in labels:
-        units = ps.variants[label]
-        out[label] = tb.campaign.measure(units, directory=f"probes/v{volume}/{label}")
-    return out
+def _measure_sweep(tb: GrepTestbed, ps: ProbeSet, labels: list) -> dict:
+    """Measure the ``labels`` of one probe set; returns {label: Measurement}."""
+    return {label: tb.campaign.measure(ps.variants[label],
+                                       directory=f"probes/v{ps.volume}/{label}")
+            for label in labels}
+
+
+def _nested_probe_sets(catalogue: Catalogue, sizes_by_volume: dict) -> dict:
+    """Probe sets of nested catalogue heads, ``{volume: ProbeSet}``.
+
+    They are built largest first from one cache, so every smaller head's
+    packs are cut from the largest head's (§4: "we perform the bin packing
+    once").  Building touches no clock or random stream, so callers still
+    measure in their own order.
+    """
+    cache = PackingCache()
+    return {vol: build_probe_set(catalogue, vol, sizes_by_volume[vol], cache=cache)
+            for vol in sorted(sizes_by_volume, reverse=True)}
 
 
 def fig3(tb: GrepTestbed | None = None) -> tuple[FigureResult, dict]:
     """Fig. 3: grep on a 1 MB probe — values tiny, deviations huge."""
     tb = tb or make_testbed(scale=2e-4)
-    res = _measure_sweep(tb, 1 * MB, [100 * KB, 250 * KB, 500 * KB, 1 * MB])
+    sizes = [100 * KB, 250 * KB, 500 * KB, 1 * MB]
+    res = _measure_sweep(tb, build_probe_set(tb.catalogue, 1 * MB, sizes),
+                         ["orig"] + sizes)
     fig = FigureResult("Fig3", "grep on 1 MB volume: unstable small probes")
     labels = list(res)
     fig.add("mean seconds (unit size)", [str(l) for l in labels],
@@ -84,7 +95,8 @@ def fig4(tb: GrepTestbed | None = None) -> tuple[FigureResult, dict]:
     """Fig. 4: grep on 5 GB — plateau from the 10 MB unit size up to 2 GB."""
     tb = tb or make_testbed()
     sizes = [1 * MB, 10 * MB, 100 * MB, 500 * MB, 1 * GB, 2 * GB]
-    res = _measure_sweep(tb, 5 * GB, sizes)
+    res = _measure_sweep(tb, build_probe_set(tb.catalogue, 5 * GB, sizes),
+                         ["orig"] + sizes)
     fig = FigureResult("Fig4", "grep on 5 GB volume vs unit file size")
     fig.add("mean seconds", ["orig"] + [s // MB for s in sizes],
             [res["orig"].mean] + [res[s].mean for s in sizes],
@@ -110,16 +122,19 @@ def fig5(tb: GrepTestbed | None = None) -> tuple[FigureResult, dict]:
     fig = FigureResult("Fig5", "grep on 1, 2 and 10 GB: EBS placement spikes")
     spikes: list[tuple[int, int, float]] = []
     repeat_checks: list[float] = []
-    for vol in (1 * GB, 2 * GB, 10 * GB):
-        usable = [s for s in sizes if s <= vol]
-        res = _measure_sweep(tb, vol, usable, include_orig=False)
+    usable_by_volume = {vol: [s for s in sizes if s <= vol]
+                        for vol in (1 * GB, 2 * GB, 10 * GB)}
+    probe_sets = _nested_probe_sets(tb.catalogue, usable_by_volume)
+    for vol, usable in usable_by_volume.items():
+        res = _measure_sweep(tb, probe_sets[vol], usable)
         means = np.array([res[s].mean for s in usable])
         med = float(np.median(means))
         fig.add(f"{vol // GB} GB volume", [s // MB for s in usable], means)
         for s, m in zip(usable, means):
             if m > 1.25 * med:
                 spikes.append((vol, s, float(m / med)))
-                # repeatability: measure the same directory again
+                # repeatability: measure the same directory again, on a
+                # direct pack at s
                 ps = build_probe_set(tb.catalogue, vol, [s])
                 again = tb.campaign.measure(ps.variants[s],
                                             directory=f"probes/v{vol}/{s}")
@@ -146,9 +161,11 @@ def fig6(tb: GrepTestbed | None = None, *, n_devices: int = 10) -> tuple[FigureR
     # -- Eq. (1): fit on the vetted instance at the chosen 100 MB unit size.
     xs: list[float] = []
     ys: list[float] = []
-    for vol in (500 * MB, 1 * GB, 2 * GB, 5 * GB):
-        ps = build_probe_set(tb.catalogue, vol, [unit])
-        m = tb.campaign.measure(ps.variants[unit], directory=f"probes/v{vol}/{unit}")
+    volumes = (500 * MB, 1 * GB, 2 * GB, 5 * GB)
+    probe_sets = _nested_probe_sets(tb.catalogue, {vol: [unit] for vol in volumes})
+    for vol in volumes:
+        m = tb.campaign.measure(probe_sets[vol].variants[unit],
+                                directory=f"probes/v{vol}/{unit}")
         for t in m.values:
             xs.append(float(vol))
             ys.append(t)

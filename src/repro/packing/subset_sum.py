@@ -85,11 +85,14 @@ def derive_multiples_layout(
     such that we perform the bin packing once"; the quality of the derived
     bins inherits the quality of the base bins.  Coalesced bins can exceed
     ``k*s0`` only when a base bin held an oversized item; the capacity is
-    widened rather than failing.
+    widened rather than failing, so a derived bin's capacity is
+    ``max(k*s0, used)``.  ``s0`` is the smallest base capacity: an
+    oversized base bin is exactly as wide as its one item, which is wider
+    than ``s0``.
     """
     if not base_layouts:
         return {k: [] for k in factors}
-    base_cap = max(l.capacity or l.used for l in base_layouts)
+    base_cap = min(l.capacity or l.used for l in base_layouts)
     out: dict[int, list[BinLayout]] = {}
     for k in factors:
         if k < 1:

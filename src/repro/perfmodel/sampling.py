@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.packing import subset_sum_layout
+from repro.packing import PackingCache
 from repro.perfmodel.probes import ProbeCampaign
 from repro.perfmodel.regression import AffinePredictor, fit_affine
 from repro.sim.random import RngStream
@@ -38,7 +38,8 @@ def collect_sample_points(
     ``unit_size=None`` keeps the original segmentation (the POS choice);
     otherwise each sample is reshaped with subset-sum first-fit before
     measuring (the grep choice, "we consider these samples already in the
-    chosen 100 MB unit file size").
+    chosen 100 MB unit file size").  A sample is packed once, at its full
+    volume: its smaller heads are cut from that pack.
     """
     if n_samples < 1 or sample_volume <= 0:
         raise ValueError("need n_samples >= 1 and a positive sample volume")
@@ -48,6 +49,7 @@ def collect_sample_points(
     points: list[tuple[float, float]] = []
     taken = np.zeros(len(catalogue), dtype=bool)
     for i in range(n_samples):
+        cache = PackingCache()
         sample = catalogue.sample_by_volume(sample_volume, rng.fork(f"sample.{i}"),
                                             exclude=taken)
         taken[sample.positions] = True
@@ -63,7 +65,7 @@ def collect_sample_points(
             if unit_size is None:
                 units = part
             else:
-                layouts = subset_sum_layout(part.sizes().tolist(), unit_size)
+                layouts = cache.pack_layout(part, unit_size)
                 units = tuple(
                     Segment.from_layouts(layouts, part, f"sample{i}_v{v}", digits=5)
                 )

@@ -18,6 +18,7 @@ from repro.packing import (
     FreeSpaceIndex,
     PackingCache,
     PackingError,
+    cut_first_fit,
     first_fit_layout,
     pack_into_n_bins_layout,
     subset_sum_layout,
@@ -98,6 +99,92 @@ class TestFirstFitEquivalence:
         assert_identical(
             sizes, got, reference.first_fit_decreasing(items_of(sizes), capacity)
         )
+
+
+@st.composite
+def window_cases(draw):
+    """Size columns that work first-fit's window of recently closed bins.
+
+    Rounds of large items close bins with room left, then runs of small
+    items back-fill them: some land in window bins, some in bins already
+    aged into the tree.  Size-0 and oversized items are mixed in, and the
+    capacity is sometimes 1.
+    """
+    capacity = draw(st.one_of(st.just(1), st.integers(min_value=2, max_value=200)))
+    large = st.integers(min_value=capacity // 2 + 1, max_value=capacity)
+    small = st.integers(min_value=0, max_value=max(1, capacity // 6))
+    odd = st.one_of(st.just(0),
+                    st.integers(min_value=capacity + 1, max_value=3 * capacity + 1))
+    sizes: list[int] = []
+    for _ in range(draw(st.integers(min_value=0, max_value=8))):
+        sizes += draw(st.lists(large, min_size=0, max_size=10))
+        sizes += draw(st.lists(st.one_of(small, small, small, odd),
+                               min_size=0, max_size=40))
+    return sizes, capacity
+
+
+def assert_same_layouts(got, want):
+    assert [(l.capacity, l.indices, l.used) for l in got] == [
+        (l.capacity, l.indices, l.used) for l in want]
+
+
+class TestFirstFitWindow:
+    """first-fit keeps its newest closed bins out of the segment tree; the
+    placement must still be classic first-fit."""
+
+    @given(case=window_cases())
+    @settings(max_examples=300, deadline=None)
+    @example(case=([0, 0, 2, 0], 1))
+    @example(case=([1, 1, 1, 5, 0, 1], 1))
+    # six bins close with room 1..6 left; the small items then reach the
+    # tree (oldest bins) and the window (newest) in turn
+    @example(case=([9, 8, 7, 6, 5, 4, 10, 1, 6, 2, 5, 3, 4, 0, 25, 1], 10))
+    def test_matches_reference(self, case):
+        sizes, capacity = case
+        got = first_fit_layout(sizes, capacity)
+        assert_identical(sizes, got, reference.first_fit(items_of(sizes), capacity))
+        validate_layouts(sizes, got)
+
+    def test_grep_head_pack_rarely_descends_the_tree(self, monkeypatch):
+        """The 1 MB pack of the benchmark's grep head (fig. 4's 5 GB head of
+        ``html_18mil_like(scale=7e-3, seed=2010)``, 106,474 files in 4,479
+        bins) asks the tree 1,849 times; with every closed bin in the tree
+        it asked 16,080 times."""
+        from repro.corpus import html_18mil_like
+        from repro.units import GB, MB
+
+        head = html_18mil_like(scale=7e-3, seed=2010).head_by_volume(5 * GB)
+        calls = []
+        descend = FreeSpaceIndex.first_fit_slot
+        monkeypatch.setattr(FreeSpaceIndex, "first_fit_slot",
+                            lambda index, size: calls.append(size)
+                            or descend(index, size))
+        layouts = first_fit_layout(head.sizes().tolist(), 1 * MB)
+        assert (len(head), len(layouts)) == (106_474, 4_479)
+        assert len(calls) <= 2_000
+
+
+class TestPrefixCut:
+    """First-fit in original order is online: the pack of a prefix is the
+    cut of the pack."""
+
+    @given(case=window_cases())
+    @settings(max_examples=150, deadline=None)
+    @example(case=([], 5))
+    @example(case=([7, 0, 3, 12, 0, 2, 6], 6))
+    def test_cut_is_the_prefix_pack(self, case):
+        sizes, capacity = case
+        full = first_fit_layout(sizes, capacity)
+        for k in range(len(sizes) + 1):
+            assert_same_layouts(cut_first_fit(full, sizes, k),
+                                first_fit_layout(sizes[:k], capacity))
+
+    def test_cut_leaves_the_full_pack_alone(self):
+        sizes = [4, 4, 3, 1, 1]
+        full = first_fit_layout(sizes, 5)
+        before = [(l.capacity, list(l.indices), l.used) for l in full]
+        cut_first_fit(full, sizes, 3)
+        assert [(l.capacity, l.indices, l.used) for l in full] == before
 
 
 class TestSubsetSumEquivalence:
@@ -368,3 +455,43 @@ class TestPackingCache:
         for s in [1000, 3000, 7000, 11000]:
             cache.pack_layout(cat, s, derive_from=1)
         assert len(cache) <= 2
+
+    def test_smaller_head_is_cut_from_a_direct_pack(self):
+        cat = self._cat(n=400)
+        cache = PackingCache()
+        full = cache.pack_layout(cat, 10_000)
+        head = cat.head_by_volume(cat.total_size // 3)
+        cut = cache.pack_layout(head, 10_000)
+        assert cache.stats()["cut"] == 1 and cache.stats()["derived"] == 1
+        assert len(cut) < len(full)
+        assert_same_layouts(cut, first_fit_layout(head.sizes().tolist(), 10_000))
+
+    def test_cut_probe_sets_equal_direct_ones(self):
+        """Nested heads built largest first from one cache give the
+        segments, names and sizes of probe sets built one by one."""
+        from repro.perfmodel import build_probe_set
+
+        cat = self._cat(n=400)
+        sizes = [8_000, 16_000, 40_000, 25_000]
+        volumes = [int(cat.sizes()[:n].sum()) for n in (60, 250, 400)]
+        cache = PackingCache()
+        shared = {v: build_probe_set(cat, v, sizes, cache=cache)
+                  for v in sorted(volumes, reverse=True)}
+        assert cache.stats()["cut"] == 4      # 8,000 and 25,000, twice each
+        for v in volumes:
+            alone = build_probe_set(cat, v, sizes)
+            for s in sizes:
+                got, want = shared[v].variants[s], alone.variants[s]
+                assert [(u.name, u.size, u._positions) for u in got] == [
+                    (u.name, u.size, u._positions) for u in want]
+                assert list(got) == list(want)
+
+    def test_derived_entries_are_never_cut(self):
+        cat = self._cat(n=400)
+        cache = PackingCache()
+        cache.pack_layout(cat, 10_000)
+        cache.pack_layout(cat, 30_000)              # derived from 10,000
+        head = cat.head_by_volume(cat.total_size // 2)
+        got = cache.pack_layout(head, 30_000, derive_from=7_000)
+        assert cache.stats()["cut"] == 0
+        assert_same_layouts(got, first_fit_layout(head.sizes().tolist(), 30_000))
