@@ -145,6 +145,52 @@ def test_small_unit_first_fit_stays_out_of_the_tree(benchmark):
         f"(ceiling {MAX_SMALL_OVER_LARGE_UNIT}x)")
 
 
+#: The grep-reshape input (126k files) planned into about 30 uniform bins.
+UNIFORM_PLAN_SCALE = 7e-3
+UNIFORM_PLAN_BINS = 30
+MAX_PLAN_OVER_UNIFORM = 2.0
+
+
+@pytest.mark.perf
+def test_uniform_plan_costs_one_uniform_split(benchmark):
+    """A uniform plan of a catalogue is the split of its size column plus
+    one run slice per bin, so it costs about one :func:`uniform_layout`
+    call on the column (≈1.5× on a 2-core shared x86 host; 3.6× when the
+    plan listed the column, re-arrayed it and gathered every bin by
+    index).  Both timings are best of 5, interleaved, on the same host, so
+    the 2× ceiling does not depend on its speed."""
+    import numpy as np
+
+    from repro.core import StaticProvisioner
+    from repro.perfmodel.regression import fit_affine
+
+    cat = html_18mil_like(scale=UNIFORM_PLAN_SCALE)
+    x = np.array([1e6, 1e8, 1e9])
+    provisioner = StaticProvisioner(fit_affine(x, 1e-8 * x))
+    deadline = 1e-8 * cat.total_size / UNIFORM_PLAN_BINS
+    plan = provisioner.plan(cat, deadline, strategy="uniform")
+    n = plan.n_instances
+    assert abs(n - UNIFORM_PLAN_BINS) <= 1
+    assert sum(len(b) for b in plan.assignments) == len(cat)
+
+    def ratio() -> float:
+        planned = split = float("inf")
+        for _ in range(5):
+            t0 = time.perf_counter()
+            provisioner.plan(cat, deadline, strategy="uniform")
+            t1 = time.perf_counter()
+            uniform_layout(cat.sizes(), n)
+            t2 = time.perf_counter()
+            planned, split = min(planned, t1 - t0), min(split, t2 - t1)
+        return planned / split
+
+    got = benchmark.pedantic(ratio, rounds=1, iterations=1)
+    print(f"\nuniform plan / uniform_layout on {len(cat):,} files: {got:.2f}x")
+    assert got <= MAX_PLAN_OVER_UNIFORM, (
+        f"the uniform plan took {got:.2f}x its split "
+        f"(ceiling {MAX_PLAN_OVER_UNIFORM}x)")
+
+
 def test_perf_uniform_bins_100k_items(benchmark):
     """Order-preserving balanced split at 100k files — one searchsorted
     over the share boundaries."""

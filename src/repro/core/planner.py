@@ -18,6 +18,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
+import numpy as np
+
 from repro.apps.base import Unit
 from repro.packing import (
     first_fit_layout,
@@ -30,6 +32,10 @@ from repro.units import HOUR, billed_hours
 from repro.vfs.files import Catalogue, volume_of
 
 __all__ = ["PlanError", "plan_cost", "ebs_assignment", "ProvisioningPlan", "StaticProvisioner"]
+
+
+def _as_list(sizes: list[int] | np.ndarray) -> list[int]:
+    return sizes.tolist() if isinstance(sizes, np.ndarray) else sizes
 
 
 class PlanError(ValueError):
@@ -201,7 +207,8 @@ class StaticProvisioner:
         against ``D/(1+a)`` while reporting misses against the real ``D``.
         ``units`` may be a :class:`~repro.vfs.Catalogue`, whose paths are
         already unique, whose size column is packed as is and whose bins
-        are index slices of it.
+        are index slices of it; a ``uniform`` bin is a run, whose columns
+        are views of the catalogue's.
         """
         if not units:
             raise PlanError("nothing to plan")
@@ -211,19 +218,22 @@ class StaticProvisioner:
         # Columnar: the packers consume the size column directly; units are
         # regrouped by index afterwards, so no Item dataclasses or key dicts
         # are built per call.  A catalogue already guarantees unique paths;
-        # any other sequence (e.g. reshaped segments) is checked here.
+        # any other sequence (e.g. reshaped segments) is checked here.  The
+        # uniform split takes a catalogue's int64 column as is; the
+        # first-fit kernels walk a list (``_as_list``).
         if isinstance(units, Catalogue):
-            sizes = units.sizes().tolist()
+            sizes = units.sizes()
+            volume = units.total_size
         else:
             sizes = [u.size for u in units]
             if len({self._key(u) for u in units}) != len(units):
                 raise PlanError("unit names are not unique")
-        volume = sum(sizes)
+            volume = sum(sizes)
 
         if strategy == "first-fit":
             n = self.instances_for(volume, eff_deadline)
             x0 = math.floor(self.volume_for(eff_deadline))
-            layouts = pack_into_n_bins_layout(sizes, n_bins=n, capacity=x0)
+            layouts = pack_into_n_bins_layout(_as_list(sizes), n_bins=n, capacity=x0)
         elif strategy == "uniform":
             n = self.instances_for(volume, eff_deadline)
             layouts = uniform_layout(sizes, n_bins=n)
@@ -233,7 +243,7 @@ class StaticProvisioner:
             x_hour = math.floor(self.volume_for(HOUR))
             if x_hour < 1:
                 raise PlanError("model admits no data within one hour")
-            layouts = first_fit_layout(sizes, x_hour)
+            layouts = first_fit_layout(_as_list(sizes), x_hour)
         else:
             raise PlanError(f"unknown strategy {strategy!r}")
 

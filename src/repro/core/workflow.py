@@ -72,24 +72,32 @@ class TextWorkflow:
 
     def __init__(self) -> None:
         self._graph = nx.DiGraph()
+        self._order: list[WorkflowStage] | None = None   # stages(), until the next add
 
     def add_stage(self, stage: WorkflowStage, *, after: list[str] | None = None) -> None:
         """Add a stage, optionally after named predecessors."""
         if stage.name in self._graph:
             raise WorkflowError(f"duplicate stage {stage.name!r}")
-        self._graph.add_node(stage.name, stage=stage)
         for dep in after or []:
             if dep not in self._graph:
                 raise WorkflowError(f"unknown dependency {dep!r} for {stage.name!r}")
+        self._order = None
+        self._graph.add_node(stage.name, stage=stage)
+        for dep in after or []:
             self._graph.add_edge(dep, stage.name)
         if not nx.is_directed_acyclic_graph(self._graph):
             self._graph.remove_node(stage.name)
             raise WorkflowError(f"adding {stage.name!r} would create a cycle")
 
     def stages(self) -> list[WorkflowStage]:
-        """Stages in a deterministic topological order."""
-        order = list(nx.lexicographical_topological_sort(self._graph))
-        return [self._graph.nodes[n]["stage"] for n in order]
+        """Stages in a deterministic topological order, as a fresh list.
+
+        The order is sorted once and kept until the next :meth:`add_stage`.
+        """
+        if self._order is None:
+            order = nx.lexicographical_topological_sort(self._graph)
+            self._order = [self._graph.nodes[n]["stage"] for n in order]
+        return list(self._order)
 
     def stage(self, name: str) -> WorkflowStage:
         """Look up a stage by name."""

@@ -40,6 +40,10 @@ class PackingError(ValueError):
 class BinLayout:
     """A packed bin in columnar form: indices into the caller's size array.
 
+    ``indices`` is a list, or a ``range`` when the bin is one run of the
+    input (:func:`~repro.packing.uniform_layout`); readers only iterate,
+    index and take ``len`` of it.
+
     ``capacity`` is the bin's byte limit (``None`` = uncapacitated, for
     balance-only bins); ``used`` is the exact sum of member sizes,
     maintained by the kernels.  :meth:`Segment.from_layouts
@@ -50,7 +54,7 @@ class BinLayout:
     """
 
     capacity: int | None
-    indices: list[int] = field(default_factory=list)
+    indices: list[int] | range = field(default_factory=list)
     used: int = 0
 
 

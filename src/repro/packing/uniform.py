@@ -9,7 +9,9 @@ cost (Fig. 8(b)).
 The split keeps the original file order (the POS workload case): item ``i``
 lands in the bin whose share interval holds its midpoint
 ``running_i + size_i/2``, so one ``searchsorted`` over the share boundaries
-places every item at once.
+places every item at once.  Each bin is then one run of the input, so
+its indices are a ``range``: a catalogue slices a run as views of its
+columns (:meth:`~repro.vfs.Catalogue._take`), with no index list built.
 """
 
 from __future__ import annotations
@@ -32,8 +34,10 @@ def uniform_layout(sizes: Sequence[int] | np.ndarray, n_bins: int) -> list[BinLa
     bin absorbs rounding).  The midpoints and boundaries are the same
     float products a streaming loop compares, so the split is exact.
 
+    ``sizes`` may be a list or an int64 column, which is used as given.
     Returned layouts are uncapacitated (``capacity=None``); balance, not
-    capacity, is the constraint.
+    capacity, is the constraint.  Bin ``b``'s indices are the run
+    ``range(start_b, start_{b+1})``.
     """
     if n_bins <= 0:
         raise PackingError(f"need at least one bin, got {n_bins}")
@@ -48,5 +52,5 @@ def uniform_layout(sizes: Sequence[int] | np.ndarray, n_bins: int) -> list[BinLa
     # Bins are non-decreasing along the items: bin b holds one index run.
     starts = np.searchsorted(bins, np.arange(n_bins + 1), side="left").tolist()
     loads = np.concatenate(([0], ends))[starts].tolist()
-    return [BinLayout(capacity=None, indices=list(range(a, b)), used=used_b - used_a)
+    return [BinLayout(capacity=None, indices=range(a, b), used=used_b - used_a)
             for a, b, used_a, used_b in zip(starts, starts[1:], loads, loads[1:])]

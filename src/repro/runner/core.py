@@ -68,6 +68,8 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Protocol, Sequence
 
+import numpy as np
+
 from repro.cloud.cluster import Cloud
 from repro.cloud.service import ExecutionService, Workload
 from repro.core.planner import ProvisioningPlan
@@ -79,7 +81,7 @@ from repro.obs.ledger import (
 )
 from repro.runner.execute import ExecutionReport, FailedBin, InstanceRun
 from repro.units import HOUR, billed_hours
-from repro.vfs.files import volume_of
+from repro.vfs.files import Catalogue, volume_of
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cloud.instance import Instance
@@ -370,17 +372,29 @@ class RunToCompletion:
                           active_lease=grant.lease, duration=duration, end=end)
 
 
+def _running_sizes(units) -> np.ndarray:
+    """Running byte totals along a bin: from a catalogue's column, else its units."""
+    if isinstance(units, Catalogue):
+        return np.cumsum(units.sizes())
+    return np.cumsum(np.array([u.size for u in units], dtype=np.int64))
+
+
 def _split_point(units: list, fraction: float) -> int:
-    """Index splitting ``units`` so the head holds ≈``fraction`` of bytes."""
+    """Index splitting ``units`` so the head holds ≈``fraction`` of bytes:
+    just past the first running total that reaches that share."""
     total = volume_of(units)
     if total == 0:
         return len(units)
-    acc = 0
-    for i, u in enumerate(units):
-        acc += u.size
-        if acc >= fraction * total:
-            return i + 1
-    return len(units)
+    first = int(np.searchsorted(_running_sizes(units), fraction * total))
+    return min(first + 1, len(units))
+
+
+def _cut(units, a: int, b: int):
+    """Units ``a:b`` of a bin: a run of a catalogue bin, else a list slice."""
+    if isinstance(units, Catalogue):
+        b = min(b, len(units))
+        return units._take(range(a, b), f"{units.name}[{a}:{b}]")
+    return units[a:b]
 
 
 class StragglerProgress:
@@ -408,7 +422,7 @@ class StragglerProgress:
         work_start, predicted = grant.work_start, grant.predicted
 
         split = _split_point(units, policy.probe_fraction)
-        probe, rest = units[:split], units[split:]
+        probe, rest = _cut(units, 0, split), _cut(units, split, len(units))
         probe_volume = volume_of(probe)
         volume = volume_of(units)
 
@@ -443,17 +457,13 @@ class StragglerProgress:
                 window = boundary - duration
                 straggler_rate = probe_volume / max(t_probe, 1e-9)
                 budget = straggler_rate * window
-                done = 0
-                acc = 0
-                for u in rest:
-                    if acc + u.size > budget:
-                        break
-                    acc += u.size
-                    done += 1
+                # The leading units whose running total fits the budget.
+                done = int(np.searchsorted(_running_sizes(rest), budget,
+                                           side="right"))
                 if done:
-                    duration += ctx.svc.run(active, rest[:done], ctx.workload,
-                                            advance_clock=False)
-                    rest = rest[done:]
+                    duration += ctx.svc.run(active, _cut(rest, 0, done),
+                                            ctx.workload, advance_clock=False)
+                    rest = _cut(rest, done, len(rest))
             rest_volume = volume_of(rest)
             est_rest = (predicted * (rest_volume / volume)
                         if volume else t_probe)
@@ -573,7 +583,7 @@ class CrashProgress:
         active_started = 0.0  # elapsed at which `active` began working
         bin_billed_hours = 0  # hours already billed to crashed instances
         failed_bin: FailedBin | None = None
-        batches = [units[i:i + policy.batch_units]
+        batches = [_cut(units, i, i + policy.batch_units)
                    for i in range(0, len(units), policy.batch_units)]
         b = 0
         while b < len(batches):

@@ -63,6 +63,11 @@ class RngStream:
     name:
         Dotted path describing where in the hierarchy this stream lives;
         informational only (shown in ``repr``), the seed is authoritative.
+
+    The PCG64 generator is seeded on the stream's first draw, not at
+    construction: many streams are only forked from, or never drawn
+    from at all, and seeding is most of a stream's cost.  Draws are
+    those of a stream seeded eagerly.
     """
 
     __slots__ = ("seed", "name", "_gen")
@@ -72,7 +77,13 @@ class RngStream:
             raise ValueError(f"seed must be non-negative, got {seed}")
         self.seed = int(seed)
         self.name = name
-        self._gen = np.random.Generator(np.random.PCG64(self.seed))
+
+    def __getattr__(self, attr: str):
+        # Runs only while the ``_gen`` slot is unset: the first draw seeds it.
+        if attr != "_gen":
+            raise AttributeError(attr)
+        gen = self._gen = np.random.Generator(np.random.PCG64(self.seed))
+        return gen
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"RngStream(name={self.name!r}, seed={self.seed})"

@@ -418,7 +418,9 @@ class Catalogue:
     shares the parent's store, gathers its size column from the parent's
     with numpy, and exposes the parent positions it holds as
     :attr:`positions`.  A slice only checks that its positions are
-    distinct and in range.
+    distinct and in range.  A head, a partition, a uniform plan bin or a
+    runner's batch is a *run* of consecutive files, and a run's size
+    column and store index are views of the parent's, not copies.
     """
 
     def __init__(self, files: Iterable[VirtualFile], name: str = "catalogue") -> None:
@@ -525,7 +527,15 @@ class Catalogue:
         return values
 
     def _take(self, indices: Sequence[int] | np.ndarray, name: str) -> "Catalogue":
-        """Slice holding the files at ``indices``, in the order given."""
+        """Slice holding the files at ``indices``, in the order given.
+
+        A step-1 ``range`` within bounds is a run (:meth:`_run`), whose
+        columns are views of this catalogue's; any other indices are
+        checked to be distinct and in range, and gathered.
+        """
+        if (isinstance(indices, range) and indices.step == 1
+                and 0 <= indices.start <= indices.stop <= len(self)):
+            return self._run(indices.start, indices.stop, name)
         idx = np.asarray(indices, dtype=np.int64)
         n = len(self)
         if idx.size:
@@ -538,6 +548,19 @@ class Catalogue:
                 )
         out = Catalogue.__new__(Catalogue)
         out._init(self._store, self._store_positions(idx), self._sizes[idx], idx, name)
+        return out
+
+    def _run(self, a: int, b: int, name: str) -> "Catalogue":
+        """Slice holding files ``a..b-1`` (``0 <= a <= b <= len(self)``).
+
+        Its size column and store index are numpy views of this
+        catalogue's, so the run copies no column; it equals
+        ``_take(list(range(a, b)), name)`` in every field.
+        """
+        positions = np.arange(a, b, dtype=np.int64)
+        index = positions if self._index is None else self._index[a:b]
+        out = Catalogue.__new__(Catalogue)
+        out._init(self._store, index, self._sizes[a:b], positions, name)
         return out
 
     def _prefix(self, k: int, name: str) -> "Catalogue":

@@ -63,6 +63,22 @@ class TestWorkflowConstruction:
         wf = pipeline()
         assert [s.name for s in wf.stages()] == ["filter", "extract", "tag"]
 
+    def test_order_kept_until_the_next_stage(self):
+        wf = pipeline()
+        first = wf.stages()
+        first.reverse()
+        assert [s.name for s in wf.stages()] == ["filter", "extract", "tag"]
+        wf.add_stage(grep_stage("audit"), after=["filter"])
+        assert [s.name for s in wf.stages()] == ["filter", "audit", "extract", "tag"]
+
+    def test_failed_add_leaves_the_workflow_unchanged(self):
+        wf = pipeline()
+        wf.stages()
+        with pytest.raises(WorkflowError):
+            wf.add_stage(grep_stage("late"), after=["filter", "nope"])
+        assert len(wf) == 3
+        assert [s.name for s in wf.stages()] == ["filter", "extract", "tag"]
+
     def test_duplicate_rejected(self):
         wf = pipeline()
         with pytest.raises(WorkflowError):
