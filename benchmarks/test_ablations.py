@@ -16,7 +16,7 @@ from repro.perfmodel.selection import preferred_unit_size
 from repro.report import ComparisonTable
 from repro.runner import execute_plan
 from repro.units import KB, MB
-from repro.vfs import VirtualFile
+from repro.vfs import Catalogue, TextStats
 
 
 def eq3_model():
@@ -25,7 +25,7 @@ def eq3_model():
 
 
 def _bin_time(profile: PosCostProfile, layout, cat) -> float:
-    units = [cat[i] for i in layout.indices]
+    units = cat._take(layout.indices, "bin")
     return profile.breakdown(UnitColumns(units)).total
 
 
@@ -98,7 +98,7 @@ def test_ablation_heterogeneity_vs_prediction_error(benchmark):
 
         model = eq3_model()
         cat = text_400k_like(scale=0.02)
-        plan = StaticProvisioner(model).plan(list(cat), 120.0, strategy="uniform")
+        plan = StaticProvisioner(model).plan(cat, 120.0, strategy="uniform")
         wl = Workload("postag", PosTaggerApplication(), PosCostProfile())
         errors = {}
         for p_slow in (0.0, 0.2, 0.5):
@@ -179,7 +179,9 @@ def test_ablation_per_file_overhead_crossover(benchmark):
             unit = 1 * MB
             while unit < total:
                 n = total // unit
-                t = profile.breakdown(UnitColumns([VirtualFile("u", unit)] * n))
+                units = Catalogue("u", "u/%d", 0, "u", np.full(n, unit),
+                                  TextStats._column(5.0, 18.0, 0.0))
+                t = profile.breakdown(UnitColumns(units))
                 overhead_part = n * overhead
                 if overhead_part < 0.05 * (t.total - overhead_part):
                     break

@@ -44,7 +44,7 @@ def test_switching_simulated(benchmark):
         model = fit_affine(x, 0.327 + 0.865e-4 * x)
         cat = text_400k_like(scale=3e-2)
         plan = StaticProvisioner(model).plan(
-            list(reshape(cat, None).units), 300.0, strategy="uniform")
+            reshape(cat, None).units, 300.0, strategy="uniform")
         wl = Workload("postag", PosTaggerApplication(), PosCostProfile())
         n = plan.n_instances
         static = execute_plan(Cloud(seed=3, heterogeneity=Scripted(2 * n)), wl, plan)

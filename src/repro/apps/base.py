@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import Any, Callable, Sequence, Union
 
 import numpy as np
@@ -13,7 +12,8 @@ from repro.vfs.files import Catalogue, Segment, VirtualFile
 
 __all__ = ["WorkAccount", "AppResult", "UnitColumns", "fold", "TextApplication", "Unit"]
 
-#: A processable unit: either an original file or a reshaped segment.
+#: A unit the native applications materialise: a catalogue's file view or
+#: a packed catalogue's segment view.
 Unit = Union[VirtualFile, Segment]
 _STAT_COLUMNS = ("avg_word_len", "avg_sentence_words", "markup_fraction")
 
@@ -68,25 +68,22 @@ class AppResult:
 class UnitColumns:
     """A bin's units as numpy columns: what every cost model prices.
 
-    ``size`` is gathered up front; ``avg_word_len``, ``avg_sentence_words``
-    and ``markup_fraction`` on first read, so a profile that never reads
-    them (grep) never aggregates segment statistics.  A single unit is a
-    length-1 column.  Units that are a :class:`~repro.vfs.Catalogue` (a
-    probe head, a partition, a plan bin) are gathered from its columns by
-    index, so pricing them builds no file object.
+    The units are a :class:`~repro.vfs.Catalogue` (a probe head, a
+    partition, a plan bin, or a packed layout of segments), so ``size``
+    is its size column and ``avg_word_len``, ``avg_sentence_words`` and
+    ``markup_fraction`` are gathered from its stat columns on first read:
+    a profile that never reads them (grep) never aggregates segment
+    statistics, and pricing builds no file object.
 
     Work that several passes over one bin read is kept with :meth:`once`,
     and a per-file value of a stat with :meth:`per_file`, once per store
-    position when the units are a catalogue.
+    position.
     """
 
-    def __init__(self, units: Sequence[Unit]) -> None:
+    def __init__(self, units: Catalogue) -> None:
         self._units = units
         self._once: dict[Callable, Any] = {}
-        if isinstance(units, Catalogue):
-            self.size = units.sizes()
-        else:
-            self.size = np.array([u.size for u in units], dtype=np.int64)
+        self.size = units.sizes()
 
     def __len__(self) -> int:
         return len(self.size)
@@ -94,13 +91,8 @@ class UnitColumns:
     def __getattr__(self, name: str) -> np.ndarray:
         if name not in _STAT_COLUMNS:
             raise AttributeError(name)
-        if isinstance(self._units, Catalogue):
-            for column, values in zip(_STAT_COLUMNS, self._units._stat_columns()):
-                setattr(self, column, values)
-            return getattr(self, name)
-        stats = [u.stats() if isinstance(u, Segment) else u.stats for u in self._units]
-        for column in _STAT_COLUMNS:
-            setattr(self, column, np.fromiter(map(attrgetter(column), stats), float, len(stats)))
+        for column, values in zip(_STAT_COLUMNS, self._units._stat_columns()):
+            setattr(self, column, values)
         return getattr(self, name)
 
     def once(self, fn: Callable[["UnitColumns"], Any]) -> Any:
@@ -110,12 +102,10 @@ class UnitColumns:
         return self._once[fn]
 
     def per_file(self, name: str, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-        """``fn`` of stat column ``name``; for a catalogue, computed once per
-        store position (:meth:`~repro.vfs.Catalogue.stat_map`), so a file
-        priced in many bins is computed once."""
-        if isinstance(self._units, Catalogue):
-            return self._units.stat_map(name, fn)
-        return fn(getattr(self, name))
+        """``fn`` of stat column ``name``, computed once per store position
+        (:meth:`~repro.vfs.Catalogue.stat_map`), so a file priced in many
+        bins is computed once."""
+        return self._units.stat_map(name, fn)
 
 
 def fold(values: np.ndarray) -> float:

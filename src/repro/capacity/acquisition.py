@@ -33,7 +33,7 @@ from repro.capacity.brokers import (
 )
 from repro.runner.core import BinGrant, CoreContext
 from repro.runner.execute import FailedBin
-from repro.vfs.files import volume_of
+from repro.vfs.files import Catalogue
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.fleet.lease import LeaseManager
@@ -86,7 +86,7 @@ class BrokerAcquisition:
             predicted=ctx.predicted[idx], at=at, deadline=ctx.plan.deadline,
             tenant=self.replacement_tenant, campaign=self.campaign)
 
-    def _grant(self, idx: int, units: list, offer: CapacityOffer,
+    def _grant(self, idx: int, units: Catalogue, offer: CapacityOffer,
                at: float, predicted: float) -> BinGrant:
         self._offers[idx] = offer
         if offer.lease is not None:
@@ -118,7 +118,7 @@ class BrokerAcquisition:
             except OfferUnavailable as e:
                 ctx.report.failures.append(FailedBin(
                     bin_index=idx, reason=e.reason, n_units=len(units),
-                    volume=volume_of(units)))
+                    volume=units.total_size))
                 if ctx.obs.enabled:
                     ctx.obs.metrics.counter("runner.bins.failed",
                                             reason=e.reason).inc()
@@ -127,14 +127,14 @@ class BrokerAcquisition:
                 reason = getattr(e, "reason", None) or str(e)
                 ctx.report.failures.append(FailedBin(
                     bin_index=idx, reason=reason, n_units=len(units),
-                    volume=volume_of(units)))
+                    volume=units.total_size))
                 launch_failures += 1
                 continue
             except CapacityError as e:
                 ctx.report.failures.append(FailedBin(
                     bin_index=idx, reason=f"capacity-exhausted: {e}",
                     n_units=len(units),
-                    volume=volume_of(units)))
+                    volume=units.total_size))
                 launch_failures += 1
                 continue
             grants.append(self._grant(idx, units, offer, now,

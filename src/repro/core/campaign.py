@@ -23,7 +23,7 @@ from repro.perfmodel.regression import AffinePredictor, Predictor, fit_affine
 from repro.perfmodel.sampling import collect_sample_points, refit_with_samples
 from repro.perfmodel.selection import PreferredUnit, preferred_unit_size
 from repro.runner.execute import ExecutionReport, execute_plan
-from repro.vfs.files import Catalogue, volume_of
+from repro.vfs.files import Catalogue
 
 __all__ = ["CampaignResult", "Campaign"]
 
@@ -122,7 +122,7 @@ class Campaign:
             sizes = [preferred.label] if isinstance(preferred.label, int) else []
             ps = build_probe_set(self.catalogue, vol, sizes)
             units = ps.variants[preferred.label]
-            actual = volume_of(units)
+            actual = units.total_size
             probes.measure_labeled(actual, preferred.label, units,
                                    directory=f"probes/extend/v{vol}")
             xs, ys = probes.timing_points(preferred.label)

@@ -18,9 +18,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-import numpy as np
-
-from repro.apps.base import Unit
 from repro.packing import (
     first_fit_layout,
     pack_into_n_bins_layout,
@@ -29,13 +26,9 @@ from repro.packing import (
 from repro.packing.index import BinLayout
 from repro.perfmodel.regression import FitError, Predictor
 from repro.units import HOUR, billed_hours
-from repro.vfs.files import Catalogue, volume_of
+from repro.vfs.files import Catalogue
 
 __all__ = ["PlanError", "plan_cost", "ebs_assignment", "ProvisioningPlan", "StaticProvisioner"]
-
-
-def _as_list(sizes: list[int] | np.ndarray) -> list[int]:
-    return sizes.tolist() if isinstance(sizes, np.ndarray) else sizes
 
 
 class PlanError(ValueError):
@@ -84,17 +77,16 @@ def ebs_assignment(volume: int, per_device_volume: int, volume_by_deadline: floa
 class ProvisioningPlan:
     """A concrete execution plan: per-instance unit-file assignments.
 
-    A plan of a :class:`~repro.vfs.Catalogue` holds each bin as an index
-    slice of it, so a bin's sizes and stats are read from the catalogue's
-    columns and its files are the catalogue's own views; a plan of any
-    other units holds each bin as a list.
+    Each bin is an index slice of the planned :class:`~repro.vfs.Catalogue`,
+    so its sizes and stats are read from the catalogue's columns and its
+    units are the catalogue's own views.
     """
 
     deadline: float                     # seconds
     planning_deadline: float            # seconds actually planned against
     strategy: str                       # "first-fit" | "uniform" | "adjusted"
     predictor_name: str
-    assignments: list[Sequence[Unit]]
+    assignments: list[Catalogue]
     predicted_times: list[float] = field(default_factory=list)
     #: Lease provenance per executed bin, filled in by a fleet scheduler:
     #: ``bin index -> "warm:lease-000007" | "cold:lease-000001" |
@@ -117,7 +109,7 @@ class ProvisioningPlan:
 
     @property
     def total_volume(self) -> int:
-        return sum(volume_of(b) for b in self.assignments)
+        return sum(b.total_size for b in self.assignments)
 
     def max_predicted_time(self) -> float:
         """Largest per-instance predicted time (the makespan bound)."""
@@ -163,21 +155,18 @@ class StaticProvisioner:
     # -- planning -----------------------------------------------------------
 
     def _predict_times(
-        self, layouts: Sequence[BinLayout], units: Sequence[Unit]
-    ) -> tuple[list[Sequence[Unit]], list[float]]:
-        assignments: list[Sequence[Unit]] = []
+        self, layouts: Sequence[BinLayout], units: Catalogue
+    ) -> tuple[list[Catalogue], list[float]]:
+        assignments: list[Catalogue] = []
         times: list[float] = []
         for i, l in enumerate(layouts):
-            if isinstance(units, Catalogue):
-                assignments.append(units._take(l.indices, f"{units.name}[bin{i}]"))
-            else:
-                assignments.append([units[j] for j in l.indices])
+            assignments.append(units._take(l.indices, f"{units.name}[bin{i}]"))
             times.append(float(self.predictor.predict(l.used)))
         return assignments, times
 
     def plan(
         self,
-        units: Sequence[Unit],
+        units: Catalogue,
         deadline: float,
         *,
         strategy: str = "first-fit",
@@ -205,35 +194,26 @@ class StaticProvisioner:
 
         ``planning_deadline`` lets the §5.2 adjusted-deadline strategy plan
         against ``D/(1+a)`` while reporting misses against the real ``D``.
-        ``units`` may be a :class:`~repro.vfs.Catalogue`, whose paths are
-        already unique, whose size column is packed as is and whose bins
-        are index slices of it; a ``uniform`` bin is a run, whose columns
-        are views of the catalogue's.
+        ``units`` is a :class:`~repro.vfs.Catalogue` (of files, or of the
+        segments of a packed layout): its size column is packed as is and
+        its bins are index slices of it; a ``uniform`` bin is a run, whose
+        columns are views of the catalogue's.
         """
         if not units:
             raise PlanError("nothing to plan")
         eff_deadline = planning_deadline if planning_deadline is not None else deadline
         if eff_deadline <= 0 or deadline <= 0:
             raise PlanError("deadlines must be positive")
-        # Columnar: the packers consume the size column directly; units are
-        # regrouped by index afterwards, so no Item dataclasses or key dicts
-        # are built per call.  A catalogue already guarantees unique paths;
-        # any other sequence (e.g. reshaped segments) is checked here.  The
-        # uniform split takes a catalogue's int64 column as is; the
-        # first-fit kernels walk a list (``_as_list``).
-        if isinstance(units, Catalogue):
-            sizes = units.sizes()
-            volume = units.total_size
-        else:
-            sizes = [u.size for u in units]
-            if len({self._key(u) for u in units}) != len(units):
-                raise PlanError("unit names are not unique")
-            volume = sum(sizes)
+        # Columnar: the packers consume the size column directly and units
+        # are regrouped by index afterwards.  The uniform split takes the
+        # int64 column as is; the first-fit kernels walk a list.
+        sizes = units.sizes()
+        volume = units.total_size
 
         if strategy == "first-fit":
             n = self.instances_for(volume, eff_deadline)
             x0 = math.floor(self.volume_for(eff_deadline))
-            layouts = pack_into_n_bins_layout(_as_list(sizes), n_bins=n, capacity=x0)
+            layouts = pack_into_n_bins_layout(sizes.tolist(), n_bins=n, capacity=x0)
         elif strategy == "uniform":
             n = self.instances_for(volume, eff_deadline)
             layouts = uniform_layout(sizes, n_bins=n)
@@ -243,7 +223,7 @@ class StaticProvisioner:
             x_hour = math.floor(self.volume_for(HOUR))
             if x_hour < 1:
                 raise PlanError("model admits no data within one hour")
-            layouts = first_fit_layout(_as_list(sizes), x_hour)
+            layouts = first_fit_layout(sizes.tolist(), x_hour)
         else:
             raise PlanError(f"unknown strategy {strategy!r}")
 
@@ -257,10 +237,6 @@ class StaticProvisioner:
             assignments=assignments,
             predicted_times=times,
         )
-
-    @staticmethod
-    def _key(u: Unit) -> str:
-        return getattr(u, "path", None) or getattr(u, "name")
 
     # -- Fig. 2 marginal rule -------------------------------------------------
 

@@ -2,21 +2,20 @@
 
 "Using the subset-sum first fit heuristic we reshape the input data by
 merging files in order to match as closely as possible the desired file
-size."  The output is a catalogue of :class:`~repro.vfs.Segment` unit files
-that any text application can consume unmodified (concatenation is
-transparent to grep and the tagger).
+size."  The output is a packed catalogue: one row per unit file, whose
+view is a :class:`~repro.vfs.Segment` that any text application can
+consume unmodified (concatenation is transparent to grep and the tagger),
+and whose size and stats are columns that pricing and planning read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from repro.apps.base import Unit
 from repro.packing import subset_sum_layout
-from repro.vfs.files import Catalogue, Segment, volume_of
+from repro.vfs.files import Catalogue
 
 __all__ = ["ReshapePlan", "reshape"]
 
@@ -27,11 +26,11 @@ class ReshapePlan:
 
     ``unit_size`` of ``None`` means the original segmentation was kept (the
     Fig. 7 outcome for the POS workload) and ``units`` is the catalogue
-    itself; otherwise the units are segments holding catalogue positions.
+    itself; otherwise ``units`` is the packed catalogue of its segments.
     """
 
     unit_size: int | None
-    units: Sequence[Unit]
+    units: Catalogue
     n_input_files: int
 
     @property
@@ -40,18 +39,19 @@ class ReshapePlan:
 
     @property
     def total_size(self) -> int:
-        return volume_of(self.units)
+        return self.units.total_size
 
     def fill_stats(self) -> dict:
         """How closely unit files match the desired size."""
         if self.unit_size is None or not self.units:
             return {"target": self.unit_size, "mean_fill": None, "min_fill": None}
-        fills = np.array([min(1.0, u.size / self.unit_size) for u in self.units])
+        sizes = self.units.sizes()
+        fills = np.minimum(sizes / self.unit_size, 1.0)
         return {
             "target": self.unit_size,
             "mean_fill": float(fills.mean()),
             "min_fill": float(fills.min()),
-            "oversized_units": int(sum(u.size > self.unit_size for u in self.units)),
+            "oversized_units": int((sizes > self.unit_size).sum()),
         }
 
 
@@ -75,13 +75,13 @@ def reshape(
                            n_input_files=len(catalogue))
     if unit_size <= 0:
         raise ValueError("unit size must be positive")
-    # Columnar: pack the cached size column; each segment holds its bin's
-    # catalogue positions, so no file object is built.
+    # Columnar: pack the cached size column; each packed row holds its
+    # bin's catalogue positions, so no file object is built.
     layouts = subset_sum_layout(
         catalogue.sizes().tolist(), unit_size,
         preserve_order=preserve_order,
         keys=None if preserve_order else catalogue.paths(),
     )
-    units = tuple(Segment.from_layouts(layouts, catalogue, name_prefix, digits=6))
+    units = catalogue._packed(layouts, name_prefix, digits=6)
     return ReshapePlan(unit_size=unit_size, units=units,
                        n_input_files=len(catalogue))

@@ -108,7 +108,7 @@ def _build_catalogue(
 
     Sizes and sentence lengths are numpy draws, and they are the whole
     catalogue: it stores them as columns with a path pattern and a seed
-    rule (:meth:`Catalogue._generated`), and builds a file's
+    rule (the :class:`Catalogue` constructor), and builds a file's
     :class:`~repro.vfs.files.VirtualFile` view, content seed included,
     only when code asks for that file.
     """
@@ -126,8 +126,8 @@ def _build_catalogue(
     markup = 0.011 if html else 0.0
     ext = "html" if html else "txt"
     path = f"{name.replace('%', '%%')}/%0{width}d.{ext}"
-    return Catalogue._generated(name, path, seed, name, sizes,
-                                TextStats._column(7.1, slens, markup))
+    return Catalogue(name, path, seed, name, sizes,
+                     TextStats._column(7.1, slens, markup))
 
 
 @shared_in_sweep
@@ -242,8 +242,8 @@ def mixed_domain_like(scale: float = 1e-3, seed: int = 2012) -> Catalogue:
         d = min(i // max(1, per), len(domains) - 1)
         _, mean, sd = domains[d]
         slens.append(min(45.0, max(6.0, rng.fork(f"c{i}").normal(mean, sd))))
-    return Catalogue._generated("mixed_domain", path, seed, "mixed", sizes,
-                                TextStats._column(7.1, slens, 0.0))
+    return Catalogue("mixed_domain", path, seed, "mixed", sizes,
+                     TextStats._column(7.1, slens, 0.0))
 
 
 def _make_novel(name: str, n_words: int, profile: TextProfile, seed: int) -> Novel:

@@ -119,15 +119,11 @@ def _grep_model(seed: int):
     svc = ExecutionService(cloud)
     wl = _workload()
     cat = text_400k_like(scale=0.02, seed=seed + 7919)
-    units = list(reshape(cat, 100 * KB).units)
+    units = reshape(cat, 100 * KB).units
     xs, ys = [], []
     for target in (2 * MB, 6 * MB, 12 * MB):
-        subset, vol = [], 0
-        for u in units:
-            subset.append(u)
-            vol += u.size
-            if vol >= target:
-                break
+        subset = units.head_by_volume(target)
+        vol = subset.total_size
         for _ in range(3):
             xs.append(vol)
             ys.append(svc.run(instance, subset, wl, advance_clock=False))
@@ -139,7 +135,7 @@ def _campaign(seed: int):
     """(workload, plan) for one seeded grep campaign (cached per seed)."""
     model = _grep_model(seed)
     cat = text_400k_like(scale=SCALE, seed=seed)
-    units = list(reshape(cat, 100 * KB).units)
+    units = reshape(cat, 100 * KB).units
     plan = StaticProvisioner(model).plan(
         units, DEADLINE, strategy="uniform",
         planning_deadline=PLANNING_DEADLINE)

@@ -70,7 +70,7 @@ def _campaign_builder(seed: float, scale: float, deadline: float):
     """One shared corpus; campaign ``i`` alternates grep and POS plans."""
     wls = _workloads()
     cat = text_400k_like(scale=scale, seed=seed)
-    units = list(reshape(cat, 100 * KB).units)
+    units = reshape(cat, 100 * KB).units
 
     def build_plan(i: int):
         key = "grep" if i % 2 == 0 else "postag"

@@ -19,7 +19,7 @@ from repro.report.figures import FigureResult
 from repro.obs.ledger import get_run_ledger, record_experiment
 from repro.runner import execute_plan
 from repro.units import HOUR, KB, MB
-from repro.vfs.files import Catalogue, volume_of
+from repro.vfs.files import Catalogue
 
 __all__ = ["PosTestbed", "make_testbed", "fig7", "fit_eq3", "fit_eq4",
            "fig8", "fig9", "novels"]
@@ -99,7 +99,7 @@ def fit_eq3(tb: PosTestbed, *, volumes=(200 * KB, 1 * MB, 5 * MB, 20 * MB)) -> A
         ps = build_probe_set(tb.catalogue, vol, [])
         m = tb.campaign.measure(ps.variants["orig"], directory=f"eq3/v{vol}")
         for t in m.values:
-            xs.append(float(volume_of(ps.variants["orig"])))
+            xs.append(float(ps.variants["orig"].total_size))
             ys.append(t)
     return fit_affine(xs, ys)
 
@@ -151,7 +151,7 @@ def _variant_summary(v: dict) -> dict:
     and byte totals; the plan and report objects stay in the returned dict.
     """
     plan, report = v["plan"], v["report"]
-    bins = [[len(b), volume_of(b)] for b in plan.assignments]
+    bins = [[len(b), b.total_size] for b in plan.assignments]
     digest = hashlib.sha256(json.dumps(bins).encode()).hexdigest()[:16]
     return {
         "tag": v["tag"],

@@ -13,7 +13,6 @@ from repro.obs.ledger import record_experiment
 from repro.report.figures import FigureResult
 from repro.sim.random import RngStream
 from repro.units import GB, KB, MB
-from repro.vfs.files import volume_of
 
 __all__ = ["instance_switching", "probe_protocol_trace", "output_retrieval",
            "spot_tradeoff", "prediction_approaches", "sampling_vitality"]
@@ -60,7 +59,7 @@ def sampling_vitality(seed: int = 23) -> tuple[FigureResult, dict]:
         for vol in (200 * KB, 1 * MB, 4 * MB):
             ps = build_probe_set(cat, vol, [])
             m = campaign.measure(ps.variants["orig"], directory=f"{name}/v{vol}")
-            actual_v = float(volume_of(ps.variants["orig"]))
+            actual_v = float(ps.variants["orig"].total_size)
             for t in m.values:
                 xs.append(actual_v)
                 ys.append(t)
@@ -71,7 +70,7 @@ def sampling_vitality(seed: int = 23) -> tuple[FigureResult, dict]:
             n_samples=4, sample_volume=4 * MB, unit_size=None)
         refit = refit_with_samples(list(zip(xs, ys)), pts)
 
-        actual = svc.run(inst, list(cat), wl)
+        actual = svc.run(inst, cat, wl)
         err_head = abs(head_model.predict(cat.total_size) - actual) / actual
         err_refit = abs(refit.predict(cat.total_size) - actual) / actual
         _log.info("sampling_vitality: %s head error %.1f%%, refit error %.1f%%",
@@ -155,14 +154,14 @@ def prediction_approaches(seed: int = 55, scale: float = 5e-3) -> tuple[FigureRe
         ps = build_probe_set(catalogue, vol_i, [unit], cache=cache)
         volume.store(f"emp/{vol_i}")
         for _ in range(3):
-            xs.append(float(sum(u.size for u in ps.variants[unit])))
+            xs.append(float(ps.variants[unit].total_size))
             ys.append(svc.run(instance, ps.variants[unit], wl,
                               storage=volume, directory=f"emp/{vol_i}"))
     empirical = fit_affine(xs, ys)
 
     # held-out job: the full catalogue on the vetted instance
     units = heldout.variants[unit]
-    held_volume = sum(u.size for u in units)
+    held_volume = units.total_size
     volume.store("heldout")
     actual = svc.run(instance, units, wl, storage=volume, directory="heldout")
 

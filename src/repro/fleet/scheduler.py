@@ -21,6 +21,7 @@ from repro.core.planner import ProvisioningPlan
 from repro.fleet.lease import LeaseManager
 from repro.fleet.report import BinRun, CampaignOutcome, FleetReport
 from repro.fleet.tenants import AdmissionController, AdmissionDecision
+from repro.vfs.files import Catalogue
 
 __all__ = ["FleetRequest", "FleetScheduler"]
 
@@ -46,7 +47,7 @@ class FleetRequest:
 class _Task:
     request: FleetRequest
     bin_index: int
-    units: list
+    units: Catalogue
     est_seconds: float
 
 
@@ -179,7 +180,7 @@ class FleetScheduler:
                 if not units:
                     continue
                 est = times[b] if b < len(times) else 0.0
-                st.tasks.append(_Task(request, b, list(units), est))
+                st.tasks.append(_Task(request, b, units, est))
         return tenants
 
     def _place(self, tenant: str, st: _TenantState, task: _Task) -> BinRun:

@@ -46,11 +46,11 @@ class BinLayout:
 
     ``capacity`` is the bin's byte limit (``None`` = uncapacitated, for
     balance-only bins); ``used`` is the exact sum of member sizes,
-    maintained by the kernels.  :meth:`Segment.from_layouts
-    <repro.vfs.files.Segment.from_layouts>` takes each segment's size from
-    it, so materialising a layout re-sums no member sizes; every kernel
-    (and :class:`~repro.packing.cache.PackingCache` derivation) must keep
-    it exact.
+    maintained by the kernels.  :meth:`Catalogue._packed
+    <repro.vfs.files.Catalogue._packed>` takes each segment's size from
+    it, so packing a layout re-sums no member sizes; every kernel (and
+    :class:`~repro.packing.cache.PackingCache` derivation) must keep it
+    exact.
     """
 
     capacity: int | None

@@ -76,7 +76,7 @@ def calibrate_stream_model(
     ps = build_probe_set(catalogue, probe_volume, [small_unit, probe_volume])
     big_units = ps.variants[probe_volume]
     small_units = ps.variants[small_unit]
-    volume = sum(u.size for u in big_units)
+    volume = big_units.total_size
 
     def measure(units, directory):
         if storage is not None:

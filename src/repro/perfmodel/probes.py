@@ -23,13 +23,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.apps.base import Unit
 from repro.cloud.ebs import EbsVolume
 from repro.cloud.instance import Instance
 from repro.cloud.service import ExecutionService, Workload
 from repro.packing import PackingCache
 from repro.perfmodel.measurement import DEFAULT_REPEATS, Measurement, ProbeSetResult
-from repro.vfs.files import Catalogue, Segment
+from repro.vfs.files import Catalogue
 
 __all__ = ["ProbeSet", "build_probe_set", "ProbeCampaign", "ProtocolResult"]
 
@@ -39,11 +38,12 @@ class ProbeSet:
     """All variants of one probe volume, ready to run.
 
     ``"orig"`` is the head slice of the catalogue; every other variant is
-    a tuple of segments holding positions in that slice.
+    that slice's packed catalogue, whose rows are segments holding
+    positions in it.
     """
 
     volume: int
-    variants: dict[str | int, Sequence[Unit]]
+    variants: dict[str | int, Catalogue]
 
     def labels(self) -> list[str | int]:
         """Variant labels: ``"orig"`` first, then unit sizes ascending."""
@@ -70,7 +70,7 @@ def build_probe_set(
     if any(s <= 0 for s in sizes):
         raise ValueError("unit sizes must be positive")
     head = catalogue.head_by_volume(volume)
-    variants: dict[str | int, Sequence[Unit]] = {"orig": head}
+    variants: dict[str | int, Catalogue] = {"orig": head}
     if not sizes:
         return ProbeSet(volume=volume, variants=variants)
 
@@ -82,9 +82,7 @@ def build_probe_set(
         # coalescing and packs non-multiples directly — the seed behaviour,
         # now memoised.
         layouts = cache.pack_layout(head, s, derive_from=s0)
-        variants[s] = tuple(
-            Segment.from_layouts(layouts, head, f"probe_v{volume}_s{s}", digits=5)
-        )
+        variants[s] = head._packed(layouts, f"probe_v{volume}_s{s}", digits=5)
     return ProbeSet(volume=volume, variants=variants)
 
 
@@ -127,7 +125,7 @@ class ProbeCampaign:
 
     # -- low-level -----------------------------------------------------------
 
-    def measure(self, units: Sequence[Unit], directory: str) -> Measurement:
+    def measure(self, units: Catalogue, directory: str) -> Measurement:
         """Time one probe ``repeats`` times (mean/std recorded).
 
         The probe's reference work is priced once; each repeat is charged
@@ -155,7 +153,7 @@ class ProbeCampaign:
         return Measurement(values=values)
 
     def measure_labeled(self, volume: int, label: str | int,
-                        units: Sequence[Unit], directory: str) -> Measurement:
+                        units: Catalogue, directory: str) -> Measurement:
         """Measure one variant and record it as a regression observation."""
         m = self.measure(units, directory)
         self._observations.append((volume, label, m))

@@ -18,7 +18,7 @@ from repro.packing import PackingCache
 from repro.perfmodel.probes import ProbeCampaign
 from repro.perfmodel.regression import AffinePredictor, fit_affine
 from repro.sim.random import RngStream
-from repro.vfs.files import Catalogue, Segment
+from repro.vfs.files import Catalogue
 
 __all__ = ["collect_sample_points", "refit_with_samples"]
 
@@ -66,9 +66,7 @@ def collect_sample_points(
                 units = part
             else:
                 layouts = cache.pack_layout(part, unit_size)
-                units = tuple(
-                    Segment.from_layouts(layouts, part, f"sample{i}_v{v}", digits=5)
-                )
+                units = part._packed(layouts, f"sample{i}_v{v}", digits=5)
             m = campaign.measure(units, directory=f"samples/{i}/v{v}")
             points.append((float(part.total_size), m.mean))
     return points

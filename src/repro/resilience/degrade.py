@@ -16,10 +16,9 @@ from the nominal one: ``advisory = predict(v_max) * (1 + a)`` with
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.apps.base import Unit
+from repro.vfs.files import Catalogue
 
 __all__ = ["ReplanResult", "DegradationPlanner"]
 
@@ -28,7 +27,7 @@ __all__ = ["ReplanResult", "DegradationPlanner"]
 class ReplanResult:
     """Outcome of absorbing orphaned work onto the surviving bins."""
 
-    assignments: tuple[tuple, ...]      # units per surviving bin, post-merge
+    assignments: tuple[Catalogue, ...]  # units per surviving bin, post-merge
     predicted_times: tuple[float, ...]  # per-bin predicted seconds
     moved_units: int                    # orphans re-homed
     moved_volume: int                   # bytes re-homed
@@ -64,8 +63,8 @@ class DegradationPlanner:
 
     def replan(
         self,
-        survivors: Sequence[Sequence["Unit"]],
-        orphans: Sequence["Unit"],
+        survivors: Sequence[Catalogue],
+        orphans: Catalogue,
         *,
         predicted_times: Sequence[float] | None = None,
     ) -> ReplanResult:
@@ -73,13 +72,13 @@ class DegradationPlanner:
 
         ``predicted_times`` seeds the per-bin load estimates (falls back
         to the predictor, then to raw volume).  Returns the merged
-        assignments in survivor order.
+        assignments in survivor order: each survivor followed by the
+        orphans it took, in the order it took them.
         """
         if not survivors:
             raise ValueError("no surviving bins to absorb orphaned work")
-        bins = [list(units) for units in survivors]
-        volumes = [sum(u.size for u in units) for units in bins]
-        if predicted_times is not None and len(predicted_times) == len(bins):
+        volumes = [units.total_size for units in survivors]
+        if predicted_times is not None and len(predicted_times) == len(survivors):
             times = [float(t) for t in predicted_times]
         else:
             times = [self._predict(v) or float(v) for v in volumes]
@@ -87,15 +86,13 @@ class DegradationPlanner:
         # land, without re-querying the predictor inside the loop.
         rates = [t / v if v else 0.0 for t, v in zip(times, volumes)]
 
-        moved_units = 0
-        moved_volume = 0
-        for unit in sorted(orphans, key=lambda u: u.size, reverse=True):
-            i = min(range(len(bins)), key=lambda j: times[j])
-            bins[i].append(unit)
-            volumes[i] += unit.size
-            times[i] += unit.size * (rates[i] or _mean(rates))
-            moved_units += 1
-            moved_volume += unit.size
+        sizes = orphans.sizes().tolist()
+        taken: list[list[int]] = [[] for _ in survivors]
+        for k in sorted(range(len(sizes)), key=sizes.__getitem__, reverse=True):
+            i = min(range(len(survivors)), key=lambda j: times[j])
+            taken[i].append(k)
+            volumes[i] += sizes[k]
+            times[i] += sizes[k] * (rates[i] or _mean(rates))
 
         advisory = None
         v_max = max(volumes, default=0)
@@ -105,10 +102,13 @@ class DegradationPlanner:
             advisory = base * (1.0 + a) if a is not None else base
 
         result = ReplanResult(
-            assignments=tuple(tuple(b) for b in bins),
+            assignments=tuple(
+                Catalogue.concat([units, orphans._take(t, f"{units.name}+orphans")],
+                                 name=units.name) if t else units
+                for units, t in zip(survivors, taken)),
             predicted_times=tuple(times),
-            moved_units=moved_units,
-            moved_volume=moved_volume,
+            moved_units=len(sizes),
+            moved_volume=sum(sizes),
             advisory_deadline=advisory,
         )
         self.replans.append(result)

@@ -66,7 +66,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Protocol, Sequence
+from typing import TYPE_CHECKING, Iterable, Protocol
 
 import numpy as np
 
@@ -81,7 +81,7 @@ from repro.obs.ledger import (
 )
 from repro.runner.execute import ExecutionReport, FailedBin, InstanceRun
 from repro.units import HOUR, billed_hours
-from repro.vfs.files import Catalogue, volume_of
+from repro.vfs.files import Catalogue
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cloud.instance import Instance
@@ -158,7 +158,7 @@ class BinGrant:
     """
 
     index: int
-    units: Sequence
+    units: Catalogue
     instance: "Instance"
     launch_wait: float = 0.0
     boot_delay: float = 0.0
@@ -210,8 +210,8 @@ class CoreContext:
     bill: bool = True
     timeline: FleetTimeline = field(default_factory=FleetTimeline)
     events: list = field(default_factory=list)
-    occupied: list[tuple[int, Sequence]] = field(default_factory=list)
-    by_index: dict[int, Sequence] = field(default_factory=dict)
+    occupied: list[tuple[int, Catalogue]] = field(default_factory=list)
+    by_index: dict[int, Catalogue] = field(default_factory=dict)
     predicted: dict[int, float] = field(default_factory=dict)
     grants: list[BinGrant] = field(default_factory=list)
     ends: list[float] = field(default_factory=list)
@@ -349,7 +349,7 @@ class RunToCompletion:
         run = InstanceRun(
             instance_id=grant.instance.instance_id,
             n_units=len(grant.units),
-            volume=volume_of(grant.units),
+            volume=grant.units.total_size,
             boot_delay=grant.boot_delay,
             duration=duration,
             predicted=grant.predicted,
@@ -372,29 +372,25 @@ class RunToCompletion:
                           active_lease=grant.lease, duration=duration, end=end)
 
 
-def _running_sizes(units) -> np.ndarray:
-    """Running byte totals along a bin: from a catalogue's column, else its units."""
-    if isinstance(units, Catalogue):
-        return np.cumsum(units.sizes())
-    return np.cumsum(np.array([u.size for u in units], dtype=np.int64))
+def _running_sizes(units: Catalogue) -> np.ndarray:
+    """Running byte totals along a bin, from its size column."""
+    return np.cumsum(units.sizes())
 
 
-def _split_point(units: list, fraction: float) -> int:
+def _split_point(units: Catalogue, fraction: float) -> int:
     """Index splitting ``units`` so the head holds ≈``fraction`` of bytes:
     just past the first running total that reaches that share."""
-    total = volume_of(units)
+    total = units.total_size
     if total == 0:
         return len(units)
     first = int(np.searchsorted(_running_sizes(units), fraction * total))
     return min(first + 1, len(units))
 
 
-def _cut(units, a: int, b: int):
-    """Units ``a:b`` of a bin: a run of a catalogue bin, else a list slice."""
-    if isinstance(units, Catalogue):
-        b = min(b, len(units))
-        return units._take(range(a, b), f"{units.name}[{a}:{b}]")
-    return units[a:b]
+def _cut(units: Catalogue, a: int, b: int) -> Catalogue:
+    """Units ``a:b`` of a bin, as a run of it."""
+    b = min(b, len(units))
+    return units._take(range(a, b), f"{units.name}[{a}:{b}]")
 
 
 class StragglerProgress:
@@ -423,8 +419,8 @@ class StragglerProgress:
 
         split = _split_point(units, policy.probe_fraction)
         probe, rest = _cut(units, 0, split), _cut(units, split, len(units))
-        probe_volume = volume_of(probe)
-        volume = volume_of(units)
+        probe_volume = probe.total_size
+        volume = units.total_size
 
         t_probe = ctx.svc.run(inst, probe, ctx.workload, advance_clock=False)
         expected_probe = predicted * (probe_volume / volume) if volume else t_probe
@@ -464,7 +460,7 @@ class StragglerProgress:
                     duration += ctx.svc.run(active, _cut(rest, 0, done),
                                             ctx.workload, advance_clock=False)
                     rest = _cut(rest, done, len(rest))
-            rest_volume = volume_of(rest)
+            rest_volume = rest.total_size
             est_rest = (predicted * (rest_volume / volume)
                         if volume else t_probe)
             launcher = getattr(ctx.acquisition, "launcher", None)
@@ -501,7 +497,7 @@ class StragglerProgress:
                     bin_index=idx,
                     old_instance=active.instance_id,
                     new_instance=replacement.instance_id,
-                    at_progress=(volume - volume_of(rest)) / volume
+                    at_progress=(volume - rest.total_size) / volume
                     if volume else 1.0,
                     observed_ratio=ratio,
                 ))
@@ -625,7 +621,7 @@ class CrashProgress:
                 failed_bin = FailedBin(
                     bin_index=idx, reason="crash-exhausted",
                     n_units=len(units),
-                    volume=volume_of(units),
+                    volume=units.total_size,
                     completed_units=completed,
                     elapsed=crash_elapsed + policy.detection_timeout,
                     billed_hours=bin_billed_hours)
@@ -677,7 +673,7 @@ class CrashProgress:
                     bin_index=idx,
                     reason=f"replacement-failed: {e}",
                     n_units=len(units),
-                    volume=volume_of(units),
+                    volume=units.total_size,
                     completed_units=completed,
                     elapsed=elapsed,
                     billed_hours=bin_billed_hours)
@@ -695,7 +691,7 @@ class CrashProgress:
         run = InstanceRun(
             instance_id=active.instance_id,
             n_units=len(units),
-            volume=volume_of(units),
+            volume=units.total_size,
             boot_delay=grant.launch_wait + inst.boot_delay,
             duration=elapsed,
             predicted=grant.predicted,
@@ -739,15 +735,16 @@ class FleetCompletion(CompletionPolicy):
         # Graceful degradation: spread the orphaned units over the bins
         # that did get instances, scaling their predicted times so the
         # probe/miss logic still has a meaningful baseline.
-        orphans = [u for f in ctx.report.failures
-                   for u in ctx.by_index[f.bin_index]]
+        orphans = Catalogue.concat(
+            [ctx.by_index[f.bin_index] for f in ctx.report.failures],
+            name="orphans")
         replan = launcher.degradation.replan(
             [g.units for g in ctx.grants], orphans,
             predicted_times=[g.predicted for g in ctx.grants])
         for g, merged, t in zip(ctx.grants, replan.assignments,
                                 replan.predicted_times):
-            g.units = list(merged)
-            ctx.by_index[g.index] = g.units
+            g.units = merged
+            ctx.by_index[g.index] = merged
             g.predicted = t
             ctx.predicted[g.index] = t
         ctx.report.failures = [

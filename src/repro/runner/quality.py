@@ -58,21 +58,19 @@ def execute_quality_aware(
         labels.append(tracker.classify(res))
 
     shares = tracker.share_out(labels, catalogue.total_size, deadline)
-    # carve the catalogue into contiguous chunks of the prescribed sizes
-    files = list(catalogue)
-    assignments: list[list] = []
+    # carve the catalogue into contiguous runs of the prescribed sizes
+    sizes = catalogue.sizes().tolist()
+    bounds: list[list[int]] = []
     idx = 0
     for share in shares:
-        chunk = []
-        acc = 0
-        while idx < len(files) and acc < share:
-            chunk.append(files[idx])
-            acc += files[idx].size
+        start, acc = idx, 0
+        while idx < len(sizes) and acc < share:
+            acc += sizes[idx]
             idx += 1
-        assignments.append(chunk)
-    while idx < len(files):  # rounding tail
-        assignments[-1].append(files[idx])
-        idx += 1
+        bounds.append([start, idx])
+    bounds[-1][1] = len(sizes)  # rounding tail
+    assignments = [catalogue._take(range(a, b), f"{catalogue.name}/share{i}")
+                   for i, (a, b) in enumerate(bounds)]
 
     report = ExecutionReport(deadline=deadline, strategy="quality-aware")
     runs: list[InstanceRun] = []
@@ -85,11 +83,11 @@ def execute_quality_aware(
         runs.append(InstanceRun(
             instance_id=inst.instance_id,
             n_units=len(units),
-            volume=sum(u.size for u in units),
+            volume=units.total_size,
             boot_delay=inst.boot_delay,
             duration=duration,
             predicted=float(tracker.predictor_for(label).predict(
-                sum(u.size for u in units))) if units else 0.0,
+                units.total_size)) if units else 0.0,
         ))
         cloud.ledger.record(inst.instance_id, inst.itype.name,
                             work_start, work_start + duration,

@@ -59,7 +59,7 @@ from repro.runner.core import (
 )
 from repro.runner.execute import ExecutionReport, FailedBin, InstanceRun
 from repro.units import ceil_hour_cost, resume_time
-from repro.vfs.files import volume_of
+from repro.vfs.files import Catalogue
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.capacity import BrokerAcquisition, CapacityOffer, WarmLeaseBroker
@@ -212,7 +212,7 @@ class SpotProgress:
         return offer.instance, offer
 
     def _measure(self, ctx: CoreContext, active: "Instance",
-                 units: list) -> float:
+                 units: Catalogue) -> float:
         """Full-bin seconds on ``active``, compute-ratio scaled."""
         p = self.ladder.policy
         t = ctx.svc.run(active, units, ctx.workload, advance_clock=False)
@@ -267,7 +267,7 @@ class SpotProgress:
         stats = self.stats
         state = self.acquisition.bin_state(grant.index)
         idx, units = grant.index, grant.units
-        volume = volume_of(units)
+        volume = units.total_size
         work_start = grant.work_start
         deadline = ctx.plan.deadline
 

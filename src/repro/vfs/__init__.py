@@ -8,10 +8,13 @@ package provides:
 * :class:`VirtualFile` — size + text statistics + a deterministic,
   seed-derived content generator, so ``materialize()`` always yields the
   same bytes without storing them;
+* :class:`Catalogue` — an ordered collection stored as columns (sizes and
+  text statistics), with totals, slicing, volume sampling and
+  histogramming; a corpus, a stage's output and a packed layout are all
+  catalogues, so every layer prices, plans and runs one representation;
 * :class:`Segment` — the concatenation of several virtual files, which is
-  exactly what the reshaper produces (unit files built by merging);
-* :class:`Catalogue` — an ordered collection with totals, slicing, volume
-  sampling and histogramming;
+  exactly what the reshaper produces (unit files built by merging): the
+  view of one row of a packed catalogue;
 * :mod:`repro.vfs.memo` — a memo scoped to one sweep, through which the
   sweep's cells share the immutable catalogues they derive.
 """

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from dataclasses import astuple, dataclass, field
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -13,7 +13,7 @@ from repro.sim.random import RngStream, stable_seed, stable_seeds
 if TYPE_CHECKING:  # pragma: no cover
     from repro.packing.index import BinLayout
 
-__all__ = ["TextStats", "VirtualFile", "Segment", "Catalogue", "volume_of"]
+__all__ = ["TextStats", "VirtualFile", "Segment", "Catalogue"]
 
 _STATS_RANGE = "text statistics must be positive and finite"
 _MARKUP_RANGE = "markup fraction must be in [0, 1)"
@@ -128,25 +128,16 @@ class LiteralFile(VirtualFile):
                 f"size says {self.size}"
             )
 
-    @classmethod
-    def from_text(cls, path: str, text: str, stats: TextStats | None = None) -> "LiteralFile":
-        data = text.encode("ascii")
-        return cls(path=path, size=len(data), stats=stats or TextStats(), content=data)
-
     def materialize(self, renderer=None) -> bytes:
         """Render this unit's exact bytes."""
         return self.content
 
 
+#: The stats of a unit with no bytes: the :class:`TextStats` defaults.
+_DEFAULT_STATS = astuple(TextStats())
+
+
 # -- column stores -------------------------------------------------------------
-
-
-def _file_columns(files: Sequence[VirtualFile]) -> StatColumns:
-    """The three stat columns of ``files``, read attribute by attribute."""
-    stats = [f.stats for f in files]
-    awl, asw, mf = (np.fromiter((getattr(s, name) for s in stats), float, len(stats))
-                    for name in _STAT_FIELDS)
-    return awl, asw, mf
 
 
 class _Store:
@@ -154,16 +145,17 @@ class _Store:
 
     A store holds the int64 ``sizes`` and the three float64 stat columns
     (``stats``); subclasses work out each position's path and content
-    seed from their own rule.  A :class:`VirtualFile` view of a position
-    is built the first time it is read and cached, so every catalogue,
-    segment and plan bin over the store hands out the same object for the
-    same position.
+    seed from their own rule.  A view of a position (a
+    :class:`VirtualFile`, or a packed store's :class:`Segment`) is built
+    the first time it is read and cached, so every catalogue, segment and
+    plan bin over the store hands out the same object for the same
+    position.
     """
 
     def __init__(self, sizes: np.ndarray, stats: StatColumns) -> None:
         self.sizes = sizes
         self.stats = stats
-        self._views: dict[int, VirtualFile] = {}
+        self._views: dict[int, Any] = {}   # VirtualFile, or a packed store's Segment
         self.memos: dict[tuple[str, Callable], np.ndarray] = {}
 
     def paths(self, positions: list[int]) -> list[str]:
@@ -201,21 +193,6 @@ class _Store:
             put(f, "stats", stats)
             put(f, "content_seed", seed)
             views[p] = f
-
-
-class _FileStore(_Store):
-    """A store over files built elsewhere: its views are those files."""
-
-    def __init__(self, files: list[VirtualFile]) -> None:
-        super().__init__(np.array([f.size for f in files], dtype=np.int64),
-                         _file_columns(files))
-        self._views = dict(enumerate(files))
-
-    def paths(self, positions: list[int]) -> list[str]:
-        return [self._views[p].path for p in positions]
-
-    def seeds(self, positions: list[int]) -> list[int]:
-        return [self._views[p].content_seed for p in positions]
 
 
 class _CorpusStore(_Store):
@@ -287,7 +264,64 @@ class _ConcatStore(_Store):
         return self._gather("views", positions)
 
 
-# -- segments ---------------------------------------------------------------------
+class _PackedStore(_Store):
+    """A packed layout: row ``r`` is the ``r``-th non-empty bin, bin ``k``
+    of the layouts, named ``{prefix}/unit{k}``, whose members are the
+    ``source`` positions ``indices[r]``.
+
+    A row's size is the bin's ``used`` total, which the packer holds as
+    the exact member sum.  Its stats are the members' volume-weighted
+    means, computed for every row on first read of :attr:`stats`, so a
+    workload that never reads them (grep) never aggregates them.  A row's
+    view is a :class:`Segment`.
+    """
+
+    def __init__(self, source: "Catalogue", bins: list[int],
+                 indices: list[Sequence[int]], sizes: np.ndarray,
+                 prefix: str, digits: int) -> None:
+        self.sizes = sizes
+        self._views = {}
+        self.memos = {}
+        self.source = source
+        self.bins = bins
+        self.indices = indices
+        self.prefix = prefix
+        self.digits = digits
+
+    def __getattr__(self, name: str) -> StatColumns:
+        if name != "stats":
+            raise AttributeError(name)
+        store = self.source._store
+        columns: tuple[list[float], ...] = ([], [], [])
+        for total, positions in zip(self.sizes.tolist(), self.indices):
+            if total == 0:
+                for column, value in zip(columns, _DEFAULT_STATS):
+                    column.append(value)
+                continue
+            idx = self.source._store_positions(positions)
+            w = store.sizes[idx] / total
+            # The same products as a per-member loop, summed by the same sum().
+            for column, c in zip(columns, store.stats):
+                column.append(sum((w * c[idx]).tolist()))
+        self.stats = TextStats._column(*columns)
+        return self.stats
+
+    def paths(self, positions: list[int]) -> list[str]:
+        prefix, digits, bins = self.prefix, self.digits, self.bins
+        return [f"{prefix}/unit{bins[p]:0{digits}d}" for p in positions]
+
+    def _build(self, positions: list[int]) -> None:
+        new = Segment.__new__
+        views = self._views
+        for p, name, size in zip(positions, self.paths(positions),
+                                 self.sizes[positions].tolist()):
+            seg = new(Segment)
+            seg.name = name
+            seg._store = self
+            seg._row = p
+            seg._size = size
+            seg._members = None
+            views[p] = seg
 
 
 class Segment:
@@ -297,80 +331,35 @@ class Segment:
     capable to consume the concatenated larger input files" (§1), so a
     segment materialises as members joined by a newline.
 
-    A segment built by :meth:`from_layouts` holds the packed catalogue and
-    its bin's positions in it: size and :meth:`stats` come from the
-    catalogue's columns, and :attr:`members` are the catalogue's own views,
-    built on first read.  Either way a segment compares, hashes, prints
-    and pickles as ``Segment(name, members)``.
+    A segment is the view of one row of a packed catalogue
+    (:meth:`Catalogue._packed`), built on first read and cached per row:
+    its size and :meth:`stats` are the row's columns, and :attr:`members`
+    are the packed catalogue's own views.  It compares, hashes and prints
+    as ``Segment(name, members)``.
     """
 
-    __slots__ = ("name", "_members", "_source", "_positions", "_size")
-
-    def __init__(self, name: str, members: Iterable[VirtualFile]) -> None:
-        self.name = name
-        self._members: tuple[VirtualFile, ...] | None = tuple(members)
-        self._source: Catalogue | None = None
-        self._positions: list[int] | None = None
-        # Separator newlines count toward nothing: size is the member sum, folded once.
-        self._size = sum(m.size for m in self._members)
-
-    @classmethod
-    def from_layouts(cls, layouts: Sequence["BinLayout"], catalogue: "Catalogue",
-                     prefix: str, *, digits: int) -> list["Segment"]:
-        """One segment per non-empty packed bin, named ``{prefix}/unit{k}``.
-
-        ``k`` is the bin's position among all ``layouts``, zero-padded to
-        ``digits``.  Each segment holds the bin's positions in
-        ``catalogue``; its size is the bin's ``used`` total, which the
-        packer already holds as the exact member sum.
-        """
-        segments = []
-        new = cls.__new__
-        for idx, l in enumerate(layouts):
-            if l.indices:
-                seg = new(cls)
-                seg.name = f"{prefix}/unit{idx:0{digits}d}"
-                seg._members = None
-                seg._source = catalogue
-                seg._positions = l.indices
-                seg._size = l.used
-                segments.append(seg)
-        return segments
+    __slots__ = ("name", "_store", "_row", "_size", "_members")
+    name: str
+    _store: _PackedStore
+    _row: int
+    _size: int
+    _members: tuple[VirtualFile, ...] | None
 
     @property
     def members(self) -> tuple[VirtualFile, ...]:
         if self._members is None:
-            assert self._source is not None   # a segment has members or a source
-            self._members = tuple(self._source._views(self._positions))
+            store = self._store
+            self._members = tuple(store.source._views(store.indices[self._row]))
         return self._members
 
     @property
     def size(self) -> int:
         return self._size
 
-    @property
-    def n_members(self) -> int:
-        return len(self.members) if self._positions is None else len(self._positions)
-
     def stats(self) -> TextStats:
         """Volume-weighted aggregate statistics of the members."""
-        total = self.size
-        if total == 0:
-            return TextStats()
-        if self._source is not None:
-            idx = self._source._store_positions(self._positions)
-            store = self._source._store
-            w = store.sizes[idx] / total
-            # Same products as the per-member loop, summed by the same sum().
-            return TextStats(*(sum((w * c[idx]).tolist()) for c in store.stats))
-        w = [m.size / total for m in self.members]
-        return TextStats(
-            avg_word_len=sum(wi * m.stats.avg_word_len for wi, m in zip(w, self.members)),
-            avg_sentence_words=sum(
-                wi * m.stats.avg_sentence_words for wi, m in zip(w, self.members)
-            ),
-            markup_fraction=sum(wi * m.stats.markup_fraction for wi, m in zip(w, self.members)),
-        )
+        row = self._row
+        return TextStats(*(c[row].item() for c in self._store.stats))
 
     def materialize(self) -> bytes:
         """Render this unit's exact bytes."""
@@ -387,9 +376,6 @@ class Segment:
     def __repr__(self) -> str:
         return f"Segment(name={self.name!r}, members={self.members!r})"
 
-    def __reduce__(self):
-        return (Segment, (self.name, self.members))
-
 
 # -- catalogues ---------------------------------------------------------------------
 
@@ -404,14 +390,14 @@ class Catalogue:
     A catalogue is a column store shared by all its slices plus the store
     positions it holds.  The store keeps the int64 sizes and the three
     stat columns; a corpus store derives each file's path and content seed
-    from a path pattern and a seed rule (:meth:`_generated`), a stage
-    output from its parent's (:meth:`_stage`), and a catalogue built from
-    files keeps the files and checks once that their paths are unique.  A
-    :class:`VirtualFile` view of a position is built the first time it is
-    read and cached per store position, so ``cat[i] is cat[i]``, and
-    slices, segment members and plan bins hand out the parent's own views.
-    Code that only sizes, packs, plans or prices reads the columns and
-    builds no view at all.
+    from a path pattern and a seed rule (the constructor), a stage output
+    from its parent's (:meth:`_stage`), and a packed layout's rows from
+    the bins it packs (:meth:`_packed`), whose views are
+    :class:`Segment` unit files.  A view of a position is built the first
+    time it is read and cached per store position, so ``cat[i] is
+    cat[i]``, and slices, segment members and plan bins hand out the
+    parent's own views.  Code that only sizes, packs, plans or prices
+    reads the columns and builds no view at all.
 
     Every catalogue derived from one — a volume head, a random sample, a
     partition, a filter or a size ordering — is an *index slice*: it
@@ -423,10 +409,28 @@ class Catalogue:
     column and store index are views of the parent's, not copies.
     """
 
-    def __init__(self, files: Iterable[VirtualFile], name: str = "catalogue") -> None:
-        files = list(files)
-        _check_unique(f.path for f in files)
-        store = _FileStore(files)
+    def __init__(self, name: str, pattern: str, seed: int, seed_name: str,
+                 sizes: np.ndarray, stats: StatColumns) -> None:
+        """A corpus catalogue: file ``i`` is ``pattern % i``, of ``sizes[i]``
+        bytes, with the stats of row ``i`` and content seed
+        ``stable_seed(seed, f"{seed_name}/{i}")``.
+
+        ``stats`` are checked columns (:meth:`TextStats._column`) of one
+        row or ``len(sizes)`` rows; sizes are checked here, raising the
+        error :class:`VirtualFile` raises.  A fixed-width ``pattern`` keeps
+        the paths unique, so they are never built to be checked.  The
+        int64 ``sizes`` column becomes the catalogue's own, so callers pass
+        a fresh array.
+        """
+        sizes = np.asarray(sizes, dtype=np.int64)
+        try:
+            awl, asw, mf = (np.broadcast_to(c, sizes.shape) for c in stats)
+        except ValueError:
+            raise ValueError(f"{name}: file columns differ in length") from None
+        negative = np.flatnonzero(sizes < 0)
+        if negative.size:
+            raise ValueError(f"file {pattern % int(negative[0])!r} has negative size")
+        store = _CorpusStore(pattern, seed, seed_name, sizes, (awl, asw, mf))
         self._init(store, None, store.sizes, None, name)
 
     def _init(self, store: _Store, index: np.ndarray | None, sizes: np.ndarray,
@@ -450,31 +454,6 @@ class Catalogue:
         return out
 
     @classmethod
-    def _generated(cls, name: str, pattern: str, seed: int, seed_name: str,
-                   sizes: np.ndarray, stats: StatColumns) -> "Catalogue":
-        """A corpus catalogue: file ``i`` is ``pattern % i``, of ``sizes[i]``
-        bytes, with the stats of row ``i`` and content seed
-        ``stable_seed(seed, f"{seed_name}/{i}")``.
-
-        ``stats`` are checked columns (:meth:`TextStats._column`) of one
-        row or ``len(sizes)`` rows; sizes are checked here, raising the
-        error :class:`VirtualFile` raises.  A fixed-width ``pattern`` keeps
-        the paths unique, so they are never built to be checked.  The
-        int64 ``sizes`` column becomes the catalogue's own, so callers pass
-        a fresh array.
-        """
-        sizes = np.asarray(sizes, dtype=np.int64)
-        try:
-            awl, asw, mf = (np.broadcast_to(c, sizes.shape) for c in stats)
-        except ValueError:
-            raise ValueError(f"{name}: file columns differ in length") from None
-        negative = np.flatnonzero(sizes < 0)
-        if negative.size:
-            raise ValueError(f"file {pattern % int(negative[0])!r} has negative size")
-        store = _CorpusStore(pattern, seed, seed_name, sizes, (awl, asw, mf))
-        return cls._over(store, name)
-
-    @classmethod
     def _stage(cls, name: str, source: "Catalogue", kept: np.ndarray, prefix: str,
                tag: str, sizes: np.ndarray, stats: StatColumns) -> "Catalogue":
         """A stage's output: file ``j`` continues ``source``'s file
@@ -483,6 +462,24 @@ class Catalogue:
         store = _StageStore(source._store, source._store_positions(kept), prefix,
                             tag, np.asarray(sizes, dtype=np.int64), stats)
         return cls._over(store, name)
+
+    def _packed(self, layouts: Sequence["BinLayout"], prefix: str, *,
+                digits: int) -> "Catalogue":
+        """The packed layout of this catalogue: one :class:`Segment` per
+        non-empty bin, named ``{prefix}/unit{k}``.
+
+        ``k`` is the bin's position among all ``layouts``, zero-padded to
+        ``digits``; the bin's ``indices`` are positions in this catalogue.
+        """
+        bins, indices, used = [], [], []
+        for k, l in enumerate(layouts):
+            if l.indices:
+                bins.append(k)
+                indices.append(l.indices)
+                used.append(l.used)
+        store = _PackedStore(self, bins, indices, np.array(used, dtype=np.int64),
+                             prefix, digits)
+        return Catalogue._over(store, prefix)
 
     def _store_positions(self, indices=None) -> np.ndarray:
         """Store positions of this catalogue's files (all, or at ``indices``)."""
@@ -579,8 +576,6 @@ class Catalogue:
         return iter(self._views())
 
     def __getitem__(self, idx: int) -> VirtualFile:
-        if isinstance(idx, slice):
-            return self._views(np.arange(len(self))[idx])
         n = len(self)
         if not -n <= idx < n:
             raise IndexError("catalogue index out of range")
@@ -598,10 +593,10 @@ class Catalogue:
     def positions(self) -> np.ndarray:
         """Positions, in the catalogue this one was sliced from, of its files.
 
-        A catalogue built from files is its own parent, and a prefix holds
-        its parent's first files: both report ``0..n-1``.  Masks over the
-        parent index with these, e.g. to exclude drawn files from the next
-        :meth:`sample_by_volume`.
+        A corpus, a stage or a packed layout is its own parent, and a
+        prefix holds its parent's first files: they report ``0..n-1``.
+        Masks over the parent index with these, e.g. to exclude drawn
+        files from the next :meth:`sample_by_volume`.
         """
         if self._positions is None:
             return np.arange(len(self))
@@ -708,16 +703,14 @@ class Catalogue:
     def concat(parts: Sequence["Catalogue"], name: str = "concat") -> "Catalogue":
         """Concatenate catalogues; the result holds the parts' own views.
 
-        Paths must stay unique.  They are checked when a part was built
-        from files or two parts share a store; parts over distinct
-        generated stores are unique by construction.
+        Paths must stay unique.  They are checked when two parts share a
+        store; parts over distinct stores are not checked.
         """
         if not parts:
-            return Catalogue([], name=name)
+            return Catalogue(name, "%d", 0, name, np.empty(0, dtype=np.int64),
+                             TextStats._column(*_DEFAULT_STATS))
         pieces = [(p._store, p._store_positions()) for p in parts]
-        stores = [s for s, _ in pieces]
-        if (len({id(s) for s in stores}) < len(stores)
-                or any(isinstance(s, _FileStore) for s in stores)):
+        if len({id(s) for s, _ in pieces}) < len(pieces):
             _check_unique(path for s, i in pieces for path in s.paths(i.tolist()))
         return Catalogue._over(_ConcatStore(pieces), name)
 
@@ -767,11 +760,3 @@ class Catalogue:
             "max": int(sizes.max()),
             "p90": float(np.percentile(sizes, 90)),
         }
-
-
-def volume_of(units: Iterable) -> int:
-    """Bytes in ``units``: a catalogue's total from its column, else the sum
-    of the units' sizes."""
-    if isinstance(units, Catalogue):
-        return units.total_size
-    return sum(u.size for u in units)

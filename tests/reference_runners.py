@@ -8,6 +8,11 @@ shared launch/replacement helpers from :mod:`repro.resilience.launch`).
 unified counterpart on identically-seeded clouds and asserts bit-equality
 of every report field, ledger record, lease counter and fault outcome.
 
+The loops keep each bin as a list of unit views.  The pricing service
+and the degradation planner take catalogues, so each list reaches them
+through ``as_catalogue``: a catalogue of the same sizes and stats, which
+is all that either reads.
+
 Do not "improve" this module: its value is that it does not change.
 """
 
@@ -29,6 +34,7 @@ from repro.runner import (
     ReplacementEvent,
 )
 from repro.units import HOUR
+from tests.catalogues import as_catalogue
 
 __all__ = [
     "execute_plan_reference",
@@ -74,7 +80,8 @@ def execute_plan_reference(
             and launcher.degradation is not None):
         orphans = [u for idx, _ in failed for u in by_index[idx]]
         replan = launcher.degradation.replan(
-            [by_index[idx] for idx, _, _ in granted], orphans,
+            [as_catalogue(by_index[idx]) for idx, _, _ in granted],
+            as_catalogue(orphans),
             predicted_times=[predicted_by_index[idx] for idx, _, _ in granted])
         for (idx, _, _), merged, t in zip(granted, replan.assignments,
                                           replan.predicted_times):
@@ -106,7 +113,7 @@ def execute_plan_reference(
     work_start = cloud.now
     for idx, inst, wait in granted:
         units = by_index[idx]
-        duration = svc.run(inst, units, workload, advance_clock=False)
+        duration = svc.run(inst, as_catalogue(units), workload, advance_clock=False)
         predicted = predicted_by_index[idx]
         runs.append(InstanceRun(
             instance_id=inst.instance_id,
@@ -214,7 +221,7 @@ def execute_with_monitoring_reference(
         probe_volume = sum(u.size for u in probe)
         volume = sum(u.size for u in units)
 
-        t_probe = svc.run(inst, probe, workload, advance_clock=False)
+        t_probe = svc.run(inst, as_catalogue(probe), workload, advance_clock=False)
         expected_probe = predicted * (probe_volume / volume) if volume else t_probe
         effective = max(t_probe - policy.setup_allowance, 1e-9)
         ratio = expected_probe / effective
@@ -250,7 +257,7 @@ def execute_with_monitoring_reference(
                     acc += u.size
                     done += 1
                 if done:
-                    duration += svc.run(active, rest[:done], workload,
+                    duration += svc.run(active, as_catalogue(rest[:done]), workload,
                                         advance_clock=False)
                     rest = rest[done:]
             rest_volume = sum(u.size for u in rest)
@@ -309,7 +316,7 @@ def execute_with_monitoring_reference(
 
         if rest:
             t_rest_start = duration
-            duration += svc.run(active, rest, workload, advance_clock=False)
+            duration += svc.run(active, as_catalogue(rest), workload, advance_clock=False)
             if obs.enabled:
                 obs.tracer.add_span("runner.task.run",
                                     work_start + t_rest_start,
@@ -404,7 +411,7 @@ def execute_fault_tolerant_reference(
         b = 0
         while b < len(batches):
             batch = batches[b]
-            t_batch = svc.run(active, batch, workload, advance_clock=False)
+            t_batch = svc.run(active, as_catalogue(batch), workload, advance_clock=False)
             ttf = active.time_to_failure
             survives = (ttf is None
                         or state.elapsed - active_started + t_batch <= ttf)
@@ -547,7 +554,7 @@ def execute_on_fleet_reference(
                      if idx < len(plan.predicted_times) else 0.0)
         lease = leases.acquire(tenant, est_seconds=predicted, at=t0,
                                campaign=label)
-        duration = svc.run(lease.instance, units, workload,
+        duration = svc.run(lease.instance, as_catalogue(units), workload,
                            advance_clock=False)
         end = lease.ready_at + duration
         leases.release(lease, end)

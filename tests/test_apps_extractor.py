@@ -6,7 +6,8 @@ from repro.apps.extractor import extract_text
 from repro.corpus import html_18mil_like
 from repro.sim.random import RngStream
 from repro.units import KB
-from repro.vfs import LiteralFile, TextStats, VirtualFile
+from repro.vfs import TextStats, VirtualFile
+from tests.catalogues import as_catalogue, first, literal
 
 
 class TestExtractText:
@@ -29,7 +30,7 @@ class TestExtractText:
 
 class TestExtractorApplication:
     def test_native_run_counts(self):
-        f = LiteralFile.from_text("a.html", "<p>one two three</p>")
+        f = literal("a.html", "<p>one two three</p>")
         res = ExtractorApplication().run_native([f])
         assert res.work.files_opened == 1
         assert res.work.bytes_read == f.size
@@ -38,13 +39,13 @@ class TestExtractorApplication:
 
     def test_output_smaller_than_input_for_html(self):
         cat = html_18mil_like(scale=2e-5)
-        units = list(cat)[:10]
+        units = first(cat, 10)
         res = ExtractorApplication().run_native(units)
         assert 0 < res.work.output_bytes < res.work.bytes_read
 
     def test_estimate_tracks_native(self):
         cat = html_18mil_like(scale=2e-5)
-        units = list(cat)[:10]
+        units = first(cat, 10)
         app = ExtractorApplication()
         native = app.run_native(units).work
         est = app.estimate_work(UnitColumns(units))
@@ -56,13 +57,13 @@ class TestExtractorApplication:
 class TestExtractCostProfile:
     def test_io_dominated(self):
         p = ExtractCostProfile()
-        b = p.breakdown(UnitColumns([html_18mil_like(scale=2e-5)[0]]))
+        b = p.breakdown(UnitColumns(first(html_18mil_like(scale=2e-5), 1)))
         assert b.io > b.cpu
 
     def test_markup_reduces_write_cost(self):
         def unit(markup: float) -> UnitColumns:
             f = VirtualFile("u", 100 * KB, TextStats(markup_fraction=markup))
-            return UnitColumns([f])
+            return UnitColumns(as_catalogue([f]))
 
         p = ExtractCostProfile()
         plain = p.breakdown(unit(0.0))

@@ -5,11 +5,12 @@ import pytest
 from repro.apps import GrepApplication, UnitColumns
 from repro.apps.grep import NONSENSE_WORD
 from repro.corpus import text_400k_like
-from repro.vfs import LiteralFile, Segment
+from repro.vfs import LiteralFile
+from tests.catalogues import as_catalogue, first, literal, segment
 
 
 def literal_file(path: str, text: str) -> LiteralFile:
-    return LiteralFile.from_text(path, text)
+    return literal(path, text)
 
 
 class TestConstruction:
@@ -32,7 +33,7 @@ class TestNativeRun:
     def test_nonsense_word_not_found_in_corpus(self):
         """The paper's full-traversal worst case: zero matches."""
         cat = text_400k_like(scale=2e-4)
-        units = list(cat)[:20]
+        units = first(cat, 20)
         res = GrepApplication(NONSENSE_WORD).run_native(units)
         assert res.work.matches == 0
         assert res.work.files_opened == 20
@@ -50,7 +51,7 @@ class TestNativeRun:
 
     def test_segment_counts_as_one_file(self):
         cat = text_400k_like(scale=1e-4)
-        seg = Segment("s0", tuple(list(cat)[:5]))
+        seg = segment(cat, range(5))
         res = GrepApplication(NONSENSE_WORD).run_native([seg])
         assert res.work.files_opened == 1
         assert res.work.bytes_read == seg.size + 4  # 4 joining newlines
@@ -64,7 +65,7 @@ class TestNativeRun:
 class TestEstimateWork:
     def test_matches_native_for_nonsense_search(self):
         cat = text_400k_like(scale=2e-4)
-        units = list(cat)[:15]
+        units = first(cat, 15)
         app = GrepApplication(NONSENSE_WORD)
         native = app.run_native(units).work
         est = app.estimate_work(UnitColumns(units))
@@ -74,6 +75,6 @@ class TestEstimateWork:
 
     def test_hit_rate_estimate(self):
         f = text_400k_like(scale=1e-4)[0]
-        est = GrepApplication("the", expected_hit_rate=1e-3).estimate_work(UnitColumns([f]))
+        est = GrepApplication("the", expected_hit_rate=1e-3).estimate_work(UnitColumns(as_catalogue([f])))
         assert est.matches == int(f.size * 1e-3)
         assert est.output_bytes > 0

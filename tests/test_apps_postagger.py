@@ -6,7 +6,7 @@ from repro.apps import PosTaggerApplication, UnitColumns
 from repro.apps.postagger import CONTEXT_EXPONENT, tag_sentence
 from repro.apps.tokenize import tokenize
 from repro.corpus import agnes_grey_like, dubliners_like, text_400k_like
-from repro.vfs import Segment
+from tests.catalogues import as_catalogue, first, segment
 
 
 class TestTagSentence:
@@ -56,7 +56,7 @@ class TestTagSentence:
 
 class TestNativeRun:
     def test_counters_populated(self):
-        units = list(text_400k_like(scale=1e-4))[:10]
+        units = first(text_400k_like(scale=1e-4), 10)
         res = PosTaggerApplication().run_native(units)
         w = res.work
         assert w.files_opened == 10
@@ -66,12 +66,12 @@ class TestNativeRun:
 
     def test_segment_is_one_open(self):
         cat = text_400k_like(scale=1e-4)
-        seg = Segment("s", tuple(list(cat)[:4]))
+        seg = segment(cat, range(4))
         res = PosTaggerApplication().run_native([seg])
         assert res.work.files_opened == 1
 
     def test_deterministic(self):
-        units = list(text_400k_like(scale=1e-4))[:5]
+        units = first(text_400k_like(scale=1e-4), 5)
         a = PosTaggerApplication().run_native(units).work
         b = PosTaggerApplication().run_native(units).work
         assert a.tokens == b.tokens and a.context_ops == b.context_ops
@@ -80,7 +80,7 @@ class TestNativeRun:
 class TestEstimateWork:
     def test_estimate_close_to_native(self):
         """Metadata-driven estimates must track real counters within 25 %."""
-        units = list(text_400k_like(scale=2e-4))[:30]
+        units = first(text_400k_like(scale=2e-4), 30)
         app = PosTaggerApplication()
         native = app.run_native(units).work
         est = app.estimate_work(UnitColumns(units))
@@ -93,8 +93,8 @@ class TestEstimateWork:
         dub = dubliners_like().virtual_file()
         agnes = agnes_grey_like().virtual_file()
         app = PosTaggerApplication()
-        w_dub = app.estimate_work(UnitColumns([dub]))
-        w_agnes = app.estimate_work(UnitColumns([agnes]))
+        w_dub = app.estimate_work(UnitColumns(as_catalogue([dub])))
+        w_agnes = app.estimate_work(UnitColumns(as_catalogue([agnes])))
         # nearly equal token counts, very different context work
         assert abs(w_dub.tokens - w_agnes.tokens) / w_agnes.tokens < 0.15
         assert w_dub.context_ops > 1.4 * w_agnes.context_ops

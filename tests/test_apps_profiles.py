@@ -8,6 +8,7 @@ from repro.corpus import agnes_grey_like, dubliners_like
 from repro.sim.random import RngStream
 from repro.units import GB, KB, MB
 from repro.vfs import TextStats, VirtualFile
+from tests.catalogues import as_catalogue
 
 
 def unit(size: int, **stats) -> VirtualFile:
@@ -28,7 +29,7 @@ class TestGrepProfile:
         """Paper Eq. (1): slope 1.324e-8 s/B → ~75.5 MB/s streaming."""
         p = GrepCostProfile()
         one_file_1gb = [unit(1 * GB)]
-        t = p.breakdown(UnitColumns(one_file_1gb)).total
+        t = p.breakdown(UnitColumns(as_catalogue(one_file_1gb))).total
         per_byte = (t - p.per_file_overhead) / GB
         assert per_byte == pytest.approx(1.324e-8, rel=0.05)
 
@@ -37,8 +38,8 @@ class TestGrepProfile:
         total = 100 * MB
         small = [unit(10 * KB) for _ in range(total // (10 * KB))]
         big = [unit(total)]
-        t_small = p.breakdown(UnitColumns(small)).total
-        t_big = p.breakdown(UnitColumns(big)).total
+        t_small = p.breakdown(UnitColumns(as_catalogue(small))).total
+        t_big = p.breakdown(UnitColumns(as_catalogue(big))).total
         # reshaping wins by a large factor (paper: 5.6x at 100 GB scale)
         assert t_small / t_big > 3.0
 
@@ -49,7 +50,7 @@ class TestGrepProfile:
         times = {}
         for unit_size in (10 * MB, 100 * MB, 1000 * MB):
             n = total // unit_size
-            times[unit_size] = p.breakdown(UnitColumns([unit(unit_size)] * n)).total
+            times[unit_size] = p.breakdown(UnitColumns(as_catalogue([unit(unit_size)] * n))).total
         tmin, tmax = min(times.values()), max(times.values())
         assert (tmax - tmin) / tmin < 0.04
 
@@ -63,8 +64,8 @@ class TestGrepProfile:
 
     def test_match_cost_counted(self):
         p = GrepCostProfile()
-        base = p.breakdown(UnitColumns([unit(MB)])).total
-        with_hits = p.breakdown(UnitColumns([unit(MB)]), matches=10_000).total
+        base = p.breakdown(UnitColumns(as_catalogue([unit(MB)]))).total
+        with_hits = p.breakdown(UnitColumns(as_catalogue([unit(MB)])), matches=10_000).total
         assert with_hits > base
 
 
@@ -73,7 +74,7 @@ class TestPosProfile:
         """Paper Eq. (3): 0.865e-4 s/B on the probe mix (complex head)."""
         p = PosCostProfile()
         u = unit(1 * KB, avg_word_len=7.1, avg_sentence_words=20.5)
-        t = p.breakdown(UnitColumns([u] * 1000)).total
+        t = p.breakdown(UnitColumns(as_catalogue([u] * 1000))).total
         per_byte = t / (1000 * KB)
         assert per_byte == pytest.approx(0.865e-4, rel=0.15)
 
@@ -90,8 +91,8 @@ class TestPosProfile:
         """Fig. 7: 1 MB unit files vs 1 kB files — pronounced degradation."""
         p = PosCostProfile()
         total = 10 * MB
-        small = p.breakdown(UnitColumns([unit(1 * KB, avg_sentence_words=17.0)] * (total // KB))).total
-        big = p.breakdown(UnitColumns([unit(1 * MB, avg_sentence_words=17.0)] * 10)).total
+        small = p.breakdown(UnitColumns(as_catalogue([unit(1 * KB, avg_sentence_words=17.0)] * (total // KB)))).total
+        big = p.breakdown(UnitColumns(as_catalogue([unit(1 * MB, avg_sentence_words=17.0)] * 10))).total
         assert big / small > 1.3
 
     def test_original_segmentation_beats_merged(self):
@@ -99,8 +100,8 @@ class TestPosProfile:
         per-file overhead is negligible for a wrapped tagger)."""
         p = PosCostProfile()
         total = 1000 * KB
-        orig = p.breakdown(UnitColumns([unit(458, avg_sentence_words=17.0)] * (total // 458))).total
-        merged_1kb = p.breakdown(UnitColumns([unit(1 * KB, avg_sentence_words=17.0)] * (total // KB))).total
+        orig = p.breakdown(UnitColumns(as_catalogue([unit(458, avg_sentence_words=17.0)] * (total // 458)))).total
+        merged_1kb = p.breakdown(UnitColumns(as_catalogue([unit(1 * KB, avg_sentence_words=17.0)] * (total // KB)))).total
         assert orig <= merged_1kb
 
     def test_complexity_doubles_cost_at_equal_size(self):
@@ -108,8 +109,8 @@ class TestPosProfile:
         p = PosCostProfile()
         dub = dubliners_like().virtual_file()
         agnes = agnes_grey_like().virtual_file()
-        t_dub = p.breakdown(UnitColumns([dub])).cpu
-        t_agnes = p.breakdown(UnitColumns([agnes])).cpu
+        t_dub = p.breakdown(UnitColumns(as_catalogue([dub]))).cpu
+        t_agnes = p.breakdown(UnitColumns(as_catalogue([agnes]))).cpu
         assert 1.4 < t_dub / t_agnes < 2.4
 
     def test_jvm_startup_near_eq4_intercept(self):
@@ -121,5 +122,5 @@ class TestPosProfile:
 
     def test_cpu_dominates_io(self):
         p = PosCostProfile()
-        b = p.breakdown(UnitColumns([unit(100 * KB)]))
+        b = p.breakdown(UnitColumns(as_catalogue([unit(100 * KB)])))
         assert b.cpu > 10 * b.io

@@ -21,6 +21,7 @@ from repro.cloud import Cloud, ExecutionService, Workload
 from repro.corpus import html_18mil_like, text_400k_like
 from repro.core import reshape
 from repro.units import KB
+from tests.catalogues import first
 
 APPS = [
     ("grep", GrepApplication(), GrepCostProfile(), html_18mil_like(scale=2e-5)),
@@ -32,7 +33,7 @@ APPS = [
 @pytest.mark.parametrize("name,app,profile,cat", APPS, ids=[a[0] for a in APPS])
 class TestBoundaryConsistency:
     def test_estimate_bytes_match_native_exactly(self, name, app, profile, cat):
-        units = list(cat)[:15]
+        units = first(cat, 15)
         native = app.run_native(units).work
         est = app.estimate_work(UnitColumns(units))
         assert est.bytes_read == native.bytes_read
@@ -44,20 +45,20 @@ class TestBoundaryConsistency:
         inst.cpu_factor = inst.io_factor = 1.0
         svc = ExecutionService(cloud, noise_sigma=0.0)
         wl = Workload(name, app, profile)
-        small = list(cat)[:10]
-        large = list(cat)[:40]
+        small = first(cat, 10)
+        large = first(cat, 40)
         t_small = svc.run(inst, small, wl)
         t_large = svc.run(inst, large, wl)
         assert t_large > t_small
 
     def test_breakdown_components_nonnegative(self, name, app, profile, cat):
-        b = profile.breakdown(UnitColumns(list(cat)[:10]))
+        b = profile.breakdown(UnitColumns(first(cat, 10)))
         assert b.setup >= 0 and b.io >= 0 and b.cpu >= 0
         assert b.total > 0
 
     def test_reshaping_preserves_estimated_bytes(self, name, app, profile, cat):
         plan = reshape(cat, 50 * KB)
-        est_orig = app.estimate_work(UnitColumns(list(cat)))
+        est_orig = app.estimate_work(UnitColumns(cat))
         est_merged = app.estimate_work(UnitColumns(plan.units))
         assert est_merged.bytes_read == est_orig.bytes_read
         assert est_merged.files_opened < est_orig.files_opened
@@ -76,18 +77,18 @@ class TestReshapingDirectionPerApp:
 
     def test_grep_prefers_merged(self):
         cat = html_18mil_like(scale=2e-4)
-        merged = list(reshape(cat, 1000 * KB).units)
+        merged = reshape(cat, 1000 * KB).units
         t_orig = self.simulated_time("grep", GrepApplication(), GrepCostProfile(),
-                                     list(cat))
+                                     cat)
         t_merged = self.simulated_time("grep", GrepApplication(), GrepCostProfile(),
                                        merged)
         assert t_merged < t_orig
 
     def test_pos_prefers_original(self):
         cat = text_400k_like(scale=2e-3)
-        merged = list(reshape(cat, 500 * KB).units)
+        merged = reshape(cat, 500 * KB).units
         t_orig = self.simulated_time("postag", PosTaggerApplication(),
-                                     PosCostProfile(), list(cat))
+                                     PosCostProfile(), cat)
         t_merged = self.simulated_time("postag", PosTaggerApplication(),
                                        PosCostProfile(), merged)
         assert t_orig < t_merged

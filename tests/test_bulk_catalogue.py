@@ -3,7 +3,7 @@
 The oracles below are the per-object builds the column stores replace:
 every file went through the ``TextStats`` and ``VirtualFile``
 constructors (each re-checking its own fields), every content seed
-through ``stable_seed``, and the catalogue through ``Catalogue(files)``.
+through ``stable_seed``, and the catalogue was the list of files.
 The views a column store builds on access must equal the oracle's files
 in everything the program reads: each file's fields and their types,
 ``==``, ``hash``, ``repr``, pickled bytes, ``dataclasses.replace``, the
@@ -27,6 +27,7 @@ from repro.corpus import datasets, html_18mil_like
 from repro.corpus.datasets import HTML_18MIL_DIST, TEXT_400K_DIST
 from repro.sim.random import RngStream, stable_seed, stable_seeds
 from repro.vfs import Catalogue, TextStats, VirtualFile
+from tests.catalogues import Files, make_catalogue
 
 # -- oracles: the per-object builds the bulk pass replaces ---------------------
 
@@ -53,7 +54,7 @@ def oracle_build_catalogue(name, dist, n_files, seed, *, html, sentence_mean,
         )
         for i in range(n_files)
     ]
-    return Catalogue(files, name=name)
+    return Files(files, name)
 
 
 def oracle_mixed_domain(n, seed):
@@ -75,7 +76,7 @@ def oracle_mixed_domain(n, seed):
             stats=TextStats(avg_word_len=7.1, avg_sentence_words=float(slen)),
             content_seed=stable_seed(seed, f"mixed/{i}"),
         ))
-    return Catalogue(files, name="mixed_domain")
+    return Files(files, "mixed_domain")
 
 
 def oracle_derived(source, stage, seed_tag):
@@ -110,20 +111,21 @@ def oracle_derived(source, stage, seed_tag):
         files.append(VirtualFile(path=f"{stage.name}/{f.path}", size=out_size,
                                  stats=stats,
                                  content_seed=stable_seed(f.content_seed, seed_tag)))
-    return Catalogue(files, name=f"{source.name}->{stage.name}")
+    return Files(files, f"{source.name}->{stage.name}")
 
 
 # -- comparison ----------------------------------------------------------------
 
 
-def assert_same_catalogue(bulk: Catalogue, oracle: Catalogue) -> None:
+def assert_same_catalogue(bulk: Catalogue, oracle: Files) -> None:
+    columns = oracle.columns()
     assert bulk.name == oracle.name
     assert len(bulk) == len(oracle)
     assert bulk.sizes().dtype == np.int64
-    np.testing.assert_array_equal(bulk.sizes(), oracle.sizes())
-    np.testing.assert_array_equal(bulk._cum, oracle._cum)
-    assert bulk.total_size == oracle.total_size
-    assert bulk.fingerprint() == oracle.fingerprint()
+    np.testing.assert_array_equal(bulk.sizes(), columns.sizes())
+    np.testing.assert_array_equal(bulk._cum, columns._cum)
+    assert bulk.total_size == columns.total_size
+    assert bulk.fingerprint() == columns.fingerprint()
     for a, b in zip(bulk, oracle):
         assert type(a) is type(b) is VirtualFile
         assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
@@ -187,12 +189,10 @@ def _stage(name, ratio, strips=False):
 
 def _source(sizes, markups=None):
     markups = markups or [0.0] * len(sizes)
-    return Catalogue(
-        [VirtualFile(path=f"f{i}.html", size=s,
-                     stats=TextStats(avg_sentence_words=10.0 + i % 7,
-                                     markup_fraction=m),
-                     content_seed=i)
-         for i, (s, m) in enumerate(zip(sizes, markups))], name="src")
+    return make_catalogue(sizes, [TextStats(avg_sentence_words=10.0 + i % 7,
+                                            markup_fraction=m)
+                                  for i, m in enumerate(markups)],
+                          pattern="f%d.html", name="src")
 
 
 @pytest.mark.parametrize("ratio", [0.0, 0.1, 0.4, 1 / 3, 0.987, 0.99999, 1.0])
@@ -312,8 +312,7 @@ def test_stat_columns_broadcast_and_share_scalar_rows():
 def _generated(sizes, stats=None):
     n = len(sizes)
     stats = stats or TextStats._column(7.1, np.full(n, 18.0), 0.0)
-    return Catalogue._generated("c", "c/%d", 0, "c", np.asarray(sizes, dtype=np.int64),
-                                stats)
+    return Catalogue("c", "c/%d", 0, "c", np.asarray(sizes, dtype=np.int64), stats)
 
 
 def test_negative_size_raises_the_constructor_error():
@@ -325,16 +324,13 @@ def test_negative_size_raises_the_constructor_error():
 
 
 def test_duplicate_path_raises_the_catalogue_error():
-    # Generated stores are unique by construction; catalogues of files,
-    # and concatenations repeating a file, are checked.
-    files = [VirtualFile(path=p, size=1) for p in ("c/0", "c/1", "c/2", "c/3", "c/1")]
-    expected = _error(lambda: Catalogue(files))
-    assert expected == "duplicate path in catalogue: 'c/1'"
-    head, tail = Catalogue(files[:4]), Catalogue(files[4:])
-    assert _error(lambda: Catalogue.concat([head, tail])) == expected
+    # Generated stores are unique by construction; concatenations
+    # repeating a file are checked.
     generated = _generated([1, 1, 1, 1])
-    assert _error(lambda: Catalogue.concat([generated, generated._take([1], "t")])) \
-        == expected
+    expected = _error(lambda: Catalogue.concat([generated, generated._take([1], "t")]))
+    assert expected == "duplicate path in catalogue: 'c/1'"
+    head, tail = generated._take(range(4), "h"), generated._take([1], "t")
+    assert _error(lambda: Catalogue.concat([head, tail])) == expected
 
 
 def test_column_lengths_must_agree():
@@ -344,7 +340,7 @@ def test_column_lengths_must_agree():
 
 def test_empty_columns_build_an_empty_catalogue():
     cat = _generated([], TextStats._column([], [], 0.0))
-    assert_same_catalogue(cat, Catalogue([], name="c"))
+    assert_same_catalogue(cat, Files([], "c"))
 
 
 # -- the garbage collector ------------------------------------------------------------

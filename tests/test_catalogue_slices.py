@@ -2,44 +2,47 @@
 a probe is priced once.
 
 The oracles below are the file-by-file loops the slices replace: every
-derived catalogue was rebuilt through ``Catalogue(files)``, with exclusion
-by path.  A slice must equal the oracle's catalogue in everything the
+derived catalogue was rebuilt from its list of files, with exclusion by
+path.  A slice must equal the oracle's files and name in everything the
 program reads: the file objects themselves, the size column, the running
 total, the fingerprint and the name.
 """
 
 import bisect
-import dataclasses
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import PlanError, StaticProvisioner, reshape
+from repro.core import StaticProvisioner, reshape
 from repro.corpus import html_18mil_like, text_400k_like
 from repro.experiments import exp_grep
+from repro.packing import first_fit_layout, pack_into_n_bins_layout, uniform_layout
 from repro.perfmodel import ProbeCampaign, build_probe_set, collect_sample_points
 from repro.perfmodel.regression import fit_affine
 from repro.sim.random import RngStream
-from repro.units import KB
-from repro.vfs import Catalogue, Segment, TextStats, VirtualFile
+from repro.units import HOUR, KB
+from repro.vfs import Catalogue, Segment
+from tests.catalogues import Files as Oracle
+from tests.catalogues import make_catalogue
 
 # -- oracles: the per-file loops the slices replace ----------------------------
 
 
-def oracle_head(cat: Catalogue, volume: int) -> Catalogue:
+def oracle_head(cat: Catalogue | Oracle, volume: int) -> Oracle:
     files = list(cat)
+    total = sum(f.size for f in files)
     if volume <= 0:
-        return Catalogue([], name=f"{cat.name}[:0B]")
-    if volume >= cat.total_size:
-        return Catalogue(files, name=f"{cat.name}[:all]")
-    k = bisect.bisect_left(np.cumsum(cat.sizes()), volume) + 1
-    return Catalogue(files[:k], name=f"{cat.name}[:{volume}B]")
+        return Oracle([], f"{cat.name}[:0B]")
+    if volume >= total:
+        return Oracle(files, f"{cat.name}[:all]")
+    k = bisect.bisect_left(np.cumsum([f.size for f in files]), volume) + 1
+    return Oracle(files[:k], f"{cat.name}[:{volume}B]")
 
 
 def oracle_sample(cat: Catalogue, volume: int, rng: RngStream,
-                  exclude: set[str]) -> Catalogue:
+                  exclude: set[str]) -> Oracle:
     pool = [f for f in cat if f.path not in exclude]
     order = list(range(len(pool)))
     rng.shuffle(order)
@@ -50,34 +53,32 @@ def oracle_sample(cat: Catalogue, volume: int, rng: RngStream,
             break
         picked.append(i)
         acc += pool[i].size
-    return Catalogue([pool[i] for i in sorted(picked)],
-                     name=f"{cat.name}[sample {volume}B]")
+    return Oracle([pool[i] for i in sorted(picked)], f"{cat.name}[sample {volume}B]")
 
 
-def oracle_partition(cat: Catalogue, n_parts: int) -> list[Catalogue]:
-    from repro.packing import uniform_layout
-
+def oracle_partition(cat: Catalogue, n_parts: int) -> list[Oracle]:
     files = list(cat)
     layouts = uniform_layout([f.size for f in files], n_bins=n_parts)
-    return [Catalogue([files[j] for j in l.indices], name=f"{cat.name}/part{i}")
+    return [Oracle([files[j] for j in l.indices], f"{cat.name}/part{i}")
             for i, l in enumerate(layouts)]
 
 
-def assert_same(got: Catalogue, want: Catalogue) -> None:
+def assert_same(got: Catalogue, want: Catalogue | Oracle) -> None:
+    ref = want.columns() if isinstance(want, Oracle) else want
+    files = list(want)
     assert got.name == want.name
-    assert len(got) == len(want)
-    assert all(a is b for a, b in zip(got, want))
-    assert got.sizes().dtype == want.sizes().dtype
-    assert np.array_equal(got.sizes(), want.sizes())
-    assert got._cum.dtype == want._cum.dtype
-    assert np.array_equal(got._cum, want._cum)
-    assert got.total_size == want.total_size
-    assert got.fingerprint() == want.fingerprint()
+    assert len(got) == len(files)
+    assert all(a is b for a, b in zip(got, files))
+    assert got.sizes().dtype == ref.sizes().dtype
+    assert np.array_equal(got.sizes(), ref.sizes())
+    assert got._cum.dtype == ref._cum.dtype
+    assert np.array_equal(got._cum, ref._cum)
+    assert got.total_size == ref.total_size
+    assert got.fingerprint() == ref.fingerprint()
 
 
 def catalogue_of(sizes: list[int]) -> Catalogue:
-    return Catalogue([VirtualFile(f"f{i:04d}", s, TextStats(), i)
-                      for i, s in enumerate(sizes)], name="c")
+    return make_catalogue(sizes, pattern="f%04d", name="c")
 
 
 sizes_strategy = st.lists(st.integers(min_value=0, max_value=1000), max_size=40)
@@ -142,11 +143,11 @@ class TestSlicesMatchOracle:
     def test_filter_and_sorted_by_size(self):
         cat = catalogue_of([30, 10, 20, 10, 0])
         assert_same(cat.filter(lambda f: f.size >= 20),
-                    Catalogue([cat[0], cat[2]], name="c[filtered]"))
+                    Oracle([cat[0], cat[2]], "c[filtered]"))
         for descending in (False, True):
             want = sorted(cat, key=lambda f: (f.size, f.path), reverse=descending)
             assert_same(cat.sorted_by_size(descending=descending),
-                        Catalogue(want, name="c[by-size]"))
+                        Oracle(want, "c[by-size]"))
 
 
 class TestSlicePositions:
@@ -224,12 +225,6 @@ class TestSegmentsSizedByPacker:
                               sample_volume=60 * KB, unit_size=10 * KB)
         assert assert_segments_sized(seen) > 0
 
-    def test_public_constructor_still_sums(self):
-        a = VirtualFile("a", 7)
-        b = VirtualFile("b", 5)
-        assert Segment("s", (a, b)).size == 12
-
-
 # -- a probe is priced once ----------------------------------------------------
 
 
@@ -258,11 +253,12 @@ class TestPricedOnce:
     def test_charge_after_price_is_run(self):
         _, tb = twin_campaign()
         _, twin = twin_campaign()
-        units = tuple(tb.catalogue)[:20]
+        units = tb.catalogue._take(range(20), "first20")
         breakdown = tb.workload.price(units)
         for _ in range(3):
             assert (tb.service.charge(tb.instance, breakdown, tb.workload)
-                    == twin.service.run(twin.instance, tuple(twin.catalogue)[:20],
+                    == twin.service.run(twin.instance,
+                                        twin.catalogue._take(range(20), "first20"),
                                         twin.workload))
 
 
@@ -277,17 +273,25 @@ class TestPlannerTakesCatalogue:
 
     @pytest.mark.parametrize("strategy", ["first-fit", "uniform", "hour-pack"])
     def test_catalogue_plan_equals_list_plan(self, provisioner, strategy):
-        # A catalogue's bins are index slices holding the list plan's own files.
+        # A catalogue's bins are index slices holding the files that the
+        # packer's layout lists, with the times predicted from its totals.
         cat = html_18mil_like(scale=2e-4)
         deadline = 2 * 3600.0
         got = provisioner.plan(cat, deadline, strategy=strategy)
-        want = provisioner.plan(list(cat), deadline, strategy=strategy)
+        sizes = [f.size for f in cat]
+        n = provisioner.instances_for(sum(sizes), deadline)
+        layouts = {
+            "first-fit": lambda: pack_into_n_bins_layout(
+                sizes, n_bins=n, capacity=int(provisioner.volume_for(deadline))),
+            "uniform": lambda: uniform_layout(sizes, n_bins=n),
+            "hour-pack": lambda: first_fit_layout(
+                sizes, int(provisioner.volume_for(HOUR))),
+        }[strategy]()
+        files = list(cat)
         assert all(isinstance(b, Catalogue) for b in got.assignments)
         assert [[id(f) for f in b] for b in got.assignments] == \
-               [[id(f) for f in b] for b in want.assignments]
-        assert dataclasses.replace(got, assignments=want.assignments) == want
-
-    def test_duplicate_names_in_a_list_still_rejected(self, provisioner):
-        f = VirtualFile("same", 100)
-        with pytest.raises(PlanError, match="not unique"):
-            provisioner.plan([f, VirtualFile("same", 200)], 3600.0)
+               [[id(files[j]) for j in l.indices] for l in layouts]
+        assert got.predicted_times == [float(provisioner.predictor.predict(l.used))
+                                       for l in layouts]
+        assert (got.deadline, got.planning_deadline, got.strategy) == \
+               (deadline, deadline, strategy)

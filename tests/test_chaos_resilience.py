@@ -135,7 +135,7 @@ class TestChaosCloudIntegration:
         from repro.units import KB
 
         wl = Workload("grep", GrepApplication(), GrepCostProfile())
-        units = list(reshape(text_400k_like(scale=2e-3), 100 * KB).units)
+        units = reshape(text_400k_like(scale=2e-3), 100 * KB).units
 
         def duration(chaos):
             cloud = Cloud(seed=4, chaos=chaos)
@@ -314,9 +314,9 @@ class TestResilientLauncher:
 
 class TestDegradationPlanner:
     def _units(self, sizes):
-        from repro.vfs.files import VirtualFile
+        from tests.catalogues import make_catalogue
 
-        return [VirtualFile(path=f"u{i}", size=s) for i, s in enumerate(sizes)]
+        return make_catalogue(sizes, pattern="u%d")
 
     def test_orphans_go_to_least_loaded_bins(self):
         planner = DegradationPlanner()
@@ -396,7 +396,7 @@ class TestRunnersUnderChaos:
 
         x = np.array([1e5, 1e6, 5e6])
         model = fit_affine(x, 0.327 + 0.865e-4 * x)
-        units = list(reshape(text_400k_like(scale=2e-3), None).units)
+        units = reshape(text_400k_like(scale=2e-3), None).units
         # deadline tight enough to spread the work over several bins, so
         # degradation replans have survivors to re-home orphans onto
         return StaticProvisioner(model).plan(units, 30.0, strategy="uniform")

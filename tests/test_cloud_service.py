@@ -11,6 +11,7 @@ from repro.cloud.spot import SpotMarket, SpotRequest
 from repro.corpus import text_400k_like
 from repro.sim.random import RngStream
 from repro.units import MB
+from tests.catalogues import first
 
 
 def grep_workload():
@@ -28,7 +29,7 @@ def cloud():
 
 @pytest.fixture()
 def units():
-    return list(text_400k_like(scale=2e-4))[:40]
+    return first(text_400k_like(scale=2e-4), 40)
 
 
 class TestExecutionService:

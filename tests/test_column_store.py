@@ -1,12 +1,12 @@
-"""Catalogues store columns; file objects are views built on access.
+"""Catalogues store columns; file and segment objects are views built on access.
 
 A catalogue is a column store shared by all its slices plus the store
-positions it holds.  A ``VirtualFile`` view is built the first time a
-position is read and cached, so the same position always yields the same
-object, through the catalogue, its slices, the segments packed from it
-and the bins planned from it.  Sizing, packing, planning and pricing
-read the columns only: the timed paths of the benchmark's three
-workloads build no view at all.
+positions it holds.  A ``VirtualFile`` view (a ``Segment`` view, for a
+packed layout) is built the first time a position is read and cached, so
+the same position always yields the same object, through the catalogue,
+its slices, the segments packed from it and the bins planned from it.
+Sizing, packing, planning and pricing read the columns only: the timed
+paths of the benchmark's three workloads build no view at all.
 """
 
 import dataclasses
@@ -24,21 +24,23 @@ from repro.perfmodel import build_probe_set
 from repro.perfmodel.regression import fit_affine
 from repro.sim.random import RngStream, stable_seed
 from repro.units import HOUR, KB
-from repro.vfs import Catalogue, Segment, TextStats, VirtualFile
+from repro.vfs import Catalogue, TextStats, VirtualFile
 from repro.vfs import files as vfs_files
+from tests.catalogues import make_catalogue, pack
+from tests.reference_segments import segment_stats
 
 
 @pytest.fixture
 def views_built(monkeypatch):
-    """A list that grows by one entry per view built."""
-    built: list[int] = []
-    build = vfs_files._Store._build
+    """A list that grows by one ``(store, position)`` entry per view built,
+    file views and segment views alike."""
+    built: list[tuple] = []
+    for cls in (vfs_files._Store, vfs_files._PackedStore):
+        def counting(store, positions, build=cls.__dict__["_build"]):
+            built.extend((store, p) for p in positions)
+            return build(store, positions)
 
-    def counting(store, positions):
-        built.extend(positions)
-        return build(store, positions)
-
-    monkeypatch.setattr(vfs_files._Store, "_build", counting)
+        monkeypatch.setattr(cls, "_build", counting)
     return built
 
 
@@ -83,13 +85,13 @@ def _catalogues():
     corpus = html_18mil_like(scale=1e-4, seed=3)
     stage = derived_catalogue(corpus, _stage("x", 0.5, strips=True), seed_tag="x")
     other = derived_catalogue(corpus, _stage("y", 0.25), seed_tag="y")
-    files = Catalogue([VirtualFile(f"f/{i}", 10 + i, TextStats(), i)
-                       for i in range(20)], name="files")
-    return {"corpus": corpus, "stage": stage, "files": files,
-            "concat": Catalogue.concat([stage, other, files], name="cat")}
+    files = make_catalogue([10 + i for i in range(20)], name="files")
+    packed = reshape(corpus, 30 * KB).units
+    return {"corpus": corpus, "stage": stage, "files": files, "packed": packed,
+            "concat": Catalogue.concat([stage, other, files, packed], name="cat")}
 
 
-@pytest.mark.parametrize("kind", ["corpus", "stage", "files", "concat"])
+@pytest.mark.parametrize("kind", ["corpus", "stage", "files", "packed", "concat"])
 def test_a_position_is_one_object(kind, views_built):
     cat = _catalogues()[kind]
     n = len(cat)
@@ -97,12 +99,12 @@ def test_a_position_is_one_object(kind, views_built):
     assert list(cat) == list(cat.files) and all(
         a is b for a, b in zip(cat, cat.files))
     built = len(views_built)
-    assert (built == 0) == (kind == "files")
+    assert built > 0                   # every store builds its views on read
     list(cat)
     assert len(views_built) == built   # cached, not rebuilt
 
 
-@pytest.mark.parametrize("kind", ["corpus", "stage", "files", "concat"])
+@pytest.mark.parametrize("kind", ["corpus", "stage", "files", "packed", "concat"])
 def test_slices_hold_the_parents_views(kind):
     cat = _catalogues()[kind]
     parent = list(cat)
@@ -173,27 +175,36 @@ def test_stage_views_continue_their_parents():
 
 
 def test_store_segments_equal_member_segments():
+    # Two packs of one catalogue hold equal segments over the same views,
+    # with the stats of the per-member loop.
     cat = text_400k_like(scale=1e-3)
-    for seg in reshape(cat, 20 * KB).units[:50]:
-        built = Segment(seg.name, tuple(seg.members))
+    first, again = reshape(cat, 20 * KB).units, reshape(cat, 20 * KB).units
+    for i in range(min(50, len(first))):
+        seg, built = first[i], again[i]
+        assert seg is not built
         assert seg == built and hash(seg) == hash(built) and repr(seg) == repr(built)
         assert pickle.loads(pickle.dumps(seg)) == built
-        assert seg.size == built.size and seg.n_members == built.n_members
+        assert seg.size == built.size and len(seg.members) == len(built.members)
         assert [v.hex() for v in dataclasses.astuple(seg.stats())] == \
-               [v.hex() for v in dataclasses.astuple(built.stats())]
+               [v.hex() for v in dataclasses.astuple(segment_stats(built.members))]
 
 
 def test_store_segment_stats_read_no_view(views_built):
     cat = text_400k_like(scale=1e-3)
     units = reshape(cat, 20 * KB).units
     [u.stats() for u in units]
-    assert units[0].n_members > 1
+    # Only the segment views themselves are built, never a member's.
+    assert [store for store, _ in views_built] == [units._store] * len(units)
+    del views_built[:]
+    UnitColumns(pack(cat, [[0, 1], [2]])).avg_sentence_words
     assert views_built == []
+    assert len(units[0].members) > 1
 
 
 def test_catalogue_units_price_like_their_files():
     cat = html_18mil_like(scale=1e-4, seed=3).sample_by_volume(5_000_000, RngStream(1))
-    columns, listed = UnitColumns(cat), UnitColumns(list(cat))
-    np.testing.assert_array_equal(columns.size, listed.size)
+    columns, files = UnitColumns(cat), list(cat)
+    np.testing.assert_array_equal(columns.size, [f.size for f in files])
     for name in ("avg_word_len", "avg_sentence_words", "markup_fraction"):
-        assert getattr(columns, name).tobytes() == getattr(listed, name).tobytes()
+        listed = np.array([getattr(f.stats, name) for f in files])
+        assert getattr(columns, name).tobytes() == listed.tobytes()

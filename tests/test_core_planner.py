@@ -97,7 +97,7 @@ class TestStaticProvisioner:
 
     def test_plan_uniform_balances_volumes(self):
         cat = text_400k_like(scale=1e-3)
-        units = list(reshape(cat, None).units)
+        units = reshape(cat, None).units
         prov = StaticProvisioner(eq3_model())
         plan = prov.plan(units, deadline=600.0, strategy="uniform")
         vols = [sum(u.size for u in b) for b in plan.assignments]
@@ -106,7 +106,7 @@ class TestStaticProvisioner:
 
     def test_plan_first_fit_can_be_uneven(self):
         cat = text_400k_like(scale=1e-3)
-        units = list(reshape(cat, None).units)
+        units = reshape(cat, None).units
         prov = StaticProvisioner(eq3_model())
         ff = prov.plan(units, deadline=600.0, strategy="first-fit")
         uni = prov.plan(units, deadline=600.0, strategy="uniform")
@@ -117,12 +117,12 @@ class TestStaticProvisioner:
     def test_predicted_cost_ceil_hours(self):
         prov = StaticProvisioner(eq3_model())
         cat = text_400k_like(scale=5e-4)
-        plan = prov.plan(list(cat), deadline=HOUR, strategy="uniform")
+        plan = prov.plan(cat, deadline=HOUR, strategy="uniform")
         assert plan.predicted_cost(0.085) == pytest.approx(0.085 * plan.n_instances)
 
     def test_planning_deadline_changes_count(self):
         cat = text_400k_like(scale=1e-3)
-        units = list(cat)
+        units = cat
         prov = StaticProvisioner(eq3_model())
         loose = prov.plan(units, deadline=30.0)
         tight = prov.plan(units, deadline=30.0, planning_deadline=18.0)
@@ -133,7 +133,7 @@ class TestStaticProvisioner:
     def test_infeasible_deadline_rejected(self):
         prov = StaticProvisioner(eq3_model())
         with pytest.raises(PlanError):
-            prov.plan(list(text_400k_like(scale=1e-4)), deadline=0.1)
+            prov.plan(text_400k_like(scale=1e-4), deadline=0.1)
 
     def test_empty_units_rejected(self):
         with pytest.raises(PlanError):
@@ -142,7 +142,7 @@ class TestStaticProvisioner:
     def test_bad_strategy(self):
         with pytest.raises(PlanError):
             StaticProvisioner(eq3_model()).plan(
-                list(text_400k_like(scale=1e-4)), deadline=600.0, strategy="magic")
+                text_400k_like(scale=1e-4), deadline=600.0, strategy="magic")
 
     def test_bad_rate(self):
         with pytest.raises(PlanError):

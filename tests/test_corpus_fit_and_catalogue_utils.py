@@ -3,14 +3,12 @@
 import pytest
 
 from repro.units import fmt_bytes, fmt_seconds
-from repro.vfs import Catalogue, TextStats, VirtualFile
+from repro.vfs import Catalogue
+from tests.catalogues import make_catalogue
 
 
 def catalogue_of(sizes):
-    return Catalogue([
-        VirtualFile(path=f"f{i:04d}", size=s, stats=TextStats(), content_seed=i)
-        for i, s in enumerate(sizes)
-    ])
+    return make_catalogue(sizes, pattern="f%04d")
 
 
 class TestCatalogueUtilities:
@@ -31,8 +29,7 @@ class TestCatalogueUtilities:
 
     def test_concat(self):
         a = catalogue_of([1, 2])
-        b = Catalogue([VirtualFile(path="g0", size=3, stats=TextStats(),
-                                   content_seed=0)])
+        b = make_catalogue([3], pattern="g%d", name="g")
         merged = Catalogue.concat([a, b])
         assert merged.total_size == 6
         assert len(merged) == 3

@@ -19,7 +19,9 @@ from repro.dag import DagScheduler, WorkflowGraph
 from repro.perfmodel.regression import XLogXPredictor, fit_affine
 from repro.sim.random import RngStream
 from repro.units import HOUR
-from repro.vfs import Segment, TextStats, VirtualFile
+from repro.vfs import Catalogue, TextStats
+from repro.vfs import files as vfs_files
+from tests.catalogues import make_catalogue, pack
 
 
 class TestWorkflowFanIn:
@@ -81,11 +83,10 @@ class TestXLogXCorners:
 
 class TestUnitColumns:
     def test_segment_stats_aggregate(self):
-        a = VirtualFile(path="a", size=100,
-                        stats=TextStats(avg_sentence_words=10.0), content_seed=0)
-        b = VirtualFile(path="b", size=300,
-                        stats=TextStats(avg_sentence_words=30.0), content_seed=1)
-        columns = UnitColumns([Segment("s", (a, b)), a])
+        files = make_catalogue([100, 300], [TextStats(avg_sentence_words=10.0),
+                                            TextStats(avg_sentence_words=30.0)])
+        columns = UnitColumns(Catalogue.concat([pack(files, [[0, 1]]),
+                                                files._take([0], "a")]))
         assert columns.size.tolist() == [400, 100]
         assert columns.avg_sentence_words.tolist() == pytest.approx([25.0, 10.0])
 
@@ -97,10 +98,10 @@ class TestUnitColumns:
         def boom(self):
             raise AssertionError("stats read")
 
-        seg = Segment("s", (VirtualFile(path="a", size=10),))
-        columns = UnitColumns([seg])
+        columns = UnitColumns(pack(make_catalogue([10]), [[0]]))
         assert columns.size.tolist() == [10]
-        monkeypatch.setattr(Segment, "stats", boom)
+        monkeypatch.setattr(vfs_files._PackedStore, "stats", property(boom),
+                            raising=False)
         with pytest.raises(AssertionError):
             columns.markup_fraction
 
@@ -124,7 +125,7 @@ class TestProfilesMatchesKwargParity:
     def test_pos_profile_accepts_matches(self):
         """Interface parity: both profiles take the matches kwarg."""
         p = PosCostProfile()
-        columns = UnitColumns([VirtualFile(path="a", size=1000)])
+        columns = UnitColumns(make_catalogue([1000]))
         assert p.breakdown(columns, matches=5).total == p.breakdown(columns).total
 
 

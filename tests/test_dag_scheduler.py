@@ -117,7 +117,7 @@ class TestDifferentialBilling:
         same instances, same durations, same ceil-hour bill."""
         stage = _grep_stage()
         cat = html_18mil_like(scale=SCALE, seed=21)
-        units = list(cat)
+        units = cat
 
         ref_cloud = Cloud(seed=21)
         plan = StaticProvisioner(stage.predictor).plan(units, 1 * HOUR)

@@ -20,7 +20,7 @@ def make_plan(scale=5e-2, deadline=500.0):
     model = fit_affine(x, 0.327 + 0.865e-4 * x)
     cat = text_400k_like(scale=scale)
     return StaticProvisioner(model).plan(
-        list(reshape(cat, None).units), deadline, strategy="uniform")
+        reshape(cat, None).units, deadline, strategy="uniform")
 
 
 class Scripted:

@@ -24,7 +24,7 @@ def pos_workload():
 
 def make_plan(deadline=200.0, scale=2e-3):
     cat = text_400k_like(scale=scale)
-    units = list(reshape(cat, None).units)
+    units = reshape(cat, None).units
     return StaticProvisioner(model()).plan(units, deadline, strategy="uniform")
 
 

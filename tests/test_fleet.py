@@ -42,7 +42,7 @@ def make_plan(deadline=3600.0, scale=0.02, chunk=100 * KB, strategy="uniform"):
     model = fit_affine(np.array([1 * MB, 5 * MB, 10 * MB]),
                        np.array([35.0, 160.0, 310.0]))
     cat = text_400k_like(scale=scale)
-    units = list(reshape(cat, chunk).units)
+    units = reshape(cat, chunk).units
     return StaticProvisioner(model).plan(units, deadline, strategy=strategy)
 
 
@@ -426,7 +426,7 @@ class TestDynamicLeaseReplacement:
         model = fit_affine(x, 0.327 + 0.865e-4 * x)
         cat = text_400k_like(scale=5e-2)
         plan = StaticProvisioner(model).plan(
-            list(reshape(cat, None).units), 500.0, strategy="uniform")
+            reshape(cat, None).units, 500.0, strategy="uniform")
         wl = Workload("postag", PosTaggerApplication(), PosCostProfile())
         return plan, wl
 

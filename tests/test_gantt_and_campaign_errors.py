@@ -60,7 +60,7 @@ class TestGantt:
         model = fit_affine(x, 0.327 + 0.865e-4 * x)
         cat = text_400k_like(scale=2e-3)
         plan = StaticProvisioner(model).plan(
-            list(reshape(cat, None).units), 30.0, strategy="uniform")
+            reshape(cat, None).units, 30.0, strategy="uniform")
         report = execute_plan(Cloud(seed=6), Workload(
             "postag", PosTaggerApplication(), PosCostProfile()), plan)
         out = render_gantt(report)

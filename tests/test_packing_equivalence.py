@@ -482,8 +482,8 @@ class TestPackingCache:
             alone = build_probe_set(cat, v, sizes)
             for s in sizes:
                 got, want = shared[v].variants[s], alone.variants[s]
-                assert [(u.name, u.size, u._positions) for u in got] == [
-                    (u.name, u.size, u._positions) for u in want]
+                assert [(u.name, u.size, [m.path for m in u.members]) for u in got] == [
+                    (u.name, u.size, [m.path for m in u.members]) for u in want]
                 assert list(got) == list(want)
 
     def test_derived_entries_are_never_cut(self):

@@ -90,13 +90,13 @@ class TestBuildProbeSet:
         base = ps.variants[5 * KB]
         derived = ps.variants[10 * KB]
         # first derived unit contains exactly the members of the first two base units
-        first_two = [m.path for seg in base[:2] for m in seg.members]
+        first_two = [m.path for seg in (base[0], base[1]) for m in seg.members]
         assert [m.path for m in derived[0].members] == first_two
 
     def test_non_multiple_size_packed_directly(self, catalogue):
         ps = build_probe_set(catalogue, volume=100 * KB, unit_sizes=[4 * KB, 6 * KB])
         assert all(isinstance(u, Segment) for u in ps.variants[6 * KB])
-        assert all(u.size <= 6 * KB or u.n_members == 1 for u in ps.variants[6 * KB])
+        assert all(u.size <= 6 * KB or len(u.members) == 1 for u in ps.variants[6 * KB])
 
     def test_unit_size_caps_at_volume(self, catalogue):
         """sn = V collapses the probe into a single unit (§4)."""
@@ -129,7 +129,7 @@ class TestProbeCampaign:
     def test_measure_repeats(self):
         campaign, _ = make_campaign()
         cat = text_400k_like(scale=2e-4)
-        m = campaign.measure(tuple(cat)[:10], directory="t")
+        m = campaign.measure(cat._take(range(10), "first10"), directory="t")
         assert m.n == 3
 
     def test_protocol_escalates_until_stable(self):

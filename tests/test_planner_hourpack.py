@@ -22,7 +22,7 @@ class TestHourPack:
         minimises fleet size — for D=2h, hour-pack needs about twice the
         instances of deadline-packing at the same total instance-hours."""
         cat = text_400k_like(scale=0.15)
-        units = list(cat)
+        units = cat
         prov = StaticProvisioner(model())
         packed = prov.plan(units, 2 * HOUR, strategy="uniform")
         hourly = prov.plan(units, 2 * HOUR, strategy="hour-pack")
@@ -38,20 +38,20 @@ class TestHourPack:
     def test_hour_pack_lowers_makespan(self):
         cat = text_400k_like(scale=0.15)
         prov = StaticProvisioner(model())
-        packed = prov.plan(list(cat), 2 * HOUR, strategy="uniform")
-        hourly = prov.plan(list(cat), 2 * HOUR, strategy="hour-pack")
+        packed = prov.plan(cat, 2 * HOUR, strategy="uniform")
+        hourly = prov.plan(cat, 2 * HOUR, strategy="hour-pack")
         assert hourly.max_predicted_time() < packed.max_predicted_time()
 
     def test_hour_pack_requires_loose_deadline(self):
         prov = StaticProvisioner(model())
         with pytest.raises(PlanError):
-            prov.plan(list(text_400k_like(scale=0.01)), 1800.0,
+            prov.plan(text_400k_like(scale=0.01), 1800.0,
                       strategy="hour-pack")
 
     def test_hour_pack_volume_conserved(self):
         cat = text_400k_like(scale=0.05)
         prov = StaticProvisioner(model())
-        plan = prov.plan(list(cat), 2 * HOUR, strategy="hour-pack")
+        plan = prov.plan(cat, 2 * HOUR, strategy="hour-pack")
         assert plan.total_volume == cat.total_size
 
 

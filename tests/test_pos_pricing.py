@@ -4,9 +4,9 @@ Pricing one bin runs the tagger's ``estimate_work`` and the cost
 profile's ``breakdown`` over the same :class:`UnitColumns`; both read
 :func:`token_work`, which runs once per columns object.  Its context scale
 ``max(avg_sentence_words, 1) ** (e-1)`` is memoised per position of a
-catalogue's store, filled only where a bin asks, so a file priced under
-several plans is computed once; lists of segments keep the per-unit map.
-Every memoised value must be bit-identical to the direct map.
+catalogue's store (a packed layout's too), filled only where a bin asks,
+so a file priced under several plans is computed once.  Every memoised
+value must be bit-identical to the direct map.
 """
 
 import math
@@ -22,7 +22,8 @@ from repro.corpus import html_18mil_like, text_400k_like
 from repro.experiments import exp_pos
 from repro.sim.random import RngStream
 from repro.units import HOUR, KB
-from repro.vfs import Catalogue, Segment, TextStats, VirtualFile
+from repro.vfs import Catalogue, Segment, TextStats
+from tests.catalogues import make_catalogue
 
 POS = Workload("postag", PosTaggerApplication(), PosCostProfile())
 
@@ -65,16 +66,18 @@ def _stage(ratio: float) -> WorkflowStage:
 def _unit_sets():
     corpus = text_400k_like(scale=1e-3, seed=9)
     stage = derived_catalogue(corpus, _stage(0.5), seed_tag="s")
-    files = [VirtualFile(f"f{i}", 100 * i, TextStats(avg_sentence_words=w))
-             for i, w in enumerate((0.5, 1.0, 7.25, 18.0, 41.5))]
+    widths = (0.5, 1.0, 7.25, 18.0, 41.5)
+    files = make_catalogue([100 * i for i in range(len(widths))],
+                           [TextStats(avg_sentence_words=w) for w in widths],
+                           pattern="f%d", name="files")
     return {
         "corpus": corpus,
         "head": corpus.head_by_volume(corpus.total_size // 3),
         "take": corpus.sample_by_volume(corpus.total_size // 4, RngStream(2)),
         "stage": stage,
         "concat": Catalogue.concat([stage, corpus.head_by_volume(50 * KB)]),
-        "files": Catalogue(files),
-        "segments": list(reshape(corpus, 20 * KB).units),
+        "files": files,
+        "segments": reshape(corpus, 20 * KB).units,
     }
 
 

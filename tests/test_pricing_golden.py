@@ -24,15 +24,22 @@ from repro.apps import (
     UnitColumns,
 )
 from repro.cloud import Workload
-from repro.vfs import Segment, TextStats, VirtualFile
+from repro.vfs import Catalogue, Segment, TextStats
+from tests.catalogues import make_catalogue, pack
+
 
 def golden_bins() -> dict:
-    """A fixed mixed unit set, grouped into the bins the test prices."""
+    """A fixed mixed unit set, grouped into the bins the test prices.
+
+    Every file is a row of one catalogue; the segments are a packed
+    catalogue over it, and a bin mixing both is their concatenation.
+    The empty segment is a bin of the one 0-byte file: pricing reads a
+    unit's size and stats only, and a 0-byte unit has the default stats.
+    """
     rng = random.Random(15)
 
     def vf(i, size, **stats):
-        return VirtualFile(path=f"g/{i:05d}", size=size,
-                           stats=TextStats(**stats), content_seed=i)
+        return size, TextStats(**stats)
 
     def drawn(i, max_size):
         return vf(i, rng.randint(0, max_size),
@@ -57,20 +64,22 @@ def golden_bins() -> dict:
                 for i, size in enumerate((18_652, 42_487, 43_439, 64_031,
                                           112_173, 125_254))]
     members = [drawn(100 + i, 5_000) for i in range(40)]
-    segments = [
-        Segment("seg/a", tuple(members[:3])),
-        Segment("seg/b", tuple(members[3:])),
-        Segment("seg/empty", ()),
-        Segment("seg/one", (members[0],)),
-    ]
     many = [drawn(1_000 + i, 3_000) for i in range(2_000)]
+    rows = singles + members + many
+    files = make_catalogue([size for size, _ in rows], [s for _, s in rows],
+                           pattern="g/%05d", name="g")
+    a, b = len(singles), len(singles) + len(members)
+    singles = files._take(range(0, a), "singles")
+    m = list(range(a, b))
+    segments = pack(files, [m[:3], m[3:], [0], m[:1]], "seg")
+    many = files._take(range(b, len(files)), "many")
     return {
-        "mixed": singles + segments,
-        "one-file": [singles[5]],
-        "one-segment": [segments[1]],
-        "empty": [],
+        "mixed": Catalogue.concat([singles, segments]),
+        "one-file": singles._take([5], "one-file"),
+        "one-segment": segments._take([1], "one-segment"),
+        "empty": files._take([], "empty"),
         "many": many,
-        "all": singles + segments + many,
+        "all": Catalogue.concat([singles, segments, many]),
     }
 
 
@@ -193,8 +202,9 @@ def test_columnar_pricing_matches_golden(key):
 def test_each_unit_alone_matches_golden(pair):
     app, profile = PAIRS[pair]
     rows = []
-    for unit in BINS["all"]:
-        columns = UnitColumns([unit])
+    units = BINS["all"]
+    for i in range(len(units)):
+        columns = UnitColumns(units._take([i], f"unit{i}"))
         w = app.estimate_work(columns)
         b = profile.breakdown(columns, matches=w.matches)
         rows.append(f"{w.tokens} {w.sentences} {w.matches} {w.output_bytes} "
@@ -219,3 +229,6 @@ def test_grep_pricing_never_reads_segment_stats(monkeypatch):
         app, profile = PAIRS[pair]
         b = Workload(pair, app, profile).price(BINS["mixed"])
         assert b.io.hex() == GOLDEN[(pair, "mixed")][7]
+        segments = pack(BINS["many"], [[0, 1, 2], [3]])
+        Workload(pair, app, profile).price(segments)
+        assert "stats" not in vars(segments._store)   # the packed stats never computed

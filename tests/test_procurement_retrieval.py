@@ -22,8 +22,8 @@ class TestRetrievalAccounting:
         wl = Workload("grep", GrepApplication(), GrepCostProfile())
         prov = StaticProvisioner(self.model())
 
-        orig_units = list(reshape(cat, None).units)
-        merged_units = list(reshape(cat, 200 * KB).units)
+        orig_units = reshape(cat, None).units
+        merged_units = reshape(cat, 200 * KB).units
         plan_orig = prov.plan(orig_units, 30.0, strategy="uniform")
         plan_merged = prov.plan(merged_units, 30.0, strategy="uniform")
 
@@ -38,6 +38,6 @@ class TestRetrievalAccounting:
     def test_retrieval_not_measured_by_default(self):
         cat = text_400k_like(scale=1e-3)
         wl = Workload("grep", GrepApplication(), GrepCostProfile())
-        plan = StaticProvisioner(self.model()).plan(list(cat), 30.0)
+        plan = StaticProvisioner(self.model()).plan(cat, 30.0)
         rep = execute_plan(Cloud(seed=13), wl, plan)
         assert rep.retrieval_seconds is None

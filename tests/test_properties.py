@@ -19,7 +19,7 @@ from repro.core.deadline import adjusted_deadline
 from repro.perfmodel.regression import fit_affine, fit_power
 from repro.sim.engine import SimulationEngine
 from repro.sim.random import RngStream
-from repro.vfs import Catalogue, TextStats, VirtualFile
+from tests.catalogues import make_catalogue
 
 
 # --- strategies --------------------------------------------------------------
@@ -29,10 +29,7 @@ sizes_strategy = st.lists(st.integers(min_value=1, max_value=200_000),
 
 
 def catalogue_of(sizes):
-    return Catalogue([
-        VirtualFile(path=f"f{i:05d}", size=s, stats=TextStats(), content_seed=i)
-        for i, s in enumerate(sizes)
-    ])
+    return make_catalogue(sizes, pattern="f%05d")
 
 
 # --- reshaping ----------------------------------------------------------------
@@ -54,7 +51,7 @@ class TestReshapeProperties:
         cat = catalogue_of(sizes)
         plan = reshape(cat, unit)
         for u in plan.units:
-            assert u.size <= unit or u.n_members == 1
+            assert u.size <= unit or len(u.members) == 1
 
     @given(sizes_strategy)
     @settings(max_examples=40)

@@ -61,7 +61,7 @@ def make_plan(deadline=30.0, scale=1e-3, strategy="uniform", y_scale=1.0):
     model = fit_affine(x, y_scale * (0.327 + 0.865e-4 * x))
     cat = text_400k_like(scale=scale)
     return StaticProvisioner(model).plan(
-        list(reshape(cat, None).units), deadline, strategy=strategy)
+        reshape(cat, None).units, deadline, strategy=strategy)
 
 
 def plan_units(plan):

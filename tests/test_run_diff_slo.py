@@ -41,8 +41,9 @@ def _plan_run(seed: int) -> RunRecord:
     from repro.runner import execute_plan
 
     n_bins = 16
-    units = list(reshape(text_400k_like(scale=5e-3), None).units)
-    assignments = [units[i::n_bins] for i in range(n_bins)]
+    units = reshape(text_400k_like(scale=5e-3), None).units
+    assignments = [units._take(range(i, len(units), n_bins), f"bin{i}")
+                   for i in range(n_bins)]
     plan = ProvisioningPlan(
         deadline=3600.0, planning_deadline=3600.0, strategy="uniform",
         predictor_name="affine", assignments=assignments,

@@ -170,8 +170,9 @@ def _quick_plan(n_bins=4):
     from repro.core.planner import ProvisioningPlan
     from repro.corpus import text_400k_like
 
-    units = list(reshape(text_400k_like(scale=2e-3), None).units)
-    assignments = [units[i::n_bins] for i in range(n_bins)]
+    units = reshape(text_400k_like(scale=2e-3), None).units
+    assignments = [units._take(range(i, len(units), n_bins), f"bin{i}")
+                   for i in range(n_bins)]
     return ProvisioningPlan(
         deadline=3600.0, planning_deadline=3600.0, strategy="uniform",
         predictor_name="affine", assignments=assignments,

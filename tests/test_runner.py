@@ -32,7 +32,7 @@ def pos_workload():
 
 def make_plan(deadline=30.0, strategy="uniform", scale=1e-3):
     cat = text_400k_like(scale=scale)
-    units = list(reshape(cat, None).units)
+    units = reshape(cat, None).units
     return StaticProvisioner(model()).plan(units, deadline, strategy=strategy)
 
 

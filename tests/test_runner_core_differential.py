@@ -48,7 +48,7 @@ def make_plan(deadline=30.0, scale=2e-3, strategy="uniform"):
     model = fit_affine(x, 0.327 + 0.865e-4 * x)
     cat = text_400k_like(scale=scale)
     return StaticProvisioner(model).plan(
-        list(reshape(cat, None).units), deadline, strategy=strategy)
+        reshape(cat, None).units, deadline, strategy=strategy)
 
 
 def make_straggly_plan(deadline=30.0, scale=2e-3):
@@ -63,7 +63,7 @@ def make_straggly_plan(deadline=30.0, scale=2e-3):
     model = fit_affine(x, 0.5 * (0.327 + 0.865e-4 * x))
     cat = text_400k_like(scale=scale)
     return StaticProvisioner(model).plan(
-        list(reshape(cat, None).units), deadline, strategy="uniform")
+        reshape(cat, None).units, deadline, strategy="uniform")
 
 
 def run_leased(manager, workload, plan, *, tenant="default", campaign=None):

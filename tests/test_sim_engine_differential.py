@@ -196,7 +196,7 @@ def _workload():
 
 def _plan(deadline=30.0):
     cat = text_400k_like(scale=1e-3)
-    units = list(reshape(cat, None).units)
+    units = reshape(cat, None).units
     return StaticProvisioner(_model()).plan(units, deadline)
 
 

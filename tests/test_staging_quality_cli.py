@@ -102,7 +102,7 @@ class TestQualityAwareExecution:
         plan = ProvisioningPlan(
             deadline=120.0, planning_deadline=120.0, strategy="uniform",
             predictor_name="fixed",
-            assignments=[[cat[i] for i in l.indices] for l in layouts],
+            assignments=[cat._take(l.indices, f"bin{i}") for i, l in enumerate(layouts)],
             predicted_times=[l.used * 1.33e-8 for l in layouts],
         )
         uni_cloud = Cloud(seed=33, io_heterogeneity=hetero)

@@ -9,15 +9,20 @@ from repro.apps import PosTaggerApplication, UnitColumns
 from repro.apps.postagger import token_work
 from repro.packing import first_fit_layout
 from repro.sim.random import RngStream
-from repro.vfs import Catalogue, Segment, TextStats, VirtualFile
+from repro.vfs import Catalogue, TextStats, VirtualFile
+from tests.catalogues import make_catalogue as build, segment
 
 
 def vfile(path: str, size: int, seed: int = 1, **stats) -> VirtualFile:
     return VirtualFile(path=path, size=size, stats=TextStats(**stats), content_seed=seed)
 
 
+def one_file(size: int, **stats) -> Catalogue:
+    return build([size], TextStats(**stats))
+
+
 def tokens(size: int, **stats) -> int:
-    return int(token_work(UnitColumns([vfile("t", size, **stats)]))[0][0])
+    return int(token_work(UnitColumns(one_file(size, **stats)))[0][0])
 
 
 class TestTextStats:
@@ -29,8 +34,8 @@ class TestTextStats:
 
     def test_sentences_nonzero_for_nonempty(self):
         app = PosTaggerApplication()
-        assert app.estimate_work(UnitColumns([vfile("a", 100)])).sentences >= 1
-        assert app.estimate_work(UnitColumns([vfile("a", 0)])).sentences == 0
+        assert app.estimate_work(UnitColumns(one_file(100))).sentences >= 1
+        assert app.estimate_work(UnitColumns(one_file(0))).sentences == 0
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):
@@ -73,27 +78,28 @@ class TestVirtualFile:
 
 class TestSegment:
     def test_size_is_member_sum(self):
-        seg = Segment("s0", (vfile("a", 100), vfile("b", 50)))
-        assert seg.size == 150 and seg.n_members == 2
+        seg = segment(build([100, 50]), [0, 1])
+        assert seg.size == 150 and len(seg.members) == 2
 
     def test_materialize_concatenates(self):
-        seg = Segment("s0", (vfile("a", 40, seed=1), vfile("b", 30, seed=2)))
+        c = build([40, 30])
+        seg = segment(c, [0, 1])
         data = seg.materialize()
-        assert data == vfile("a", 40, seed=1).materialize() + b"\n" + vfile("b", 30, seed=2).materialize()
+        assert data == c[0].materialize() + b"\n" + c[1].materialize()
 
     def test_empty_segment(self):
-        seg = Segment("s", ())
+        seg = segment(build([0]), [0])
         assert seg.size == 0 and seg.materialize() == b""
 
     def test_stats_volume_weighted(self):
-        a = vfile("a", 900, avg_sentence_words=10.0)
-        b = vfile("b", 100, avg_sentence_words=30.0)
-        seg = Segment("s", (a, b))
+        c = build([900, 100], [TextStats(avg_sentence_words=10.0),
+                               TextStats(avg_sentence_words=30.0)])
+        seg = segment(c, [0, 1])
         assert seg.stats().avg_sentence_words == pytest.approx(12.0)
 
 
 def make_catalogue(sizes):
-    return Catalogue([vfile(f"f{i:04d}", s, seed=i) for i, s in enumerate(sizes)])
+    return build(sizes, pattern="f%04d")
 
 
 class TestCatalogue:
@@ -111,8 +117,9 @@ class TestCatalogue:
             ["f0000", "f0001"], ["f0002"]]
 
     def test_duplicate_paths_rejected(self):
+        c = make_catalogue([1, 2])
         with pytest.raises(ValueError):
-            Catalogue([vfile("same", 1), vfile("same", 2)])
+            Catalogue.concat([c, c._take([1], "again")])
 
     def test_head_by_volume(self):
         c = make_catalogue([10, 20, 30, 40])
@@ -146,8 +153,8 @@ class TestCatalogue:
 
     @pytest.mark.parametrize("arrange", ["concat", "by-size"])
     def test_sample_keeps_catalogue_order(self, arrange):
-        a = Catalogue([vfile(f"a/{i:02d}", 100 + i, seed=i) for i in range(20)])
-        z = Catalogue([vfile(f"z/{i:02d}", 10 + i, seed=i) for i in range(20)])
+        a = build([100 + i for i in range(20)], pattern="a/%02d", name="a")
+        z = build([10 + i for i in range(20)], pattern="z/%02d", name="z")
         if arrange == "concat":
             c = Catalogue.concat([z, a])
         else:
@@ -189,7 +196,7 @@ class TestCatalogue:
         assert d["files"] == 2 and d["total"] == 40 and d["max"] == 30
 
     def test_empty_catalogue(self):
-        c = Catalogue([])
+        c = make_catalogue([])
         assert c.total_size == 0 and c.max_file_size == 0
         assert c.describe()["files"] == 0
 

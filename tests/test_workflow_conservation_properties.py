@@ -17,7 +17,7 @@ from repro.cloud import Workload
 from repro.core import WorkflowStage, derived_catalogue
 from repro.dag import WorkflowGraph
 from repro.perfmodel.regression import fit_affine
-from repro.vfs.files import Catalogue, VirtualFile
+from tests.catalogues import make_catalogue
 
 
 def _predictor():
@@ -33,9 +33,7 @@ def _stage(name, ratio):
 
 
 def _catalogue(sizes):
-    return Catalogue(
-        [VirtualFile(path=f"f{i}.html", size=s, content_seed=i)
-         for i, s in enumerate(sizes)], name="prop")
+    return make_catalogue(sizes, pattern="f%d.html", name="prop")
 
 
 sizes_strategy = st.lists(
